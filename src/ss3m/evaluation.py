@@ -74,7 +74,8 @@ class MetricsReport:
 
 def _sample_activations_collapsed(state, counts, hyper, rng):
     """Resample every activation bit from P(A_dp | z, A_d,-p) with theta
-    integrated out (Dirichlet-multinomial marginal).
+    integrated out (Dirichlet-multinomial marginal), in one
+    gibbs.activation_scan over the phenotypes.
 
     The plain conditional given theta cannot move when Bstar is a spike
     near zero: an interior theta coordinate forces A on, a corner forces
@@ -82,26 +83,23 @@ def _sample_activations_collapsed(state, counts, hyper, rng):
     while leaving the stationary distribution unchanged (blocked Gibbs:
     A given z, then theta given A and z).
     """
-    D, P = state.A.shape
     prior_bias = np.log(hyper.alpha) - np.log1p(-hyper.alpha)
     totals = counts.sum(axis=1)
-    for d in range(D):
-        n_d = counts[d]
-        N = totals[d]
-        for p in range(P):
-            base = 0.0
-            for q in range(P):
-                if q != p:
-                    base += state.B[q] if state.A[d, q] else state.Bstar
-            t_on = base + state.B[p]
-            t_off = base + state.Bstar
-            log_odds = (prior_bias
-                        + gammaln(t_on) - gammaln(t_on + N)
-                        + gammaln(state.B[p] + n_d[p]) - gammaln(state.B[p])
-                        - gammaln(t_off) + gammaln(t_off + N)
-                        - gammaln(state.Bstar + n_d[p])
-                        + gammaln(state.Bstar))
-            state.A[d, p] = 1 if rng.random() < expit(log_odds) else 0
+    b, bstar = state.B, state.Bstar
+
+    def log_odds(p, rows, prior):
+        base = gibbs.rest_totals(prior, p)
+        n, N = counts[rows, p], totals[rows]
+        t_on = base + b[p]
+        t_off = base + bstar
+        return (prior_bias
+                + gammaln(t_on) - gammaln(t_on + N)
+                + gammaln(b[p] + n) - gammaln(b[p])
+                - gammaln(t_off) + gammaln(t_off + N)
+                - gammaln(bstar + n)
+                + gammaln(bstar))
+
+    gibbs.activation_scan(state.A, log_odds, expit, b, bstar, rng)
 
 
 def heldout_infer(test_corpus: Corpus, trained: ModelState,

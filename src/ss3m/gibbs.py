@@ -12,9 +12,10 @@ as a token-by-token scan.
 
 import logging
 from dataclasses import dataclass, field
-from math import lgamma, log
+from math import log
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import hmc
 from .errors import ConfigError, SamplingError
@@ -45,8 +46,6 @@ class TrainOptions:
     missing_label_mode: str = MISSING_FIX_ZERO
     b_mode: str = B_FIXED
     seed: int = 0
-    record_trace: bool = True
-    sweep_order_seed: int = 0
 
     def __post_init__(self):
         if self.missing_label_mode not in (MISSING_FIX_ZERO, MISSING_ESTIMATE):
@@ -147,9 +146,74 @@ def sample_phi(s: int, p: int, state: ModelState, corpus: Corpus,
     return sample_dirichlet(hyper.gamma[s] + m, rng)
 
 
-def activation_log_odds(d: int, p: int, state: ModelState,
-                        hyper: Hyperparameters) -> float:
-    """log P(A_dp=1 | rest) - log P(A_dp=0 | rest).
+def clamp_matrix(labels: LabelMatrix, options: TrainOptions, D: int,
+                 P: int) -> np.ndarray:
+    """D x P activation clamps: 1 or 0 where the labels fix the bit, -1
+    where it is sampled."""
+    clamp = np.full((D, P), -1, dtype=np.int8)
+    if labels is not None:
+        ent = labels.entries
+        block = clamp[:, :labels.num_labels]
+        block[ent == LABEL_PRESENT] = 1
+        block[ent == LABEL_ABSENT] = 0
+        if options.missing_label_mode == MISSING_FIX_ZERO:
+            block[ent == LABEL_UNKNOWN] = 0
+    return clamp
+
+
+def rest_totals(prior: np.ndarray, p: int) -> np.ndarray:
+    """Row sums of prior over the columns q != p, added left to right."""
+    rest = np.delete(prior, p, axis=1)
+    if rest.shape[1] == 0:
+        return np.zeros(prior.shape[0])
+    return np.add.accumulate(rest, axis=1)[:, -1]
+
+
+def activation_scan(A: np.ndarray, log_odds, prob_one, B, Bstar: float,
+                    rng: np.random.Generator, clamp: np.ndarray = None,
+                    cols=None) -> np.ndarray:
+    """One exact sequential Gibbs scan over the phenotype columns `cols`
+    (all of them by default) of the activation rows A, vectorized over the
+    rows. Mutates and returns A.
+
+    Cells where `clamp` holds 0 or 1 are set to it; the other cells (every
+    cell when clamp is None) are free and resampled. log_odds(p, rows,
+    prior) returns log P(A_dp=1 | rest) - log P(A_dp=0 | rest) for the
+    free rows of column p (indices into A), given those rows' current
+    gated concentrations; prob_one maps log-odds to P(A_dp=1).
+
+    Rows are conditionally independent of one another (given theta in
+    training, given the phenotype counts in held-out inference), so
+    updating column p of every row before moving to p+1 is the same
+    kernel as a cell-by-cell scan over rows then columns: each cell still
+    conditions on the new bits to its left and the old bits to its right.
+    The uniforms are drawn in one call, in row-major order over the free
+    cells -- the order in which the cell-by-cell scan drew them -- so the
+    draws are the same too.
+    """
+    D, P = A.shape
+    cols = np.arange(P) if cols is None else np.asarray(cols)
+    free = (np.ones((D, cols.size), dtype=bool) if clamp is None
+            else clamp[:, cols] < 0)
+    u = np.zeros(free.shape)
+    u[free] = rng.random(np.count_nonzero(free))
+    prior = prior_matrix(A, B, Bstar)
+    for j, p in enumerate(cols):
+        if clamp is not None:
+            fixed = ~free[:, j]
+            A[fixed, p] = clamp[fixed, p]
+        rows = np.flatnonzero(free[:, j])
+        if rows.size:
+            A[rows, p] = u[rows, j] < prob_one(log_odds(p, rows, prior[rows]))
+        prior[:, p] = np.where(A[:, p] == 1, B[p], Bstar)
+    return A
+
+
+def activation_log_odds_column(p: int, patients: np.ndarray,
+                               prior: np.ndarray, state: ModelState,
+                               hyper: Hyperparameters) -> np.ndarray:
+    """log P(A_dp=1 | rest) - log P(A_dp=0 | rest) for every d in
+    `patients`, whose gated concentration rows are `prior`.
 
     Ratio of the two Dirichlet densities on theta_d whose concentration
     vectors differ only at coordinate p (Bstar vs B_p), times the Bernoulli
@@ -157,35 +221,60 @@ def activation_log_odds(d: int, p: int, state: ModelState,
     """
     b_p = float(state.B[p])
     bstar = float(state.Bstar)
-    prior = dirichlet_prior_row(state.A[d], state.B, bstar).astype(float)
-    t0 = float(prior.sum() - prior[p] + bstar)  # total with A_dp = 0
-    log_theta = float(floored_log(state.theta[d, p]))
+    t0 = prior.sum(axis=1) - prior[:, p] + bstar  # total with A_dp = 0
+    log_theta = floored_log(state.theta[patients, p])
     val = (log(hyper.alpha / (1.0 - hyper.alpha))
-           + lgamma(t0 - bstar + b_p) - lgamma(t0)
-           + lgamma(bstar) - lgamma(b_p)
+           + gammaln(t0 - bstar + b_p) - gammaln(t0)
+           + gammaln(bstar) - gammaln(b_p)
            + (b_p - bstar) * log_theta)
-    if not np.isfinite(val):
+    bad = ~np.isfinite(val)
+    if bad.any():
         raise SamplingError(
-            f"non-finite activation log-odds at patient {d}, phenotype {p}")
+            "non-finite activation log-odds at patient "
+            f"{int(patients[bad][0])}, phenotype {p}")
     return val
+
+
+def _prob_one(odds: np.ndarray) -> np.ndarray:
+    """sigmoid(odds), read as exactly 0 below -700 where exp(-odds)
+    overflows."""
+    with np.errstate(over="ignore"):
+        return np.where(odds > -700, 1.0 / (1.0 + np.exp(-odds)), 0.0)
+
+
+def sample_activations(state: ModelState, labels: LabelMatrix,
+                       options: TrainOptions, hyper: Hyperparameters,
+                       rng: np.random.Generator, patients=None,
+                       cols=None) -> np.ndarray:
+    """New activation rows of `patients` (every patient by default) after
+    one scan of A | theta over `cols` (every phenotype by default),
+    honoring the label clamp rules. The state is not changed."""
+    D, P = state.A.shape
+    patients = np.arange(D) if patients is None else np.asarray(patients)
+    return activation_scan(
+        state.A[patients],
+        lambda p, rows, prior: activation_log_odds_column(
+            p, patients[rows], prior, state, hyper),
+        _prob_one, state.B, state.Bstar, rng,
+        clamp=clamp_matrix(labels, options, D, P)[patients], cols=cols)
+
+
+def activation_log_odds(d: int, p: int, state: ModelState,
+                        hyper: Hyperparameters) -> float:
+    """log P(A_dp=1 | rest) - log P(A_dp=0 | rest) for one cell: a view
+    onto activation_log_odds_column."""
+    return float(activation_log_odds_column(
+        p, np.array([d]), prior_matrix(state.A[[d]], state.B, state.Bstar),
+        state, hyper)[0])
 
 
 def sample_activation(d: int, p: int, state: ModelState, labels: LabelMatrix,
                       options: TrainOptions, hyper: Hyperparameters,
                       rng: np.random.Generator) -> int:
-    """Resample one activation bit, honoring the label clamp rules."""
-    if labels is not None and p < labels.num_labels:
-        cell = int(labels.entries[d, p])
-        if cell == LABEL_PRESENT:
-            return 1
-        if cell == LABEL_ABSENT:
-            return 0
-        if options.missing_label_mode == MISSING_FIX_ZERO:
-            return 0
-    odds = activation_log_odds(d, p, state, hyper)
-    # sigmoid(odds) via a draw on the log scale avoids overflow at |odds|>>0
-    prob_one = 1.0 / (1.0 + np.exp(-odds)) if odds > -700 else 0.0
-    return int(rng.random() < prob_one)
+    """Resample one activation bit, honoring the label clamp rules: a
+    one-cell view onto sample_activations."""
+    return int(sample_activations(state, labels, options, hyper, rng,
+                                  patients=[d], cols=[p])[0, p])
 
 
 def sweep(state: ModelState, corpus: Corpus, labels: LabelMatrix,
@@ -211,12 +300,12 @@ def sweep(state: ModelState, corpus: Corpus, labels: LabelMatrix,
         bounds = np.cumsum(lengths)[:-1]
         state.z[s] = list(np.split(z_flat, bounds))
 
-    # (2) activations, patients then phenotypes in index order.
+    # (2) activations: one exact sequential scan over phenotypes p, each
+    # column resampled for all patients at once. activation_scan says why
+    # this is the kernel and the draws of a cell-by-cell scan over
+    # patients then phenotypes.
     if update_activations:
-        for d in range(D):
-            for p in range(P):
-                state.A[d, p] = sample_activation(
-                    d, p, state, labels, options, hyper, rng)
+        state.A = sample_activations(state, labels, options, hyper, rng)
 
     # (3) patient-phenotype distributions.
     counts = phenotype_counts(state, corpus)
@@ -270,15 +359,8 @@ def initialize_state(corpus: Corpus, labels: LabelMatrix,
         z.append([rng.integers(0, P, size=w.size) for w in corpus.tokens[s]])
 
     A = (rng.random((D, P)) < hyper.alpha).astype(np.int8)
-    if labels is not None:
-        P_lab = labels.num_labels
-        ent = labels.entries
-        clamp_one = ent == LABEL_PRESENT
-        A[:, :P_lab][clamp_one] = 1
-        clamp_zero = ent == LABEL_ABSENT
-        if options.missing_label_mode == MISSING_FIX_ZERO:
-            clamp_zero = clamp_zero | (ent == LABEL_UNKNOWN)
-        A[:, :P_lab][clamp_zero] = 0
+    clamp = clamp_matrix(labels, options, D, P)
+    A = np.where(clamp < 0, A, clamp).astype(np.int8)
 
     B = np.maximum(rng.gamma(hyper.b_shape, hyper.b_scale, size=P), PROB_FLOOR)
     Bstar = float(max(rng.gamma(hyper.bstar_shape, hyper.bstar_scale),
