@@ -162,7 +162,14 @@ def clamp_matrix(labels: LabelMatrix, options: TrainOptions, D: int,
 
 
 def rest_totals(prior: np.ndarray, p: int) -> np.ndarray:
-    """Row sums of prior over the columns q != p, added left to right."""
+    """Row sums of prior over the columns q != p, added left to right.
+
+    Taking prior[:, p] back out of the full row sum instead would lose
+    every Bstar term of a row whose only active phenotype is p once
+    P * Bstar falls below ulp(B_p), as it does at the paper prior
+    (Bstar ~ 1e-18): the A_dp=0 total then reads Bstar instead of
+    P * Bstar, and the log-odds are off by log P.
+    """
     rest = np.delete(prior, p, axis=1)
     if rest.shape[1] == 0:
         return np.zeros(prior.shape[0])
@@ -221,12 +228,13 @@ def activation_log_odds_column(p: int, patients: np.ndarray,
     """
     b_p = float(state.B[p])
     bstar = float(state.Bstar)
-    t0 = prior.sum(axis=1) - prior[:, p] + bstar  # total with A_dp = 0
+    rest = rest_totals(prior, p)
     log_theta = floored_log(state.theta[patients, p])
-    val = (log(hyper.alpha / (1.0 - hyper.alpha))
-           + gammaln(t0 - bstar + b_p) - gammaln(t0)
-           + gammaln(bstar) - gammaln(b_p)
-           + (b_p - bstar) * log_theta)
+    with np.errstate(invalid="ignore"):  # reported below
+        val = (log(hyper.alpha / (1.0 - hyper.alpha))
+               + gammaln(rest + b_p) - gammaln(rest + bstar)
+               + gammaln(bstar) - gammaln(b_p)
+               + (b_p - bstar) * log_theta)
     bad = ~np.isfinite(val)
     if bad.any():
         raise SamplingError(

@@ -177,6 +177,25 @@ class TestActivationLogOdds:
             want = _oracle_log_odds(d, p, state, h)
             assert got == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("P", [2, 5, 70])
+    def test_lone_active_phenotype_at_tiny_bstar(self, rng, P):
+        # Patient 0's only active phenotype is 1, and P * Bstar lies far
+        # below ulp(B_1). Then t_on = B_1 exactly and
+        # lgamma(Bstar) - lgamma(P * Bstar) = log P + O(Bstar), so the
+        # log-odds reduce to logit(alpha) + log P + (B_1 - Bstar) log theta.
+        # Subtracting B_1 back out of the row total loses the P Bstar
+        # terms and is off by exactly -log P.
+        h = make_hyper(P=P, alpha=0.1)
+        state, _ = random_tiny_state(rng, D=1, P=P)
+        state.A[:] = 0
+        state.A[0, 1] = 1
+        state.B = np.full(P, 3.0)
+        state.Bstar = 1e-18
+        want = (math.log(0.1 / 0.9) + math.log(P)
+                + (3.0 - 1e-18) * math.log(state.theta[0, 1]))
+        got = activation_log_odds(0, 1, state, h)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
     def test_monotone_in_theta_when_b_exceeds_bstar(self, rng):
         h = make_hyper(P=2, alpha=0.1)
         state, _ = random_tiny_state(rng, D=1, P=2)
