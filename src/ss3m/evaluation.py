@@ -99,7 +99,9 @@ def _sample_activations_collapsed(state, counts, hyper, rng):
                 - gammaln(bstar + n)
                 + gammaln(bstar))
 
-    gibbs.activation_scan(state.A, log_odds, expit, b, bstar, rng)
+    every_cell_free = np.full(state.A.shape, -1, dtype=np.int8)
+    gibbs.activation_scan(state.A, every_cell_free, log_odds, expit, b, bstar,
+                          rng)
 
 
 def heldout_infer(test_corpus: Corpus, trained: ModelState,
@@ -439,30 +441,29 @@ def evaluate_suite(artifacts: dict, train_corpus: Corpus,
                                       truth_test, max_ll))
 
     for base_id in ("mc3m_sp", "mc3m"):
-        present = base_id in artifacts
-        if not present:
+        if base_id not in artifacts:
             logger.warning("no artifact for %s; emitting placeholders", base_id)
-        for clf in ("lr", "nb"):
-            col = f"{base_id}_{clf}"
-            if not present:
-                reports.append(MetricsReport(model_id=col))
-                continue
-            state, max_ll = artifacts[base_id]
-            theta_prior = mc3m_concentration if base_id == "mc3m" else None
-            res = heldout_infer(test_corpus, state, hyper, burn_in=burn_in,
-                                samples=samples, seed=seed,
-                                label_names=test_labels.label_names,
-                                theta_prior=theta_prior)
-            feats_train = state.theta  # max-likelihood theta on train
-            feats_test = res.theta_mean
-            if clf == "lr":
-                model = lr_train(feats_train, truth_train, lam=lr_lam,
-                                 epochs=lr_epochs)
-                scores = lr_predict(model, feats_test)
-            else:
-                model = nb_train(feats_train, truth_train, NB_GAUSSIAN)
-                scores = nb_predict(model, feats_test)
-            reports.append(compute_report(col, scores, truth_test, max_ll))
+            reports += [MetricsReport(model_id=f"{base_id}_{clf}")
+                        for clf in ("lr", "nb")]
+            continue
+        # one held-out chain per base model feeds both classifiers
+        state, max_ll = artifacts[base_id]
+        theta_prior = mc3m_concentration if base_id == "mc3m" else None
+        res = heldout_infer(test_corpus, state, hyper, burn_in=burn_in,
+                            samples=samples, seed=seed,
+                            label_names=test_labels.label_names,
+                            theta_prior=theta_prior)
+        feats_train = state.theta  # max-likelihood theta on train
+        feats_test = res.theta_mean
+        model = lr_train(feats_train, truth_train, lam=lr_lam,
+                         epochs=lr_epochs)
+        reports.append(compute_report(f"{base_id}_lr",
+                                      lr_predict(model, feats_test),
+                                      truth_test, max_ll))
+        model = nb_train(feats_train, truth_train, NB_GAUSSIAN)
+        reports.append(compute_report(f"{base_id}_nb",
+                                      nb_predict(model, feats_test),
+                                      truth_test, max_ll))
 
     feats_train = raw_token_features(train_corpus)
     feats_test = raw_token_features(test_corpus)

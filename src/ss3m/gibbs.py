@@ -8,6 +8,14 @@ sweep the update order is z -> A -> theta -> phi -> B/Bstar. Because z
 assignments are conditionally independent given (theta, phi), the z pass is
 resampled in one vectorized batch per source; this is the same Gibbs kernel
 as a token-by-token scan.
+
+The A update is one exact sequential scan over phenotypes p, each column
+resampled for all D patients at once (activation_scan). Given theta the
+rows of A are independent, so the scan conditions every cell on exactly
+what a cell-by-cell pass over patients then phenotypes would; its
+uniforms are drawn in one call in that pass's row-major order, so the
+draws match too. Held-out inference runs the same scan with theta
+collapsed out (evaluation._sample_activations_collapsed).
 """
 
 import logging
@@ -176,15 +184,15 @@ def rest_totals(prior: np.ndarray, p: int) -> np.ndarray:
     return np.add.accumulate(rest, axis=1)[:, -1]
 
 
-def activation_scan(A: np.ndarray, log_odds, prob_one, B, Bstar: float,
-                    rng: np.random.Generator, clamp: np.ndarray = None,
+def activation_scan(A: np.ndarray, clamp: np.ndarray, log_odds, prob_one,
+                    B, Bstar: float, rng: np.random.Generator,
                     cols=None) -> np.ndarray:
     """One exact sequential Gibbs scan over the phenotype columns `cols`
     (all of them by default) of the activation rows A, vectorized over the
     rows. Mutates and returns A.
 
-    Cells where `clamp` holds 0 or 1 are set to it; the other cells (every
-    cell when clamp is None) are free and resampled. log_odds(p, rows,
+    Cells where `clamp` (shaped like A) holds 0 or 1 are set to it; the
+    cells where it holds -1 are free and resampled. log_odds(p, rows,
     prior) returns log P(A_dp=1 | rest) - log P(A_dp=0 | rest) for the
     free rows of column p (indices into A), given those rows' current
     gated concentrations; prob_one maps log-odds to P(A_dp=1).
@@ -198,17 +206,14 @@ def activation_scan(A: np.ndarray, log_odds, prob_one, B, Bstar: float,
     cells -- the order in which the cell-by-cell scan drew them -- so the
     draws are the same too.
     """
-    D, P = A.shape
-    cols = np.arange(P) if cols is None else np.asarray(cols)
-    free = (np.ones((D, cols.size), dtype=bool) if clamp is None
-            else clamp[:, cols] < 0)
+    cols = np.arange(A.shape[1]) if cols is None else np.asarray(cols)
+    free = clamp[:, cols] < 0
     u = np.zeros(free.shape)
     u[free] = rng.random(np.count_nonzero(free))
     prior = prior_matrix(A, B, Bstar)
     for j, p in enumerate(cols):
-        if clamp is not None:
-            fixed = ~free[:, j]
-            A[fixed, p] = clamp[fixed, p]
+        fixed = ~free[:, j]
+        A[fixed, p] = clamp[fixed, p]
         rows = np.flatnonzero(free[:, j])
         if rows.size:
             A[rows, p] = u[rows, j] < prob_one(log_odds(p, rows, prior[rows]))
@@ -260,11 +265,10 @@ def sample_activations(state: ModelState, labels: LabelMatrix,
     D, P = state.A.shape
     patients = np.arange(D) if patients is None else np.asarray(patients)
     return activation_scan(
-        state.A[patients],
+        state.A[patients], clamp_matrix(labels, options, D, P)[patients],
         lambda p, rows, prior: activation_log_odds_column(
             p, patients[rows], prior, state, hyper),
-        _prob_one, state.B, state.Bstar, rng,
-        clamp=clamp_matrix(labels, options, D, P)[patients], cols=cols)
+        _prob_one, state.B, state.Bstar, rng, cols=cols)
 
 
 def activation_log_odds(d: int, p: int, state: ModelState,
@@ -309,9 +313,9 @@ def sweep(state: ModelState, corpus: Corpus, labels: LabelMatrix,
         state.z[s] = list(np.split(z_flat, bounds))
 
     # (2) activations: one exact sequential scan over phenotypes p, each
-    # column resampled for all patients at once. activation_scan says why
-    # this is the kernel and the draws of a cell-by-cell scan over
-    # patients then phenotypes.
+    # column resampled for all patients at once; activation_scan explains
+    # why this is the same kernel, with the same draws, as a cell-by-cell
+    # scan over patients then phenotypes.
     if update_activations:
         state.A = sample_activations(state, labels, options, hyper, rng)
 

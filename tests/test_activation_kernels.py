@@ -1,0 +1,125 @@
+"""The vectorized activation scans against their cell-by-cell references.
+
+Each property builds a random activation problem, runs the package's
+column scan and the reference loop from tests/reference_kernels.py on
+identically seeded generators, and asserts the same activation matrix and
+the same generator state afterwards: the same kernel, draw for draw.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import reference_kernels as ref
+from conftest import make_hyper
+from ss3m.errors import SamplingError
+from ss3m.evaluation import _sample_activations_collapsed
+from ss3m.gibbs import (
+    MISSING_ESTIMATE,
+    MISSING_FIX_ZERO,
+    TrainOptions,
+    activation_log_odds,
+    sample_activations,
+)
+from ss3m.model import LABEL_PRESENT, LabelMatrix, ModelState
+
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None,
+                             derandomize=True, database=None)
+
+
+@st.composite
+def activation_problems(draw):
+    """(state, labels, options, hyper, counts, seed) with D in 1..6,
+    P in 1..8, P_lab in 0..P and Bstar from the paper spike to 2."""
+    D = draw(st.integers(1, 6))
+    P = draw(st.integers(1, 8))
+    P_lab = draw(st.integers(0, P))
+    theta = draw(arrays(np.float64, (D, P),
+                        elements=st.floats(0.0, 1.0))) + 1e-12
+    state = ModelState(
+        theta=theta / theta.sum(axis=1, keepdims=True), phi=[], z=[],
+        A=draw(arrays(np.int8, (D, P), elements=st.integers(0, 1))),
+        B=draw(arrays(np.float64, P, elements=st.floats(0.05, 50.0))),
+        Bstar=draw(st.sampled_from([1e-18, 1e-3, 2.0])))
+    entries = draw(arrays(np.int8, (D, P_lab), elements=st.integers(-1, 1)))
+    labels = (None if P_lab == 0 and draw(st.booleans()) else
+              LabelMatrix(entries=entries,
+                          label_names=[f"l{j}" for j in range(P_lab)]))
+    options = TrainOptions(missing_label_mode=draw(
+        st.sampled_from([MISSING_FIX_ZERO, MISSING_ESTIMATE])))
+    hyper = make_hyper(P=P, P_lab=P_lab, alpha=draw(st.floats(0.05, 0.95)))
+    counts = draw(arrays(np.int64, (D, P), elements=st.integers(0, 40)))
+    return state, labels, options, hyper, counts, draw(st.integers(0, 2**32))
+
+
+def _copy(state):
+    return ModelState(theta=state.theta, phi=[], z=[], A=state.A.copy(),
+                      B=state.B, Bstar=state.Bstar)
+
+
+@PROPERTY_SETTINGS
+@given(activation_problems())
+def test_training_scan_matches_cell_loop(problem):
+    state, labels, options, hyper, _, seed = problem
+    D, P = state.A.shape
+    for d in range(D):
+        for p in range(P):
+            assert (activation_log_odds(d, p, state, hyper)
+                    == ref.training_log_odds(d, p, state, hyper))
+
+    want = _copy(state)
+    rng_want = np.random.default_rng(seed)
+    ref.training_scan(want, labels, options, hyper, rng_want)
+    rng = np.random.default_rng(seed)
+    A_before = state.A.copy()
+    got = sample_activations(state, labels, options, hyper, rng)
+    assert np.array_equal(got, want.A)
+    assert rng.bit_generator.state == rng_want.bit_generator.state
+    assert np.array_equal(state.A, A_before)  # the state is not changed
+
+
+@PROPERTY_SETTINGS
+@given(activation_problems())
+def test_collapsed_scan_matches_cell_loop(problem):
+    state, _, _, hyper, counts, seed = problem
+    want = _copy(state)
+    rng_want = np.random.default_rng(seed)
+    ref.collapsed_scan(want, counts, hyper, rng_want)
+    rng = np.random.default_rng(seed)
+    _sample_activations_collapsed(state, counts, hyper, rng)
+    assert np.array_equal(state.A, want.A)
+    assert rng.bit_generator.state == rng_want.bit_generator.state
+
+
+def _error_state(D=5, P=4):
+    rng = np.random.default_rng(7)
+    return ModelState(theta=rng.dirichlet(np.ones(P), size=D), phi=[], z=[],
+                      A=rng.integers(0, 2, size=(D, P)).astype(np.int8),
+                      B=np.full(P, 5.0), Bstar=0.1)
+
+
+def test_non_finite_log_odds_names_the_cell():
+    state = _error_state()
+    state.theta[3, 1] = np.nan
+    hyper = make_hyper(P=4)
+    with pytest.raises(SamplingError, match=r"patient 3, phenotype 1\b"):
+        sample_activations(state, None, TrainOptions(), hyper,
+                           np.random.default_rng(0))
+    with pytest.raises(SamplingError, match=r"patient 3, phenotype 1\b"):
+        activation_log_odds(3, 1, state, hyper)
+
+
+def test_non_finite_log_odds_names_the_first_free_patient():
+    # B_0 = inf spoils column 0 for every patient; patients 0 and 1 are
+    # clamped Present there, so the first cell the scan resamples is (2, 0).
+    state = _error_state()
+    state.B[0] = np.inf
+    entries = np.full((5, 1), -1, dtype=np.int8)
+    entries[:2] = LABEL_PRESENT
+    labels = LabelMatrix(entries=entries, label_names=["l0"])
+    with pytest.raises(SamplingError, match=r"patient 2, phenotype 0\b"):
+        sample_activations(state, labels,
+                           TrainOptions(missing_label_mode=MISSING_ESTIMATE),
+                           make_hyper(P=4, P_lab=1), np.random.default_rng(0))
