@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Commands: generate | preprocess | train | evaluate | summarize.
-Global flags: --config PATH, --seed INT, --threads INT, --force, --out DIR,
+Global flags: --config PATH, --seed INT, --force, --out DIR,
 plus one override flag per dotted config key (e.g. --model.alpha 0.2).
 Exit codes: 0 success, 1 usage/config, 2 data error, 3 numerical error.
 """
@@ -38,8 +38,6 @@ def build_parser():
                     "multi-source count data")
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (1 = deterministic mode)")
     parser.add_argument("--force", action="store_true",
                         help="overwrite a non-empty output directory")
     parser.add_argument("--out", default="out", help="output directory")
@@ -350,9 +348,6 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads != 1:
-        logger.warning("multi-threaded mode is not implemented; "
-                       "running single-threaded (deterministic)")
     try:
         cfg = load_config(args)
         return COMMANDS[args.command](args, cfg)

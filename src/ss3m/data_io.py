@@ -9,7 +9,6 @@ Wire formats:
   * model state: JSON container with format_version "ss3m-state-v1".
 """
 
-import csv
 import json
 import logging
 import os
@@ -211,26 +210,6 @@ def build_labels(records, top_k: int, patient_ids=None) -> LabelMatrix:
             if j is not None:
                 entries[i, j] = LABEL_PRESENT
     return LabelMatrix(entries=entries, label_names=names)
-
-
-def load_label_csv(path, patient_ids, label_names) -> LabelMatrix:
-    """Explicit label stream: CSV with header patient_id,label; cells are
-    Present where listed, Unknown otherwise."""
-    pidx = {pid: i for i, pid in enumerate(patient_ids)}
-    col = {name: j for j, name in enumerate(label_names)}
-    entries = np.full((len(patient_ids), len(label_names)), LABEL_UNKNOWN,
-                      dtype=np.int8)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or \
-                {"patient_id", "label"} - set(reader.fieldnames):
-            raise DataError(f"{path}: expected header patient_id,label")
-        for row in reader:
-            i = pidx.get(row["patient_id"])
-            j = col.get(row["label"])
-            if i is not None and j is not None:
-                entries[i, j] = LABEL_PRESENT
-    return LabelMatrix(entries=entries, label_names=list(label_names))
 
 
 def split(corpus: Corpus, labels: LabelMatrix, train_fraction: float,

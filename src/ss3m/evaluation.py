@@ -22,6 +22,8 @@ from .model import (
     Hyperparameters,
     LabelMatrix,
     ModelState,
+    count_pairs,
+    flat_view,
     prior_matrix,
 )
 from .util import sample_dirichlet, substream
@@ -129,11 +131,14 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
     P_lab = hyper.num_labeled
     gated = theta_prior is None
 
+    flat = [flat_view(per_source) for per_source in test_corpus.tokens]
+    # z is kept flat per source; the per-patient draws keep the draw order
+    z = [flat_view([rng.integers(0, P, size=w.size) for w in per_source])[0]
+         for per_source in test_corpus.tokens]
     state = ModelState(
         theta=np.empty((D, P)),
         phi=[p.copy() for p in trained.phi],
-        z=[[rng.integers(0, P, size=w.size) for w in per_source]
-           for per_source in test_corpus.tokens],
+        z=[],
         # start fully active: when Bstar is a spike near zero the
         # off-to-on move has vanishing probability, so the chain must
         # prune activations rather than discover them
@@ -141,7 +146,12 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
         B=trained.B.copy(),
         Bstar=float(trained.Bstar),
     )
-    counts = gibbs.phenotype_counts(state, test_corpus)
+
+    def assignment_counts():
+        return sum(count_pairs(doc_idx, z_s, D, P)
+                   for (_, doc_idx), z_s in zip(flat, z))
+
+    counts = assignment_counts()
     prior = (prior_matrix(state.A, state.B, state.Bstar) if gated
              else np.full((D, P), float(theta_prior)))
     state.theta = sample_dirichlet(prior + counts, rng)
@@ -149,17 +159,11 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
     a_sum = np.zeros((D, P))
     theta_sum = np.zeros((D, P))
     for it in range(burn_in + samples):
-        for s in range(test_corpus.num_sources):
-            lengths = [w.size for w in test_corpus.tokens[s]]
-            if sum(lengths) == 0:
-                continue
-            w_flat = np.concatenate(
-                [w for w in test_corpus.tokens[s] if w.size])
-            doc_idx = np.repeat(np.arange(D), lengths)
-            z_flat = gibbs._sample_z_batch(
-                state.theta, state.phi[s], w_flat, doc_idx, rng)
-            state.z[s] = list(np.split(z_flat, np.cumsum(lengths)[:-1]))
-        counts = gibbs.phenotype_counts(state, test_corpus)
+        for s, (w_flat, doc_idx) in enumerate(flat):
+            if w_flat.size:
+                z[s] = gibbs._sample_z_batch(
+                    state.theta, state.phi[s], w_flat, doc_idx, rng)
+        counts = assignment_counts()
         if gated:
             _sample_activations_collapsed(state, counts, hyper, rng)
         prior = (prior_matrix(state.A, state.B, state.Bstar) if gated
@@ -381,17 +385,12 @@ def lr_predict(model, features) -> np.ndarray:
 
 def raw_token_features(corpus: Corpus) -> np.ndarray:
     """Per-patient token-count vectors, sources concatenated."""
-    D = corpus.num_patients
     blocks = []
-    for s in range(corpus.num_sources):
-        v_s = len(corpus.vocab[s])
-        block = np.zeros((D, v_s))
-        for d in range(D):
-            w = corpus.tokens[s][d]
-            if w.size:
-                block[d] = np.bincount(w, minlength=v_s)
-        blocks.append(block)
-    return np.hstack(blocks)
+    for s, per_source in enumerate(corpus.tokens):
+        w_flat, doc_idx = flat_view(per_source)
+        blocks.append(count_pairs(doc_idx, w_flat, corpus.num_patients,
+                                  len(corpus.vocab[s])))
+    return np.hstack(blocks).astype(float)
 
 
 def truth_matrix(labels: LabelMatrix) -> np.ndarray:
@@ -518,11 +517,3 @@ def reports_to_table(reports) -> str:
         lines.append(f"{title:<16}" + "".join(cells))
     return "\n".join(lines) + "\n"
 
-
-def export_scores_csv(score_matrix: ScoreMatrix, patient_ids) -> str:
-    """CSV with header patient_id,label,score."""
-    lines = ["patient_id,label,score"]
-    for i, pid in enumerate(patient_ids):
-        for j, name in enumerate(score_matrix.label_names):
-            lines.append(f"{pid},{name},{score_matrix.scores[i, j]!r}")
-    return "\n".join(lines) + "\n"

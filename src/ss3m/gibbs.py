@@ -4,10 +4,15 @@ together.
 
 The sampler is uncollapsed: theta and phi are explicitly sampled, which is
 required because the activation conditional depends on theta_d. Within a
-sweep the update order is z -> A -> theta -> phi -> B/Bstar. Because z
-assignments are conditionally independent given (theta, phi), the z pass is
-resampled in one vectorized batch per source; this is the same Gibbs kernel
-as a token-by-token scan.
+sweep the update order is z -> A -> theta -> phi -> B/Bstar.
+
+Token-level work runs in one flat pass per source over model.flat_view's
+(w_flat, doc_idx), the source's per-patient arrays laid end to end. The
+z assignments are conditionally independent given (theta, phi), so the
+z pass resamples them all in one vectorized batch, in fixed-size token
+blocks, with one uniform per token drawn in a single call: the same Gibbs
+kernel, and the same draws, as a token-by-token scan. The phenotype and
+token count matrices are one bincount per source.
 
 The A update is one exact sequential scan over phenotypes p, each column
 resampled for all D patients at once (activation_scan). Given theta the
@@ -36,8 +41,11 @@ from .model import (
     LabelMatrix,
     ModelState,
     complete_data_log_likelihood,
+    count_pairs,
     dirichlet_prior_row,
+    flat_view,
     prior_matrix,
+    split_flat,
 )
 from .util import PROB_FLOOR, floored_log, sample_dirichlet, substream
 
@@ -47,6 +55,9 @@ MISSING_FIX_ZERO = "fix_zero"
 MISSING_ESTIMATE = "estimate"
 B_FIXED = "fixed"
 B_SAMPLED = "sampled"
+
+# Tokens per block of the z pass: bounds its (block x P) temporaries.
+Z_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -88,18 +99,26 @@ def sample_z_token(theta_d, phi_s, w: int, rng: np.random.Generator) -> int:
 
 
 def _sample_z_batch(theta, phi_s, w_flat, doc_idx, rng):
-    """Vectorized z resample for all tokens of one source."""
-    probs = theta[doc_idx, :] * phi_s[:, w_flat].T
-    totals = probs.sum(axis=1)
-    bad = ~(totals > 0.0) | ~np.isfinite(totals)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise SamplingError(
-            f"all-zero assignment weights at patient {int(doc_idx[i])}, "
-            f"token {i} (corrupt state)")
-    cum = np.cumsum(probs, axis=1)
-    u = rng.random(len(w_flat)) * totals
-    return (cum < u[:, None]).sum(axis=1).astype(np.int64)
+    """Vectorized z resample for all tokens of one source, Z_CHUNK tokens
+    at a time so the (tokens x P) temporaries stay bounded. The uniforms
+    are drawn in one call up front, so the draws do not depend on the
+    chunking."""
+    phi_t = np.ascontiguousarray(phi_s.T)
+    u = rng.random(len(w_flat))
+    z = np.empty(len(w_flat), dtype=np.int64)
+    for start in range(0, len(w_flat), Z_CHUNK):
+        chunk = slice(start, start + Z_CHUNK)
+        probs = theta[doc_idx[chunk]] * phi_t[w_flat[chunk]]
+        totals = probs.sum(axis=1)
+        bad = ~(totals > 0.0) | ~np.isfinite(totals)
+        if bad.any():
+            i = start + int(np.flatnonzero(bad)[0])
+            raise SamplingError(
+                f"all-zero assignment weights at patient {int(doc_idx[i])}, "
+                f"token {i} (corrupt state)")
+        cum = np.cumsum(probs, axis=1, out=probs)
+        z[chunk] = (cum < (u[chunk] * totals)[:, None]).sum(axis=1)
+    return z
 
 
 def phenotype_counts(state: ModelState, corpus: Corpus) -> np.ndarray:
@@ -107,50 +126,30 @@ def phenotype_counts(state: ModelState, corpus: Corpus) -> np.ndarray:
     D, P = state.theta.shape
     c = np.zeros((D, P), dtype=np.int64)
     for s in range(corpus.num_sources):
-        for d in range(D):
-            z_sd = state.z[s][d]
-            if z_sd.size:
-                c[d] += np.bincount(z_sd, minlength=P)
+        z_flat, doc_idx = flat_view(state.z[s])
+        c += count_pairs(doc_idx, z_flat, D, P)
     return c
 
 
 def token_counts(state: ModelState, corpus: Corpus, s: int) -> np.ndarray:
     """m[p, v] = number of source-s tokens with value v assigned to p."""
-    P = state.theta.shape[1]
-    v_s = len(corpus.vocab[s])
-    flat = np.zeros(P * v_s, dtype=np.int64)
-    for d in range(corpus.num_patients):
-        z_sd = state.z[s][d]
-        if z_sd.size:
-            idx = z_sd * v_s + corpus.tokens[s][d]
-            flat += np.bincount(idx, minlength=P * v_s)
-    return flat.reshape(P, v_s)
+    z_flat, _ = flat_view(state.z[s])
+    w_flat, _ = flat_view(corpus.tokens[s])
+    return count_pairs(z_flat, w_flat, state.theta.shape[1],
+                       len(corpus.vocab[s]))
 
 
 def sample_theta(d: int, state: ModelState, corpus: Corpus,
                  rng: np.random.Generator) -> np.ndarray:
     """Draw theta_d from Dir(prior_d + phenotype counts of patient d)."""
-    P = state.theta.shape[1]
-    counts = np.zeros(P, dtype=np.int64)
-    for s in range(corpus.num_sources):
-        z_sd = state.z[s][d]
-        if z_sd.size:
-            counts += np.bincount(z_sd, minlength=P)
     prior = dirichlet_prior_row(state.A[d], state.B, state.Bstar)
-    return sample_dirichlet(prior + counts, rng)
+    return sample_dirichlet(prior + phenotype_counts(state, corpus)[d], rng)
 
 
 def sample_phi(s: int, p: int, state: ModelState, corpus: Corpus,
                hyper: Hyperparameters, rng: np.random.Generator) -> np.ndarray:
     """Draw phi_sp from Dir(gamma_s + per-token assignment counts)."""
-    v_s = len(corpus.vocab[s])
-    m = np.zeros(v_s, dtype=np.int64)
-    for d in range(corpus.num_patients):
-        z_sd = state.z[s][d]
-        if z_sd.size:
-            mask = z_sd == p
-            if mask.any():
-                m += np.bincount(corpus.tokens[s][d][mask], minlength=v_s)
+    m = token_counts(state, corpus, s)[p]
     return sample_dirichlet(hyper.gamma[s] + m, rng)
 
 
@@ -303,14 +302,11 @@ def sweep(state: ModelState, corpus: Corpus, labels: LabelMatrix,
 
     # (1) phenotype assignments, vectorized per source.
     for s in range(corpus.num_sources):
-        lengths = [w.size for w in corpus.tokens[s]]
-        if sum(lengths) == 0:
-            continue
-        w_flat = np.concatenate([w for w in corpus.tokens[s] if w.size])
-        doc_idx = np.repeat(np.arange(D), lengths)
-        z_flat = _sample_z_batch(state.theta, state.phi[s], w_flat, doc_idx, rng)
-        bounds = np.cumsum(lengths)[:-1]
-        state.z[s] = list(np.split(z_flat, bounds))
+        w_flat, doc_idx = flat_view(corpus.tokens[s])
+        if w_flat.size:
+            z_flat = _sample_z_batch(state.theta, state.phi[s], w_flat,
+                                     doc_idx, rng)
+            state.z[s] = split_flat(z_flat, doc_idx, D)
 
     # (2) activations: one exact sequential scan over phenotypes p, each
     # column resampled for all patients at once; activation_scan explains
@@ -388,25 +384,20 @@ def initialize_state(corpus: Corpus, labels: LabelMatrix,
     return state
 
 
-def train(corpus: Corpus, labels: LabelMatrix, hyper: Hyperparameters,
-          options: TrainOptions) -> TrainTrace:
-    """Run hyper.iterations Gibbs sweeps, tracking the complete-data
-    log-likelihood and keeping a deep snapshot of the best state."""
-    if corpus.num_patients == 0:
-        raise ConfigError("corpus is empty")
-    rng = substream(options.seed, "gibbs.train")
-    state = initialize_state(corpus, labels, hyper, options, rng)
+def _run_chain(state: ModelState, corpus: Corpus, hyper: Hyperparameters,
+               step) -> TrainTrace:
+    """Run step() (one sweep, returning its HMC counts) hyper.iterations
+    times, tracking the complete-data log-likelihood and keeping a deep
+    snapshot of the best state. An interrupt returns the partial trace."""
     trace = TrainTrace()
-
     ll = complete_data_log_likelihood(state, corpus, hyper)
     trace.log_likelihoods.append(ll)
     trace.best_state = state.copy()
     trace.best_iteration = 0
     best_ll = ll
-
     try:
         for it in range(1, hyper.iterations + 1):
-            stats = sweep(state, corpus, labels, options, hyper, rng)
+            stats = step()
             ll = complete_data_log_likelihood(state, corpus, hyper)
             trace.log_likelihoods.append(ll)
             trace.hmc_accepts.append(stats["hmc_accepts"])
@@ -419,6 +410,18 @@ def train(corpus: Corpus, labels: LabelMatrix, hyper: Hyperparameters,
         logger.warning("training interrupted at iteration %d; returning "
                        "partial trace", len(trace.log_likelihoods) - 1)
     return trace
+
+
+def train(corpus: Corpus, labels: LabelMatrix, hyper: Hyperparameters,
+          options: TrainOptions) -> TrainTrace:
+    """Run hyper.iterations Gibbs sweeps, tracking the complete-data
+    log-likelihood and keeping a deep snapshot of the best state."""
+    if corpus.num_patients == 0:
+        raise ConfigError("corpus is empty")
+    rng = substream(options.seed, "gibbs.train")
+    state = initialize_state(corpus, labels, hyper, options, rng)
+    return _run_chain(state, corpus, hyper, lambda: sweep(
+        state, corpus, labels, options, hyper, rng))
 
 
 def train_unstructured(corpus: Corpus, hyper: Hyperparameters,
@@ -441,25 +444,11 @@ def train_unstructured(corpus: Corpus, hyper: Hyperparameters,
         theta=np.empty((D, P)), phi=[None] * corpus.num_sources, z=z,
         A=np.ones((D, P), dtype=np.int8),
         B=np.full(P, float(concentration)), Bstar=float(concentration))
-    counts = phenotype_counts(state, corpus)
-    state.theta = sample_dirichlet(np.full((D, P), concentration) + counts, rng)
+    state.theta = sample_dirichlet(
+        concentration + phenotype_counts(state, corpus), rng)
     for s in range(corpus.num_sources):
         m = token_counts(state, corpus, s)
         state.phi[s] = sample_dirichlet(hyper.gamma[s] + m, rng)
-
-    trace = TrainTrace()
-    ll = complete_data_log_likelihood(state, corpus, hyper)
-    trace.log_likelihoods.append(ll)
-    trace.best_state = state.copy()
-    trace.best_iteration = 0
-    best_ll = ll
-    for it in range(1, hyper.iterations + 1):
-        sweep(state, corpus, None, options, hyper, rng,
-              update_activations=False, update_theta_prior=False)
-        ll = complete_data_log_likelihood(state, corpus, hyper)
-        trace.log_likelihoods.append(ll)
-        if ll > best_ll:
-            best_ll = ll
-            trace.best_state = state.copy()
-            trace.best_iteration = it
-    return trace
+    return _run_chain(state, corpus, hyper, lambda: sweep(
+        state, corpus, None, options, hyper, rng, update_activations=False,
+        update_theta_prior=False))

@@ -231,11 +231,58 @@ def prior_matrix(A, B, Bstar: float) -> np.ndarray:
                     float(Bstar))
 
 
+def flat_view(per_patient):
+    """One source's per-patient arrays laid end to end: (flat, doc_idx),
+    where doc_idx[i] is the patient whose array flat[i] came from. Every
+    token-level pass works on this view; split_flat inverts it."""
+    lengths = [a.size for a in per_patient]
+    flat = (np.concatenate(per_patient) if per_patient
+            else np.empty(0, dtype=np.int64))
+    return flat, np.repeat(np.arange(len(per_patient)), lengths)
+
+
+def split_flat(flat, doc_idx, D: int) -> list:
+    """flat cut into D views sized by the counts of 0..D-1 in doc_idx."""
+    ends = np.cumsum(np.bincount(doc_idx, minlength=D)).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def count_pairs(rows, cols, n_rows: int, n_cols: int) -> np.ndarray:
+    """(n_rows, n_cols) int64 matrix counting each (rows[i], cols[i])."""
+    return np.bincount(rows * n_cols + cols, minlength=n_rows * n_cols
+                       ).reshape(n_rows, n_cols)
+
+
+def _cdf_rows(probs) -> np.ndarray:
+    """Row-wise cumulative sums, each divided by its last entry."""
+    cum = np.cumsum(probs, axis=1)
+    cum /= cum[:, -1:]
+    return cum
+
+
+def _categorical_draws(cdf, rows, u) -> np.ndarray:
+    """Inverse-CDF draws: out[i] is the number of entries of the
+    normalized cumulative row cdf[rows[i]] that lie below u[i], found by
+    one binary search per draw, grouped by row."""
+    out = np.empty(len(rows), dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    for r, group in enumerate(split_flat(order, rows, cdf.shape[0])):
+        out[group] = np.searchsorted(cdf[r], u[group], side="left")
+    return out
+
+
 def generate(hyper: Hyperparameters, vocab_sizes, doc_lengths: DocLengthSpec,
              D: int, seed: int):
     """Forward-simulate a corpus and the latent state that produced it.
 
     Identical seed gives bit-identical output. Returns (Corpus, ModelState).
+
+    After phi, B, Bstar, A and theta, each source s draws its document
+    lengths, then 2 * N_s uniforms in one call: for patient 0 its n_0
+    assignment uniforms then its n_0 token uniforms, then patient 1's two
+    blocks, and so on. An assignment z is the number of entries of the
+    patient's normalized cumulative theta row below its uniform; a token
+    is the same count over the cumulative phi row of z.
     """
     if D < 1:
         raise ConfigError("D must be positive")
@@ -261,33 +308,27 @@ def generate(hyper: Hyperparameters, vocab_sizes, doc_lengths: DocLengthSpec,
     A = (rng.random((D, P)) < hyper.alpha).astype(np.int8)
     theta = sample_dirichlet(prior_matrix(A, B, Bstar), rng)
 
-    tokens = [[] for _ in range(S)]
-    z = [[] for _ in range(S)]
+    cdf_theta = _cdf_rows(theta)
+    tokens, z = [], []
     for s in range(S):
         lengths = doc_lengths.draw(s, D, rng)
-        for d in range(D):
-            n = int(lengths[d])
-            z_sd = _categorical_rows(np.broadcast_to(theta[d], (n, P)), rng)
-            w_sd = _categorical_rows(phi[s][z_sd], rng)
-            z[s].append(z_sd)
-            tokens[s].append(w_sd)
+        u = rng.random(2 * int(lengths.sum()))
+        doc_idx = np.repeat(np.arange(D), lengths)
+        # patient d's blocks start at 2 * start_d, so the token at flat
+        # index i takes u[start_d + i] for z and u[start_d + i + n_d] for w
+        starts = np.cumsum(lengths) - lengths
+        u_at = np.arange(doc_idx.size) + starts[doc_idx]
+        z_flat = _categorical_draws(cdf_theta, doc_idx, u[u_at])
+        w_flat = _categorical_draws(_cdf_rows(phi[s]), z_flat,
+                                    u[u_at + lengths[doc_idx]])
+        z.append(split_flat(z_flat, doc_idx, D))
+        tokens.append(split_flat(w_flat, doc_idx, D))
 
     vocab = [[f"s{s}_w{v:05d}" for v in range(vocab_sizes[s])]
              for s in range(S)]
     corpus = Corpus(vocab=vocab, tokens=tokens)
     state = ModelState(theta=theta, phi=phi, z=z, A=A, B=B, Bstar=Bstar)
     return corpus, state
-
-
-def _categorical_rows(probs, rng: np.random.Generator) -> np.ndarray:
-    """One categorical draw per row of a (n, K) probability matrix."""
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    cum = np.cumsum(probs, axis=1)
-    cum /= cum[:, -1:]
-    u = rng.random((probs.shape[0], 1))
-    return (cum < u).sum(axis=1).astype(np.int64)
 
 
 def labels_from_activations(state: ModelState, num_labeled: int,
@@ -349,19 +390,21 @@ def complete_data_log_likelihood(state: ModelState, corpus: Corpus,
     total += float(gammaln(prior.sum(axis=1)).sum() - gammaln(prior).sum()
                    + ((prior - 1.0) * floored_log(state.theta)).sum())
 
-    # Token terms: log theta_d[z] + log phi_s[z, w].
+    # Token terms: log theta_d[z] + log phi_s[z, w], gathered once per
+    # source and summed patient by patient, so the total is the same float
+    # as a per-patient loop's.
     log_theta = floored_log(state.theta)
     for s in range(corpus.num_sources):
-        for d in range(D):
-            z_sd = state.z[s][d]
-            if z_sd.size == 0:
-                continue
-            w_sd = corpus.tokens[s][d]
-            phi_vals = state.phi[s][z_sd, w_sd]
-            if np.any(phi_vals == 0.0):
-                return float("-inf")
-            total += float(log_theta[d, z_sd].sum()
-                           + np.log(phi_vals).sum())
+        z_flat, doc_idx = flat_view(state.z[s])
+        phi_vals = state.phi[s][z_flat, flat_view(corpus.tokens[s])[0]]
+        if np.any(phi_vals == 0.0):
+            return float("-inf")
+        add = np.add.reduce
+        for theta_d, phi_d in zip(
+                split_flat(log_theta[doc_idx, z_flat], doc_idx, D),
+                split_flat(np.log(phi_vals), doc_idx, D)):
+            if theta_d.size:
+                total += float(add(theta_d) + add(phi_d))
 
     if np.isnan(total):
         raise NumericalError("complete-data log-likelihood is NaN")

@@ -43,6 +43,8 @@ from ss3m.model import (
     labels_from_activations,
 )
 
+pytestmark = pytest.mark.acceptance
+
 N_DRAWS = 10 ** 5
 SIGNIFICANCE = 0.001
 

@@ -126,13 +126,13 @@ class TestGenerate:
         prior = np.array([4.0, 1.0, 0.5])
         n_docs, tokens_per_doc = 1000, 100
         theta = sample_dirichlet(np.tile(prior, (n_docs, 1)), rng)
-        from ss3m.model import _categorical_rows
-        counts = np.zeros(V)
-        for d in range(n_docs):
-            z = _categorical_rows(
-                np.broadcast_to(theta[d], (tokens_per_doc, P)), rng)
-            w = _categorical_rows(phi[z], rng)
-            counts += np.bincount(w, minlength=V)
+        # the inverse-CDF kernel generate() draws z and w with
+        from ss3m.model import _categorical_draws, _cdf_rows
+        doc_idx = np.repeat(np.arange(n_docs), tokens_per_doc)
+        z = _categorical_draws(_cdf_rows(theta), doc_idx,
+                               rng.random(doc_idx.size))
+        w = _categorical_draws(_cdf_rows(phi), z, rng.random(z.size))
+        counts = np.bincount(w, minlength=V).astype(float)
         expected = (prior / prior.sum()) @ phi * counts.sum()
         result = st.chisquare(counts, expected)
         assert result.pvalue > 0.001
