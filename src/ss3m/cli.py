@@ -12,8 +12,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import data_io, evaluation, gibbs, model
 from .config import SCHEMA, RunConfig
 from .errors import ConfigError, DataError, NumericalError, SS3MError

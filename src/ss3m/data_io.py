@@ -5,8 +5,9 @@ Wire formats:
   * corpus: JSON-lines, one object per line with keys patient_id, source,
     tokens, labels (labels may appear on any record of a patient and are
     unioned per patient);
-  * explicit label streams: CSV with header patient_id,label;
-  * model state: JSON container with format_version "ss3m-state-v1".
+  * preprocessed corpus, label matrix and model state: JSON containers
+    with format_version "ss3m-corpus-v1", "ss3m-labels-v1" and
+    "ss3m-state-v1".
 """
 
 import json
@@ -45,9 +46,8 @@ class RawRecord:
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Token filters: stopwords, minimum corpus count, maximum fraction of
-    patients a token may appear in. Per-source overrides map a source name
-    to another PreprocessConfig."""
+    """Token filters, applied to every source: stopwords, minimum corpus
+    count, maximum fraction of patients a token may appear in."""
 
     stopwords: frozenset = frozenset()
     min_count: int = 0
@@ -108,28 +108,18 @@ def _patient_order(records) -> list:
     return list(seen)
 
 
-def preprocess(records, config):
+def preprocess(records, config: PreprocessConfig):
     """Build a Corpus from raw records after stopword/frequency filtering.
 
-    config is a PreprocessConfig or a dict mapping source name to one
-    (per-source overrides; a "*" entry is the default). Vocabularies are
-    sorted lexicographically per source, so the string-to-ID map depends
-    only on the surviving token multiset. Patients ending with zero tokens
-    in every source are dropped (count logged).
+    Vocabularies are sorted lexicographically per source, so the
+    string-to-ID map depends only on the surviving token multiset.
+    Patients ending with zero tokens in every source are dropped (count
+    logged).
 
     Returns (Corpus, patient_ids).
     """
     if not records:
         raise DataError("no records to preprocess")
-
-    def cfg_for(source):
-        if isinstance(config, PreprocessConfig):
-            return config
-        if source in config:
-            return config[source]
-        if "*" in config:
-            return config["*"]
-        raise ConfigError(f"no preprocess config for source {source!r}")
 
     patients = _patient_order(records)
     pidx = {pid: i for i, pid in enumerate(patients)}
@@ -144,7 +134,6 @@ def preprocess(records, config):
     vocab = []
     tokens = []
     for s in sources:
-        cfg = cfg_for(s)
         total = Counter()
         doc_count = Counter()
         for doc in streams[s]:
@@ -152,9 +141,9 @@ def preprocess(records, config):
             doc_count.update(set(doc))
         keep = {
             tok for tok, cnt in total.items()
-            if tok not in cfg.stopwords
-            and cnt >= cfg.min_count
-            and doc_count[tok] / D <= cfg.max_doc_fraction
+            if tok not in config.stopwords
+            and cnt >= config.min_count
+            and doc_count[tok] / D <= config.max_doc_fraction
         }
         if not keep:
             raise ConfigError(
@@ -273,18 +262,7 @@ def save_state(state: ModelState, path, extra=None):
 
 def load_state(path):
     """Inverse of save_state. Returns (ModelState, meta dict)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: not a valid state container: {exc}")
-    if not isinstance(payload, dict) or "format_version" not in payload:
-        raise DataError(f"{path}: missing format_version field")
-    version = payload["format_version"]
-    if version != STATE_FORMAT_VERSION:
-        raise VersionError(
-            f"{path}: format version {version!r} is not supported "
-            f"(expected {STATE_FORMAT_VERSION!r})")
+    payload = _load_container(path, STATE_FORMAT_VERSION)
     state = ModelState(
         theta=np.array(payload["theta"], dtype=float),
         phi=[np.array(p, dtype=float) for p in payload["phi"]],
@@ -298,6 +276,9 @@ def load_state(path):
 
 
 def _load_container(path, expected_version):
+    """The JSON object in path, after checking its format_version: a
+    DataError if it is not a container, a VersionError naming both
+    versions if it is another version."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)

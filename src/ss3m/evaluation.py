@@ -115,9 +115,10 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
 
     Every labeled activation runs in Estimate mode -- the labels are what
     is being predicted. score(d, p) is the mean of sampled A_dp over the
-    retained samples. theta_prior, when given, replaces the gated prior
-    with a fixed symmetric concentration (the unstructured baseline) and
-    skips activation updates.
+    retained samples. theta_prior, when given, is the unstructured
+    baseline's symmetric concentration c: the chain then runs with
+    B = Bstar = c and every activation held on, which is the symmetric
+    Dirichlet(c) prior, and skips the activation scan.
     """
     if samples < 1:
         raise ConfigError("samples must be >= 1")
@@ -129,12 +130,11 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
     D = test_corpus.num_patients
     P = hyper.num_phenotypes
     P_lab = hyper.num_labeled
-    gated = theta_prior is None
+    unstructured = theta_prior is not None
 
     flat = [flat_view(per_source) for per_source in test_corpus.tokens]
-    # z is kept flat per source; the per-patient draws keep the draw order
-    z = [flat_view([rng.integers(0, P, size=w.size) for w in per_source])[0]
-         for per_source in test_corpus.tokens]
+    # z is kept flat per source
+    z = [flat_view(z_s)[0] for z_s in gibbs.initial_z(test_corpus, P, rng)]
     state = ModelState(
         theta=np.empty((D, P)),
         phi=[p.copy() for p in trained.phi],
@@ -143,8 +143,8 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
         # off-to-on move has vanishing probability, so the chain must
         # prune activations rather than discover them
         A=np.ones((D, P), dtype=np.int8),
-        B=trained.B.copy(),
-        Bstar=float(trained.Bstar),
+        B=np.full(P, float(theta_prior)) if unstructured else trained.B.copy(),
+        Bstar=float(theta_prior if unstructured else trained.Bstar),
     )
 
     def assignment_counts():
@@ -152,9 +152,8 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
                    for (_, doc_idx), z_s in zip(flat, z))
 
     counts = assignment_counts()
-    prior = (prior_matrix(state.A, state.B, state.Bstar) if gated
-             else np.full((D, P), float(theta_prior)))
-    state.theta = sample_dirichlet(prior + counts, rng)
+    state.theta = sample_dirichlet(
+        prior_matrix(state.A, state.B, state.Bstar) + counts, rng)
 
     a_sum = np.zeros((D, P))
     theta_sum = np.zeros((D, P))
@@ -164,11 +163,10 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
                 z[s] = gibbs._sample_z_batch(
                     state.theta, state.phi[s], w_flat, doc_idx, rng)
         counts = assignment_counts()
-        if gated:
+        if not unstructured:
             _sample_activations_collapsed(state, counts, hyper, rng)
-        prior = (prior_matrix(state.A, state.B, state.Bstar) if gated
-                 else np.full((D, P), float(theta_prior)))
-        state.theta = sample_dirichlet(prior + counts, rng)
+        state.theta = sample_dirichlet(
+            prior_matrix(state.A, state.B, state.Bstar) + counts, rng)
         if it >= burn_in:
             a_sum += state.A
             theta_sum += state.theta

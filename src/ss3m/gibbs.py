@@ -21,6 +21,14 @@ what a cell-by-cell pass over patients then phenotypes would; its
 uniforms are drawn in one call in that pass's row-major order, so the
 draws match too. Held-out inference runs the same scan with theta
 collapsed out (evaluation._sample_activations_collapsed).
+
+The mc3m baseline is this same chain, not a second one: its symmetric
+Dirichlet(c) prior on theta_d is the gated prior with every activation on
+and B = Bstar = c. train_unstructured holds every activation on with a
+label matrix that marks every phenotype Present, and keeps B fixed. The
+training chains and held-out inference share one uniform starting z
+(initial_z); both training chains draw theta, then every phi_s, through
+draw_theta_phi, as steps 3-4 of each sweep do.
 """
 
 import logging
@@ -288,15 +296,31 @@ def sample_activation(d: int, p: int, state: ModelState, labels: LabelMatrix,
                                   patients=[d], cols=[p])[0, p])
 
 
+def initial_z(corpus: Corpus, P: int, rng: np.random.Generator) -> list:
+    """Uniform starting assignments z[s][d], drawn source by source and
+    patient by patient."""
+    return [[rng.integers(0, P, size=w.size) for w in per_source]
+            for per_source in corpus.tokens]
+
+
+def draw_theta_phi(state: ModelState, corpus: Corpus, hyper: Hyperparameters,
+                   rng: np.random.Generator):
+    """Draw theta from Dir(gated prior + phenotype counts), then each phi_s
+    from Dir(gamma_s + token counts), in place."""
+    counts = phenotype_counts(state, corpus)
+    state.theta = sample_dirichlet(
+        prior_matrix(state.A, state.B, state.Bstar) + counts, rng)
+    for s in range(corpus.num_sources):
+        m = token_counts(state, corpus, s)
+        state.phi[s] = sample_dirichlet(hyper.gamma[s] + m, rng)
+
+
 def sweep(state: ModelState, corpus: Corpus, labels: LabelMatrix,
           options: TrainOptions, hyper: Hyperparameters,
-          rng: np.random.Generator, update_activations: bool = True,
-          update_theta_prior: bool = True) -> dict:
-    """One full Gibbs pass over z, A, theta, phi and (optionally) B/Bstar.
-
-    Mutates state in place. update_activations/update_theta_prior exist so
-    the unstructured-prior baseline (fixed symmetric concentration, A
-    frozen) can reuse the same sweep. Returns HMC bookkeeping counts.
+          rng: np.random.Generator) -> dict:
+    """One full Gibbs pass over z, A, theta, phi and, with b_mode
+    "sampled", B/Bstar. Mutates state in place and returns the HMC
+    bookkeeping counts.
     """
     D, P = state.theta.shape
 
@@ -312,26 +336,15 @@ def sweep(state: ModelState, corpus: Corpus, labels: LabelMatrix,
     # column resampled for all patients at once; activation_scan explains
     # why this is the same kernel, with the same draws, as a cell-by-cell
     # scan over patients then phenotypes.
-    if update_activations:
-        state.A = sample_activations(state, labels, options, hyper, rng)
+    state.A = sample_activations(state, labels, options, hyper, rng)
 
-    # (3) patient-phenotype distributions.
-    counts = phenotype_counts(state, corpus)
-    if update_theta_prior:
-        prior = prior_matrix(state.A, state.B, state.Bstar)
-    else:
-        prior = np.full((D, P), float(state.B[0]))
-    state.theta = sample_dirichlet(prior + counts, rng)
-
-    # (4) phenotype-token distributions.
-    for s in range(corpus.num_sources):
-        m = token_counts(state, corpus, s)
-        state.phi[s] = sample_dirichlet(hyper.gamma[s] + m, rng)
+    # (3)-(4) patient-phenotype, then phenotype-token distributions.
+    draw_theta_phi(state, corpus, hyper, rng)
 
     # (5) prior pseudo-counts via HMC.
     accepts = 0
     attempts = 0
-    if options.b_mode == B_SAMPLED and update_theta_prior:
+    if options.b_mode == B_SAMPLED:
         for p in range(P):
             target = hmc.b_target(p, state, hyper)
             eta = np.array([log(max(float(state.B[p]), PROB_FLOOR))])
@@ -362,10 +375,7 @@ def initialize_state(corpus: Corpus, labels: LabelMatrix,
     D = corpus.num_patients
     P = hyper.num_phenotypes
 
-    z = []
-    for s in range(corpus.num_sources):
-        z.append([rng.integers(0, P, size=w.size) for w in corpus.tokens[s]])
-
+    z = initial_z(corpus, P, rng)
     A = (rng.random((D, P)) < hyper.alpha).astype(np.int8)
     clamp = clamp_matrix(labels, options, D, P)
     A = np.where(clamp < 0, A, clamp).astype(np.int8)
@@ -376,19 +386,16 @@ def initialize_state(corpus: Corpus, labels: LabelMatrix,
 
     state = ModelState(theta=np.empty((D, P)), phi=[None] * corpus.num_sources,
                        z=z, A=A, B=B, Bstar=Bstar)
-    counts = phenotype_counts(state, corpus)
-    state.theta = sample_dirichlet(prior_matrix(A, B, Bstar) + counts, rng)
-    for s in range(corpus.num_sources):
-        m = token_counts(state, corpus, s)
-        state.phi[s] = sample_dirichlet(hyper.gamma[s] + m, rng)
+    draw_theta_phi(state, corpus, hyper, rng)
     return state
 
 
-def _run_chain(state: ModelState, corpus: Corpus, hyper: Hyperparameters,
-               step) -> TrainTrace:
-    """Run step() (one sweep, returning its HMC counts) hyper.iterations
-    times, tracking the complete-data log-likelihood and keeping a deep
-    snapshot of the best state. An interrupt returns the partial trace."""
+def _run_chain(state: ModelState, corpus: Corpus, labels: LabelMatrix,
+               options: TrainOptions, hyper: Hyperparameters,
+               rng: np.random.Generator) -> TrainTrace:
+    """Run hyper.iterations sweeps from state, tracking the complete-data
+    log-likelihood and keeping a deep snapshot of the best state. An
+    interrupt returns the partial trace."""
     trace = TrainTrace()
     ll = complete_data_log_likelihood(state, corpus, hyper)
     trace.log_likelihoods.append(ll)
@@ -397,7 +404,7 @@ def _run_chain(state: ModelState, corpus: Corpus, hyper: Hyperparameters,
     best_ll = ll
     try:
         for it in range(1, hyper.iterations + 1):
-            stats = step()
+            stats = sweep(state, corpus, labels, options, hyper, rng)
             ll = complete_data_log_likelihood(state, corpus, hyper)
             trace.log_likelihoods.append(ll)
             trace.hmc_accepts.append(stats["hmc_accepts"])
@@ -420,15 +427,16 @@ def train(corpus: Corpus, labels: LabelMatrix, hyper: Hyperparameters,
         raise ConfigError("corpus is empty")
     rng = substream(options.seed, "gibbs.train")
     state = initialize_state(corpus, labels, hyper, options, rng)
-    return _run_chain(state, corpus, hyper, lambda: sweep(
-        state, corpus, labels, options, hyper, rng))
+    return _run_chain(state, corpus, labels, options, hyper, rng)
 
 
 def train_unstructured(corpus: Corpus, hyper: Hyperparameters,
                        concentration: float, seed: int) -> TrainTrace:
-    """Baseline trainer: symmetric Dirichlet(concentration) prior on each
-    theta_d, activations frozen at 1 and B/Bstar unused. Shares the sweep
-    machinery with the gated model."""
+    """Baseline trainer (mc3m): a symmetric Dirichlet(concentration) prior
+    on each theta_d. That is the gated prior with every activation on and
+    B = Bstar = concentration, so this runs the gated chain with a label
+    matrix marking every phenotype Present (the clamp holds A at 1 and
+    the activation scan draws nothing) and B fixed."""
     if corpus.num_patients == 0:
         raise ConfigError("corpus is empty")
     if concentration <= 0:
@@ -436,19 +444,14 @@ def train_unstructured(corpus: Corpus, hyper: Hyperparameters,
     rng = substream(seed, "gibbs.train")
     D = corpus.num_patients
     P = hyper.num_phenotypes
-    options = TrainOptions(b_mode=B_FIXED, seed=seed)
-
-    z = [[rng.integers(0, P, size=w.size) for w in per_source]
-         for per_source in corpus.tokens]
+    c = float(concentration)
     state = ModelState(
-        theta=np.empty((D, P)), phi=[None] * corpus.num_sources, z=z,
-        A=np.ones((D, P), dtype=np.int8),
-        B=np.full(P, float(concentration)), Bstar=float(concentration))
-    state.theta = sample_dirichlet(
-        concentration + phenotype_counts(state, corpus), rng)
-    for s in range(corpus.num_sources):
-        m = token_counts(state, corpus, s)
-        state.phi[s] = sample_dirichlet(hyper.gamma[s] + m, rng)
-    return _run_chain(state, corpus, hyper, lambda: sweep(
-        state, corpus, None, options, hyper, rng, update_activations=False,
-        update_theta_prior=False))
+        theta=np.empty((D, P)), phi=[None] * corpus.num_sources,
+        z=initial_z(corpus, P, rng), A=np.ones((D, P), dtype=np.int8),
+        B=np.full(P, c), Bstar=c)
+    draw_theta_phi(state, corpus, hyper, rng)
+    every_present = LabelMatrix(
+        entries=np.full((D, P), LABEL_PRESENT),
+        label_names=[f"phenotype_{p}" for p in range(P)])
+    return _run_chain(state, corpus, every_present,
+                      TrainOptions(b_mode=B_FIXED, seed=seed), hyper, rng)

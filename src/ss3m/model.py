@@ -107,9 +107,6 @@ class Corpus:
     def num_patients(self) -> int:
         return len(self.tokens[0]) if self.tokens else 0
 
-    def vocab_sizes(self):
-        return [len(v) for v in self.vocab]
-
     def num_tokens(self) -> int:
         return sum(int(w.size) for per_source in self.tokens for w in per_source)
 
@@ -340,14 +337,6 @@ def labels_from_activations(state: ModelState, num_labeled: int,
     if label_names is None:
         label_names = [f"label_{p}" for p in range(num_labeled)]
     return LabelMatrix(entries=entries, label_names=list(label_names))
-
-
-def log_dirichlet_pdf(x, alpha) -> float:
-    """log Dirichlet density with probability floor on x."""
-    x = np.asarray(x, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    return float(lgamma(alpha.sum()) - sum(lgamma(a) for a in alpha)
-                 + np.dot(alpha - 1.0, floored_log(x)))
 
 
 def log_gamma_pdf(x: float, shape: float, scale: float) -> float:

@@ -1,0 +1,121 @@
+"""Print a sha256 digest of every file the ss3m command line writes, for a
+given checkout, so that two checkouts can be compared byte for byte.
+
+    python3 tools/cli_digest.py CHECKOUT > digest.txt
+
+CHECKOUT is a repository root; its `src/` is imported. In a temporary
+directory the script runs generate, preprocess, train (ss3m_fixA0_fixB
+and mc3m, each into its own directory, so both traces are kept), evaluate
+(on a directory holding the two states) and summarize:
+
+  * on configs/toy.cfg with seed 1;
+  * on the six pipeline corpora of perfbench's pipeline-tokens workload
+    for benchmark seed 501: perfbench/run.py's PIPELINE_CONFIG, generate
+    and preprocess seeds 3006-3011, sampler seed 0.
+
+It prints one `sha256  relative/path` line per output file, sorted by
+path. Two checkouts that draw the same numbers print the same lines:
+
+    diff <(python3 tools/cli_digest.py old) <(python3 tools/cli_digest.py new)
+"""
+
+import os
+
+# Pin BLAS to one thread before numpy is imported, as the benchmark does,
+# so that the logistic-regression baselines sum in one fixed order.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+TOY_SEED = 1
+PIPELINE_SEEDS = range(3006, 3012)
+SOLVER_SEED = 0
+MODEL_ID = "ss3m_fixA0_fixB"
+
+
+def pipeline_config(checkout: Path) -> str:
+    """PIPELINE_CONFIG of the checkout's perfbench/run.py."""
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_run", checkout / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.PIPELINE_CONFIG
+
+
+def run_pipeline(cli, config: Path, work: Path, data_seed: int,
+                 solver_seed: int):
+    """Run the five commands of one pipeline into subdirectories of work."""
+    cfg = ["--config", str(config)]
+    gen, prep, states = work / "gen", work / "prep", work / "states"
+    train_c = str(prep / "corpus_train.json")
+    train_l = str(prep / "labels_train.json")
+    solver = ["--seed", str(solver_seed)]
+
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(argv)
+        if rc != 0:
+            raise SystemExit(f"{' '.join(argv)} exited {rc}")
+
+    run(cfg + ["--seed", str(data_seed), "--out", str(gen), "generate"])
+    run(cfg + ["--seed", str(data_seed), "--out", str(prep), "preprocess",
+               "--corpus", str(gen / "corpus.jsonl")])
+    states.mkdir()
+    for model_id, labels in ((MODEL_ID, ["--labels", train_l]),
+                             ("mc3m", [])):
+        out = work / f"train-{model_id}"
+        run(cfg + solver + ["--out", str(out), "train", "--corpus", train_c,
+                            "--model-id", model_id] + labels)
+        name = f"{model_id}.state.json"
+        shutil.copyfile(out / name, states / name)
+    run(cfg + solver + ["--out", str(work / "eval"), "evaluate",
+                        "--train-corpus", train_c, "--train-labels", train_l,
+                        "--test-corpus", str(prep / "corpus_test.json"),
+                        "--test-labels", str(prep / "labels_test.json"),
+                        "--state-dir", str(states)])
+    run(cfg + ["--out", str(work / "summary"), "summarize", "--state",
+               str(states / f"{MODEL_ID}.state.json"), "--corpus", train_c,
+               "--labels", train_l])
+
+
+def digest_lines(root: Path):
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        yield (f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
+               f"{path.relative_to(root).as_posix()}")
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        raise SystemExit(__doc__)
+    checkout = Path(argv[0]).resolve()
+    sys.path.insert(0, str(checkout / "src"))
+    from ss3m import cli
+
+    with tempfile.TemporaryDirectory(prefix="cli-digest-") as tmp:
+        tmp = Path(tmp)
+        configs, outputs = tmp / "configs", tmp / "out"
+        configs.mkdir()
+        pipeline_cfg = configs / "pipeline.cfg"
+        pipeline_cfg.write_text(pipeline_config(checkout), encoding="utf-8")
+        run_pipeline(cli, checkout / "configs" / "toy.cfg", outputs / "toy",
+                     TOY_SEED, TOY_SEED)
+        for seed in PIPELINE_SEEDS:
+            run_pipeline(cli, pipeline_cfg, outputs / f"pipeline-{seed}",
+                         seed, SOLVER_SEED)
+        for line in digest_lines(outputs):
+            print(line)
+
+
+if __name__ == "__main__":
+    main()
