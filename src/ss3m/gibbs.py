@@ -22,13 +22,10 @@ uniforms are drawn in one call in that pass's row-major order, so the
 draws match too. Held-out inference runs the same scan with theta
 collapsed out (evaluation._sample_activations_collapsed).
 
-The mc3m baseline is this same chain, not a second one: its symmetric
-Dirichlet(c) prior on theta_d is the gated prior with every activation on
-and B = Bstar = c. train_unstructured holds every activation on with a
-label matrix that marks every phenotype Present, and keeps B fixed. The
-training chains and held-out inference share one uniform starting z
-(initial_z); both training chains draw theta, then every phi_s, through
-draw_theta_phi, as steps 3-4 of each sweep do.
+The mc3m baseline is the same chain (train_unstructured): its symmetric
+Dirichlet(c) prior is the gated prior with every activation on and
+B = Bstar = c. Both chains and held-out inference start from initial_z,
+and both inits draw theta and phi with the sweep's draw_theta_phi.
 """
 
 import logging
@@ -433,18 +430,15 @@ def train(corpus: Corpus, labels: LabelMatrix, hyper: Hyperparameters,
 def train_unstructured(corpus: Corpus, hyper: Hyperparameters,
                        concentration: float, seed: int) -> TrainTrace:
     """Baseline trainer (mc3m): a symmetric Dirichlet(concentration) prior
-    on each theta_d. That is the gated prior with every activation on and
-    B = Bstar = concentration, so this runs the gated chain with a label
-    matrix marking every phenotype Present (the clamp holds A at 1 and
-    the activation scan draws nothing) and B fixed."""
+    on each theta_d, which is the gated chain with B = Bstar =
+    concentration held fixed and a label matrix marking every phenotype
+    Present (the clamp holds A at 1; the activation scan draws nothing)."""
     if corpus.num_patients == 0:
         raise ConfigError("corpus is empty")
     if concentration <= 0:
         raise ConfigError("concentration must be positive")
     rng = substream(seed, "gibbs.train")
-    D = corpus.num_patients
-    P = hyper.num_phenotypes
-    c = float(concentration)
+    D, P, c = corpus.num_patients, hyper.num_phenotypes, float(concentration)
     state = ModelState(
         theta=np.empty((D, P)), phi=[None] * corpus.num_sources,
         z=initial_z(corpus, P, rng), A=np.ones((D, P), dtype=np.int8),

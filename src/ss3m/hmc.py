@@ -5,6 +5,10 @@ Bstar.
 Positivity of B_p and Bstar is handled by sampling eta = log(B) with the
 exp-transform Jacobian folded into the target density, so the kernel itself
 is plain HMC with an identity mass matrix.
+
+B_p and Bstar share one target (_log_concentration_target): a pseudo-count
+filling k_d coordinates of each patient d's gated prior, its inactive
+ones for Bstar and one per patient active for p for B_p.
 """
 
 from dataclasses import dataclass
@@ -13,20 +17,14 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from .errors import ConfigError, NumericalError
+from .model import prior_matrix
 from .util import PROB_FLOOR, floored_log
 
 
-class DifferentiableTarget:
-    """Log-density with gradient, both over an unconstrained real vector."""
+class FunctionTarget:
+    """Log-density with gradient, both over an unconstrained real vector,
+    from the two functions given."""
 
-    def log_density(self, x: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class FunctionTarget(DifferentiableTarget):
     def __init__(self, log_density, gradient):
         self._f = log_density
         self._g = gradient
@@ -45,7 +43,7 @@ class HmcResult:
     hamiltonian_error: float
 
 
-def leapfrog(x, momentum, target: DifferentiableTarget, eps: float, L: int):
+def leapfrog(x, momentum, target: FunctionTarget, eps: float, L: int):
     """Standard leapfrog integration of L steps of size eps.
 
     Uses potential U = -log_density, so dp/dt = gradient of log_density.
@@ -73,7 +71,7 @@ def leapfrog(x, momentum, target: DifferentiableTarget, eps: float, L: int):
     return x, p
 
 
-def hmc_step(x, target: DifferentiableTarget, eps: float, L: int,
+def hmc_step(x, target: FunctionTarget, eps: float, L: int,
              rng: np.random.Generator) -> HmcResult:
     """One Metropolis-corrected HMC transition from x."""
     x = np.asarray(x, dtype=float)
@@ -93,98 +91,63 @@ def hmc_step(x, target: DifferentiableTarget, eps: float, L: int,
     return HmcResult(next_point=x.copy(), accepted=False, hamiltonian_error=dh)
 
 
-class _LogBTarget(DifferentiableTarget):
-    """Conditional for eta = log B_p given everything else.
+def _log_concentration_target(fixed, k, sum_log_theta, shape,
+                              scale) -> FunctionTarget:
+    """Conditional for eta = log b, b filling k_d coordinates of patient
+    d's Dirichlet prior whose other coordinates sum to fixed_d:
 
-    log_density(eta) = eta*b_shape - exp(eta)/b_scale
-        + sum over active patients of
-          [lgamma(T_d(b)) - lgamma(b) + (b - 1) * log theta_dp],
-    with b = exp(eta) and T_d(b) the patient's total prior concentration
-    with coordinate p set to b. The eta*b_shape term is the Gamma prior's
-    (shape-1)*eta plus the +eta exp-transform Jacobian.
+    log_density(eta) = eta*shape - b/scale + sum over patients of
+        [lgamma(fixed_d + k_d*b) - k_d*lgamma(b) + (b-1)*sum_log_theta_d],
+
+    with b = exp(eta) and sum_log_theta_d the floored log theta over those
+    k_d coordinates. The eta*shape term is the Gamma prior's (shape-1)*eta
+    plus the +eta exp-transform Jacobian.
     """
+    fixed = np.asarray(fixed, dtype=float)
+    k = np.asarray(k, dtype=float)
+    k_total = k.sum()
+    slt_total = np.asarray(sum_log_theta, dtype=float).sum()
+    shape, scale = float(shape), float(scale)
 
-    def __init__(self, base_totals, log_theta_p, b_shape, b_scale):
-        self.base = np.asarray(base_totals, dtype=float)   # T_d minus coord p
-        self.logt = np.asarray(log_theta_p, dtype=float)   # floored logs
-        self.shape = float(b_shape)
-        self.scale = float(b_scale)
+    def b_of(eta):
+        return max(float(np.exp(float(eta.reshape(())))), PROB_FLOOR)
 
-    def _b(self, eta):
-        return max(float(np.exp(float(np.asarray(eta).reshape(())))), PROB_FLOOR)
-
-    def log_density(self, eta):
-        b = self._b(eta)
-        val = float(np.asarray(eta).reshape(())) * self.shape - b / self.scale
-        if self.base.size:
-            totals = self.base + b
-            val += float(gammaln(totals).sum() - self.base.size * gammaln(b)
-                         + (b - 1.0) * self.logt.sum())
+    def log_density(eta):
+        b = b_of(eta)
+        val = float(eta.reshape(())) * shape - b / scale
+        if fixed.size:
+            totals = fixed + k * b
+            val += float(gammaln(totals).sum() - gammaln(b) * k_total
+                         + (b - 1.0) * slt_total)
         return val
 
-    def gradient(self, eta):
-        b = self._b(eta)
-        g = self.shape - b / self.scale
-        if self.base.size:
-            totals = self.base + b
+    def gradient(eta):
+        b = b_of(eta)
+        g = shape - b / scale
+        if fixed.size:
+            totals = fixed + k * b
             # Multiply by b inside the sum: digamma(t) ~ -1/t for tiny t,
             # so b*digamma stays O(1) where the bare sum could overflow.
-            g += float((b * digamma(totals)).sum()
-                       - self.base.size * b * digamma(b)
-                       + b * self.logt.sum())
+            g += float((k * b * digamma(totals)).sum()
+                       - b * digamma(b) * k_total + b * slt_total)
         return np.array([g])
 
-
-class _LogBstarTarget(DifferentiableTarget):
-    """Conditional for eta = log Bstar given everything else.
-
-    Each patient d contributes lgamma(T_d) - k_d*lgamma(b) +
-    (b-1)*sum of log theta over its k_d inactive coordinates, where
-    T_d = (sum of active B) + k_d*b.
-    """
-
-    def __init__(self, active_totals, k_inactive, sum_log_theta_inactive,
-                 bstar_shape, bstar_scale):
-        self.active = np.asarray(active_totals, dtype=float)
-        self.k = np.asarray(k_inactive, dtype=float)
-        self.slt = np.asarray(sum_log_theta_inactive, dtype=float)
-        self.shape = float(bstar_shape)
-        self.scale = float(bstar_scale)
-
-    def _b(self, eta):
-        return max(float(np.exp(float(np.asarray(eta).reshape(())))), PROB_FLOOR)
-
-    def log_density(self, eta):
-        b = self._b(eta)
-        val = float(np.asarray(eta).reshape(())) * self.shape - b / self.scale
-        if self.active.size:
-            totals = self.active + self.k * b
-            val += float(gammaln(totals).sum() - gammaln(b) * self.k.sum()
-                         + (b - 1.0) * self.slt.sum())
-        return val
-
-    def gradient(self, eta):
-        b = self._b(eta)
-        g = self.shape - b / self.scale
-        if self.active.size:
-            totals = self.active + self.k * b
-            g += float((self.k * b * digamma(totals)).sum()
-                       - b * digamma(b) * self.k.sum() + b * self.slt.sum())
-        return np.array([g])
+    return FunctionTarget(log_density, gradient)
 
 
-def b_target(p: int, state, hyper) -> DifferentiableTarget:
-    """Target over eta = log B_p. With no active patients for p the density
-    reduces to the transformed Gamma prior alone."""
+def b_target(p: int, state, hyper) -> FunctionTarget:
+    """Target over eta = log B_p: one coordinate of each patient active
+    for p. With no active patients the density reduces to the transformed
+    Gamma prior alone."""
     active = state.A[:, p] == 1
-    from .model import prior_matrix
     prior = prior_matrix(state.A, state.B, state.Bstar)
     base = prior[active].sum(axis=1) - state.B[p]
-    log_theta_p = floored_log(state.theta[active, p])
-    return _LogBTarget(base, log_theta_p, hyper.b_shape, hyper.b_scale)
+    return _log_concentration_target(
+        base, np.ones(base.size), floored_log(state.theta[active, p]),
+        hyper.b_shape, hyper.b_scale)
 
 
-def bstar_target(state, hyper) -> DifferentiableTarget:
+def bstar_target(state, hyper) -> FunctionTarget:
     """Target over eta = log Bstar, summed over all patients' inactive
     phenotype coordinates."""
     A = state.A
@@ -192,5 +155,5 @@ def bstar_target(state, hyper) -> DifferentiableTarget:
     active_totals = (A * state.B[None, :]).sum(axis=1)
     k = inactive.sum(axis=1)
     slt = (inactive * floored_log(state.theta)).sum(axis=1)
-    return _LogBstarTarget(active_totals, k, slt,
-                           hyper.bstar_shape, hyper.bstar_scale)
+    return _log_concentration_target(active_totals, k, slt,
+                                     hyper.bstar_shape, hyper.bstar_scale)
