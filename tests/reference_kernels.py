@@ -17,13 +17,21 @@ before every token-level pass went through one flat view per source
 (n x K) categorical draws, the count matrices, the token terms of the
 complete-data log-likelihood, the raw-token features and the unchunked
 z pass.
+
+The chain references are the code the package ran before the mc3m
+baseline and held-out inference became the gated chain with every
+activation on and B = Bstar = c: the baseline trainer with its own init
+and a sweep that skipped the activation scan and drew theta from a
+constant prior, held-out inference with its two prior branches, and the
+two HMC target classes for log B_p and log Bstar.
 """
 
 from math import lgamma, log
 
 import numpy as np
-from scipy.special import expit, gammaln
+from scipy.special import digamma, expit, gammaln
 
+from ss3m import evaluation, gibbs
 from ss3m.errors import NumericalError, SamplingError
 from ss3m.gibbs import MISSING_FIX_ZERO
 from ss3m.model import (
@@ -31,11 +39,15 @@ from ss3m.model import (
     LABEL_PRESENT,
     Corpus,
     ModelState,
+    complete_data_log_likelihood as cdll,
+    count_pairs,
     dirichlet_prior_row,
+    flat_view,
     log_gamma_pdf,
     prior_matrix,
+    split_flat,
 )
-from ss3m.util import PROB_FLOOR, floored_log, sample_dirichlet
+from ss3m.util import PROB_FLOOR, floored_log, sample_dirichlet, substream
 
 
 def _rest_total(row, p):
@@ -230,3 +242,172 @@ def sample_z_batch(theta, phi_s, w_flat, doc_idx, rng):
     cum = np.cumsum(probs, axis=1)
     u = rng.random(len(w_flat)) * totals
     return (cum < u[:, None]).sum(axis=1).astype(np.int64)
+
+
+def unstructured_sweep(state, corpus, hyper, rng):
+    """The sweep as the baseline ran it: z, no activation scan, theta from
+    the constant prior B[0], phi, no HMC."""
+    D, P = state.theta.shape
+    for s in range(corpus.num_sources):
+        w_flat, doc_idx = flat_view(corpus.tokens[s])
+        if w_flat.size:
+            z_flat = gibbs._sample_z_batch(state.theta, state.phi[s], w_flat,
+                                           doc_idx, rng)
+            state.z[s] = split_flat(z_flat, doc_idx, D)
+    counts = gibbs.phenotype_counts(state, corpus)
+    prior = np.full((D, P), float(state.B[0]))
+    state.theta = sample_dirichlet(prior + counts, rng)
+    for s in range(corpus.num_sources):
+        m = gibbs.token_counts(state, corpus, s)
+        state.phi[s] = sample_dirichlet(hyper.gamma[s] + m, rng)
+
+
+def train_unstructured(corpus, hyper, concentration, seed):
+    """The baseline trainer with its own init; returns (log-likelihoods,
+    best state, best iteration, the generator it drew from)."""
+    rng = substream(seed, "gibbs.train")
+    D = corpus.num_patients
+    P = hyper.num_phenotypes
+    z = [[rng.integers(0, P, size=w.size) for w in per_source]
+         for per_source in corpus.tokens]
+    state = ModelState(
+        theta=np.empty((D, P)), phi=[None] * corpus.num_sources, z=z,
+        A=np.ones((D, P), dtype=np.int8),
+        B=np.full(P, float(concentration)), Bstar=float(concentration))
+    state.theta = sample_dirichlet(
+        concentration + gibbs.phenotype_counts(state, corpus), rng)
+    for s in range(corpus.num_sources):
+        m = gibbs.token_counts(state, corpus, s)
+        state.phi[s] = sample_dirichlet(hyper.gamma[s] + m, rng)
+    lls = [cdll(state, corpus, hyper)]
+    best, best_it = state.copy(), 0
+    for it in range(1, hyper.iterations + 1):
+        unstructured_sweep(state, corpus, hyper, rng)
+        lls.append(cdll(state, corpus, hyper))
+        if lls[-1] > max(lls[:-1]):
+            best, best_it = state.copy(), it
+    return lls, best, best_it, rng
+
+
+def heldout_infer(test_corpus, trained, hyper, burn_in, samples, seed,
+                  theta_prior=None):
+    """Held-out inference with its two prior branches; returns (theta
+    mean, activation mean, the generator it drew from)."""
+    rng = substream(seed, "evaluation.heldout")
+    D = test_corpus.num_patients
+    P = hyper.num_phenotypes
+    gated = theta_prior is None
+    flat = [flat_view(per_source) for per_source in test_corpus.tokens]
+    z = [flat_view([rng.integers(0, P, size=w.size) for w in per_source])[0]
+         for per_source in test_corpus.tokens]
+    state = ModelState(theta=np.empty((D, P)),
+                       phi=[p.copy() for p in trained.phi], z=[],
+                       A=np.ones((D, P), dtype=np.int8), B=trained.B.copy(),
+                       Bstar=float(trained.Bstar))
+
+    def assignment_counts():
+        return sum(count_pairs(doc_idx, z_s, D, P)
+                   for (_, doc_idx), z_s in zip(flat, z))
+
+    def prior():
+        return (prior_matrix(state.A, state.B, state.Bstar) if gated
+                else np.full((D, P), float(theta_prior)))
+
+    state.theta = sample_dirichlet(prior() + assignment_counts(), rng)
+    a_sum = np.zeros((D, P))
+    theta_sum = np.zeros((D, P))
+    for it in range(burn_in + samples):
+        for s, (w_flat, doc_idx) in enumerate(flat):
+            if w_flat.size:
+                z[s] = gibbs._sample_z_batch(state.theta, state.phi[s],
+                                             w_flat, doc_idx, rng)
+        counts = assignment_counts()
+        if gated:
+            evaluation._sample_activations_collapsed(state, counts, hyper,
+                                                     rng)
+        state.theta = sample_dirichlet(prior() + counts, rng)
+        if it >= burn_in:
+            a_sum += state.A
+            theta_sum += state.theta
+    return theta_sum / samples, a_sum / samples, rng
+
+
+def _eta_to_b(eta):
+    return max(float(np.exp(float(np.asarray(eta).reshape(())))), PROB_FLOOR)
+
+
+class LogBTarget:
+    """The conditional of eta = log B_p over the patients active for p."""
+
+    def __init__(self, base_totals, log_theta_p, b_shape, b_scale):
+        self.base = np.asarray(base_totals, dtype=float)
+        self.logt = np.asarray(log_theta_p, dtype=float)
+        self.shape = float(b_shape)
+        self.scale = float(b_scale)
+
+    def log_density(self, eta):
+        b = _eta_to_b(eta)
+        val = float(np.asarray(eta).reshape(())) * self.shape - b / self.scale
+        if self.base.size:
+            totals = self.base + b
+            val += float(gammaln(totals).sum() - self.base.size * gammaln(b)
+                         + (b - 1.0) * self.logt.sum())
+        return val
+
+    def gradient(self, eta):
+        b = _eta_to_b(eta)
+        g = self.shape - b / self.scale
+        if self.base.size:
+            totals = self.base + b
+            g += float((b * digamma(totals)).sum()
+                       - self.base.size * b * digamma(b)
+                       + b * self.logt.sum())
+        return np.array([g])
+
+
+class LogBstarTarget:
+    """The conditional of eta = log Bstar over every patient's inactive
+    coordinates."""
+
+    def __init__(self, active_totals, k_inactive, sum_log_theta_inactive,
+                 bstar_shape, bstar_scale):
+        self.active = np.asarray(active_totals, dtype=float)
+        self.k = np.asarray(k_inactive, dtype=float)
+        self.slt = np.asarray(sum_log_theta_inactive, dtype=float)
+        self.shape = float(bstar_shape)
+        self.scale = float(bstar_scale)
+
+    def log_density(self, eta):
+        b = _eta_to_b(eta)
+        val = float(np.asarray(eta).reshape(())) * self.shape - b / self.scale
+        if self.active.size:
+            totals = self.active + self.k * b
+            val += float(gammaln(totals).sum() - gammaln(b) * self.k.sum()
+                         + (b - 1.0) * self.slt.sum())
+        return val
+
+    def gradient(self, eta):
+        b = _eta_to_b(eta)
+        g = self.shape - b / self.scale
+        if self.active.size:
+            totals = self.active + self.k * b
+            g += float((self.k * b * digamma(totals)).sum()
+                       - b * digamma(b) * self.k.sum() + b * self.slt.sum())
+        return np.array([g])
+
+
+def b_target(p, state, hyper):
+    active = state.A[:, p] == 1
+    prior = prior_matrix(state.A, state.B, state.Bstar)
+    base = prior[active].sum(axis=1) - state.B[p]
+    return LogBTarget(base, floored_log(state.theta[active, p]),
+                      hyper.b_shape, hyper.b_scale)
+
+
+def bstar_target(state, hyper):
+    A = state.A
+    inactive = A == 0
+    active_totals = (A * state.B[None, :]).sum(axis=1)
+    slt = (inactive * floored_log(state.theta)).sum(axis=1)
+    return LogBstarTarget(active_totals, inactive.sum(axis=1), slt,
+                          hyper.bstar_shape, hyper.bstar_scale)

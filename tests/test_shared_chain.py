@@ -1,0 +1,194 @@
+"""The mc3m baseline, held-out inference and the HMC targets against the
+code they replaced.
+
+The baseline trainer and held-out inference now run the gated chain with
+every activation held on and B = Bstar = c; the B_p and Bstar targets
+are one conditional. Each property runs the package and the reference
+from tests/reference_kernels.py on the same input and asserts the same
+floats, arrays and final generator state (for the targets: the same
+log-density, and a gradient that differs only by one reordered product).
+The inputs reach the corners: one patient, one phenotype, one to three
+sources, vocabularies of one, documents that are all empty, P_lab from 0
+to P, and Bstar at the paper spike 1e-18.
+"""
+
+import contextlib
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import digamma
+
+import reference_kernels as ref
+from conftest import make_hyper
+from ss3m import evaluation, gibbs, hmc
+from ss3m.evaluation import heldout_infer
+from ss3m.gibbs import train_unstructured
+from ss3m.model import Corpus, ModelState
+
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None,
+                             derandomize=True, database=None)
+
+
+@contextlib.contextmanager
+def substreams_made(module):
+    """The generators module.substream makes inside the block."""
+    made = []
+    real = module.substream
+
+    def make(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    module.substream = make
+    try:
+        yield made
+    finally:
+        module.substream = real
+
+
+def _simplex_rows(draw, shape):
+    x = draw(arrays(np.float64, shape, elements=st.floats(0.05, 1.0)))
+    return x / x.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def corpora(draw, D, vocab_sizes):
+    """A corpus of D patients over the given vocabularies; documents of
+    0..5 tokens, all empty in some examples."""
+    low, high = draw(st.sampled_from([(1, 5), (0, 5), (0, 0)]))
+    tokens = []
+    for v in vocab_sizes:
+        lengths = draw(st.lists(st.integers(low, high), min_size=D,
+                                max_size=D))
+        tokens.append([draw(arrays(np.int64, n,
+                                   elements=st.integers(0, v - 1)))
+                       for n in lengths])
+    return Corpus(vocab=[[f"s{s}_{i}" for i in range(v)]
+                         for s, v in enumerate(vocab_sizes)], tokens=tokens)
+
+
+@st.composite
+def chain_problems(draw):
+    """(corpus, vocab sizes, hyper) with D in 1..6, P in 1..5, S in 1..3,
+    P_lab in 0..P, vocabularies of 1..3 and 0..3 iterations."""
+    D = draw(st.integers(1, 6))
+    P = draw(st.integers(1, 5))
+    S = draw(st.integers(1, 3))
+    vocab_sizes = draw(st.lists(st.integers(1, 3), min_size=S, max_size=S))
+    hyper = make_hyper(P=P, P_lab=draw(st.integers(0, P)), S=S,
+                       gamma=draw(st.sampled_from([0.05, 1.0])),
+                       iterations=draw(st.integers(0, 3)))
+    return draw(corpora(D, vocab_sizes)), vocab_sizes, hyper
+
+
+def _assert_same_state(got, want):
+    assert np.array_equal(got.theta, want.theta)
+    assert np.array_equal(got.A, want.A) and got.A.dtype == want.A.dtype
+    assert np.array_equal(got.B, want.B) and got.Bstar == want.Bstar
+    for phi, phi_want in zip(got.phi, want.phi, strict=True):
+        assert np.array_equal(phi, phi_want)
+    for z_s, z_want in zip(got.z, want.z, strict=True):
+        for z_sd, z_sd_want in zip(z_s, z_want, strict=True):
+            assert np.array_equal(z_sd, z_sd_want)
+
+
+@PROPERTY_SETTINGS
+@given(chain_problems(), st.sampled_from([0.1, 1.0, 2.5]),
+       st.integers(0, 2**32))
+def test_mc3m_chain_matches_flagged_sweep(problem, concentration, seed):
+    corpus, _, hyper = problem
+    lls, best, best_it, rng_want = ref.train_unstructured(
+        corpus, hyper, concentration, seed)
+    with substreams_made(gibbs) as made:
+        trace = train_unstructured(corpus, hyper, concentration, seed)
+    assert trace.log_likelihoods == lls
+    assert trace.best_iteration == best_it
+    _assert_same_state(trace.best_state, best)
+    assert made[-1].bit_generator.state == rng_want.bit_generator.state
+    assert trace.hmc_attempts == [0] * hyper.iterations
+
+
+@PROPERTY_SETTINGS
+@given(chain_problems(), st.sampled_from([None, 0.5, 1.0]),
+       st.sampled_from([1e-18, 1e-3, 0.5]), st.integers(0, 2),
+       st.integers(1, 3), st.data())
+def test_heldout_matches_prior_branches(problem, theta_prior, bstar, burn_in,
+                                        samples, data):
+    test_corpus, vocab_sizes, hyper = problem
+    P = hyper.num_phenotypes
+    D = test_corpus.num_patients
+    trained = ModelState(
+        theta=_simplex_rows(data.draw, (D, P)),
+        phi=[_simplex_rows(data.draw, (P, v)) for v in vocab_sizes], z=[],
+        A=data.draw(arrays(np.int8, (D, P), elements=st.integers(0, 1))),
+        B=data.draw(arrays(np.float64, P, elements=st.floats(0.1, 20.0))),
+        Bstar=bstar)
+    seed = data.draw(st.integers(0, 2**32))
+    theta_want, a_want, rng_want = ref.heldout_infer(
+        test_corpus, trained, hyper, burn_in, samples, seed, theta_prior)
+    with substreams_made(evaluation) as made:
+        res = heldout_infer(test_corpus, trained, hyper, burn_in=burn_in,
+                            samples=samples, seed=seed,
+                            theta_prior=theta_prior)
+    assert np.array_equal(res.theta_mean, theta_want)
+    assert np.array_equal(res.activation_mean, a_want)
+    assert np.array_equal(res.score_matrix.scores,
+                          a_want[:, :hyper.num_labeled])
+    assert made[-1].bit_generator.state == rng_want.bit_generator.state
+
+
+@st.composite
+def target_problems(draw):
+    """(state, hyper) with D in 1..6, P in 1..5 and Bstar from the paper
+    spike to 2; some examples have a phenotype with no active patient,
+    others a patient with every phenotype active (k = 0 for Bstar)."""
+    D = draw(st.integers(1, 6))
+    P = draw(st.integers(1, 5))
+    A = draw(arrays(np.int8, (D, P), elements=st.integers(0, 1)))
+    corner = draw(st.sampled_from(["none", "inactive column", "active row"]))
+    if corner == "inactive column":
+        A[:, draw(st.integers(0, P - 1))] = 0
+    elif corner == "active row":
+        A[draw(st.integers(0, D - 1))] = 1
+    state = ModelState(
+        theta=_simplex_rows(draw, (D, P)), phi=[], z=[], A=A,
+        B=draw(arrays(np.float64, P, elements=st.floats(0.05, 50.0))),
+        Bstar=draw(st.sampled_from([1e-18, 1e-3, 2.0])))
+    hyper = make_hyper(P=P, b_shape=draw(st.floats(0.5, 20.0)),
+                       b_scale=draw(st.floats(0.1, 3.0)),
+                       bstar_shape=draw(st.sampled_from([0.01, 2.0])),
+                       bstar_scale=draw(st.floats(0.1, 3.0)))
+    return state, hyper
+
+
+def _b_gradient_scale(old, eta):
+    """Sum of the absolute values of the terms the old B_p gradient adds
+    up. The merged target computes one of them, n*b*digamma(b), with its
+    products in another order, so the two gradients can differ by a few
+    ulps of that sum: far more than 1e-15 of the gradient itself where
+    the terms cancel."""
+    b = max(float(np.exp(eta[0])), 1e-300)
+    return (old.shape + b / old.scale
+            + np.abs(b * digamma(old.base + b)).sum()
+            + abs(old.base.size * b * digamma(b)) + abs(b * old.logt.sum()))
+
+
+@PROPERTY_SETTINGS
+@given(target_problems(), st.lists(st.floats(-42.0, 5.0), min_size=1,
+                                   max_size=4))
+def test_merged_target_matches_target_classes(problem, etas):
+    state, hyper = problem
+    P = state.A.shape[1]
+    for eta in (np.array([e]) for e in etas):
+        for p in range(P):
+            got, want = hmc.b_target(p, state, hyper), ref.b_target(
+                p, state, hyper)
+            assert got.log_density(eta) == want.log_density(eta)
+            diff = abs(got.gradient(eta)[0] - want.gradient(eta)[0])
+            assert diff <= 1e-15 * _b_gradient_scale(want, eta)
+        got, want = hmc.bstar_target(state, hyper), ref.bstar_target(
+            state, hyper)
+        assert got.log_density(eta) == want.log_density(eta)
+        assert np.array_equal(got.gradient(eta), want.gradient(eta))
