@@ -31,7 +31,7 @@ from math import lgamma, log
 import numpy as np
 from scipy.special import digamma, expit, gammaln
 
-from ss3m import evaluation, gibbs
+from ss3m import evaluation, gibbs, model
 from ss3m.errors import NumericalError, SamplingError
 from ss3m.gibbs import MISSING_FIX_ZERO
 from ss3m.model import (
@@ -39,7 +39,6 @@ from ss3m.model import (
     LABEL_PRESENT,
     Corpus,
     ModelState,
-    complete_data_log_likelihood as cdll,
     count_pairs,
     dirichlet_prior_row,
     flat_view,
@@ -279,11 +278,11 @@ def train_unstructured(corpus, hyper, concentration, seed):
     for s in range(corpus.num_sources):
         m = gibbs.token_counts(state, corpus, s)
         state.phi[s] = sample_dirichlet(hyper.gamma[s] + m, rng)
-    lls = [cdll(state, corpus, hyper)]
+    lls = [model.complete_data_log_likelihood(state, corpus, hyper)]
     best, best_it = state.copy(), 0
     for it in range(1, hyper.iterations + 1):
         unstructured_sweep(state, corpus, hyper, rng)
-        lls.append(cdll(state, corpus, hyper))
+        lls.append(model.complete_data_log_likelihood(state, corpus, hyper))
         if lls[-1] > max(lls[:-1]):
             best, best_it = state.copy(), it
     return lls, best, best_it, rng
