@@ -10,7 +10,6 @@ from .model import (
     LabelMatrix,
     ModelState,
     complete_data_log_likelihood,
-    dirichlet_prior_row,
     generate,
     labels_from_activations,
     phenotype_summary,
@@ -19,7 +18,6 @@ from .gibbs import TrainOptions, TrainTrace, train, train_unstructured
 from .evaluation import (
     HeldoutResult,
     MetricsReport,
-    ScoreMatrix,
     auprc,
     auroc,
     evaluate_suite,
@@ -34,10 +32,10 @@ __version__ = "0.1.0"
 __all__ = [
     "LABEL_ABSENT", "LABEL_PRESENT", "LABEL_UNKNOWN",
     "Corpus", "DocLengthSpec", "Hyperparameters", "LabelMatrix", "ModelState",
-    "complete_data_log_likelihood", "dirichlet_prior_row", "generate",
-    "labels_from_activations", "phenotype_summary",
+    "complete_data_log_likelihood", "generate", "labels_from_activations",
+    "phenotype_summary",
     "TrainOptions", "TrainTrace", "train", "train_unstructured",
-    "HeldoutResult", "MetricsReport", "ScoreMatrix",
+    "HeldoutResult", "MetricsReport",
     "auprc", "auroc", "evaluate_suite", "heldout_infer", "micro_macro",
     "reports_to_csv", "reports_to_table",
 ]

@@ -19,16 +19,6 @@ from .util import substream
 
 logger = logging.getLogger(__name__)
 
-STATE_ARTIFACTS = (
-    "ss3m_smplA0_smplB",
-    "ss3m_smplA0_fixB",
-    "ss3m_fixA0_smplB",
-    "ss3m_fixA0_fixB",
-    "mc3m_sp",
-    "mc3m",
-)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ss3m",
@@ -269,7 +259,7 @@ def cmd_evaluate(args, cfg: RunConfig):
         logger.warning("label-shuffle control enabled: test labels permuted")
 
     artifacts = {}
-    for name in STATE_ARTIFACTS:
+    for name in evaluation.STATE_ARTIFACTS:
         path = os.path.join(args.state_dir, f"{name}.state.json")
         if os.path.exists(path):
             state, meta = data_io.load_state(path)

@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, VersionError
+from .errors import (
+    ConfigError,
+    DataError,
+    DimensionError,
+    NumericalError,
+    VersionError,
+)
 from .model import (
     LABEL_PRESENT,
     LABEL_UNKNOWN,
@@ -156,12 +162,11 @@ def preprocess(records, config: PreprocessConfig):
             for doc in streams[s]
         ])
 
-    empty = [d for d in range(D)
-             if all(tokens[si][d].size == 0 for si in range(len(sources)))]
-    if empty:
+    keep_idx = [d for d in range(D)
+                if any(per_source[d].size for per_source in tokens)]
+    if len(keep_idx) < D:
         logger.warning("dropping %d patient(s) with no surviving tokens",
-                       len(empty))
-        keep_idx = [d for d in range(D) if d not in set(empty)]
+                       D - len(keep_idx))
         tokens = [[per_source[d] for d in keep_idx] for per_source in tokens]
         patients = [patients[d] for d in keep_idx]
 
@@ -261,17 +266,24 @@ def save_state(state: ModelState, path, extra=None):
 
 
 def load_state(path):
-    """Inverse of save_state. Returns (ModelState, meta dict)."""
+    """Inverse of save_state. Returns (ModelState, meta dict). A state
+    whose arrays are malformed or inconsistent (ModelState.validate)
+    raises DataError."""
     payload = _load_container(path, STATE_FORMAT_VERSION)
-    state = ModelState(
-        theta=np.array(payload["theta"], dtype=float),
-        phi=[np.array(p, dtype=float) for p in payload["phi"]],
-        z=[[np.array(zz, dtype=np.int64) for zz in per_source]
-           for per_source in payload["z"]],
-        A=np.array(payload["A"], dtype=np.int8),
-        B=np.array(payload["B"], dtype=float),
-        Bstar=float(payload["Bstar"]),
-    )
+    try:
+        state = ModelState(
+            theta=np.array(payload["theta"], dtype=float),
+            phi=[np.array(p, dtype=float) for p in payload["phi"]],
+            z=[[np.array(zz, dtype=np.int64) for zz in per_source]
+               for per_source in payload["z"]],
+            A=np.array(payload["A"], dtype=np.int8),
+            B=np.array(payload["B"], dtype=float),
+            Bstar=float(payload["Bstar"]),
+        )
+        state.validate()
+    except (KeyError, TypeError, ValueError, DimensionError,
+            NumericalError) as exc:
+        raise DataError(f"{path}: malformed state: {exc}") from exc
     return state, payload.get("meta", {})
 
 

@@ -24,9 +24,8 @@ from .model import (
     ModelState,
     count_pairs,
     flat_view,
-    prior_matrix,
 )
-from .util import sample_dirichlet, substream
+from .util import substream
 
 logger = logging.getLogger(__name__)
 
@@ -42,24 +41,14 @@ SUITE_COLUMNS = (
     "raw_lr",
     "raw_nb",
 )
-
-
-@dataclass
-class ScoreMatrix:
-    """D_test x P_lab scores; higher means more likely Present."""
-
-    scores: np.ndarray
-    label_names: list
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=float)
-        if not np.all(np.isfinite(self.scores)):
-            raise DataError("scores must be finite")
+# The mixed-membership artifacts evaluate_suite reads: one per ss3m
+# column, then the two base models behind the mc3m_sp_* and mc3m_* columns.
+STATE_ARTIFACTS = SUITE_COLUMNS[:4] + ("mc3m_sp", "mc3m")
 
 
 @dataclass
 class HeldoutResult:
-    score_matrix: ScoreMatrix
+    scores: np.ndarray  # D_test x P_lab; higher means more likely Present
     theta_mean: np.ndarray
     activation_mean: np.ndarray
 
@@ -109,7 +98,7 @@ def _sample_activations_collapsed(state, counts, hyper, rng):
 def heldout_infer(test_corpus: Corpus, trained: ModelState,
                   hyper: Hyperparameters, burn_in: int = 50,
                   samples: int = 100, seed: int = 0,
-                  label_names=None, theta_prior=None) -> HeldoutResult:
+                  theta_prior=None) -> HeldoutResult:
     """Patient-local Gibbs over (z, A, theta) with the trained globals
     (phi, B, Bstar) held fixed.
 
@@ -126,10 +115,13 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
         if trained.phi[s].shape[1] != len(test_corpus.vocab[s]):
             raise DataError(
                 f"test vocabulary for source {s} does not match trained phi")
+    P = hyper.num_phenotypes
+    if trained.theta.shape[1] != P or trained.B.shape != (P,):
+        raise DataError(
+            f"trained state (theta {trained.theta.shape}, B "
+            f"{trained.B.shape}) does not have the configured {P} phenotypes")
     rng = substream(seed, "evaluation.heldout")
     D = test_corpus.num_patients
-    P = hyper.num_phenotypes
-    P_lab = hyper.num_labeled
     unstructured = theta_prior is not None
 
     flat = [flat_view(per_source) for per_source in test_corpus.tokens]
@@ -151,9 +143,7 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
         return sum(count_pairs(doc_idx, z_s, D, P)
                    for (_, doc_idx), z_s in zip(flat, z))
 
-    counts = assignment_counts()
-    state.theta = sample_dirichlet(
-        prior_matrix(state.A, state.B, state.Bstar) + counts, rng)
+    gibbs.draw_theta(state, assignment_counts(), rng)
 
     a_sum = np.zeros((D, P))
     theta_sum = np.zeros((D, P))
@@ -165,22 +155,15 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
         counts = assignment_counts()
         if not unstructured:
             _sample_activations_collapsed(state, counts, hyper, rng)
-        state.theta = sample_dirichlet(
-            prior_matrix(state.A, state.B, state.Bstar) + counts, rng)
+        gibbs.draw_theta(state, counts, rng)
         if it >= burn_in:
             a_sum += state.A
             theta_sum += state.theta
 
     a_mean = a_sum / samples
-    theta_mean = theta_sum / samples
-    if label_names is None:
-        label_names = [f"label_{p}" for p in range(P_lab)]
-    return HeldoutResult(
-        score_matrix=ScoreMatrix(scores=a_mean[:, :P_lab],
-                                 label_names=list(label_names)),
-        theta_mean=theta_mean,
-        activation_mean=a_mean,
-    )
+    return HeldoutResult(scores=a_mean[:, :hyper.num_labeled],
+                         theta_mean=theta_sum / samples,
+                         activation_mean=a_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +313,10 @@ def _lr_loss_grad(w, Xb, y, lam):
     return loss, grad
 
 
-def lr_train(features, truth, lam: float = 1.0, epochs: int = 200,
-             learning_rate: float = 1.0):
+def lr_train(features, truth, lam: float = 1.0, epochs: int = 200):
     """One-vs-rest L2 logistic regression by full-batch gradient descent
-    with backtracking line search (objective decreases monotonically)."""
+    with backtracking line search from a unit step (objective decreases
+    monotonically)."""
     X = np.asarray(features, dtype=float)
     if not np.all(np.isfinite(X)):
         raise DataError("features must be finite")
@@ -348,7 +331,7 @@ def lr_train(features, truth, lam: float = 1.0, epochs: int = 200,
             gnorm2 = float(grad @ grad)
             if gnorm2 < 1e-18:
                 break
-            t = learning_rate
+            t = 1.0
             stalled = False
             while t > 1e-14:
                 w_new = w - t * grad
@@ -416,28 +399,25 @@ def evaluate_suite(artifacts: dict, train_corpus: Corpus,
                    lr_lam: float = 1.0, lr_epochs: int = 200):
     """One MetricsReport per configured column.
 
-    artifacts maps a subset of SUITE_COLUMNS' mixed-membership ids
-    ("ss3m_*", "mc3m_sp", "mc3m") to (ModelState, max_log_likelihood).
-    Missing artifacts yield placeholder (all-None) reports. The raw-token
-    columns need no artifact.
+    artifacts maps a subset of STATE_ARTIFACTS to (ModelState,
+    max_log_likelihood). Missing artifacts yield placeholder (all-None)
+    reports. The raw-token columns need no artifact.
     """
     truth_test = truth_matrix(test_labels)
     truth_train = truth_matrix(train_labels)
     reports = []
 
-    for col in SUITE_COLUMNS[:4]:
+    for col in STATE_ARTIFACTS[:4]:
         if col not in artifacts:
             logger.warning("no artifact for %s; emitting placeholder", col)
             reports.append(MetricsReport(model_id=col))
             continue
         state, max_ll = artifacts[col]
         res = heldout_infer(test_corpus, state, hyper, burn_in=burn_in,
-                            samples=samples, seed=seed,
-                            label_names=test_labels.label_names)
-        reports.append(compute_report(col, res.score_matrix.scores,
-                                      truth_test, max_ll))
+                            samples=samples, seed=seed)
+        reports.append(compute_report(col, res.scores, truth_test, max_ll))
 
-    for base_id in ("mc3m_sp", "mc3m"):
+    for base_id in STATE_ARTIFACTS[4:]:
         if base_id not in artifacts:
             logger.warning("no artifact for %s; emitting placeholders", base_id)
             reports += [MetricsReport(model_id=f"{base_id}_{clf}")
@@ -448,7 +428,6 @@ def evaluate_suite(artifacts: dict, train_corpus: Corpus,
         theta_prior = mc3m_concentration if base_id == "mc3m" else None
         res = heldout_infer(test_corpus, state, hyper, burn_in=burn_in,
                             samples=samples, seed=seed,
-                            label_names=test_labels.label_names,
                             theta_prior=theta_prior)
         feats_train = state.theta  # max-likelihood theta on train
         feats_test = res.theta_mean

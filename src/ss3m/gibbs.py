@@ -4,7 +4,11 @@ together.
 
 The sampler is uncollapsed: theta and phi are explicitly sampled, which is
 required because the activation conditional depends on theta_d. Within a
-sweep the update order is z -> A -> theta -> phi -> B/Bstar.
+sweep the update order is z -> A -> theta -> phi -> B/Bstar. Each
+conditional has one kernel, shared by training, the mc3m baseline and
+held-out inference and tested as it is: _sample_z_batch (z),
+activation_scan (A), draw_theta (theta) and draw_theta_phi (phi, after
+theta).
 
 Token-level work runs in one flat pass per source over model.flat_view's
 (w_flat, doc_idx), the source's per-patient arrays laid end to end. The
@@ -19,13 +23,14 @@ resampled for all D patients at once (activation_scan). Given theta the
 rows of A are independent, so the scan conditions every cell on exactly
 what a cell-by-cell pass over patients then phenotypes would; its
 uniforms are drawn in one call in that pass's row-major order, so the
-draws match too. Held-out inference runs the same scan with theta
-collapsed out (evaluation._sample_activations_collapsed).
+draws match too. Training runs it through sample_activations, with the
+log-odds of activation_log_odds_column; held-out inference runs it with
+theta collapsed out (evaluation._sample_activations_collapsed).
 
 The mc3m baseline is the same chain (train_unstructured): its symmetric
 Dirichlet(c) prior is the gated prior with every activation on and
-B = Bstar = c. Both chains and held-out inference start from initial_z,
-and both inits draw theta and phi with the sweep's draw_theta_phi.
+B = Bstar = c. Both chains and held-out inference start from initial_z
+and draw theta with draw_theta.
 """
 
 import logging
@@ -47,7 +52,6 @@ from .model import (
     ModelState,
     complete_data_log_likelihood,
     count_pairs,
-    dirichlet_prior_row,
     flat_view,
     prior_matrix,
     split_flat,
@@ -92,17 +96,6 @@ class TrainTrace:
         return max(self.log_likelihoods) if self.log_likelihoods else float("-inf")
 
 
-def sample_z_token(theta_d, phi_s, w: int, rng: np.random.Generator) -> int:
-    """Draw one phenotype assignment with probability proportional to
-    theta_d[p] * phi_s[p, w]."""
-    weights = np.asarray(theta_d, dtype=float) * np.asarray(phi_s)[:, int(w)]
-    total = weights.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        raise SamplingError("all-zero assignment weights (corrupt state)")
-    return int(np.searchsorted(np.cumsum(weights), rng.random() * total,
-                               side="right"))
-
-
 def _sample_z_batch(theta, phi_s, w_flat, doc_idx, rng):
     """Vectorized z resample for all tokens of one source, Z_CHUNK tokens
     at a time so the (tokens x P) temporaries stay bounded. The uniforms
@@ -144,20 +137,6 @@ def token_counts(state: ModelState, corpus: Corpus, s: int) -> np.ndarray:
                        len(corpus.vocab[s]))
 
 
-def sample_theta(d: int, state: ModelState, corpus: Corpus,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Draw theta_d from Dir(prior_d + phenotype counts of patient d)."""
-    prior = dirichlet_prior_row(state.A[d], state.B, state.Bstar)
-    return sample_dirichlet(prior + phenotype_counts(state, corpus)[d], rng)
-
-
-def sample_phi(s: int, p: int, state: ModelState, corpus: Corpus,
-               hyper: Hyperparameters, rng: np.random.Generator) -> np.ndarray:
-    """Draw phi_sp from Dir(gamma_s + per-token assignment counts)."""
-    m = token_counts(state, corpus, s)[p]
-    return sample_dirichlet(hyper.gamma[s] + m, rng)
-
-
 def clamp_matrix(labels: LabelMatrix, options: TrainOptions, D: int,
                  P: int) -> np.ndarray:
     """D x P activation clamps: 1 or 0 where the labels fix the bit, -1
@@ -189,11 +168,9 @@ def rest_totals(prior: np.ndarray, p: int) -> np.ndarray:
 
 
 def activation_scan(A: np.ndarray, clamp: np.ndarray, log_odds, prob_one,
-                    B, Bstar: float, rng: np.random.Generator,
-                    cols=None) -> np.ndarray:
-    """One exact sequential Gibbs scan over the phenotype columns `cols`
-    (all of them by default) of the activation rows A, vectorized over the
-    rows. Mutates and returns A.
+                    B, Bstar: float, rng: np.random.Generator) -> np.ndarray:
+    """One exact sequential Gibbs scan over the phenotype columns of the
+    activation rows A, vectorized over the rows. Mutates and returns A.
 
     Cells where `clamp` (shaped like A) holds 0 or 1 are set to it; the
     cells where it holds -1 are free and resampled. log_odds(p, rows,
@@ -210,17 +187,16 @@ def activation_scan(A: np.ndarray, clamp: np.ndarray, log_odds, prob_one,
     cells -- the order in which the cell-by-cell scan drew them -- so the
     draws are the same too.
     """
-    cols = np.arange(A.shape[1]) if cols is None else np.asarray(cols)
-    free = clamp[:, cols] < 0
+    free = clamp < 0
     u = np.zeros(free.shape)
     u[free] = rng.random(np.count_nonzero(free))
     prior = prior_matrix(A, B, Bstar)
-    for j, p in enumerate(cols):
-        fixed = ~free[:, j]
+    for p in range(A.shape[1]):
+        fixed = ~free[:, p]
         A[fixed, p] = clamp[fixed, p]
-        rows = np.flatnonzero(free[:, j])
+        rows = np.flatnonzero(free[:, p])
         if rows.size:
-            A[rows, p] = u[rows, j] < prob_one(log_odds(p, rows, prior[rows]))
+            A[rows, p] = u[rows, p] < prob_one(log_odds(p, rows, prior[rows]))
         prior[:, p] = np.where(A[:, p] == 1, B[p], Bstar)
     return A
 
@@ -261,36 +237,15 @@ def _prob_one(odds: np.ndarray) -> np.ndarray:
 
 def sample_activations(state: ModelState, labels: LabelMatrix,
                        options: TrainOptions, hyper: Hyperparameters,
-                       rng: np.random.Generator, patients=None,
-                       cols=None) -> np.ndarray:
-    """New activation rows of `patients` (every patient by default) after
-    one scan of A | theta over `cols` (every phenotype by default),
-    honoring the label clamp rules. The state is not changed."""
+                       rng: np.random.Generator) -> np.ndarray:
+    """New activation matrix after one scan of A | theta, honoring the
+    label clamp rules. The state is not changed."""
     D, P = state.A.shape
-    patients = np.arange(D) if patients is None else np.asarray(patients)
     return activation_scan(
-        state.A[patients], clamp_matrix(labels, options, D, P)[patients],
+        state.A.copy(), clamp_matrix(labels, options, D, P),
         lambda p, rows, prior: activation_log_odds_column(
-            p, patients[rows], prior, state, hyper),
-        _prob_one, state.B, state.Bstar, rng, cols=cols)
-
-
-def activation_log_odds(d: int, p: int, state: ModelState,
-                        hyper: Hyperparameters) -> float:
-    """log P(A_dp=1 | rest) - log P(A_dp=0 | rest) for one cell: a view
-    onto activation_log_odds_column."""
-    return float(activation_log_odds_column(
-        p, np.array([d]), prior_matrix(state.A[[d]], state.B, state.Bstar),
-        state, hyper)[0])
-
-
-def sample_activation(d: int, p: int, state: ModelState, labels: LabelMatrix,
-                      options: TrainOptions, hyper: Hyperparameters,
-                      rng: np.random.Generator) -> int:
-    """Resample one activation bit, honoring the label clamp rules: a
-    one-cell view onto sample_activations."""
-    return int(sample_activations(state, labels, options, hyper, rng,
-                                  patients=[d], cols=[p])[0, p])
+            p, rows, prior, state, hyper),
+        _prob_one, state.B, state.Bstar, rng)
 
 
 def initial_z(corpus: Corpus, P: int, rng: np.random.Generator) -> list:
@@ -300,13 +255,18 @@ def initial_z(corpus: Corpus, P: int, rng: np.random.Generator) -> list:
             for per_source in corpus.tokens]
 
 
-def draw_theta_phi(state: ModelState, corpus: Corpus, hyper: Hyperparameters,
-                   rng: np.random.Generator):
-    """Draw theta from Dir(gated prior + phenotype counts), then each phi_s
-    from Dir(gamma_s + token counts), in place."""
-    counts = phenotype_counts(state, corpus)
+def draw_theta(state: ModelState, counts: np.ndarray,
+               rng: np.random.Generator):
+    """Draw theta from Dir(gated prior + phenotype counts), in place."""
     state.theta = sample_dirichlet(
         prior_matrix(state.A, state.B, state.Bstar) + counts, rng)
+
+
+def draw_theta_phi(state: ModelState, corpus: Corpus, hyper: Hyperparameters,
+                   rng: np.random.Generator):
+    """Draw theta (draw_theta), then each phi_s from Dir(gamma_s + token
+    counts), in place."""
+    draw_theta(state, phenotype_counts(state, corpus), rng)
     for s in range(corpus.num_sources):
         m = token_counts(state, corpus, s)
         state.phi[s] = sample_dirichlet(hyper.gamma[s] + m, rng)

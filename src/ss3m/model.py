@@ -212,20 +212,13 @@ class DocLengthSpec:
         raise ConfigError(f"unknown document-length mode {kind!r}")
 
 
-def dirichlet_prior_row(A_row, B, Bstar: float) -> np.ndarray:
-    """Gated Dirichlet concentration for one patient: B[p] where the
-    activation bit is set, Bstar elsewhere."""
-    A_row = np.asarray(A_row)
-    B = np.asarray(B, dtype=float)
-    if A_row.shape != B.shape:
-        raise DimensionError("activation row and B must share length P")
-    return np.where(A_row == 1, B, float(Bstar))
-
-
 def prior_matrix(A, B, Bstar: float) -> np.ndarray:
-    """dirichlet_prior_row for every patient at once; (D,P)."""
-    return np.where(np.asarray(A) == 1, np.asarray(B, dtype=float)[None, :],
-                    float(Bstar))
+    """Gated Dirichlet concentrations, (D,P): B[p] where the activation
+    bit A[d, p] is set, Bstar elsewhere."""
+    B = np.asarray(B, dtype=float)
+    if np.shape(A)[-1] != B.shape[0]:
+        raise DimensionError("activation rows and B must share length P")
+    return np.where(np.asarray(A) == 1, B[None, :], float(Bstar))
 
 
 def flat_view(per_patient):

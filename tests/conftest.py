@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ss3m.model import Corpus, Hyperparameters, ModelState
+from ss3m.gibbs import activation_log_odds_column
+from ss3m.model import Corpus, Hyperparameters, ModelState, prior_matrix
 from ss3m.util import sample_dirichlet
 
 
@@ -28,6 +31,30 @@ def random_tiny_state(rng, D=2, P=2, S=1, V=3, max_tokens=3,
          for per_source in tokens]
     state = ModelState(theta=theta, phi=phi, z=z, A=A, B=B, Bstar=Bstar)
     return state, corpus
+
+
+@st.composite
+def corpora(draw, D, vocab_sizes):
+    """A corpus of D patients over the given vocabularies; documents of
+    0..5 tokens, all empty in some examples."""
+    low, high = draw(st.sampled_from([(1, 5), (0, 5), (0, 0)]))
+    tokens = []
+    for v in vocab_sizes:
+        lengths = draw(st.lists(st.integers(low, high), min_size=D,
+                                max_size=D))
+        tokens.append([draw(arrays(np.int64, n,
+                                   elements=st.integers(0, v - 1)))
+                       for n in lengths])
+    return Corpus(vocab=[[f"s{s}_{i}" for i in range(v)]
+                         for s, v in enumerate(vocab_sizes)], tokens=tokens)
+
+
+def cell_log_odds(d, p, state, hyper):
+    """Training log-odds of activation cell (d, p): the scan's column
+    kernel evaluated on patient d's row alone."""
+    return float(activation_log_odds_column(
+        p, np.array([d]), prior_matrix(state.A[[d]], state.B, state.Bstar),
+        state, hyper)[0])
 
 
 @pytest.fixture

@@ -40,7 +40,6 @@ from ss3m.model import (
     Corpus,
     ModelState,
     count_pairs,
-    dirichlet_prior_row,
     flat_view,
     log_gamma_pdf,
     prior_matrix,
@@ -61,7 +60,7 @@ def training_log_odds(d, p, state, hyper):
     """log P(A_dp=1 | theta, A_d,-p) - log P(A_dp=0 | theta, A_d,-p)."""
     b_p = float(state.B[p])
     bstar = float(state.Bstar)
-    prior = dirichlet_prior_row(state.A[d], state.B, bstar).astype(float)
+    prior = np.where(state.A[d] == 1, state.B, bstar).astype(float)
     rest = _rest_total(prior, p)
     log_theta = float(floored_log(state.theta[d, p]))
     return (log(hyper.alpha / (1.0 - hyper.alpha))

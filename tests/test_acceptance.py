@@ -16,7 +16,7 @@ import pytest
 from scipy.special import gammaln
 from scipy.stats import chisquare, dirichlet, kstest, norm
 
-from conftest import make_hyper, random_tiny_state
+from conftest import cell_log_odds, make_hyper, random_tiny_state
 from ss3m.cli import main as cli_main
 from ss3m.evaluation import auprc, auroc, heldout_infer, micro_macro
 from ss3m.gibbs import (
@@ -25,22 +25,24 @@ from ss3m.gibbs import (
     MISSING_ESTIMATE,
     MISSING_FIX_ZERO,
     TrainOptions,
-    activation_log_odds,
+    _sample_z_batch,
+    draw_theta,
+    draw_theta_phi,
     phenotype_counts,
-    sample_activation,
-    sample_phi,
-    sample_theta,
-    sample_z_token,
+    sample_activations,
     train,
 )
 from ss3m.hmc import FunctionTarget, b_target, bstar_target, hmc_step, leapfrog
 from ss3m.model import (
+    LABEL_ABSENT,
+    LABEL_PRESENT,
+    LABEL_UNKNOWN,
     DocLengthSpec,
     Hyperparameters,
     LabelMatrix,
-    dirichlet_prior_row,
     generate,
     labels_from_activations,
+    prior_matrix,
 )
 
 pytestmark = pytest.mark.acceptance
@@ -128,7 +130,8 @@ def test_criterion_1_conditional_exactness(rng):
     t0 = time.time()
     failures = []
 
-    # z: empirical law vs the normalized product theta * phi[:, w]
+    # z: empirical law vs the normalized product theta * phi[:, w], from
+    # the batched z kernel on N_DRAWS tokens of one patient, all word w
     theta = np.array([0.5, 0.3, 0.2])
     phi = np.array([[0.1, 0.2, 0.3, 0.4],
                     [0.4, 0.3, 0.2, 0.1],
@@ -136,43 +139,49 @@ def test_criterion_1_conditional_exactness(rng):
     for w in range(4):
         want = theta * phi[:, w]
         want /= want.sum()
-        draws = np.array([sample_z_token(theta, phi, w, rng)
-                          for _ in range(N_DRAWS)])
+        draws = _sample_z_batch(theta[None, :], phi,
+                                np.full(N_DRAWS, w, dtype=np.int64),
+                                np.zeros(N_DRAWS, dtype=np.int64), rng)
         observed = np.bincount(draws, minlength=3)
         p = chisquare(observed, want * N_DRAWS).pvalue
         if p <= SIGNIFICANCE:
             failures.append(f"z chi2 p={p:.2e} at w={w}")
 
-    # A: empirical activation frequency vs sigmoid(log odds)
+    # A: empirical activation frequency vs sigmoid(log odds), from the
+    # training scan with labels clamping every cell but (0, 1) to its
+    # current value, so that cell's conditional stays frozen
     state, corpus = random_tiny_state(rng, D=2, P=3, S=1, V=4, b_low=0.5,
                                       b_high=8.0, bstar_low=0.05,
                                       bstar_high=1.0)
     hyper = make_hyper(P=3, P_lab=0, alpha=0.25)
     options = TrainOptions(missing_label_mode=MISSING_ESTIMATE)
-    want = 1.0 / (1.0 + math.exp(-activation_log_odds(0, 1, state, hyper)))
-    ones = 0
-    for _ in range(N_DRAWS):
-        snap = state.A[0, 1]
-        ones += sample_activation(0, 1, state, None, options, hyper, rng)
-        state.A[0, 1] = snap  # keep the conditional frozen
+    entries = np.where(state.A == 1, LABEL_PRESENT, LABEL_ABSENT)
+    entries[0, 1] = LABEL_UNKNOWN
+    clamps = LabelMatrix(entries=entries.astype(np.int8),
+                         label_names=["l0", "l1", "l2"])
+    want = 1.0 / (1.0 + math.exp(-cell_log_odds(0, 1, state, hyper)))
+    ones = sum(int(sample_activations(state, clamps, options, hyper, rng)[0, 1])
+               for _ in range(N_DRAWS))
     observed = np.array([ones, N_DRAWS - ones])
     p = chisquare(observed, np.array([want, 1 - want]) * N_DRAWS).pvalue
     if p <= SIGNIFICANCE:
         failures.append(f"A chi2 p={p:.2e}")
 
-    # theta: Dirichlet moment test against prior + counts
+    # theta: Dirichlet moment test against prior + counts (draw_theta)
     corpus_counts = phenotype_counts(state, corpus)
-    prior = dirichlet_prior_row(state.A[0], state.B, state.Bstar)
-    alpha_post = prior + corpus_counts[0]
+    alpha_post = (prior_matrix(state.A, state.B, state.Bstar)[0]
+                  + corpus_counts[0])
     mean_want = alpha_post / alpha_post.sum()
     var_want = mean_want * (1 - mean_want) / (alpha_post.sum() + 1)
-    draws = np.array([sample_theta(0, state, corpus, rng)
-                      for _ in range(10 ** 4)])
+    draws = np.empty((10 ** 4, 3))
+    for i in range(10 ** 4):
+        draw_theta(state, corpus_counts, rng)
+        draws[i] = state.theta[0]
     zscores = (draws.mean(axis=0) - mean_want) / np.sqrt(var_want / 10 ** 4)
     if np.any(np.abs(zscores) > norm.isf(SIGNIFICANCE / 2)):
         failures.append(f"theta moments z={np.abs(zscores).max():.2f}")
 
-    # phi: same moment test for the token distributions
+    # phi: same moment test for the token distributions (draw_theta_phi)
     counts = np.zeros(4)
     for d in range(2):
         for z, w in zip(state.z[0][d], corpus.tokens[0][d]):
@@ -181,8 +190,10 @@ def test_criterion_1_conditional_exactness(rng):
     alpha_post = hyper.gamma[0] + counts
     mean_want = alpha_post / alpha_post.sum()
     var_want = mean_want * (1 - mean_want) / (alpha_post.sum() + 1)
-    draws = np.array([sample_phi(0, 0, state, corpus, hyper, rng)
-                      for _ in range(10 ** 4)])
+    draws = np.empty((10 ** 4, 4))
+    for i in range(10 ** 4):
+        draw_theta_phi(state, corpus, hyper, rng)
+        draws[i] = state.phi[0][0]
     zscores = (draws.mean(axis=0) - mean_want) / np.sqrt(var_want / 10 ** 4)
     if np.any(np.abs(zscores) > norm.isf(SIGNIFICANCE / 2)):
         failures.append(f"phi moments z={np.abs(zscores).max():.2f}")
@@ -208,7 +219,7 @@ def test_criterion_2_activation_log_odds(rng):
         alpha = rng.uniform(0.05, 0.9)
         hyper = make_hyper(P=3, P_lab=0, alpha=alpha)
         d, p = rng.integers(0, 2), rng.integers(0, 3)
-        got = activation_log_odds(int(d), int(p), state, hyper)
+        got = cell_log_odds(int(d), int(p), state, hyper)
 
         a1 = state.A[d].copy()
         a1[p] = 1
@@ -216,10 +227,10 @@ def test_criterion_2_activation_log_odds(rng):
         a0[p] = 0
         dens1 = dirichlet.logpdf(
             state.theta[d] / state.theta[d].sum(),
-            dirichlet_prior_row(a1, state.B, state.Bstar))
+            prior_matrix([a1], state.B, state.Bstar)[0])
         dens0 = dirichlet.logpdf(
             state.theta[d] / state.theta[d].sum(),
-            dirichlet_prior_row(a0, state.B, state.Bstar))
+            prior_matrix([a0], state.B, state.Bstar)[0])
         want = math.log(alpha / (1 - alpha)) + dens1 - dens0
         worst = max(worst, abs(got - want) / max(abs(want), 1e-12))
     elapsed = time.time() - t0
@@ -424,7 +435,7 @@ def test_criterion_8_heldout_sanity():
     corpus, truth = generate(h, [80], DocLengthSpec.poisson(100, 1), 200,
                              seed=42)
     res = heldout_infer(corpus, truth, h, burn_in=50, samples=100, seed=3)
-    scores = res.score_matrix.scores
+    scores = res.scores
     active = truth.A.astype(bool)
     gap = scores[active].mean() - scores[~active].mean()
     _, macro = micro_macro(auroc, scores, truth.A.astype(int))

@@ -13,14 +13,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reference_kernels as ref
-from conftest import make_hyper
+from conftest import cell_log_odds, make_hyper
 from ss3m.errors import SamplingError
 from ss3m.evaluation import _sample_activations_collapsed
 from ss3m.gibbs import (
     MISSING_ESTIMATE,
     MISSING_FIX_ZERO,
     TrainOptions,
-    activation_log_odds,
     sample_activations,
 )
 from ss3m.model import LABEL_PRESENT, LabelMatrix, ModelState
@@ -66,7 +65,7 @@ def test_training_scan_matches_cell_loop(problem):
     D, P = state.A.shape
     for d in range(D):
         for p in range(P):
-            assert (activation_log_odds(d, p, state, hyper)
+            assert (cell_log_odds(d, p, state, hyper)
                     == ref.training_log_odds(d, p, state, hyper))
 
     want = _copy(state)
@@ -108,7 +107,7 @@ def test_non_finite_log_odds_names_the_cell():
         sample_activations(state, None, TrainOptions(), hyper,
                            np.random.default_rng(0))
     with pytest.raises(SamplingError, match=r"patient 3, phenotype 1\b"):
-        activation_log_odds(3, 1, state, hyper)
+        cell_log_odds(3, 1, state, hyper)
 
 
 def test_non_finite_log_odds_names_the_first_free_patient():

@@ -194,6 +194,45 @@ class TestErrorPaths:
                    "summarize", "--state", str(state),
                    "--corpus", os.path.join(prep, "corpus_train.json")) == 2
 
+    def _trained(self, tmp_path, toy_config):
+        """(prep dir, states dir) after generate, preprocess and a train
+        of ss3m_fixA0_fixB on the toy config."""
+        gen, prep = str(tmp_path / "gen"), str(tmp_path / "prep")
+        states = str(tmp_path / "states")
+        run("--config", toy_config, "--seed", "1", "--out", gen, "generate")
+        run("--config", toy_config, "--seed", "1", "--out", prep,
+            "preprocess", "--corpus", os.path.join(gen, "corpus.jsonl"))
+        assert run("--config", toy_config, "--seed", "1", "--out", states,
+                   "train",
+                   "--corpus", os.path.join(prep, "corpus_train.json"),
+                   "--labels", os.path.join(prep, "labels_train.json"),
+                   "--model-id", "ss3m_fixA0_fixB") == 0
+        return prep, states
+
+    def test_state_missing_a_phi_row_is_data_error(self, tmp_path,
+                                                   toy_config):
+        prep, states = self._trained(tmp_path, toy_config)
+        path = os.path.join(states, "ss3m_fixA0_fixB.state.json")
+        with open(path) as fh:
+            payload = json.load(fh)
+        payload["phi"][0].pop()
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        assert run("--config", toy_config, "--out", str(tmp_path / "o"),
+                   "summarize", "--state", path,
+                   "--corpus", os.path.join(prep, "corpus_train.json")) == 2
+
+    def test_phenotype_count_mismatch_is_data_error(self, tmp_path,
+                                                    toy_config):
+        prep, states = self._trained(tmp_path, toy_config)
+        assert run("--config", toy_config, "--out", str(tmp_path / "eval"),
+                   "--model.num_phenotypes", "4", "evaluate",
+                   "--train-corpus", os.path.join(prep, "corpus_train.json"),
+                   "--train-labels", os.path.join(prep, "labels_train.json"),
+                   "--test-corpus", os.path.join(prep, "corpus_test.json"),
+                   "--test-labels", os.path.join(prep, "labels_test.json"),
+                   "--state-dir", states) == 2
+
     def test_invalid_hyperparameter_is_config_error(self, tmp_path,
                                                     toy_config):
         assert run("--config", toy_config, "--model.alpha", "1.5",

@@ -234,6 +234,23 @@ class TestStateRoundTrip:
         with pytest.raises(DataError):
             load_state(path)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda pl: pl["phi"][0].pop(),                   # P-1 rows of phi
+        lambda pl: pl["B"].append(1.0),                  # P+1 pseudo-counts
+        lambda pl: pl["theta"][0].__setitem__(0, -0.5),  # off the simplex
+        lambda pl: pl["theta"][1].pop(),                 # ragged theta
+        lambda pl: pl.pop("A"),                          # missing field
+    ])
+    def test_malformed_state_is_data_error(self, tmp_path, rng, corrupt):
+        state, _ = random_tiny_state(rng, D=3, P=2)
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="malformed state"):
+            load_state(path)
+
     def test_future_version_names_both(self, tmp_path, rng):
         state, _ = random_tiny_state(rng)
         path = tmp_path / "state.json"

@@ -238,7 +238,7 @@ class TestHeldoutInfer:
     def test_single_sample_scores_are_binary(self):
         h, corpus, truth = _trained_toy()
         res = heldout_infer(corpus, truth, h, burn_in=0, samples=1, seed=1)
-        assert set(np.unique(res.score_matrix.scores)) <= {0.0, 1.0}
+        assert set(np.unique(res.scores)) <= {0.0, 1.0}
 
     def test_zero_token_patient_scores_prior_marginal(self):
         # with no tokens, theta integrates out and the exact activation
@@ -252,7 +252,7 @@ class TestHeldoutInfer:
             B=np.array([2.0, 2.0, 2.0]), Bstar=0.5)
         res = heldout_infer(corpus, trained, h, burn_in=200, samples=4000,
                             seed=5)
-        assert np.all(np.abs(res.score_matrix.scores - h.alpha) < 0.05)
+        assert np.all(np.abs(res.scores - h.alpha) < 0.05)
 
     def test_scores_match_enumerated_posterior(self):
         # disjoint phenotype supports force every token assignment, so
@@ -292,7 +292,7 @@ class TestHeldoutInfer:
 
         res = heldout_infer(corpus, trained, h, burn_in=100, samples=3000,
                             seed=6)
-        got = res.score_matrix.scores[0]
+        got = res.scores[0]
         assert np.all(np.abs(got - np.array(want)) < 0.04)
 
     def test_patient_order_invariance_in_distribution(self):
@@ -317,8 +317,8 @@ class TestHeldoutInfer:
                                     for d in reversed(range(5))]])
         res2 = heldout_infer(reordered, trained, h, burn_in=50, samples=2000,
                              seed=8)
-        flipped = res2.score_matrix.scores[::-1]
-        assert np.all(np.abs(res.score_matrix.scores - flipped) < 0.08)
+        flipped = res2.scores[::-1]
+        assert np.all(np.abs(res.scores - flipped) < 0.08)
 
     def test_monotone_transform_leaves_metrics_unchanged(self, rng):
         scores = rng.normal(size=60)

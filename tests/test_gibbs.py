@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from conftest import make_hyper, random_tiny_state
+from conftest import cell_log_odds, make_hyper, random_tiny_state
 from ss3m import gibbs
 from ss3m.errors import SamplingError
 from ss3m.gibbs import (
     TrainOptions,
-    activation_log_odds,
+    draw_theta,
+    draw_theta_phi,
     initialize_state,
     phenotype_counts,
-    sample_activation,
-    sample_phi,
-    sample_theta,
-    sample_z_token,
+    sample_activations,
     sweep,
     token_counts,
     train,
@@ -27,24 +25,31 @@ from ss3m.model import (
     DocLengthSpec,
     LabelMatrix,
     ModelState,
-    dirichlet_prior_row,
     generate,
     labels_from_activations,
+    prior_matrix,
 )
 from ss3m.util import sample_dirichlet, substream
+
+
+def _z_draws(theta, phi, w, n, rng):
+    """n z draws for n copies of token w in one patient, from the batched
+    z kernel the sweep runs."""
+    return gibbs._sample_z_batch(np.asarray([theta], dtype=float), phi,
+                                 np.full(n, w, dtype=np.int64),
+                                 np.zeros(n, dtype=np.int64), rng)
 
 
 class TestSampleZToken:
     def test_degenerate_theta(self, rng):
         phi = np.array([[0.5, 0.5], [0.9, 0.1]])
-        for _ in range(50):
-            assert sample_z_token([1.0, 0.0], phi, 0, rng) == 0
+        assert np.all(_z_draws([1.0, 0.0], phi, 0, 50, rng) == 0)
 
     def test_exact_normalization(self, rng):
         # hand-check oracle: 0.5*0.6 / (0.5*0.2 + 0.5*0.6) = 0.75
         phi = np.array([[0.2, 0.8], [0.6, 0.4]])
         n = 10 ** 5
-        hits = sum(sample_z_token([0.5, 0.5], phi, 0, rng) for _ in range(n))
+        hits = int(_z_draws([0.5, 0.5], phi, 0, n, rng).sum())
         p = 0.75
         assert abs(hits / n - p) < 3 * math.sqrt(p * (1 - p) / n)
 
@@ -62,7 +67,7 @@ class TestSampleZToken:
     def test_corrupt_state_raises(self, rng):
         phi = np.array([[0.0, 1.0], [0.0, 1.0]])
         with pytest.raises(SamplingError):
-            sample_z_token([0.5, 0.5], phi, 0, rng)
+            _z_draws([0.5, 0.5], phi, 0, 1, rng)
 
 
 def _state_with_counts(counts_row, A_row, B, Bstar, P):
@@ -77,13 +82,31 @@ def _state_with_counts(counts_row, A_row, B, Bstar, P):
     return state, corpus
 
 
+def _theta_draws(state, corpus, n, rng):
+    """Patient 0's theta after each of n draw_theta steps."""
+    counts = phenotype_counts(state, corpus)
+    draws = []
+    for _ in range(n):
+        draw_theta(state, counts, rng)
+        draws.append(state.theta[0])
+    return np.array(draws)
+
+
+def _phi_draws(state, corpus, h, p, n, rng):
+    """phi_0p after each of n draw_theta_phi steps."""
+    draws = []
+    for _ in range(n):
+        draw_theta_phi(state, corpus, h, rng)
+        draws.append(state.phi[0][p])
+    return np.array(draws)
+
+
 class TestSampleTheta:
     def test_prior_only_moments(self, rng):
         # Dirichlet mean oracle: E[theta_0] = 10 / 10.01
         state, corpus = _state_with_counts([0, 0], [1, 0], [10.0, 5.0], 0.01, 2)
         n = 10 ** 4
-        draws = np.array([sample_theta(0, state, corpus, rng)[0]
-                          for _ in range(n)])
+        draws = _theta_draws(state, corpus, n, rng)[:, 0]
         mean = 10.0 / 10.01
         var = mean * (1 - mean) / (10.01 + 1)
         assert abs(draws.mean() - mean) < 3 * math.sqrt(var / n)
@@ -91,8 +114,7 @@ class TestSampleTheta:
     def test_counts_dominate(self, rng):
         state, corpus = _state_with_counts([100, 0], [0, 0], [1.0, 1.0], 0.01, 2)
         n = 10 ** 4
-        draws = np.array([sample_theta(0, state, corpus, rng)[0]
-                          for _ in range(n)])
+        draws = _theta_draws(state, corpus, n, rng)[:, 0]
         total = 100.02
         mean = 100.01 / total
         var = mean * (1 - mean) / (total + 1)
@@ -100,8 +122,7 @@ class TestSampleTheta:
 
     def test_simplex_closure(self, rng):
         state, corpus = _state_with_counts([3, 1], [1, 1], [2.0, 2.0], 0.01, 2)
-        for _ in range(100):
-            out = sample_theta(0, state, corpus, rng)
+        for out in _theta_draws(state, corpus, 100, rng):
             assert abs(out.sum() - 1.0) < 1e-9 and np.all(out >= 0)
 
 
@@ -119,8 +140,8 @@ class TestSamplePhi:
         # simulation oracle: symmetric Dir(0.01) on V=10 concentrates mass
         h = make_hyper(P=2, gamma=0.01)
         state, corpus = self._empty_assignment_state(V=10)
-        hits = sum(sample_phi(0, 0, state, corpus, h, rng).max() > 0.9
-                   for _ in range(400))
+        hits = (_phi_draws(state, corpus, h, 0, 400, rng).max(axis=1)
+                > 0.9).sum()
         assert hits / 400 > 0.5
 
     def test_count_moments(self, rng):
@@ -132,8 +153,7 @@ class TestSamplePhi:
             z=[[np.zeros(1000, dtype=np.int64)]],
             A=np.ones((1, 1), dtype=np.int8), B=np.ones(1), Bstar=0.5)
         n = 10 ** 4
-        draws = np.array([sample_phi(0, 0, state, corpus, h, rng)[0]
-                          for _ in range(n)])
+        draws = _phi_draws(state, corpus, h, 0, n, rng)[:, 0]
         total = 1000.03
         mean = 1000.01 / total
         var = mean * (1 - mean) / (total + 1)
@@ -142,15 +162,14 @@ class TestSamplePhi:
     def test_simplex_closure(self, rng):
         h = make_hyper(P=2, gamma=0.3)
         state, corpus = self._empty_assignment_state(V=6)
-        for _ in range(100):
-            out = sample_phi(0, 1, state, corpus, h, rng)
+        for out in _phi_draws(state, corpus, h, 1, 100, rng):
             assert abs(out.sum() - 1.0) < 1e-9
 
 
 def _oracle_log_odds(d, p, state, hyper):
     """Direct two-point normalization via scipy Dirichlet densities."""
     theta = state.theta[d] / state.theta[d].sum()
-    prior1 = dirichlet_prior_row(state.A[d], state.B, state.Bstar).copy()
+    prior1 = prior_matrix(state.A[[d]], state.B, state.Bstar)[0]
     prior0 = prior1.copy()
     prior1[p] = state.B[p]
     prior0[p] = state.Bstar
@@ -165,7 +184,7 @@ class TestActivationLogOdds:
         state, _ = random_tiny_state(rng, P=2)
         state.B = np.array([0.7, 0.7])
         state.Bstar = 0.7
-        got = activation_log_odds(0, 1, state, h)
+        got = cell_log_odds(0, 1, state, h)
         assert got == pytest.approx(math.log(1 / 9), abs=1e-12)
 
     def test_matches_density_ratio_oracle(self, rng):
@@ -173,7 +192,7 @@ class TestActivationLogOdds:
         for _ in range(200):
             state, _ = random_tiny_state(rng, D=2, P=3, bstar_low=1e-3)
             d, p = int(rng.integers(2)), int(rng.integers(3))
-            got = activation_log_odds(d, p, state, h)
+            got = cell_log_odds(d, p, state, h)
             want = _oracle_log_odds(d, p, state, h)
             assert got == pytest.approx(want, rel=1e-10)
 
@@ -193,7 +212,7 @@ class TestActivationLogOdds:
         state.Bstar = 1e-18
         want = (math.log(0.1 / 0.9) + math.log(P)
                 + (3.0 - 1e-18) * math.log(state.theta[0, 1]))
-        got = activation_log_odds(0, 1, state, h)
+        got = cell_log_odds(0, 1, state, h)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_monotone_in_theta_when_b_exceeds_bstar(self, rng):
@@ -204,15 +223,15 @@ class TestActivationLogOdds:
         values = []
         for t in np.linspace(0.01, 0.99, 25):
             state.theta = np.array([[t, 1 - t]])
-            values.append(activation_log_odds(0, 0, state, h))
+            values.append(cell_log_odds(0, 0, state, h))
         assert np.all(np.diff(values) > 0)
         assert values[-1] > 10  # large and positive near theta -> 1
 
 
 class TestSampleActivation:
-    def _setup(self, rng, alpha=0.5):
+    def _setup(self, rng, alpha=0.5, D=1):
         h = make_hyper(P=2, P_lab=1, alpha=alpha)
-        state, _ = random_tiny_state(rng, D=1, P=2)
+        state, _ = random_tiny_state(rng, D=D, P=2)
         state.B = np.array([0.7, 0.7])
         state.Bstar = 0.7  # log-odds = prior odds only
         return h, state
@@ -223,7 +242,7 @@ class TestSampleActivation:
                              label_names=["l0"])
         opts = TrainOptions(missing_label_mode="estimate")
         for _ in range(50):
-            assert sample_activation(0, 0, state, labels, opts, h, rng) == 1
+            assert sample_activations(state, labels, opts, h, rng)[0, 0] == 1
 
     def test_unknown_fix_zero_clamps_to_zero(self, rng):
         h, state = self._setup(rng)
@@ -231,17 +250,18 @@ class TestSampleActivation:
                              label_names=["l0"])
         opts = TrainOptions(missing_label_mode="fix_zero")
         for _ in range(50):
-            assert sample_activation(0, 0, state, labels, opts, h, rng) == 0
+            assert sample_activations(state, labels, opts, h, rng)[0, 0] == 0
 
     def test_zero_log_odds_is_fair_coin(self, rng):
-        # alpha = 0.5 and B == Bstar gives exactly zero log-odds
-        h, state = self._setup(rng, alpha=0.5)
-        labels = LabelMatrix(entries=np.array([[LABEL_UNKNOWN]]),
+        # alpha = 0.5 and B == Bstar gives exactly zero log-odds; the scan
+        # draws cell (d, 0) of n independent patients
+        n = 10 ** 5
+        h, state = self._setup(rng, alpha=0.5, D=n)
+        labels = LabelMatrix(entries=np.full((n, 1), LABEL_UNKNOWN,
+                                             dtype=np.int8),
                              label_names=["l0"])
         opts = TrainOptions(missing_label_mode="estimate")
-        n = 10 ** 5
-        hits = sum(sample_activation(0, 0, state, labels, opts, h, rng)
-                   for _ in range(n))
+        hits = int(sample_activations(state, labels, opts, h, rng)[:, 0].sum())
         assert abs(hits / n - 0.5) < 3 * math.sqrt(0.25 / n)
 
 

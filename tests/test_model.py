@@ -13,7 +13,6 @@ from ss3m.model import (
     Hyperparameters,
     ModelState,
     complete_data_log_likelihood,
-    dirichlet_prior_row,
     generate,
     phenotype_summary,
     prior_matrix,
@@ -21,29 +20,33 @@ from ss3m.model import (
 from ss3m.util import sample_dirichlet
 
 
+def _prior_row(A_row, B, Bstar):
+    return prior_matrix([A_row], B, Bstar)[0]
+
+
 class TestDirichletPriorRow:
     def test_direct_substitution(self):
-        out = dirichlet_prior_row([1, 0], [10.0, 7.0], 0.01)
+        out = _prior_row([1, 0], [10.0, 7.0], 0.01)
         assert out.tolist() == [10.0, 0.01]
 
     def test_all_zeros_gives_symmetric_bstar(self):
-        out = dirichlet_prior_row([0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0], 0.25)
+        out = _prior_row([0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0], 0.25)
         assert out.tolist() == [0.25] * 5
 
     def test_all_active_ignores_bstar(self):
-        out = dirichlet_prior_row([1, 1], [3.0, 4.0], 0.5)
+        out = _prior_row([1, 1], [3.0, 4.0], 0.5)
         assert out.tolist() == [3.0, 4.0]
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            dirichlet_prior_row([1, 0, 1], [1.0, 2.0], 0.1)
+            _prior_row([1, 0, 1], [1.0, 2.0], 0.1)
 
     def test_exhaustive_masks(self):
         # every 2^P mask: output equals B on active coords, Bstar elsewhere
         P = 6
         B = np.arange(1.0, P + 1.0)
         for mask in itertools.product((0, 1), repeat=P):
-            out = dirichlet_prior_row(np.array(mask), B, 0.125)
+            out = _prior_row(np.array(mask), B, 0.125)
             assert np.all(out > 0)
             for p, bit in enumerate(mask):
                 assert out[p] == (B[p] if bit else 0.125)
@@ -267,4 +270,4 @@ class TestCorpusInvariants:
         B = np.array([1.0, 2.0, 3.0])
         full = prior_matrix(A, B, 0.125)
         for d in range(4):
-            assert np.array_equal(full[d], dirichlet_prior_row(A[d], B, 0.125))
+            assert np.array_equal(full[d], np.where(A[d] == 1, B, 0.125))

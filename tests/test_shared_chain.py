@@ -21,11 +21,11 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import digamma
 
 import reference_kernels as ref
-from conftest import make_hyper
+from conftest import corpora, make_hyper
 from ss3m import evaluation, gibbs, hmc
 from ss3m.evaluation import heldout_infer
 from ss3m.gibbs import train_unstructured
-from ss3m.model import Corpus, ModelState
+from ss3m.model import ModelState
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None,
                              derandomize=True, database=None)
@@ -51,22 +51,6 @@ def substreams_made(module):
 def _simplex_rows(draw, shape):
     x = draw(arrays(np.float64, shape, elements=st.floats(0.05, 1.0)))
     return x / x.sum(axis=1, keepdims=True)
-
-
-@st.composite
-def corpora(draw, D, vocab_sizes):
-    """A corpus of D patients over the given vocabularies; documents of
-    0..5 tokens, all empty in some examples."""
-    low, high = draw(st.sampled_from([(1, 5), (0, 5), (0, 0)]))
-    tokens = []
-    for v in vocab_sizes:
-        lengths = draw(st.lists(st.integers(low, high), min_size=D,
-                                max_size=D))
-        tokens.append([draw(arrays(np.int64, n,
-                                   elements=st.integers(0, v - 1)))
-                       for n in lengths])
-    return Corpus(vocab=[[f"s{s}_{i}" for i in range(v)]
-                         for s, v in enumerate(vocab_sizes)], tokens=tokens)
 
 
 @st.composite
@@ -134,8 +118,7 @@ def test_heldout_matches_prior_branches(problem, theta_prior, bstar, burn_in,
                             theta_prior=theta_prior)
     assert np.array_equal(res.theta_mean, theta_want)
     assert np.array_equal(res.activation_mean, a_want)
-    assert np.array_equal(res.score_matrix.scores,
-                          a_want[:, :hyper.num_labeled])
+    assert np.array_equal(res.scores, a_want[:, :hyper.num_labeled])
     assert made[-1].bit_generator.state == rng_want.bit_generator.state
 
 
