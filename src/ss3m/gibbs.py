@@ -4,7 +4,8 @@ together.
 
 The sampler is uncollapsed: theta and phi are explicitly sampled, which is
 required because the activation conditional depends on theta_d. Within a
-sweep the update order is z -> A -> theta -> phi -> B/Bstar. Each
+sweep the update order is z -> A -> theta -> phi -> B -> Bstar, where B
+is one HMC move over all of log B and Bstar one move over log Bstar. Each
 conditional has one kernel, shared by training, the mc3m baseline and
 held-out inference and tested as it is: _sample_z_batch (z),
 activation_scan (A), draw_theta (theta) and draw_theta_phi (phi, after
@@ -276,10 +277,10 @@ def sweep(state: ModelState, corpus: Corpus, labels: LabelMatrix,
           options: TrainOptions, hyper: Hyperparameters,
           rng: np.random.Generator) -> dict:
     """One full Gibbs pass over z, A, theta, phi and, with b_mode
-    "sampled", B/Bstar. Mutates state in place and returns the HMC
+    "sampled", B then Bstar. Mutates state in place and returns the HMC
     bookkeeping counts.
     """
-    D, P = state.theta.shape
+    D = state.theta.shape[0]
 
     # (1) phenotype assignments, vectorized per source.
     for s in range(corpus.num_sources):
@@ -298,29 +299,25 @@ def sweep(state: ModelState, corpus: Corpus, labels: LabelMatrix,
     # (3)-(4) patient-phenotype, then phenotype-token distributions.
     draw_theta_phi(state, corpus, hyper, rng)
 
-    # (5) prior pseudo-counts via HMC.
-    accepts = 0
-    attempts = 0
-    if options.b_mode == B_SAMPLED:
-        for p in range(P):
-            target = hmc.b_target(p, state, hyper)
-            eta = np.array([log(max(float(state.B[p]), PROB_FLOOR))])
-            res = hmc.hmc_step(eta, target, hyper.hmc_step_size,
-                               hyper.hmc_path_length, rng)
-            attempts += 1
-            if res.accepted:
-                accepts += 1
-                state.B[p] = max(float(np.exp(res.next_point[0])), PROB_FLOOR)
-        target = hmc.bstar_target(state, hyper)
-        eta = np.array([log(max(float(state.Bstar), PROB_FLOOR))])
-        res = hmc.hmc_step(eta, target, hyper.hmc_step_size,
-                           hyper.hmc_path_length, rng)
-        attempts += 1
-        if res.accepted:
-            accepts += 1
-            state.Bstar = max(float(np.exp(res.next_point[0])), PROB_FLOOR)
+    # (5) prior pseudo-counts: one HMC move over log B, then one over
+    # log Bstar given the new B.
+    if options.b_mode != B_SAMPLED:
+        return {"hmc_accepts": 0, "hmc_attempts": 0}
+    state.B, b_accepted = _hmc_move(state.B, hmc.b_target(state, hyper),
+                                    hyper, rng)
+    bstar, bstar_accepted = _hmc_move(
+        np.array([state.Bstar]), hmc.bstar_target(state, hyper), hyper, rng)
+    state.Bstar = float(bstar[0])
+    return {"hmc_accepts": b_accepted + bstar_accepted, "hmc_attempts": 2}
 
-    return {"hmc_accepts": accepts, "hmc_attempts": attempts}
+
+def _hmc_move(b, target, hyper: Hyperparameters, rng: np.random.Generator):
+    """One HMC transition on log b: (b after it, whether it moved)."""
+    res = hmc.hmc_step(floored_log(b), target, hyper.hmc_step_size,
+                       hyper.hmc_path_length, rng)
+    if not res.accepted:
+        return b, False
+    return np.maximum(np.exp(res.next_point), PROB_FLOOR), True
 
 
 def initialize_state(corpus: Corpus, labels: LabelMatrix,

@@ -1,14 +1,18 @@
 """Hamiltonian Monte Carlo over unconstrained coordinates, plus the
-log-transformed conditional targets for the prior pseudo-counts B_p and
+log-transformed conditional targets for the prior pseudo-counts B and
 Bstar.
 
-Positivity of B_p and Bstar is handled by sampling eta = log(B) with the
+Positivity of B and Bstar is handled by sampling eta = log(B) with the
 exp-transform Jacobian folded into the target density, so the kernel itself
-is plain HMC with an identity mass matrix.
+is plain HMC with an identity mass matrix, in any dimension.
 
-B_p and Bstar share one target (_log_concentration_target): a pseudo-count
-filling k_d coordinates of each patient d's gated prior, its inactive
-ones for Bstar and one per patient active for p for B_p.
+A sweep makes two moves: one over all P coordinates of log B given A,
+theta and Bstar, then one over log Bstar given the new B. Bstar keeps its
+own move: its gradient is about 100 times the B_p gradients, so one move
+over both with an identity mass matrix would mix poorly. Both targets
+come from one builder (_log_concentration_target): pseudo-counts
+b_j each filling K[d, j] coordinates of patient d's gated prior, with
+K = A for B and K = the inactive counts for Bstar.
 """
 
 from dataclasses import dataclass
@@ -17,7 +21,6 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from .errors import ConfigError, NumericalError
-from .model import prior_matrix
 from .util import PROB_FLOOR, floored_log
 
 
@@ -91,69 +94,63 @@ def hmc_step(x, target: FunctionTarget, eps: float, L: int,
     return HmcResult(next_point=x.copy(), accepted=False, hamiltonian_error=dh)
 
 
-def _log_concentration_target(fixed, k, sum_log_theta, shape,
+def _log_concentration_target(fixed, K, sum_log_theta, shape,
                               scale) -> FunctionTarget:
-    """Conditional for eta = log b, b filling k_d coordinates of patient
-    d's Dirichlet prior whose other coordinates sum to fixed_d:
+    """Conditional for eta = log b, b a vector of J pseudo-counts, b_j
+    filling K[d, j] coordinates of patient d's Dirichlet prior whose other
+    coordinates sum to fixed_d:
 
-    log_density(eta) = eta*shape - b/scale + sum over patients of
-        [lgamma(fixed_d + k_d*b) - k_d*lgamma(b) + (b-1)*sum_log_theta_d],
+    log_density(eta) = sum over j of [eta_j*shape - b_j/scale
+        - n_j*lgamma(b_j) + (b_j-1)*sum_log_theta_j]
+        + sum over patients of lgamma(T_d),
 
-    with b = exp(eta) and sum_log_theta_d the floored log theta over those
-    k_d coordinates. The eta*shape term is the Gamma prior's (shape-1)*eta
-    plus the +eta exp-transform Jacobian.
+    with b = exp(eta), T = fixed + K b, n_j = sum_d K[d, j] and
+    sum_log_theta_j the floored log theta summed over the coordinates b_j
+    fills. The eta*shape term is the Gamma prior's (shape-1)*eta plus the
+    +eta exp-transform Jacobian.
     """
-    fixed = np.asarray(fixed, dtype=float)
-    k = np.asarray(k, dtype=float)
-    k_total = k.sum()
-    slt_total = np.asarray(sum_log_theta, dtype=float).sum()
-    shape, scale = float(shape), float(scale)
+    K = np.asarray(K, dtype=float)
+    n = K.sum(axis=0)
+    slt = np.asarray(sum_log_theta, dtype=float)
 
     def b_of(eta):
-        return max(float(np.exp(float(eta.reshape(())))), PROB_FLOOR)
+        return np.maximum(np.exp(eta), PROB_FLOOR)
 
     def log_density(eta):
         b = b_of(eta)
-        val = float(eta.reshape(())) * shape - b / scale
-        if fixed.size:
-            totals = fixed + k * b
-            val += float(gammaln(totals).sum() - gammaln(b) * k_total
-                         + (b - 1.0) * slt_total)
-        return val
+        totals = fixed + K @ b
+        return float(gammaln(totals).sum() + (eta * shape - b / scale
+                     - n * gammaln(b) + (b - 1.0) * slt).sum())
 
     def gradient(eta):
         b = b_of(eta)
-        g = shape - b / scale
-        if fixed.size:
-            totals = fixed + k * b
-            # Multiply by b inside the sum: digamma(t) ~ -1/t for tiny t,
-            # so b*digamma stays O(1) where the bare sum could overflow.
-            g += float((k * b * digamma(totals)).sum()
-                       - b * digamma(b) * k_total + b * slt_total)
-        return np.array([g])
+        totals = fixed + K @ b
+        # Multiply by b inside the sums: digamma(t) ~ -1/t for tiny t, so
+        # b*digamma stays O(1) where the bare sums could overflow.
+        return (digamma(totals) @ (K * b) - n * (b * digamma(b)) + b * slt
+                + shape - b / scale)
 
     return FunctionTarget(log_density, gradient)
 
 
-def b_target(p: int, state, hyper) -> FunctionTarget:
-    """Target over eta = log B_p: one coordinate of each patient active
-    for p. With no active patients the density reduces to the transformed
-    Gamma prior alone."""
-    active = state.A[:, p] == 1
-    prior = prior_matrix(state.A, state.B, state.Bstar)
-    base = prior[active].sum(axis=1) - state.B[p]
-    return _log_concentration_target(
-        base, np.ones(base.size), floored_log(state.theta[active, p]),
-        hyper.b_shape, hyper.b_scale)
+def b_target(state, hyper) -> FunctionTarget:
+    """Target over eta = log B, one coordinate per phenotype: B_p fills
+    one coordinate of each patient active for p, Bstar the rest. A
+    phenotype with no active patient contributes its transformed Gamma
+    prior alone."""
+    A = state.A
+    inactive = A.shape[1] - A.sum(axis=1)
+    slt = (A * floored_log(state.theta)).sum(axis=0)
+    return _log_concentration_target(inactive * float(state.Bstar), A, slt,
+                                     hyper.b_shape, hyper.b_scale)
 
 
 def bstar_target(state, hyper) -> FunctionTarget:
-    """Target over eta = log Bstar, summed over all patients' inactive
-    phenotype coordinates."""
+    """Target over eta = log Bstar, one coordinate filling every patient's
+    inactive phenotype coordinates."""
     A = state.A
     inactive = A == 0
-    active_totals = (A * state.B[None, :]).sum(axis=1)
-    k = inactive.sum(axis=1)
-    slt = (inactive * floored_log(state.theta)).sum(axis=1)
-    return _log_concentration_target(active_totals, k, slt,
-                                     hyper.bstar_shape, hyper.bstar_scale)
+    slt = (inactive * floored_log(state.theta)).sum()
+    return _log_concentration_target(
+        A @ state.B, inactive.sum(axis=1)[:, None], [slt],
+        hyper.bstar_shape, hyper.bstar_scale)

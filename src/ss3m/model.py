@@ -401,10 +401,16 @@ def phenotype_summary(state: ModelState, corpus: Corpus, k: int):
     """
     if k < 1:
         raise ConfigError("k must be positive")
+    if len(state.phi) != corpus.num_sources:
+        raise DataError(f"state has phi for {len(state.phi)} sources, the "
+                        f"corpus {corpus.num_sources}")
     out = []
     for s in range(corpus.num_sources):
         phi_s = state.phi[s]
         v_s = phi_s.shape[1]
+        if v_s != len(corpus.vocab[s]):
+            raise DataError(f"state phi for source {s} has {v_s} tokens, the "
+                            f"corpus vocabulary {len(corpus.vocab[s])}")
         kk = min(k, v_s)
         per_phen = []
         for p in range(phi_s.shape[0]):

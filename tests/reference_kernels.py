@@ -23,7 +23,11 @@ baseline and held-out inference became the gated chain with every
 activation on and B = Bstar = c: the baseline trainer with its own init
 and a sweep that skipped the activation scan and drew theta from a
 constant prior, held-out inference with its two prior branches, and the
-two HMC target classes for log B_p and log Bstar.
+two HMC target classes for log B_p and log Bstar. The B_p target's
+fixed totals are the activation references' left-to-right total over
+q != p, not the old row sum minus B_p, which lost Bstar: up to
+P*Bstar*|digamma(B_p)| of the log-density, far above rounding at
+Bstar = 1e-18 and a tiny B_p.
 """
 
 from math import lgamma, log
@@ -397,7 +401,7 @@ class LogBstarTarget:
 def b_target(p, state, hyper):
     active = state.A[:, p] == 1
     prior = prior_matrix(state.A, state.B, state.Bstar)
-    base = prior[active].sum(axis=1) - state.B[p]
+    base = np.array([_rest_total(row, p) for row in prior[active]])
     return LogBTarget(base, floored_log(state.theta[active, p]),
                       hyper.b_shape, hyper.b_scale)
 

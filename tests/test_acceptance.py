@@ -252,16 +252,18 @@ def test_criterion_3_hmc(rng):
                                  b_high=8.0, bstar_low=0.01, bstar_high=1.0)
     hyper = make_hyper(P=3, P_lab=0)
     h = 1e-6
-    for name, target in (("b", b_target(1, state, hyper)),
-                         ("bstar", bstar_target(state, hyper))):
+    for name, target, dim in (("b", b_target(state, hyper), 3),
+                              ("bstar", bstar_target(state, hyper), 1)):
         for _ in range(100):
-            eta = np.array([rng.uniform(-3.0, 2.5)])
-            grad = target.gradient(eta)[0]
-            fd = (target.log_density(eta + h)
-                  - target.log_density(eta - h)) / (2 * h)
-            rel = abs(grad - fd) / max(abs(fd), 1e-8)
-            if rel >= 1e-5:
-                failures.append(f"{name} grad rel={rel:.2e} at eta={eta[0]:.2f}")
+            eta = rng.uniform(-3.0, 2.5, size=dim)
+            grad = target.gradient(eta)
+            fd = np.array([(target.log_density(eta + e)
+                            - target.log_density(eta - e)) / (2 * h)
+                           for e in np.eye(dim) * h])
+            rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
+            if rel.max() >= 1e-5:
+                failures.append(f"{name} grad rel={rel.max():.2e} at "
+                                f"eta={np.round(eta, 2).tolist()}")
                 break
 
     # leapfrog reversibility: integrate forward, flip momentum, return

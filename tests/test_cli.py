@@ -222,6 +222,22 @@ class TestErrorPaths:
                    "summarize", "--state", path,
                    "--corpus", os.path.join(prep, "corpus_train.json")) == 2
 
+    def test_summarize_vocabulary_mismatch_is_data_error(self, tmp_path,
+                                                         toy_config, capsys):
+        # phi trained over the toy vocabulary is wider than this corpus's
+        _, states = self._trained(tmp_path, toy_config)
+        gen, prep = str(tmp_path / "gen7"), str(tmp_path / "prep7")
+        run("--config", toy_config, "--seed", "1", "--out", gen,
+            "--generate.vocab_size", "7", "generate")
+        run("--config", toy_config, "--seed", "1", "--out", prep,
+            "preprocess", "--corpus", os.path.join(gen, "corpus.jsonl"))
+        capsys.readouterr()
+        assert run("--config", toy_config, "--out", str(tmp_path / "o"),
+                   "summarize", "--state",
+                   os.path.join(states, "ss3m_fixA0_fixB.state.json"),
+                   "--corpus", os.path.join(prep, "corpus_train.json")) == 2
+        assert "source 0" in capsys.readouterr().err
+
     def test_phenotype_count_mismatch_is_data_error(self, tmp_path,
                                                     toy_config):
         prep, states = self._trained(tmp_path, toy_config)

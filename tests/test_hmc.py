@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as st
+from scipy.special import gammaln
 
 from conftest import make_hyper, random_tiny_state
 from ss3m import hmc
 from ss3m.errors import ConfigError
 from ss3m.hmc import FunctionTarget, b_target, bstar_target, hmc_step, leapfrog
-from ss3m.model import complete_data_log_likelihood
+from ss3m.model import ModelState, complete_data_log_likelihood
+
+SIGNIFICANCE = 0.001
 
 GAUSSIAN = FunctionTarget(lambda x: -0.5 * float(x @ x), lambda x: -x)
 
@@ -115,13 +118,15 @@ class TestHmcStep:
 
 class TestBTargets:
     def test_prior_only_mode(self, rng):
-        # no active patients: transformed-Gamma mode at eta = log(shape*scale)
+        # no active patients for p=0: along eta_0, the transformed-Gamma
+        # mode at eta_0 = log(shape*scale)
         h = make_hyper(P=2, b_shape=10.0, b_scale=1.0)
         state, _ = random_tiny_state(rng, P=2)
         state.A[:, 0] = 0
-        target = b_target(0, state, h)
+        target = b_target(state, h)
         grid = np.linspace(-3.0, 5.0, 801)
-        values = [target.log_density(np.array([e])) for e in grid]
+        values = [target.log_density(np.array([e, math.log(state.B[1])]))
+                  for e in grid]
         best = grid[int(np.argmax(values))]
         assert abs(best - math.log(10.0)) <= grid[1] - grid[0]
 
@@ -129,9 +134,8 @@ class TestBTargets:
         h = make_hyper(P=3, alpha=0.3)
         for _ in range(100):
             state, _ = random_tiny_state(rng, D=3, P=3, bstar_low=1e-3)
-            p = int(rng.integers(3))
-            target = b_target(p, state, h)
-            eta = np.array([rng.uniform(-2.0, 2.5)])
+            target = b_target(state, h)
+            eta = rng.uniform(-2.0, 2.5, size=3)
             got = target.gradient(eta)
             want = finite_diff_gradient(target, eta)
             assert got == pytest.approx(want, rel=1e-5)
@@ -139,9 +143,44 @@ class TestBTargets:
     def test_density_finite_over_wide_range(self, rng):
         h = make_hyper(P=2)
         state, _ = random_tiny_state(rng, P=2)
-        target = b_target(0, state, h)
+        target = b_target(state, h)
         for eta in np.linspace(-20, 20, 41):
-            assert math.isfinite(target.log_density(np.array([eta])))
+            for point in ([eta, eta], [eta, -eta]):
+                assert math.isfinite(target.log_density(np.array(point)))
+
+    def test_vector_move_is_stationary(self, rng):
+        # The chain of B moves, with A, theta and Bstar held fixed, has
+        # the means of log B_1 and log B_2 that 2-D quadrature of the
+        # conditional gives. The quadrature is built from the Gamma and
+        # Dirichlet densities, not from the target.
+        A = np.array([[1, 0], [1, 1], [0, 1]], dtype=np.int8)
+        theta = np.array([[0.7, 0.3], [0.4, 0.6], [0.2, 0.8]])
+        state = ModelState(theta=theta, phi=[], z=[], A=A, B=np.ones(2),
+                           Bstar=0.3)
+        h = make_hyper(P=2, b_shape=2.0, b_scale=1.5)
+        grid = np.linspace(-9.0, 6.0, 601)
+        eta_grid = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
+        b = np.exp(eta_grid)
+        log_p = (st.gamma.logpdf(b, h.b_shape, scale=h.b_scale)
+                 + eta_grid).sum(axis=-1)
+        for d in range(A.shape[0]):
+            conc = np.where(A[d] == 1, b, state.Bstar)
+            log_p += (gammaln(conc.sum(axis=-1)) - gammaln(conc).sum(axis=-1)
+                      + ((conc - 1.0) * np.log(theta[d])).sum(axis=-1))
+        weights = np.exp(log_p - log_p.max())
+        exact = (weights[..., None] * eta_grid).sum(axis=(0, 1)) / weights.sum()
+
+        target = b_target(state, h)
+        eta = np.zeros(2)
+        draws = np.empty((20000, 2))
+        for i in range(draws.shape[0]):
+            eta = hmc_step(eta, target, 0.2, 10, rng).next_point
+            draws[i] = eta
+        batches = draws[2000:].reshape(50, -1, 2).mean(axis=1)
+        z = ((batches.mean(axis=0) - exact)
+             / (batches.std(axis=0, ddof=1) / math.sqrt(batches.shape[0])))
+        # two-sided, Bonferroni over the two means
+        assert np.all(np.abs(z) < st.norm.isf(SIGNIFICANCE / 4)), (z, exact)
 
     def test_bstar_prior_only_when_all_active(self, rng):
         h = make_hyper(P=2, bstar_shape=2.0, bstar_scale=0.5)
@@ -164,22 +203,22 @@ class TestBTargets:
             assert got == pytest.approx(want, rel=1e-5)
 
     def test_matches_likelihood_deltas(self, rng):
-        # differencing two B_p values gives identical deltas from the HMC
+        # differencing two B vectors gives identical deltas from the HMC
         # target and the complete-data log-likelihood
         h = make_hyper(P=2, alpha=0.3)
         for _ in range(20):
             state, corpus = random_tiny_state(rng, D=3, P=2, bstar_low=1e-2)
             state.A[0, 0] = 1  # at least one active patient for p=0
-            target = b_target(0, state, h)
-            b1, b2 = 1.3, 4.2
-            t_delta = (target.log_density(np.array([math.log(b2)]))
-                       - target.log_density(np.array([math.log(b1)])))
+            target = b_target(state, h)
+            b1, b2 = rng.uniform(0.5, 5.0, size=(2, 2))
+            t_delta = (target.log_density(np.log(b2))
+                       - target.log_density(np.log(b1)))
             lls = []
             for b in (b1, b2):
-                state.B[0] = b
+                state.B = b
                 lls.append(complete_data_log_likelihood(state, corpus, h))
             # remove the exp-transform Jacobian (+eta) present in the target
-            jac = math.log(b2) - math.log(b1)
+            jac = float(np.sum(np.log(b2) - np.log(b1)))
             assert t_delta - jac == pytest.approx(lls[1] - lls[0], abs=1e-9)
 
     def test_bstar_matches_likelihood_deltas(self, rng):

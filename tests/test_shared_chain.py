@@ -2,11 +2,12 @@
 code they replaced.
 
 The baseline trainer and held-out inference now run the gated chain with
-every activation held on and B = Bstar = c; the B_p and Bstar targets
-are one conditional. Each property runs the package and the reference
-from tests/reference_kernels.py on the same input and asserts the same
-floats, arrays and final generator state (for the targets: the same
-log-density, and a gradient that differs only by one reordered product).
+every activation held on and B = Bstar = c; the B target is one vector
+conditional over all of log B. Each property runs the package and the
+reference from tests/reference_kernels.py on the same input and asserts
+the same floats, arrays and final generator state (for the targets:
+log-density differences and derivatives along each coordinate that agree
+to 1e-12 of the summed magnitudes of the old target's terms).
 The inputs reach the corners: one patient, one phenotype, one to three
 sources, vocabularies of one, documents that are all empty, P_lab from 0
 to P, and Bstar at the paper spike 1e-18.
@@ -18,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import digamma
+from scipy.special import digamma, gammaln
 
 import reference_kernels as ref
 from conftest import corpora, make_hyper
@@ -146,32 +147,49 @@ def target_problems(draw):
     return state, hyper
 
 
-def _b_gradient_scale(old, eta):
-    """Sum of the absolute values of the terms the old B_p gradient adds
-    up. The merged target computes one of them, n*b*digamma(b), with its
-    products in another order, so the two gradients can differ by a few
-    ulps of that sum: far more than 1e-15 of the gradient itself where
-    the terms cancel."""
-    b = max(float(np.exp(eta[0])), 1e-300)
-    return (old.shape + b / old.scale
-            + np.abs(b * digamma(old.base + b)).sum()
-            + abs(old.base.size * b * digamma(b)) + abs(b * old.logt.sum()))
+def _term_scales(want, fixed, k, slt, eta):
+    """Sums of the absolute values of the terms of an old scalar target's
+    log-density and of its gradient at eta, for b filling k_d coordinates
+    of patient d's prior whose others sum to fixed_d."""
+    b = max(float(np.exp(eta)), 1e-300)
+    totals = fixed + k * b
+    ld = (abs(want.shape * eta) + b / want.scale
+          + np.abs(gammaln(totals)).sum() + k.sum() * abs(gammaln(b))
+          + abs((b - 1.0) * slt))
+    grad = (want.shape + b / want.scale
+            + np.abs(k * b * digamma(totals)).sum()
+            + k.sum() * abs(b * digamma(b)) + abs(b * slt))
+    return ld, grad
 
 
 @PROPERTY_SETTINGS
 @given(target_problems(), st.lists(st.floats(-42.0, 5.0), min_size=1,
                                    max_size=4))
-def test_merged_target_matches_target_classes(problem, etas):
+def test_vector_target_matches_scalar_targets(problem, etas):
+    # Along eta_p, the other coordinates held at log B, the vector B
+    # target has the old scalar B_p target's log-density differences and
+    # derivative; the Bstar target keeps the old one's. Both agree to
+    # 1e-12 of the summed magnitudes of the old target's terms.
     state, hyper = problem
-    P = state.A.shape[1]
-    for eta in (np.array([e]) for e in etas):
-        for p in range(P):
-            got, want = hmc.b_target(p, state, hyper), ref.b_target(
-                p, state, hyper)
-            assert got.log_density(eta) == want.log_density(eta)
-            diff = abs(got.gradient(eta)[0] - want.gradient(eta)[0])
-            assert diff <= 1e-15 * _b_gradient_scale(want, eta)
-        got, want = hmc.bstar_target(state, hyper), ref.bstar_target(
-            state, hyper)
-        assert got.log_density(eta) == want.log_density(eta)
-        assert np.array_equal(got.gradient(eta), want.gradient(eta))
+    got, cases = hmc.b_target(state, hyper), []
+    for p in range(state.A.shape[1]):
+        want = ref.b_target(p, state, hyper)
+        cases.append((got, np.log(state.B), p, want,
+                      (want.base, np.ones(want.base.size), want.logt.sum())))
+    want = ref.bstar_target(state, hyper)
+    cases.append((hmc.bstar_target(state, hyper),
+                  np.array([np.log(state.Bstar)]), 0, want,
+                  (want.active, want.k, want.slt.sum())))
+    for got, start, p, want, terms in cases:
+        start_scale = _term_scales(want, *terms, start[p])[0]
+        for e in etas:
+            eta = start.copy()
+            eta[p] = e
+            diff_got = got.log_density(eta) - got.log_density(start)
+            diff_want = (want.log_density(np.array([e]))
+                         - want.log_density(start[p:p + 1]))
+            ld_scale, grad_scale = _term_scales(want, *terms, e)
+            assert (abs(diff_got - diff_want)
+                    <= 1e-12 * (ld_scale + start_scale))
+            assert (abs(got.gradient(eta)[p] - want.gradient(np.array([e]))[0])
+                    <= 1e-12 * grad_scale)
