@@ -6,7 +6,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaln
+from scipy.special import expit
 from scipy.stats import rankdata
 
 from . import gibbs
@@ -63,38 +63,6 @@ class MetricsReport:
     max_log_likelihood: float = None  # absent for raw-token baselines
 
 
-def _sample_activations_collapsed(state, counts, hyper, rng):
-    """Resample every activation bit from P(A_dp | z, A_d,-p) with theta
-    integrated out (Dirichlet-multinomial marginal), in one
-    gibbs.activation_scan over the phenotypes.
-
-    The plain conditional given theta cannot move when Bstar is a spike
-    near zero: an interior theta coordinate forces A on, a corner forces
-    it off, and theta in turn follows A. Collapsing theta restores mixing
-    while leaving the stationary distribution unchanged (blocked Gibbs:
-    A given z, then theta given A and z).
-    """
-    prior_bias = np.log(hyper.alpha) - np.log1p(-hyper.alpha)
-    totals = counts.sum(axis=1)
-    b, bstar = state.B, state.Bstar
-
-    def log_odds(p, rows, prior):
-        base = gibbs.rest_totals(prior, p)
-        n, N = counts[rows, p], totals[rows]
-        t_on = base + b[p]
-        t_off = base + bstar
-        return (prior_bias
-                + gammaln(t_on) - gammaln(t_on + N)
-                + gammaln(b[p] + n) - gammaln(b[p])
-                - gammaln(t_off) + gammaln(t_off + N)
-                - gammaln(bstar + n)
-                + gammaln(bstar))
-
-    every_cell_free = np.full(state.A.shape, -1, dtype=np.int8)
-    gibbs.activation_scan(state.A, every_cell_free, log_odds, expit, b, bstar,
-                          rng)
-
-
 def heldout_infer(test_corpus: Corpus, trained: ModelState,
                   hyper: Hyperparameters, burn_in: int = 50,
                   samples: int = 100, seed: int = 0,
@@ -145,6 +113,7 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
 
     gibbs.draw_theta(state, assignment_counts(), rng)
 
+    every_cell_free = np.full((D, P), -1, dtype=np.int8)
     a_sum = np.zeros((D, P))
     theta_sum = np.zeros((D, P))
     for it in range(burn_in + samples):
@@ -154,7 +123,8 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
                     state.theta, state.phi[s], w_flat, doc_idx, rng)
         counts = assignment_counts()
         if not unstructured:
-            _sample_activations_collapsed(state, counts, hyper, rng)
+            gibbs.activation_scan(state.A, every_cell_free, counts, state.B,
+                                  state.Bstar, hyper.alpha, rng)
         gibbs.draw_theta(state, counts, rng)
         if it >= burn_in:
             a_sum += state.A

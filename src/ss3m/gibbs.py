@@ -1,15 +1,16 @@
-"""Gibbs sampler: the four normalizable complete conditionals (z, A, theta,
-phi), the HMC updates for B and Bstar, and the training sweep tying them
-together.
+"""Gibbs sampler: the complete conditionals of z, A, theta and phi, the
+HMC updates for B and Bstar, and the training sweep tying them together.
 
-The sampler is uncollapsed: theta and phi are explicitly sampled, which is
-required because the activation conditional depends on theta_d. Within a
-sweep the update order is z -> A -> theta -> phi -> B -> Bstar, where B
-is one HMC move over all of log B and Bstar one move over log Bstar. Each
+Within a sweep the update order is z -> A -> theta -> phi -> B -> Bstar.
+Each bit of A is drawn given z with theta integrated out (a
+Dirichlet-multinomial conditional), and theta is drawn right after the
+scan given A and z, before anything reads theta again: a partially
+collapsed Gibbs sampler (van Dyk & Park 2008) whose stationary law is the
+posterior. phi is drawn given z, B is one HMC move over all of log B and
+Bstar one move over log Bstar. Each
 conditional has one kernel, shared by training, the mc3m baseline and
 held-out inference and tested as it is: _sample_z_batch (z),
-activation_scan (A), draw_theta (theta) and draw_theta_phi (phi, after
-theta).
+activation_scan (A), draw_theta (theta) and draw_phi (phi).
 
 Token-level work runs in one flat pass per source over model.flat_view's
 (w_flat, doc_idx), the source's per-patient arrays laid end to end. The
@@ -17,16 +18,17 @@ z assignments are conditionally independent given (theta, phi), so the
 z pass resamples them all in one vectorized batch, in fixed-size token
 blocks, with one uniform per token drawn in a single call: the same Gibbs
 kernel, and the same draws, as a token-by-token scan. The phenotype and
-token count matrices are one bincount per source.
+token count matrices are one bincount per source; the sweep counts
+phenotypes once and hands the counts to both the A scan and the theta
+draw.
 
 The A update is one exact sequential scan over phenotypes p, each column
-resampled for all D patients at once (activation_scan). Given theta the
-rows of A are independent, so the scan conditions every cell on exactly
-what a cell-by-cell pass over patients then phenotypes would; its
-uniforms are drawn in one call in that pass's row-major order, so the
-draws match too. Training runs it through sample_activations, with the
-log-odds of activation_log_odds_column; held-out inference runs it with
-theta collapsed out (evaluation._sample_activations_collapsed).
+resampled for all D patients at once (activation_scan). Given the
+phenotype counts the rows of A are independent, so the scan conditions
+every cell on exactly what a cell-by-cell pass over patients then
+phenotypes would, and its uniforms are drawn in that pass's row-major
+order. Training runs it through sample_activations with the label
+clamps; held-out inference runs it with every cell free.
 
 The mc3m baseline is the same chain (train_unstructured): its symmetric
 Dirichlet(c) prior is the gated prior with every activation on and
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 from math import log
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import expit, gammaln
 
 from . import hmc
 from .errors import ConfigError, SamplingError
@@ -153,100 +155,87 @@ def clamp_matrix(labels: LabelMatrix, options: TrainOptions, D: int,
     return clamp
 
 
-def rest_totals(prior: np.ndarray, p: int) -> np.ndarray:
-    """Row sums of prior over the columns q != p, added left to right.
+def activation_log_odds(n, N, rest, b_p, bstar: float, alpha: float):
+    """log P(A_dp=1 | z, A_d,-p) - log P(A_dp=0 | z, A_d,-p) with theta_d
+    integrated out, for patients with n tokens on phenotype p out of N
+    and gated concentrations summing to `rest` over the phenotypes
+    q != p.
 
-    Taking prior[:, p] back out of the full row sum instead would lose
-    every Bstar term of a row whose only active phenotype is p once
-    P * Bstar falls below ulp(B_p), as it does at the paper prior
-    (Bstar ~ 1e-18): the A_dp=0 total then reads Bstar instead of
-    P * Bstar, and the log-odds are off by log P.
+    Ratio of the two Dirichlet-multinomial marginals of the patient's
+    phenotype counts whose concentration vectors differ only at
+    coordinate p (B_p vs Bstar), times the Bernoulli prior odds.
     """
-    rest = np.delete(prior, p, axis=1)
-    if rest.shape[1] == 0:
-        return np.zeros(prior.shape[0])
-    return np.add.accumulate(rest, axis=1)[:, -1]
+    t_on = rest + b_p
+    t_off = rest + bstar
+    with np.errstate(invalid="ignore"):  # the scan reports non-finite odds
+        return (log(alpha / (1.0 - alpha))
+                + gammaln(t_on) - gammaln(t_on + N)
+                + gammaln(b_p + n) - gammaln(b_p)
+                - gammaln(t_off) + gammaln(t_off + N)
+                - gammaln(bstar + n) + gammaln(bstar))
 
 
-def activation_scan(A: np.ndarray, clamp: np.ndarray, log_odds, prob_one,
-                    B, Bstar: float, rng: np.random.Generator) -> np.ndarray:
+def activation_scan(A: np.ndarray, clamp: np.ndarray, counts: np.ndarray,
+                    B, Bstar: float, alpha: float,
+                    rng: np.random.Generator) -> np.ndarray:
     """One exact sequential Gibbs scan over the phenotype columns of the
-    activation rows A, vectorized over the rows. Mutates and returns A.
+    activation rows A given the phenotype counts, theta integrated out,
+    vectorized over the rows. Mutates and returns A.
 
     Cells where `clamp` (shaped like A) holds 0 or 1 are set to it; the
-    cells where it holds -1 are free and resampled. log_odds(p, rows,
-    prior) returns log P(A_dp=1 | rest) - log P(A_dp=0 | rest) for the
-    free rows of column p (indices into A), given those rows' current
-    gated concentrations; prob_one maps log-odds to P(A_dp=1).
+    cells where it holds -1 are free and resampled with
+    activation_log_odds. A non-finite log-odds raises SamplingError
+    naming the cell.
 
-    Rows are conditionally independent of one another (given theta in
-    training, given the phenotype counts in held-out inference), so
-    updating column p of every row before moving to p+1 is the same
-    kernel as a cell-by-cell scan over rows then columns: each cell still
-    conditions on the new bits to its left and the old bits to its right.
-    The uniforms are drawn in one call, in row-major order over the free
-    cells -- the order in which the cell-by-cell scan drew them -- so the
-    draws are the same too.
+    Given the counts the rows are conditionally independent, so updating
+    column p of every row before moving to p+1 is the same kernel as a
+    cell-by-cell scan over rows then columns: each cell conditions on the
+    new bits to its left and the old bits to its right. A row's
+    concentration total over q != p is the running sum of the updated
+    columns q < p plus the sum of the columns q > p, taken right to left
+    by one reverse cumulative sum at the start of the scan: O(D * P), and
+    no total has a term taken back out of it, which at Bstar ~ 1e-18 would
+    lose every Bstar next to a B_p and put the log-odds off by log P. The
+    uniforms are drawn in one call, in row-major order over the free
+    cells: the order of the cell-by-cell scan.
     """
+    D, P = A.shape
     free = clamp < 0
     u = np.zeros(free.shape)
     u[free] = rng.random(np.count_nonzero(free))
     prior = prior_matrix(A, B, Bstar)
-    for p in range(A.shape[1]):
+    after = np.zeros((D, P + 1))
+    after[:, :P] = np.cumsum(prior[:, ::-1], axis=1)[:, ::-1]
+    before = np.zeros(D)
+    N = counts.sum(axis=1)
+    for p in range(P):
         fixed = ~free[:, p]
         A[fixed, p] = clamp[fixed, p]
         rows = np.flatnonzero(free[:, p])
         if rows.size:
-            A[rows, p] = u[rows, p] < prob_one(log_odds(p, rows, prior[rows]))
-        prior[:, p] = np.where(A[:, p] == 1, B[p], Bstar)
+            odds = activation_log_odds(
+                counts[rows, p], N[rows], before[rows] + after[rows, p + 1],
+                B[p], Bstar, alpha)
+            bad = ~np.isfinite(odds)
+            if bad.any():
+                raise SamplingError(
+                    "non-finite activation log-odds at patient "
+                    f"{int(rows[bad][0])}, phenotype {p}")
+            A[rows, p] = u[rows, p] < expit(odds)
+        before += np.where(A[:, p] == 1, B[p], Bstar)
     return A
 
 
-def activation_log_odds_column(p: int, patients: np.ndarray,
-                               prior: np.ndarray, state: ModelState,
-                               hyper: Hyperparameters) -> np.ndarray:
-    """log P(A_dp=1 | rest) - log P(A_dp=0 | rest) for every d in
-    `patients`, whose gated concentration rows are `prior`.
-
-    Ratio of the two Dirichlet densities on theta_d whose concentration
-    vectors differ only at coordinate p (Bstar vs B_p), times the Bernoulli
-    prior odds.
-    """
-    b_p = float(state.B[p])
-    bstar = float(state.Bstar)
-    rest = rest_totals(prior, p)
-    log_theta = floored_log(state.theta[patients, p])
-    with np.errstate(invalid="ignore"):  # reported below
-        val = (log(hyper.alpha / (1.0 - hyper.alpha))
-               + gammaln(rest + b_p) - gammaln(rest + bstar)
-               + gammaln(bstar) - gammaln(b_p)
-               + (b_p - bstar) * log_theta)
-    bad = ~np.isfinite(val)
-    if bad.any():
-        raise SamplingError(
-            "non-finite activation log-odds at patient "
-            f"{int(patients[bad][0])}, phenotype {p}")
-    return val
-
-
-def _prob_one(odds: np.ndarray) -> np.ndarray:
-    """sigmoid(odds), read as exactly 0 below -700 where exp(-odds)
-    overflows."""
-    with np.errstate(over="ignore"):
-        return np.where(odds > -700, 1.0 / (1.0 + np.exp(-odds)), 0.0)
-
-
-def sample_activations(state: ModelState, labels: LabelMatrix,
-                       options: TrainOptions, hyper: Hyperparameters,
+def sample_activations(state: ModelState, counts: np.ndarray,
+                       labels: LabelMatrix, options: TrainOptions,
+                       hyper: Hyperparameters,
                        rng: np.random.Generator) -> np.ndarray:
-    """New activation matrix after one scan of A | theta, honoring the
-    label clamp rules. The state is not changed."""
+    """New activation matrix after one scan of A | z (activation_scan on
+    the phenotype counts), honoring the label clamp rules. The state is
+    not changed."""
     D, P = state.A.shape
-    return activation_scan(
-        state.A.copy(), clamp_matrix(labels, options, D, P),
-        lambda p, rows, prior: activation_log_odds_column(
-            p, rows, prior, state, hyper),
-        _prob_one, state.B, state.Bstar, rng)
+    return activation_scan(state.A.copy(), clamp_matrix(labels, options, D, P),
+                           counts, state.B, state.Bstar, hyper.alpha, rng)
 
 
 def initial_z(corpus: Corpus, P: int, rng: np.random.Generator) -> list:
@@ -263,11 +252,9 @@ def draw_theta(state: ModelState, counts: np.ndarray,
         prior_matrix(state.A, state.B, state.Bstar) + counts, rng)
 
 
-def draw_theta_phi(state: ModelState, corpus: Corpus, hyper: Hyperparameters,
-                   rng: np.random.Generator):
-    """Draw theta (draw_theta), then each phi_s from Dir(gamma_s + token
-    counts), in place."""
-    draw_theta(state, phenotype_counts(state, corpus), rng)
+def draw_phi(state: ModelState, corpus: Corpus, hyper: Hyperparameters,
+             rng: np.random.Generator):
+    """Draw each phi_s from Dir(gamma_s + token counts), in place."""
     for s in range(corpus.num_sources):
         m = token_counts(state, corpus, s)
         state.phi[s] = sample_dirichlet(hyper.gamma[s] + m, rng)
@@ -290,14 +277,14 @@ def sweep(state: ModelState, corpus: Corpus, labels: LabelMatrix,
                                      doc_idx, rng)
             state.z[s] = split_flat(z_flat, doc_idx, D)
 
-    # (2) activations: one exact sequential scan over phenotypes p, each
-    # column resampled for all patients at once; activation_scan explains
-    # why this is the same kernel, with the same draws, as a cell-by-cell
-    # scan over patients then phenotypes.
-    state.A = sample_activations(state, labels, options, hyper, rng)
+    # (2)-(3) activations given z with theta integrated out, then theta
+    # given the new A and z; both read the same phenotype counts.
+    counts = phenotype_counts(state, corpus)
+    state.A = sample_activations(state, counts, labels, options, hyper, rng)
+    draw_theta(state, counts, rng)
 
-    # (3)-(4) patient-phenotype, then phenotype-token distributions.
-    draw_theta_phi(state, corpus, hyper, rng)
+    # (4) phenotype-token distributions.
+    draw_phi(state, corpus, hyper, rng)
 
     # (5) prior pseudo-counts: one HMC move over log B, then one over
     # log Bstar given the new B.
@@ -340,7 +327,8 @@ def initialize_state(corpus: Corpus, labels: LabelMatrix,
 
     state = ModelState(theta=np.empty((D, P)), phi=[None] * corpus.num_sources,
                        z=z, A=A, B=B, Bstar=Bstar)
-    draw_theta_phi(state, corpus, hyper, rng)
+    draw_theta(state, phenotype_counts(state, corpus), rng)
+    draw_phi(state, corpus, hyper, rng)
     return state
 
 
@@ -400,7 +388,8 @@ def train_unstructured(corpus: Corpus, hyper: Hyperparameters,
         theta=np.empty((D, P)), phi=[None] * corpus.num_sources,
         z=initial_z(corpus, P, rng), A=np.ones((D, P), dtype=np.int8),
         B=np.full(P, c), Bstar=c)
-    draw_theta_phi(state, corpus, hyper, rng)
+    draw_theta(state, phenotype_counts(state, corpus), rng)
+    draw_phi(state, corpus, hyper, rng)
     every_present = LabelMatrix(
         entries=np.full((D, P), LABEL_PRESENT),
         label_names=[f"phenotype_{p}" for p in range(P)])

@@ -156,16 +156,20 @@ class ModelState:
             raise DimensionError("A must be D x P")
         if self.B.shape != (P,):
             raise DimensionError("B must have length P")
-        if np.any(self.theta < 0) or np.any(
-                np.abs(self.theta.sum(axis=1) - 1.0) > atol):
-            raise NumericalError("theta rows must be simplex vectors")
+        # each test is written to fail on NaN, so a non-finite entry fails
+        if not (np.all(self.theta >= 0) and np.all(
+                np.abs(self.theta.sum(axis=1) - 1.0) <= atol)):
+            raise NumericalError("theta rows must be finite simplex vectors")
         for phi_s in self.phi:
             if phi_s.shape[0] != P:
                 raise DimensionError("phi must have P rows per source")
-            if np.any(phi_s < 0) or np.any(np.abs(phi_s.sum(axis=1) - 1.0) > atol):
-                raise NumericalError("phi rows must be simplex vectors")
-        if np.any(self.B <= 0) or self.Bstar <= 0:
-            raise NumericalError("B and Bstar must be strictly positive")
+            if not (np.all(phi_s >= 0) and np.all(
+                    np.abs(phi_s.sum(axis=1) - 1.0) <= atol)):
+                raise NumericalError("phi rows must be finite simplex vectors")
+        if not (np.all((self.B > 0) & np.isfinite(self.B))
+                and 0 < self.Bstar < np.inf):
+            raise NumericalError("B and Bstar must be finite and strictly "
+                                 "positive")
         if corpus is not None:
             for s, per_source in enumerate(corpus.tokens):
                 for d, w in enumerate(per_source):
@@ -261,6 +265,30 @@ def _categorical_draws(cdf, rows, u) -> np.ndarray:
     return out
 
 
+def draw_tokens(theta, phi_s, lengths, rng: np.random.Generator):
+    """One source's assignments and tokens given theta and the source's
+    phi: (z, w), each a list of per-patient arrays, patient d holding
+    lengths[d] tokens.
+
+    Draws 2 * N uniforms in one call: for patient 0 its n_0 assignment
+    uniforms then its n_0 token uniforms, then patient 1's two blocks, and
+    so on. An assignment z is the number of entries of the patient's
+    normalized cumulative theta row below its uniform; a token is the same
+    count over the cumulative phi row of z.
+    """
+    D = len(lengths)
+    u = rng.random(2 * int(lengths.sum()))
+    doc_idx = np.repeat(np.arange(D), lengths)
+    # patient d's blocks start at 2 * start_d, so the token at flat index i
+    # takes u[start_d + i] for z and u[start_d + i + n_d] for w
+    starts = np.cumsum(lengths) - lengths
+    u_at = np.arange(doc_idx.size) + starts[doc_idx]
+    z_flat = _categorical_draws(_cdf_rows(theta), doc_idx, u[u_at])
+    w_flat = _categorical_draws(_cdf_rows(phi_s), z_flat,
+                                u[u_at + lengths[doc_idx]])
+    return split_flat(z_flat, doc_idx, D), split_flat(w_flat, doc_idx, D)
+
+
 def generate(hyper: Hyperparameters, vocab_sizes, doc_lengths: DocLengthSpec,
              D: int, seed: int):
     """Forward-simulate a corpus and the latent state that produced it.
@@ -268,11 +296,7 @@ def generate(hyper: Hyperparameters, vocab_sizes, doc_lengths: DocLengthSpec,
     Identical seed gives bit-identical output. Returns (Corpus, ModelState).
 
     After phi, B, Bstar, A and theta, each source s draws its document
-    lengths, then 2 * N_s uniforms in one call: for patient 0 its n_0
-    assignment uniforms then its n_0 token uniforms, then patient 1's two
-    blocks, and so on. An assignment z is the number of entries of the
-    patient's normalized cumulative theta row below its uniform; a token
-    is the same count over the cumulative phi row of z.
+    lengths, then its assignments and tokens (draw_tokens).
     """
     if D < 1:
         raise ConfigError("D must be positive")
@@ -298,21 +322,11 @@ def generate(hyper: Hyperparameters, vocab_sizes, doc_lengths: DocLengthSpec,
     A = (rng.random((D, P)) < hyper.alpha).astype(np.int8)
     theta = sample_dirichlet(prior_matrix(A, B, Bstar), rng)
 
-    cdf_theta = _cdf_rows(theta)
     tokens, z = [], []
     for s in range(S):
-        lengths = doc_lengths.draw(s, D, rng)
-        u = rng.random(2 * int(lengths.sum()))
-        doc_idx = np.repeat(np.arange(D), lengths)
-        # patient d's blocks start at 2 * start_d, so the token at flat
-        # index i takes u[start_d + i] for z and u[start_d + i + n_d] for w
-        starts = np.cumsum(lengths) - lengths
-        u_at = np.arange(doc_idx.size) + starts[doc_idx]
-        z_flat = _categorical_draws(cdf_theta, doc_idx, u[u_at])
-        w_flat = _categorical_draws(_cdf_rows(phi[s]), z_flat,
-                                    u[u_at + lengths[doc_idx]])
-        z.append(split_flat(z_flat, doc_idx, D))
-        tokens.append(split_flat(w_flat, doc_idx, D))
+        z_s, w_s = draw_tokens(theta, phi[s], doc_lengths.draw(s, D, rng), rng)
+        z.append(z_s)
+        tokens.append(w_s)
 
     vocab = [[f"s{s}_w{v:05d}" for v in range(vocab_sizes[s])]
              for s in range(S)]

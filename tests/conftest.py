@@ -3,7 +3,7 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ss3m.gibbs import activation_log_odds_column
+from ss3m.gibbs import activation_log_odds
 from ss3m.model import Corpus, Hyperparameters, ModelState, prior_matrix
 from ss3m.util import sample_dirichlet
 
@@ -49,12 +49,21 @@ def corpora(draw, D, vocab_sizes):
                          for s, v in enumerate(vocab_sizes)], tokens=tokens)
 
 
-def cell_log_odds(d, p, state, hyper):
-    """Training log-odds of activation cell (d, p): the scan's column
-    kernel evaluated on patient d's row alone."""
-    return float(activation_log_odds_column(
-        p, np.array([d]), prior_matrix(state.A[[d]], state.B, state.Bstar),
-        state, hyper)[0])
+def cell_log_odds(d, p, state, counts, hyper):
+    """Log-odds of activation cell (d, p) given the phenotype counts: the
+    scan's column kernel on patient d's row alone, its total over q != p
+    summed as the scan sums it (q < p left to right, plus q > p right to
+    left)."""
+    prior = prior_matrix(state.A[[d]], state.B, state.Bstar)[0]
+    before = 0.0
+    for q in range(p):
+        before += prior[q]
+    after = 0.0
+    for q in range(len(prior) - 1, p, -1):
+        after += prior[q]
+    return float(activation_log_odds(
+        counts[d, p], counts[d].sum(), before + after, state.B[p],
+        state.Bstar, hyper.alpha))
 
 
 @pytest.fixture

@@ -1,15 +1,16 @@
 """Loop-by-loop reference implementations of the package's vectorized
 kernels.
 
-The activation references are the per-cell loops the package used before its activation
-updates became one column scan vectorized over patients
-(ss3m.gibbs.activation_scan). They visit patients then phenotypes and
-draw one uniform per free cell, so they pin down the kernel and the draw
-order the vectorized scan must reproduce exactly. Two deliberate
-departures from the old loops: the total over q != p is added left to
-right (the old training loop subtracted B_p from the full row sum and
-lost Bstar), and log-gamma is scipy's gammaln on scalars, the function
-the vectorized kernels call, so the two agree bit for bit.
+The activation reference is the per-cell loop of the activation update
+(ss3m.gibbs.activation_scan, a column scan vectorized over patients): the
+Dirichlet-multinomial log-odds of each bit given the phenotype counts,
+theta integrated out. It visits patients then phenotypes and draws one
+uniform per free cell, so it pins down the kernel and the draw order the
+vectorized scan must reproduce exactly. Its total over q != p is summed
+in the scan's order (the q < p prefix, then the q > p suffix), never as
+the full row sum minus B_p, which loses Bstar; log-gamma is scipy's
+gammaln on scalars, the function the vectorized kernel calls, so the two
+agree bit for bit.
 
 The token-path references are the per-patient loops the package used
 before every token-level pass went through one flat view per source
@@ -24,8 +25,8 @@ activation on and B = Bstar = c: the baseline trainer with its own init
 and a sweep that skipped the activation scan and drew theta from a
 constant prior, held-out inference with its two prior branches, and the
 two HMC target classes for log B_p and log Bstar. The B_p target's
-fixed totals are the activation references' left-to-right total over
-q != p, not the old row sum minus B_p, which lost Bstar: up to
+fixed totals are the left-to-right total over q != p, not the old row
+sum minus B_p, which lost Bstar: up to
 P*Bstar*|digamma(B_p)| of the log-density, far above rounding at
 Bstar = 1e-18 and a tiny B_p.
 """
@@ -35,7 +36,7 @@ from math import lgamma, log
 import numpy as np
 from scipy.special import digamma, expit, gammaln
 
-from ss3m import evaluation, gibbs, model
+from ss3m import gibbs, model
 from ss3m.errors import NumericalError, SamplingError
 from ss3m.gibbs import MISSING_FIX_ZERO
 from ss3m.model import (
@@ -60,45 +61,11 @@ def _rest_total(row, p):
     return total
 
 
-def training_log_odds(d, p, state, hyper):
-    """log P(A_dp=1 | theta, A_d,-p) - log P(A_dp=0 | theta, A_d,-p)."""
-    b_p = float(state.B[p])
-    bstar = float(state.Bstar)
-    prior = np.where(state.A[d] == 1, state.B, bstar).astype(float)
-    rest = _rest_total(prior, p)
-    log_theta = float(floored_log(state.theta[d, p]))
-    return (log(hyper.alpha / (1.0 - hyper.alpha))
-            + gammaln(rest + b_p) - gammaln(rest + bstar)
-            + gammaln(bstar) - gammaln(b_p)
-            + (b_p - bstar) * log_theta)
-
-
-def training_cell(d, p, state, labels, options, hyper, rng):
-    """One activation bit given theta, honoring the label clamps."""
-    if labels is not None and p < labels.num_labels:
-        cell = int(labels.entries[d, p])
-        if cell == LABEL_PRESENT:
-            return 1
-        if cell == LABEL_ABSENT:
-            return 0
-        if options.missing_label_mode == MISSING_FIX_ZERO:
-            return 0
-    odds = training_log_odds(d, p, state, hyper)
-    prob_one = 1.0 / (1.0 + np.exp(-odds)) if odds > -700 else 0.0
-    return int(rng.random() < prob_one)
-
-
-def training_scan(state, labels, options, hyper, rng):
-    """The training activation update: patients then phenotypes."""
-    D, P = state.A.shape
-    for d in range(D):
-        for p in range(P):
-            state.A[d, p] = training_cell(d, p, state, labels, options,
-                                          hyper, rng)
-
-
-def collapsed_scan(state, counts, hyper, rng):
-    """The held-out activation update with theta integrated out."""
+def collapsed_scan(state, counts, hyper, rng, labels=None, options=None):
+    """The activation update with theta integrated out, patients then
+    phenotypes, honoring the label clamps (none when labels is None). The
+    total over q != p is the q < p prefix added left to right plus the
+    q > p suffix added right to left."""
     D, P = state.A.shape
     prior_bias = np.log(hyper.alpha) - np.log1p(-hyper.alpha)
     totals = counts.sum(axis=1)
@@ -106,10 +73,24 @@ def collapsed_scan(state, counts, hyper, rng):
         n_d = counts[d]
         N = totals[d]
         for p in range(P):
-            base = 0.0
-            for q in range(P):
-                if q != p:
-                    base += state.B[q] if state.A[d, q] else state.Bstar
+            if labels is not None and p < labels.num_labels:
+                cell = int(labels.entries[d, p])
+                if cell == LABEL_PRESENT:
+                    state.A[d, p] = 1
+                    continue
+                if cell == LABEL_ABSENT or (
+                        options.missing_label_mode == MISSING_FIX_ZERO):
+                    state.A[d, p] = 0
+                    continue
+            gated = [state.B[q] if state.A[d, q] else state.Bstar
+                     for q in range(P)]
+            before = 0.0
+            for q in range(p):
+                before += gated[q]
+            after = 0.0
+            for q in range(P - 1, p, -1):
+                after += gated[q]
+            base = before + after
             t_on = base + state.B[p]
             t_off = base + state.Bstar
             log_odds = (prior_bias
@@ -325,8 +306,7 @@ def heldout_infer(test_corpus, trained, hyper, burn_in, samples, seed,
                                              w_flat, doc_idx, rng)
         counts = assignment_counts()
         if gated:
-            evaluation._sample_activations_collapsed(state, counts, hyper,
-                                                     rng)
+            collapsed_scan(state, counts, hyper, rng)
         state.theta = sample_dirichlet(prior() + counts, rng)
         if it >= burn_in:
             a_sum += state.A

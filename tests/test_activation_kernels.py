@@ -1,9 +1,11 @@
-"""The vectorized activation scans against their cell-by-cell references.
+"""The vectorized activation scan against its cell-by-cell reference.
 
 Each property builds a random activation problem, runs the package's
-column scan and the reference loop from tests/reference_kernels.py on
-identically seeded generators, and asserts the same activation matrix and
-the same generator state afterwards: the same kernel, draw for draw.
+column scan (through the training wrapper with label clamps, and as
+held-out inference calls it with every cell free) and the reference loop
+from tests/reference_kernels.py on identically seeded generators, and
+asserts the same activation matrix and the same generator state
+afterwards: the same kernel, draw for draw.
 """
 
 import numpy as np
@@ -13,13 +15,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reference_kernels as ref
-from conftest import cell_log_odds, make_hyper
+from conftest import make_hyper
 from ss3m.errors import SamplingError
-from ss3m.evaluation import _sample_activations_collapsed
 from ss3m.gibbs import (
     MISSING_ESTIMATE,
     MISSING_FIX_ZERO,
     TrainOptions,
+    activation_scan,
     sample_activations,
 )
 from ss3m.model import LABEL_PRESENT, LabelMatrix, ModelState
@@ -35,10 +37,8 @@ def activation_problems(draw):
     D = draw(st.integers(1, 6))
     P = draw(st.integers(1, 8))
     P_lab = draw(st.integers(0, P))
-    theta = draw(arrays(np.float64, (D, P),
-                        elements=st.floats(0.0, 1.0))) + 1e-12
     state = ModelState(
-        theta=theta / theta.sum(axis=1, keepdims=True), phi=[], z=[],
+        theta=np.full((D, P), 1.0 / P), phi=[], z=[],
         A=draw(arrays(np.int8, (D, P), elements=st.integers(0, 1))),
         B=draw(arrays(np.float64, P, elements=st.floats(0.05, 50.0))),
         Bstar=draw(st.sampled_from([1e-18, 1e-3, 2.0])))
@@ -61,19 +61,13 @@ def _copy(state):
 @PROPERTY_SETTINGS
 @given(activation_problems())
 def test_training_scan_matches_cell_loop(problem):
-    state, labels, options, hyper, _, seed = problem
-    D, P = state.A.shape
-    for d in range(D):
-        for p in range(P):
-            assert (cell_log_odds(d, p, state, hyper)
-                    == ref.training_log_odds(d, p, state, hyper))
-
+    state, labels, options, hyper, counts, seed = problem
     want = _copy(state)
     rng_want = np.random.default_rng(seed)
-    ref.training_scan(want, labels, options, hyper, rng_want)
+    ref.collapsed_scan(want, counts, hyper, rng_want, labels, options)
     rng = np.random.default_rng(seed)
     A_before = state.A.copy()
-    got = sample_activations(state, labels, options, hyper, rng)
+    got = sample_activations(state, counts, labels, options, hyper, rng)
     assert np.array_equal(got, want.A)
     assert rng.bit_generator.state == rng_want.bit_generator.state
     assert np.array_equal(state.A, A_before)  # the state is not changed
@@ -87,7 +81,9 @@ def test_collapsed_scan_matches_cell_loop(problem):
     rng_want = np.random.default_rng(seed)
     ref.collapsed_scan(want, counts, hyper, rng_want)
     rng = np.random.default_rng(seed)
-    _sample_activations_collapsed(state, counts, hyper, rng)
+    every_cell_free = np.full(state.A.shape, -1, dtype=np.int8)
+    activation_scan(state.A, every_cell_free, counts, state.B, state.Bstar,
+                    hyper.alpha, rng)
     assert np.array_equal(state.A, want.A)
     assert rng.bit_generator.state == rng_want.bit_generator.state
 
@@ -100,14 +96,21 @@ def _error_state(D=5, P=4):
 
 
 def test_non_finite_log_odds_names_the_cell():
+    # B_2 = NaN spoils the totals of every row active at phenotype 2; only
+    # patient 3 is, so the first cell the scan cannot score is (3, 0)
     state = _error_state()
-    state.theta[3, 1] = np.nan
+    state.A[:] = 0
+    state.A[3, 2] = 1
+    state.B[2] = np.nan
     hyper = make_hyper(P=4)
-    with pytest.raises(SamplingError, match=r"patient 3, phenotype 1\b"):
-        sample_activations(state, None, TrainOptions(), hyper,
+    counts = np.ones((5, 4), dtype=np.int64)
+    with pytest.raises(SamplingError, match=r"patient 3, phenotype 0\b"):
+        sample_activations(state, counts, None, TrainOptions(), hyper,
                            np.random.default_rng(0))
-    with pytest.raises(SamplingError, match=r"patient 3, phenotype 1\b"):
-        cell_log_odds(3, 1, state, hyper)
+    every_cell_free = np.full((5, 4), -1, dtype=np.int8)
+    with pytest.raises(SamplingError, match=r"patient 3, phenotype 0\b"):
+        activation_scan(state.A, every_cell_free, counts, state.B,
+                        state.Bstar, hyper.alpha, np.random.default_rng(0))
 
 
 def test_non_finite_log_odds_names_the_first_free_patient():
@@ -119,6 +122,6 @@ def test_non_finite_log_odds_names_the_first_free_patient():
     entries[:2] = LABEL_PRESENT
     labels = LabelMatrix(entries=entries, label_names=["l0"])
     with pytest.raises(SamplingError, match=r"patient 2, phenotype 0\b"):
-        sample_activations(state, labels,
+        sample_activations(state, np.ones((5, 4), dtype=np.int64), labels,
                            TrainOptions(missing_label_mode=MISSING_ESTIMATE),
                            make_hyper(P=4, P_lab=1), np.random.default_rng(0))

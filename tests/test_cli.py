@@ -222,6 +222,29 @@ class TestErrorPaths:
                    "summarize", "--state", path,
                    "--corpus", os.path.join(prep, "corpus_train.json")) == 2
 
+    def test_non_finite_state_is_data_error(self, tmp_path, toy_config,
+                                            capsys):
+        prep, states = self._trained(tmp_path, toy_config)
+        path = os.path.join(states, "ss3m_fixA0_fixB.state.json")
+        with open(path) as fh:
+            payload = json.load(fh)
+        payload["B"][0] = float("nan")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        capsys.readouterr()
+        assert run("--config", toy_config, "--out", str(tmp_path / "eval"),
+                   "evaluate",
+                   "--train-corpus", os.path.join(prep, "corpus_train.json"),
+                   "--train-labels", os.path.join(prep, "labels_train.json"),
+                   "--test-corpus", os.path.join(prep, "corpus_test.json"),
+                   "--test-labels", os.path.join(prep, "labels_test.json"),
+                   "--state-dir", states) == 2
+        assert "malformed state" in capsys.readouterr().err
+        assert run("--config", toy_config, "--out", str(tmp_path / "o"),
+                   "summarize", "--state", path,
+                   "--corpus", os.path.join(prep, "corpus_train.json")) == 2
+        assert "malformed state" in capsys.readouterr().err
+
     def test_summarize_vocabulary_mismatch_is_data_error(self, tmp_path,
                                                          toy_config, capsys):
         # phi trained over the toy vocabulary is wider than this corpus's

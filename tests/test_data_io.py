@@ -240,6 +240,10 @@ class TestStateRoundTrip:
         lambda pl: pl["theta"][0].__setitem__(0, -0.5),  # off the simplex
         lambda pl: pl["theta"][1].pop(),                 # ragged theta
         lambda pl: pl.pop("A"),                          # missing field
+        lambda pl: pl["B"].__setitem__(0, float("nan")),  # NaN pseudo-count
+        lambda pl: pl.__setitem__("Bstar", float("inf")),  # infinite Bstar
+        lambda pl: pl["theta"][0].__setitem__(0, float("nan")),  # NaN theta
+        lambda pl: pl["phi"][0][1].__setitem__(0, float("nan")),  # NaN phi
     ])
     def test_malformed_state_is_data_error(self, tmp_path, rng, corrupt):
         state, _ = random_tiny_state(rng, D=3, P=2)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_hyper
 from ss3m import evaluation
-from ss3m.errors import UndefinedMetricError
+from ss3m.errors import SamplingError, UndefinedMetricError
 from ss3m.evaluation import (
     NB_GAUSSIAN,
     NB_MULTINOMIAL,
@@ -239,6 +239,16 @@ class TestHeldoutInfer:
         h, corpus, truth = _trained_toy()
         res = heldout_infer(corpus, truth, h, burn_in=0, samples=1, seed=1)
         assert set(np.unique(res.scores)) <= {0.0, 1.0}
+
+    def test_non_finite_log_odds_names_the_cell(self):
+        # an infinite Bstar makes every activation log-odds inf - inf; the
+        # held-out scan stops at the first cell instead of reading it as
+        # inactive
+        h, corpus, truth = _trained_toy()
+        truth.Bstar = float("inf")
+        with pytest.raises(SamplingError,
+                           match=r"patient 0, phenotype 0\b"):
+            heldout_infer(corpus, truth, h, burn_in=0, samples=1, seed=1)
 
     def test_zero_token_patient_scores_prior_marginal(self):
         # with no tokens, theta integrates out and the exact activation

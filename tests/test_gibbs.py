@@ -9,8 +9,8 @@ from ss3m import gibbs
 from ss3m.errors import SamplingError
 from ss3m.gibbs import (
     TrainOptions,
+    draw_phi,
     draw_theta,
-    draw_theta_phi,
     initialize_state,
     phenotype_counts,
     sample_activations,
@@ -93,10 +93,10 @@ def _theta_draws(state, corpus, n, rng):
 
 
 def _phi_draws(state, corpus, h, p, n, rng):
-    """phi_0p after each of n draw_theta_phi steps."""
+    """phi_0p after each of n draw_phi steps."""
     draws = []
     for _ in range(n):
-        draw_theta_phi(state, corpus, h, rng)
+        draw_phi(state, corpus, h, rng)
         draws.append(state.phi[0][p])
     return np.array(draws)
 
@@ -166,15 +166,19 @@ class TestSamplePhi:
             assert abs(out.sum() - 1.0) < 1e-9
 
 
-def _oracle_log_odds(d, p, state, hyper):
-    """Direct two-point normalization via scipy Dirichlet densities."""
-    theta = state.theta[d] / state.theta[d].sum()
+def _oracle_log_odds(d, p, state, counts, hyper):
+    """Direct two-point normalization over A_dp of Bernoulli(alpha) times
+    the Dirichlet-multinomial law of patient d's phenotype counts under
+    the gated prior (scipy's dirichlet_multinomial)."""
     prior1 = prior_matrix(state.A[[d]], state.B, state.Bstar)[0]
     prior0 = prior1.copy()
     prior1[p] = state.B[p]
     prior0[p] = state.Bstar
-    log_p1 = math.log(hyper.alpha) + st.dirichlet.logpdf(theta, prior1)
-    log_p0 = math.log(1 - hyper.alpha) + st.dirichlet.logpdf(theta, prior0)
+    n = counts[d]
+    log_p1 = math.log(hyper.alpha) + st.dirichlet_multinomial.logpmf(
+        n, prior1, n.sum())
+    log_p0 = math.log(1 - hyper.alpha) + st.dirichlet_multinomial.logpmf(
+        n, prior0, n.sum())
     return log_p1 - log_p0
 
 
@@ -184,48 +188,54 @@ class TestActivationLogOdds:
         state, _ = random_tiny_state(rng, P=2)
         state.B = np.array([0.7, 0.7])
         state.Bstar = 0.7
-        got = cell_log_odds(0, 1, state, h)
+        counts = rng.integers(0, 20, size=(2, 2))
+        got = cell_log_odds(0, 1, state, counts, h)
         assert got == pytest.approx(math.log(1 / 9), abs=1e-12)
 
     def test_matches_density_ratio_oracle(self, rng):
         h = make_hyper(P=3, alpha=0.3)
         for _ in range(200):
             state, _ = random_tiny_state(rng, D=2, P=3, bstar_low=1e-3)
+            counts = rng.integers(0, 20, size=(2, 3))
             d, p = int(rng.integers(2)), int(rng.integers(3))
-            got = cell_log_odds(d, p, state, h)
-            want = _oracle_log_odds(d, p, state, h)
+            got = cell_log_odds(d, p, state, counts, h)
+            want = _oracle_log_odds(d, p, state, counts, h)
             assert got == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("P", [2, 5, 70])
     def test_lone_active_phenotype_at_tiny_bstar(self, rng, P):
-        # Patient 0's only active phenotype is 1, and P * Bstar lies far
-        # below ulp(B_1). Then t_on = B_1 exactly and
-        # lgamma(Bstar) - lgamma(P * Bstar) = log P + O(Bstar), so the
-        # log-odds reduce to logit(alpha) + log P + (B_1 - Bstar) log theta.
-        # Subtracting B_1 back out of the row total loses the P Bstar
-        # terms and is off by exactly -log P.
+        # Patient 0's only active phenotype is 1, every one of its N
+        # tokens is on phenotype 1, and P * Bstar lies far below ulp(B_1).
+        # Then t_on = B_1 exactly, the A_d1 = 1 marginal is 1 + O(Bstar),
+        # and the A_d1 = 0 marginal is lgamma(N + Bstar) - lgamma(Bstar)
+        # + lgamma(P * Bstar) - lgamma(N + P * Bstar) = -log P + O(Bstar),
+        # so the log-odds reduce to logit(alpha) + log P. Subtracting B_1
+        # back out of the row total loses the P Bstar terms and is off by
+        # exactly -log P.
         h = make_hyper(P=P, alpha=0.1)
         state, _ = random_tiny_state(rng, D=1, P=P)
         state.A[:] = 0
         state.A[0, 1] = 1
         state.B = np.full(P, 3.0)
         state.Bstar = 1e-18
-        want = (math.log(0.1 / 0.9) + math.log(P)
-                + (3.0 - 1e-18) * math.log(state.theta[0, 1]))
-        got = cell_log_odds(0, 1, state, h)
+        counts = np.zeros((1, P), dtype=np.int64)
+        counts[0, 1] = 7
+        want = math.log(0.1 / 0.9) + math.log(P)
+        got = cell_log_odds(0, 1, state, counts, h)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-    def test_monotone_in_theta_when_b_exceeds_bstar(self, rng):
+    def test_monotone_in_counts_when_b_exceeds_bstar(self, rng):
+        # N = 40 tokens, n of them on phenotype 0, the other phenotype
+        # active
         h = make_hyper(P=2, alpha=0.1)
         state, _ = random_tiny_state(rng, D=1, P=2)
+        state.A = np.array([[0, 1]], dtype=np.int8)
         state.B = np.array([10.0, 10.0])
         state.Bstar = 0.01
-        values = []
-        for t in np.linspace(0.01, 0.99, 25):
-            state.theta = np.array([[t, 1 - t]])
-            values.append(cell_log_odds(0, 0, state, h))
+        values = [cell_log_odds(0, 0, state, np.array([[n, 40 - n]]), h)
+                  for n in range(41)]
         assert np.all(np.diff(values) > 0)
-        assert values[-1] > 10  # large and positive near theta -> 1
+        assert values[-1] > 10  # large and positive when every token is on 0
 
 
 class TestSampleActivation:
@@ -234,34 +244,37 @@ class TestSampleActivation:
         state, _ = random_tiny_state(rng, D=D, P=2)
         state.B = np.array([0.7, 0.7])
         state.Bstar = 0.7  # log-odds = prior odds only
-        return h, state
+        return h, state, rng.integers(0, 20, size=(D, 2))
 
     def test_present_label_clamps_to_one(self, rng):
-        h, state = self._setup(rng)
+        h, state, counts = self._setup(rng)
         labels = LabelMatrix(entries=np.array([[LABEL_PRESENT]]),
                              label_names=["l0"])
         opts = TrainOptions(missing_label_mode="estimate")
         for _ in range(50):
-            assert sample_activations(state, labels, opts, h, rng)[0, 0] == 1
+            A = sample_activations(state, counts, labels, opts, h, rng)
+            assert A[0, 0] == 1
 
     def test_unknown_fix_zero_clamps_to_zero(self, rng):
-        h, state = self._setup(rng)
+        h, state, counts = self._setup(rng)
         labels = LabelMatrix(entries=np.array([[LABEL_UNKNOWN]]),
                              label_names=["l0"])
         opts = TrainOptions(missing_label_mode="fix_zero")
         for _ in range(50):
-            assert sample_activations(state, labels, opts, h, rng)[0, 0] == 0
+            A = sample_activations(state, counts, labels, opts, h, rng)
+            assert A[0, 0] == 0
 
     def test_zero_log_odds_is_fair_coin(self, rng):
         # alpha = 0.5 and B == Bstar gives exactly zero log-odds; the scan
         # draws cell (d, 0) of n independent patients
         n = 10 ** 5
-        h, state = self._setup(rng, alpha=0.5, D=n)
+        h, state, counts = self._setup(rng, alpha=0.5, D=n)
         labels = LabelMatrix(entries=np.full((n, 1), LABEL_UNKNOWN,
                                              dtype=np.int8),
                              label_names=["l0"])
         opts = TrainOptions(missing_label_mode="estimate")
-        hits = int(sample_activations(state, labels, opts, h, rng)[:, 0].sum())
+        A = sample_activations(state, counts, labels, opts, h, rng)
+        hits = int(A[:, 0].sum())
         assert abs(hits / n - 0.5) < 3 * math.sqrt(0.25 / n)
 
 
