@@ -274,17 +274,27 @@ def load_state(path):
         state = ModelState(
             theta=np.array(payload["theta"], dtype=float),
             phi=[np.array(p, dtype=float) for p in payload["phi"]],
-            z=[[np.array(zz, dtype=np.int64) for zz in per_source]
+            z=[[_integers(zz) for zz in per_source]
                for per_source in payload["z"]],
-            A=np.array(payload["A"], dtype=np.int8),
+            A=_integers(payload["A"]),
             B=np.array(payload["B"], dtype=float),
             Bstar=float(payload["Bstar"]),
         )
         state.validate()
-    except (KeyError, TypeError, ValueError, DimensionError,
+    except (KeyError, TypeError, ValueError, DataError, DimensionError,
             NumericalError) as exc:
         raise DataError(f"{path}: malformed state: {exc}") from exc
+    state.A = state.A.astype(np.int8)  # binary, checked by validate
     return state, payload.get("meta", {})
+
+
+def _integers(values) -> np.ndarray:
+    """values as an int64 array; ValueError if one is not a JSON integer
+    that int64 holds (a cast would truncate or wrap it)."""
+    read = np.array(values)
+    if read.size and read.dtype != np.int64:
+        raise ValueError("entries that are not 64-bit integers")
+    return read.astype(np.int64, copy=False)
 
 
 def _load_container(path, expected_version):

@@ -68,17 +68,22 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
                   samples: int = 100, seed: int = 0,
                   theta_prior=None) -> HeldoutResult:
     """Patient-local Gibbs over (z, A, theta) with the trained globals
-    (phi, B, Bstar) held fixed.
+    (phi, B, Bstar) held fixed: gibbs.local_step, repeated.
 
     Every labeled activation runs in Estimate mode -- the labels are what
     is being predicted. score(d, p) is the mean of sampled A_dp over the
     retained samples. theta_prior, when given, is the unstructured
     baseline's symmetric concentration c: the chain then runs with
-    B = Bstar = c and every activation held on, which is the symmetric
-    Dirichlet(c) prior, and skips the activation scan.
+    B = Bstar = c and every activation clamped on, which is the symmetric
+    Dirichlet(c) prior.
     """
+    unstructured = theta_prior is not None
+    if burn_in < 0:
+        raise ConfigError("burn_in must be >= 0")
     if samples < 1:
         raise ConfigError("samples must be >= 1")
+    if unstructured and not theta_prior > 0:
+        raise ConfigError("theta_prior must be positive")
     for s in range(test_corpus.num_sources):
         if trained.phi[s].shape[1] != len(test_corpus.vocab[s]):
             raise DataError(
@@ -90,42 +95,24 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
             f"{trained.B.shape}) does not have the configured {P} phenotypes")
     rng = substream(seed, "evaluation.heldout")
     D = test_corpus.num_patients
-    unstructured = theta_prior is not None
-
-    flat = [flat_view(per_source) for per_source in test_corpus.tokens]
-    # z is kept flat per source
-    z = [flat_view(z_s)[0] for z_s in gibbs.initial_z(test_corpus, P, rng)]
     state = ModelState(
         theta=np.empty((D, P)),
-        phi=[p.copy() for p in trained.phi],
-        z=[],
+        phi=trained.phi,
+        z=gibbs.initial_z(test_corpus, P, rng),
         # start fully active: when Bstar is a spike near zero the
         # off-to-on move has vanishing probability, so the chain must
         # prune activations rather than discover them
         A=np.ones((D, P), dtype=np.int8),
-        B=np.full(P, float(theta_prior)) if unstructured else trained.B.copy(),
+        B=np.full(P, float(theta_prior)) if unstructured else trained.B,
         Bstar=float(theta_prior if unstructured else trained.Bstar),
     )
+    gibbs.draw_theta(state, gibbs.phenotype_counts(state, test_corpus), rng)
 
-    def assignment_counts():
-        return sum(count_pairs(doc_idx, z_s, D, P)
-                   for (_, doc_idx), z_s in zip(flat, z))
-
-    gibbs.draw_theta(state, assignment_counts(), rng)
-
-    every_cell_free = np.full((D, P), -1, dtype=np.int8)
+    clamp = np.full((D, P), 1 if unstructured else -1, dtype=np.int8)
     a_sum = np.zeros((D, P))
     theta_sum = np.zeros((D, P))
     for it in range(burn_in + samples):
-        for s, (w_flat, doc_idx) in enumerate(flat):
-            if w_flat.size:
-                z[s] = gibbs._sample_z_batch(
-                    state.theta, state.phi[s], w_flat, doc_idx, rng)
-        counts = assignment_counts()
-        if not unstructured:
-            gibbs.activation_scan(state.A, every_cell_free, counts, state.B,
-                                  state.Bstar, hyper.alpha, rng)
-        gibbs.draw_theta(state, counts, rng)
+        gibbs.local_step(state, test_corpus, clamp, hyper.alpha, rng)
         if it >= burn_in:
             a_sum += state.A
             theta_sum += state.theta

@@ -12,13 +12,22 @@ conditional has one kernel, shared by training, the mc3m baseline and
 held-out inference and tested as it is: _sample_z_batch (z),
 activation_scan (A), draw_theta (theta) and draw_phi (phi).
 
+The patient-local part, z -> A -> theta, is one function, local_step,
+run alike by training, the mc3m baseline and held-out inference. They
+differ only in the D x P clamp matrix each chain builds once, which
+fixes some activation bits and leaves the rest free: training clamps the
+labeled bits (clamp_matrix), held-out inference for the gated models
+leaves every bit free, and the mc3m chains clamp every bit on, because
+mc3m's symmetric Dirichlet(c) prior is the gated prior with every
+activation on and B = Bstar = c (train_unstructured).
+
 Token-level work runs in one flat pass per source over model.flat_view's
 (w_flat, doc_idx), the source's per-patient arrays laid end to end. The
 z assignments are conditionally independent given (theta, phi), so the
 z pass resamples them all in one vectorized batch, in fixed-size token
 blocks, with one uniform per token drawn in a single call: the same Gibbs
 kernel, and the same draws, as a token-by-token scan. The phenotype and
-token count matrices are one bincount per source; the sweep counts
+token count matrices are one bincount per source; the local step counts
 phenotypes once and hands the counts to both the A scan and the theta
 draw.
 
@@ -27,13 +36,7 @@ resampled for all D patients at once (activation_scan). Given the
 phenotype counts the rows of A are independent, so the scan conditions
 every cell on exactly what a cell-by-cell pass over patients then
 phenotypes would, and its uniforms are drawn in that pass's row-major
-order. Training runs it through sample_activations with the label
-clamps; held-out inference runs it with every cell free.
-
-The mc3m baseline is the same chain (train_unstructured): its symmetric
-Dirichlet(c) prior is the gated prior with every activation on and
-B = Bstar = c. Both chains and held-out inference start from initial_z
-and draw theta with draw_theta.
+order. A scan with every bit clamped draws no uniform.
 """
 
 import logging
@@ -226,18 +229,6 @@ def activation_scan(A: np.ndarray, clamp: np.ndarray, counts: np.ndarray,
     return A
 
 
-def sample_activations(state: ModelState, counts: np.ndarray,
-                       labels: LabelMatrix, options: TrainOptions,
-                       hyper: Hyperparameters,
-                       rng: np.random.Generator) -> np.ndarray:
-    """New activation matrix after one scan of A | z (activation_scan on
-    the phenotype counts), honoring the label clamp rules. The state is
-    not changed."""
-    D, P = state.A.shape
-    return activation_scan(state.A.copy(), clamp_matrix(labels, options, D, P),
-                           counts, state.B, state.Bstar, hyper.alpha, rng)
-
-
 def initial_z(corpus: Corpus, P: int, rng: np.random.Generator) -> list:
     """Uniform starting assignments z[s][d], drawn source by source and
     patient by patient."""
@@ -260,35 +251,37 @@ def draw_phi(state: ModelState, corpus: Corpus, hyper: Hyperparameters,
         state.phi[s] = sample_dirichlet(hyper.gamma[s] + m, rng)
 
 
-def sweep(state: ModelState, corpus: Corpus, labels: LabelMatrix,
-          options: TrainOptions, hyper: Hyperparameters,
-          rng: np.random.Generator) -> dict:
-    """One full Gibbs pass over z, A, theta, phi and, with b_mode
-    "sampled", B then Bstar. Mutates state in place and returns the HMC
-    bookkeeping counts.
-    """
-    D = state.theta.shape[0]
-
-    # (1) phenotype assignments, vectorized per source.
+def local_step(state: ModelState, corpus: Corpus, clamp: np.ndarray,
+               alpha: float, rng: np.random.Generator):
+    """The patient-local conditionals, in place: z given theta and phi,
+    then A given z with theta integrated out (activation_scan under
+    `clamp`), then theta given A and z. The scan and the theta draw read
+    the same phenotype counts, summed from the new z."""
+    D, P = state.theta.shape
+    counts = np.zeros((D, P), dtype=np.int64)
     for s in range(corpus.num_sources):
         w_flat, doc_idx = flat_view(corpus.tokens[s])
         if w_flat.size:
             z_flat = _sample_z_batch(state.theta, state.phi[s], w_flat,
                                      doc_idx, rng)
             state.z[s] = split_flat(z_flat, doc_idx, D)
-
-    # (2)-(3) activations given z with theta integrated out, then theta
-    # given the new A and z; both read the same phenotype counts.
-    counts = phenotype_counts(state, corpus)
-    state.A = sample_activations(state, counts, labels, options, hyper, rng)
+            counts += count_pairs(doc_idx, z_flat, D, P)
+    activation_scan(state.A, clamp, counts, state.B, state.Bstar, alpha, rng)
     draw_theta(state, counts, rng)
 
-    # (4) phenotype-token distributions.
+
+def sweep(state: ModelState, corpus: Corpus, clamp: np.ndarray, b_mode: str,
+          hyper: Hyperparameters, rng: np.random.Generator) -> dict:
+    """One full Gibbs pass: the local step over z, A and theta, then phi
+    and, with b_mode "sampled", B then Bstar. Mutates state in place and
+    returns the HMC bookkeeping counts.
+    """
+    local_step(state, corpus, clamp, hyper.alpha, rng)
     draw_phi(state, corpus, hyper, rng)
 
-    # (5) prior pseudo-counts: one HMC move over log B, then one over
-    # log Bstar given the new B.
-    if options.b_mode != B_SAMPLED:
+    # prior pseudo-counts: one HMC move over log B, then one over log Bstar
+    # given the new B.
+    if b_mode != B_SAMPLED:
         return {"hmc_accepts": 0, "hmc_attempts": 0}
     state.B, b_accepted = _hmc_move(state.B, hmc.b_target(state, hyper),
                                     hyper, rng)
@@ -307,18 +300,17 @@ def _hmc_move(b, target, hyper: Hyperparameters, rng: np.random.Generator):
     return np.maximum(np.exp(res.next_point), PROB_FLOOR), True
 
 
-def initialize_state(corpus: Corpus, labels: LabelMatrix,
-                     hyper: Hyperparameters, options: TrainOptions,
+def initialize_state(corpus: Corpus, clamp: np.ndarray,
+                     hyper: Hyperparameters,
                      rng: np.random.Generator) -> ModelState:
-    """Initial state: z uniform, A clamped per labels with free entries
-    Bern(alpha), B/Bstar from their Gamma priors, theta/phi from their
-    conditionals given the initial z and A."""
+    """Initial state: z uniform, A set to the clamped bits with free
+    entries Bern(alpha), B/Bstar from their Gamma priors, theta/phi from
+    their conditionals given the initial z and A."""
     D = corpus.num_patients
     P = hyper.num_phenotypes
 
     z = initial_z(corpus, P, rng)
     A = (rng.random((D, P)) < hyper.alpha).astype(np.int8)
-    clamp = clamp_matrix(labels, options, D, P)
     A = np.where(clamp < 0, A, clamp).astype(np.int8)
 
     B = np.maximum(rng.gamma(hyper.b_shape, hyper.b_scale, size=P), PROB_FLOOR)
@@ -332,8 +324,8 @@ def initialize_state(corpus: Corpus, labels: LabelMatrix,
     return state
 
 
-def _run_chain(state: ModelState, corpus: Corpus, labels: LabelMatrix,
-               options: TrainOptions, hyper: Hyperparameters,
+def _run_chain(state: ModelState, corpus: Corpus, clamp: np.ndarray,
+               b_mode: str, hyper: Hyperparameters,
                rng: np.random.Generator) -> TrainTrace:
     """Run hyper.iterations sweeps from state, tracking the complete-data
     log-likelihood and keeping a deep snapshot of the best state. An
@@ -346,7 +338,7 @@ def _run_chain(state: ModelState, corpus: Corpus, labels: LabelMatrix,
     best_ll = ll
     try:
         for it in range(1, hyper.iterations + 1):
-            stats = sweep(state, corpus, labels, options, hyper, rng)
+            stats = sweep(state, corpus, clamp, b_mode, hyper, rng)
             ll = complete_data_log_likelihood(state, corpus, hyper)
             trace.log_likelihoods.append(ll)
             trace.hmc_accepts.append(stats["hmc_accepts"])
@@ -368,16 +360,18 @@ def train(corpus: Corpus, labels: LabelMatrix, hyper: Hyperparameters,
     if corpus.num_patients == 0:
         raise ConfigError("corpus is empty")
     rng = substream(options.seed, "gibbs.train")
-    state = initialize_state(corpus, labels, hyper, options, rng)
-    return _run_chain(state, corpus, labels, options, hyper, rng)
+    clamp = clamp_matrix(labels, options, corpus.num_patients,
+                         hyper.num_phenotypes)
+    state = initialize_state(corpus, clamp, hyper, rng)
+    return _run_chain(state, corpus, clamp, options.b_mode, hyper, rng)
 
 
 def train_unstructured(corpus: Corpus, hyper: Hyperparameters,
                        concentration: float, seed: int) -> TrainTrace:
     """Baseline trainer (mc3m): a symmetric Dirichlet(concentration) prior
     on each theta_d, which is the gated chain with B = Bstar =
-    concentration held fixed and a label matrix marking every phenotype
-    Present (the clamp holds A at 1; the activation scan draws nothing)."""
+    concentration held fixed and every activation clamped on (the
+    activation scan draws nothing)."""
     if corpus.num_patients == 0:
         raise ConfigError("corpus is empty")
     if concentration <= 0:
@@ -390,8 +384,5 @@ def train_unstructured(corpus: Corpus, hyper: Hyperparameters,
         B=np.full(P, c), Bstar=c)
     draw_theta(state, phenotype_counts(state, corpus), rng)
     draw_phi(state, corpus, hyper, rng)
-    every_present = LabelMatrix(
-        entries=np.full((D, P), LABEL_PRESENT),
-        label_names=[f"phenotype_{p}" for p in range(P)])
-    return _run_chain(state, corpus, every_present,
-                      TrainOptions(b_mode=B_FIXED, seed=seed), hyper, rng)
+    return _run_chain(state, corpus, np.ones((D, P), dtype=np.int8), B_FIXED,
+                      hyper, rng)

@@ -154,6 +154,8 @@ class ModelState:
         D, P = self.theta.shape
         if self.A.shape != (D, P):
             raise DimensionError("A must be D x P")
+        if not np.isin(self.A, (0, 1)).all():
+            raise DataError("A must be binary")
         if self.B.shape != (P,):
             raise DimensionError("B must have length P")
         # each test is written to fail on NaN, so a non-finite entry fails

@@ -27,12 +27,12 @@ from ss3m.gibbs import (
     MISSING_FIX_ZERO,
     TrainOptions,
     _sample_z_batch,
+    activation_scan,
     clamp_matrix,
     draw_phi,
     draw_theta,
     initialize_state,
     phenotype_counts,
-    sample_activations,
     sweep,
     train,
 )
@@ -165,11 +165,13 @@ def test_criterion_1_conditional_exactness(rng):
     entries[0, 1] = LABEL_UNKNOWN
     clamps = LabelMatrix(entries=entries.astype(np.int8),
                          label_names=["l0", "l1", "l2"])
+    clamp = clamp_matrix(clamps, options, 2, 3)
     corpus_counts = phenotype_counts(state, corpus)
     want = 1.0 / (1.0 + math.exp(
         -cell_log_odds(0, 1, state, corpus_counts, hyper)))
-    ones = sum(int(sample_activations(state, corpus_counts, clamps, options,
-                                      hyper, rng)[0, 1])
+    ones = sum(int(activation_scan(state.A.copy(), clamp, corpus_counts,
+                                   state.B, state.Bstar, hyper.alpha,
+                                   rng)[0, 1])
                for _ in range(N_DRAWS))
     observed = np.array([ones, N_DRAWS - ones])
     p = chisquare(observed, np.array([want, 1 - want]) * N_DRAWS).pvalue
@@ -407,10 +409,10 @@ def test_paper_prior_training_prunes_activations():
         clamp = clamp_matrix(labels, options, 150, 10)
         free = clamp < 0
         rng = substream(options.seed, "gibbs.train")
-        state = initialize_state(corpus, labels, h, options, rng)
+        state = initialize_state(corpus, clamp, h, rng)
         fractions = []
         for _ in range(20):
-            sweep(state, corpus, labels, options, h, rng)
+            sweep(state, corpus, clamp, options.b_mode, h, rng)
             ok &= bool(np.all(state.A[~free] == clamp[~free]))
             ok &= bool(np.isfinite(
                 complete_data_log_likelihood(state, corpus, h)))

@@ -1,7 +1,7 @@
 """The vectorized activation scan against its cell-by-cell reference.
 
 Each property builds a random activation problem, runs the package's
-column scan (through the training wrapper with label clamps, and as
+column scan (under the training label clamps of clamp_matrix, and as
 held-out inference calls it with every cell free) and the reference loop
 from tests/reference_kernels.py on identically seeded generators, and
 asserts the same activation matrix and the same generator state
@@ -22,7 +22,7 @@ from ss3m.gibbs import (
     MISSING_FIX_ZERO,
     TrainOptions,
     activation_scan,
-    sample_activations,
+    clamp_matrix,
 )
 from ss3m.model import LABEL_PRESENT, LabelMatrix, ModelState
 
@@ -66,11 +66,11 @@ def test_training_scan_matches_cell_loop(problem):
     rng_want = np.random.default_rng(seed)
     ref.collapsed_scan(want, counts, hyper, rng_want, labels, options)
     rng = np.random.default_rng(seed)
-    A_before = state.A.copy()
-    got = sample_activations(state, counts, labels, options, hyper, rng)
+    got = activation_scan(state.A.copy(),
+                          clamp_matrix(labels, options, *state.A.shape),
+                          counts, state.B, state.Bstar, hyper.alpha, rng)
     assert np.array_equal(got, want.A)
     assert rng.bit_generator.state == rng_want.bit_generator.state
-    assert np.array_equal(state.A, A_before)  # the state is not changed
 
 
 @PROPERTY_SETTINGS
@@ -105,8 +105,10 @@ def test_non_finite_log_odds_names_the_cell():
     hyper = make_hyper(P=4)
     counts = np.ones((5, 4), dtype=np.int64)
     with pytest.raises(SamplingError, match=r"patient 3, phenotype 0\b"):
-        sample_activations(state, counts, None, TrainOptions(), hyper,
-                           np.random.default_rng(0))
+        activation_scan(state.A.copy(),
+                        clamp_matrix(None, TrainOptions(), 5, 4), counts,
+                        state.B, state.Bstar, hyper.alpha,
+                        np.random.default_rng(0))
     every_cell_free = np.full((5, 4), -1, dtype=np.int8)
     with pytest.raises(SamplingError, match=r"patient 3, phenotype 0\b"):
         activation_scan(state.A, every_cell_free, counts, state.B,
@@ -122,6 +124,10 @@ def test_non_finite_log_odds_names_the_first_free_patient():
     entries[:2] = LABEL_PRESENT
     labels = LabelMatrix(entries=entries, label_names=["l0"])
     with pytest.raises(SamplingError, match=r"patient 2, phenotype 0\b"):
-        sample_activations(state, np.ones((5, 4), dtype=np.int64), labels,
-                           TrainOptions(missing_label_mode=MISSING_ESTIMATE),
-                           make_hyper(P=4, P_lab=1), np.random.default_rng(0))
+        activation_scan(
+            state.A.copy(),
+            clamp_matrix(labels,
+                         TrainOptions(missing_label_mode=MISSING_ESTIMATE),
+                         5, 4),
+            np.ones((5, 4), dtype=np.int64), state.B, state.Bstar,
+            make_hyper(P=4, P_lab=1).alpha, np.random.default_rng(0))

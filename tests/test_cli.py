@@ -1,10 +1,17 @@
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
-from ss3m.cli import main
+from ss3m import data_io, evaluation, model
+from ss3m.cli import hyper_from_config, main
+from ss3m.config import RunConfig
+from ss3m.util import substream
+
+REPO_TOY_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir,
+                               "configs", "toy.cfg")
 
 
 TOY_CONFIG = """\
@@ -144,6 +151,59 @@ class TestDeterminism:
             ))
         assert hashes[0] == hashes[1]
 
+    def test_shuffle_labels_control(self, tmp_path):
+        # configs/toy.cfg: evaluate with eval.shuffle_labels scores the test
+        # patients against their labels permuted by the shuffle substream,
+        # and does so identically on every same-seed run
+        cfg_args = ["--config", REPO_TOY_CONFIG, "--seed", "1"]
+        gen, prep = str(tmp_path / "gen"), str(tmp_path / "prep")
+        states = str(tmp_path / "states")
+        run(*cfg_args, "--out", gen, "generate")
+        run(*cfg_args, "--out", prep, "preprocess",
+            "--corpus", os.path.join(gen, "corpus.jsonl"))
+        paths = {name: os.path.join(prep, f"{name}.json")
+                 for name in ("corpus_train", "labels_train", "corpus_test",
+                              "labels_test")}
+        assert run(*cfg_args, "--out", states, "train",
+                   "--corpus", paths["corpus_train"],
+                   "--labels", paths["labels_train"],
+                   "--model-id", "ss3m_fixA0_fixB") == 0
+        outputs = []
+        for run_dir in ("a", "b"):
+            out = str(tmp_path / run_dir)
+            assert run(*cfg_args, "--out", out, "--eval.shuffle_labels",
+                       "true", "evaluate",
+                       "--train-corpus", paths["corpus_train"],
+                       "--train-labels", paths["labels_train"],
+                       "--test-corpus", paths["corpus_test"],
+                       "--test-labels", paths["labels_test"],
+                       "--state-dir", states) == 0
+            with open(os.path.join(out, "metrics.csv"), "rb") as fh:
+                outputs.append(fh.read())
+        assert outputs[0] == outputs[1]
+
+        cfg = RunConfig.from_file(REPO_TOY_CONFIG)
+        train_c, _, _ = data_io.load_corpus(paths["corpus_train"])
+        test_c, _, _ = data_io.load_corpus(paths["corpus_test"])
+        train_l, _ = data_io.load_labels(paths["labels_train"])
+        test_l, _ = data_io.load_labels(paths["labels_test"])
+        perm = substream(1, "evaluation.shuffle_control").permutation(
+            test_l.num_patients)
+        assert not (perm == range(len(perm))).all()
+        shuffled = model.LabelMatrix(entries=test_l.entries[perm],
+                                     label_names=test_l.label_names)
+        state, meta = data_io.load_state(
+            os.path.join(states, "ss3m_fixA0_fixB.state.json"))
+        reports = evaluation.evaluate_suite(
+            {"ss3m_fixA0_fixB": (state, meta["max_log_likelihood"])},
+            train_c, train_l, test_c, shuffled,
+            hyper_from_config(cfg, train_c.num_sources),
+            burn_in=cfg.get("eval.burn_in"), samples=cfg.get("eval.samples"),
+            seed=1, mc3m_concentration=cfg.get("eval.mc3m_concentration"),
+            lr_lam=cfg.get("eval.lr_lambda"),
+            lr_epochs=cfg.get("eval.lr_epochs"))
+        assert outputs[0] == evaluation.reports_to_csv(reports).encode()
+
     def test_different_seed_changes_corpus(self, tmp_path, toy_config):
         gen1 = str(tmp_path / "g1")
         gen2 = str(tmp_path / "g2")
@@ -244,6 +304,43 @@ class TestErrorPaths:
                    "summarize", "--state", path,
                    "--corpus", os.path.join(prep, "corpus_train.json")) == 2
         assert "malformed state" in capsys.readouterr().err
+
+    def test_out_of_range_activation_is_data_error(self, tmp_path,
+                                                   toy_config, capsys):
+        prep, states = self._trained(tmp_path, toy_config)
+        path = os.path.join(states, "ss3m_fixA0_fixB.state.json")
+        with open(path) as fh:
+            payload = json.load(fh)
+        payload["A"][0][0] = 300
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        capsys.readouterr()
+        assert run("--config", toy_config, "--out", str(tmp_path / "o"),
+                   "summarize", "--state", path,
+                   "--corpus", os.path.join(prep, "corpus_train.json")) == 2
+        assert "malformed state" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        ["--eval.burn_in", "-2"],
+        ["--eval.mc3m_concentration", "-1"],
+        ["--eval.mc3m_concentration", "0"],
+    ])
+    def test_bad_heldout_settings_are_config_errors(self, tmp_path,
+                                                    toy_config, capsys,
+                                                    override):
+        prep, states = self._trained(tmp_path, toy_config)
+        # the mc3m held-out chain reads only phi and the shapes of the state
+        shutil.copyfile(os.path.join(states, "ss3m_fixA0_fixB.state.json"),
+                        os.path.join(states, "mc3m.state.json"))
+        capsys.readouterr()
+        assert run("--config", toy_config, "--out", str(tmp_path / "eval"),
+                   *override, "evaluate",
+                   "--train-corpus", os.path.join(prep, "corpus_train.json"),
+                   "--train-labels", os.path.join(prep, "labels_train.json"),
+                   "--test-corpus", os.path.join(prep, "corpus_test.json"),
+                   "--test-labels", os.path.join(prep, "labels_test.json"),
+                   "--state-dir", states) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_summarize_vocabulary_mismatch_is_data_error(self, tmp_path,
                                                          toy_config, capsys):

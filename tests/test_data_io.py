@@ -220,6 +220,7 @@ class TestStateRoundTrip:
         loaded, meta = load_state(path)
         assert np.array_equal(loaded.theta, state.theta)
         assert np.array_equal(loaded.A, state.A)
+        assert loaded.A.dtype == np.int8
         assert np.array_equal(loaded.B, state.B)
         assert loaded.Bstar == state.Bstar
         for s in range(2):
@@ -244,6 +245,10 @@ class TestStateRoundTrip:
         lambda pl: pl.__setitem__("Bstar", float("inf")),  # infinite Bstar
         lambda pl: pl["theta"][0].__setitem__(0, float("nan")),  # NaN theta
         lambda pl: pl["phi"][0][1].__setitem__(0, float("nan")),  # NaN phi
+        lambda pl: pl["A"][0].__setitem__(0, 7),         # non-binary A
+        lambda pl: pl["A"][0].__setitem__(0, 2.5),       # fractional A
+        lambda pl: pl["A"][0].__setitem__(0, 300),       # A beyond int8
+        lambda pl: pl["z"][0][0].append(0.5),            # fractional z
     ])
     def test_malformed_state_is_data_error(self, tmp_path, rng, corrupt):
         state, _ = random_tiny_state(rng, D=3, P=2)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_hyper
 from ss3m import evaluation
-from ss3m.errors import SamplingError, UndefinedMetricError
+from ss3m.errors import ConfigError, SamplingError, UndefinedMetricError
 from ss3m.evaluation import (
     NB_GAUSSIAN,
     NB_MULTINOMIAL,
@@ -239,6 +239,18 @@ class TestHeldoutInfer:
         h, corpus, truth = _trained_toy()
         res = heldout_infer(corpus, truth, h, burn_in=0, samples=1, seed=1)
         assert set(np.unique(res.scores)) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"burn_in": -2, "samples": 4}, "burn_in"),
+        ({"samples": 0}, "samples"),
+        ({"theta_prior": 0.0}, "theta_prior"),
+        ({"theta_prior": -1.0}, "theta_prior"),
+        ({"theta_prior": float("nan")}, "theta_prior"),
+    ])
+    def test_bad_chain_settings_are_config_errors(self, settings, message):
+        h, corpus, truth = _trained_toy()
+        with pytest.raises(ConfigError, match=message):
+            heldout_infer(corpus, truth, h, seed=1, **settings)
 
     def test_non_finite_log_odds_names_the_cell(self):
         # an infinite Bstar makes every activation log-odds inf - inf; the

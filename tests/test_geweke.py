@@ -33,7 +33,7 @@ import pytest
 from scipy.stats import norm
 
 from conftest import make_hyper
-from ss3m.gibbs import B_FIXED, B_SAMPLED, TrainOptions, sweep
+from ss3m.gibbs import B_FIXED, B_SAMPLED, TrainOptions, clamp_matrix, sweep
 from ss3m.model import (
     Corpus,
     DocLengthSpec,
@@ -137,10 +137,11 @@ def test_sweep_leaves_the_joint_law_invariant(case):
     corpus, state = prior_draw(hyper, b_mode, D, vocab_sizes, length,
                                seed * 10 ** 6 + n_prior)
     options = TrainOptions(b_mode=b_mode)
+    clamp = clamp_matrix(None, options, D, hyper.num_phenotypes)
     rng = np.random.default_rng((seed, 2))
     chain = np.empty((n_chain, prior.shape[1]))
     for it in range(n_chain):
-        sweep(state, corpus, None, options, hyper, rng)
+        sweep(state, corpus, clamp, options.b_mode, hyper, rng)
         corpus = redraw_tokens(state, corpus, rng)
         names, chain[it] = statistics(state, b_mode)
 

@@ -9,11 +9,12 @@ from ss3m import gibbs
 from ss3m.errors import SamplingError
 from ss3m.gibbs import (
     TrainOptions,
+    activation_scan,
+    clamp_matrix,
     draw_phi,
     draw_theta,
     initialize_state,
     phenotype_counts,
-    sample_activations,
     sweep,
     token_counts,
     train,
@@ -251,8 +252,10 @@ class TestSampleActivation:
         labels = LabelMatrix(entries=np.array([[LABEL_PRESENT]]),
                              label_names=["l0"])
         opts = TrainOptions(missing_label_mode="estimate")
+        clamp = clamp_matrix(labels, opts, 1, 2)
         for _ in range(50):
-            A = sample_activations(state, counts, labels, opts, h, rng)
+            A = activation_scan(state.A.copy(), clamp, counts, state.B,
+                                state.Bstar, h.alpha, rng)
             assert A[0, 0] == 1
 
     def test_unknown_fix_zero_clamps_to_zero(self, rng):
@@ -260,8 +263,10 @@ class TestSampleActivation:
         labels = LabelMatrix(entries=np.array([[LABEL_UNKNOWN]]),
                              label_names=["l0"])
         opts = TrainOptions(missing_label_mode="fix_zero")
+        clamp = clamp_matrix(labels, opts, 1, 2)
         for _ in range(50):
-            A = sample_activations(state, counts, labels, opts, h, rng)
+            A = activation_scan(state.A.copy(), clamp, counts, state.B,
+                                state.Bstar, h.alpha, rng)
             assert A[0, 0] == 0
 
     def test_zero_log_odds_is_fair_coin(self, rng):
@@ -273,7 +278,9 @@ class TestSampleActivation:
                                              dtype=np.int8),
                              label_names=["l0"])
         opts = TrainOptions(missing_label_mode="estimate")
-        A = sample_activations(state, counts, labels, opts, h, rng)
+        clamp = clamp_matrix(labels, opts, n, 2)
+        A = activation_scan(state.A.copy(), clamp, counts, state.B,
+                            state.Bstar, h.alpha, rng)
         hits = int(A[:, 0].sum())
         assert abs(hits / n - 0.5) < 3 * math.sqrt(0.25 / n)
 
@@ -288,12 +295,12 @@ class TestSweep:
 
     def test_deterministic_given_seed(self):
         h, corpus, labels, _ = self._toy()
-        opts = TrainOptions(b_mode="sampled", seed=5)
+        clamp = clamp_matrix(labels, TrainOptions(), 20, 4)
         states = []
         for _ in range(2):
             rng = substream(5, "sweep-test")
-            state = initialize_state(corpus, labels, h, opts, rng)
-            sweep(state, corpus, labels, opts, h, rng)
+            state = initialize_state(corpus, clamp, h, rng)
+            sweep(state, corpus, clamp, "sampled", h, rng)
             states.append(state)
         a, b = states
         assert np.array_equal(a.theta, b.theta)
@@ -306,11 +313,11 @@ class TestSweep:
 
     def test_post_sweep_invariants(self):
         h, corpus, labels, _ = self._toy()
-        opts = TrainOptions(b_mode="sampled", seed=1)
+        clamp = clamp_matrix(labels, TrainOptions(), 20, 4)
         rng = substream(1, "sweep-test")
-        state = initialize_state(corpus, labels, h, opts, rng)
+        state = initialize_state(corpus, clamp, h, rng)
         for _ in range(3):
-            sweep(state, corpus, labels, opts, h, rng)
+            sweep(state, corpus, clamp, "sampled", h, rng)
             state.validate(corpus)
 
     def test_z_accuracy_above_chance_at_truth(self):
@@ -333,10 +340,10 @@ class TestSweep:
 
     def test_count_bookkeeping_matches_recount(self):
         h, corpus, labels, _ = self._toy()
-        opts = TrainOptions(seed=3)
+        clamp = clamp_matrix(labels, TrainOptions(), 20, 4)
         rng = substream(3, "sweep-test")
-        state = initialize_state(corpus, labels, h, opts, rng)
-        sweep(state, corpus, labels, opts, h, rng)
+        state = initialize_state(corpus, clamp, h, rng)
+        sweep(state, corpus, clamp, "fixed", h, rng)
         c = phenotype_counts(state, corpus)
         brute = np.zeros_like(c)
         for s in range(corpus.num_sources):

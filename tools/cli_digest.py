@@ -4,14 +4,17 @@ given checkout, so that two checkouts can be compared byte for byte.
     python3 tools/cli_digest.py CHECKOUT > digest.txt
 
 CHECKOUT is a repository root; its `src/` is imported. In a temporary
-directory the script runs generate, preprocess, train (ss3m_fixA0_fixB
-and mc3m, each into its own directory, so both traces are kept), evaluate
-(on a directory holding the two states) and summarize:
+directory the script runs generate, preprocess, train (each model into
+its own directory, so every trace is kept), evaluate (on a directory
+holding the trained states) and summarize:
 
-  * on configs/toy.cfg with seed 1;
+  * on configs/toy.cfg with seed 1, training ss3m_fixA0_fixB,
+    ss3m_smplA0_smplB (estimated labels, HMC-sampled B and Bstar) and
+    mc3m;
   * on the six pipeline corpora of perfbench's pipeline-tokens workload
     for benchmark seed 501: perfbench/run.py's PIPELINE_CONFIG, generate
-    and preprocess seeds 3006-3011, sampler seed 0.
+    and preprocess seeds 3006-3011, sampler seed 0, training
+    ss3m_fixA0_fixB and mc3m.
 
 It prints one `sha256  relative/path` line per output file, sorted by
 path. Two checkouts that draw the same numbers print the same lines:
@@ -41,6 +44,10 @@ TOY_SEED = 1
 PIPELINE_SEEDS = range(3006, 3012)
 SOLVER_SEED = 0
 MODEL_ID = "ss3m_fixA0_fixB"
+# ss3m_smplA0_smplB: the label-estimation clamps and the HMC moves.
+SAMPLED_MODEL = ("ss3m_smplA0_smplB",
+                 ["--train.missing_label_mode", "estimate",
+                  "--train.b_mode", "sampled"])
 
 
 def pipeline_config(checkout: Path) -> str:
@@ -53,8 +60,10 @@ def pipeline_config(checkout: Path) -> str:
 
 
 def run_pipeline(cli, config: Path, work: Path, data_seed: int,
-                 solver_seed: int):
-    """Run the five commands of one pipeline into subdirectories of work."""
+                 solver_seed: int, extra_models=()):
+    """Run the five commands of one pipeline into subdirectories of work.
+    extra_models holds (model_id, config overrides) pairs, trained on the
+    labels like MODEL_ID."""
     cfg = ["--config", str(config)]
     gen, prep, states = work / "gen", work / "prep", work / "states"
     train_c = str(prep / "corpus_train.json")
@@ -71,11 +80,12 @@ def run_pipeline(cli, config: Path, work: Path, data_seed: int,
     run(cfg + ["--seed", str(data_seed), "--out", str(prep), "preprocess",
                "--corpus", str(gen / "corpus.jsonl")])
     states.mkdir()
-    for model_id, labels in ((MODEL_ID, ["--labels", train_l]),
-                             ("mc3m", [])):
+    for model_id, overrides in [(MODEL_ID, []), *extra_models, ("mc3m", [])]:
+        labels = [] if model_id == "mc3m" else ["--labels", train_l]
         out = work / f"train-{model_id}"
-        run(cfg + solver + ["--out", str(out), "train", "--corpus", train_c,
-                            "--model-id", model_id] + labels)
+        run(cfg + solver + overrides
+            + ["--out", str(out), "train", "--corpus", train_c,
+               "--model-id", model_id] + labels)
         name = f"{model_id}.state.json"
         shutil.copyfile(out / name, states / name)
     run(cfg + solver + ["--out", str(work / "eval"), "evaluate",
@@ -109,7 +119,7 @@ def main(argv=None):
         pipeline_cfg = configs / "pipeline.cfg"
         pipeline_cfg.write_text(pipeline_config(checkout), encoding="utf-8")
         run_pipeline(cli, checkout / "configs" / "toy.cfg", outputs / "toy",
-                     TOY_SEED, TOY_SEED)
+                     TOY_SEED, TOY_SEED, [SAMPLED_MODEL])
         for seed in PIPELINE_SEEDS:
             run_pipeline(cli, pipeline_cfg, outputs / f"pipeline-{seed}",
                          seed, SOLVER_SEED)
