@@ -23,13 +23,14 @@ activation on and B = Bstar = c (train_unstructured).
 
 Token-level work runs in one flat pass per source over model.flat_view's
 (w_flat, doc_idx), the source's per-patient arrays laid end to end. The
-z assignments are conditionally independent given (theta, phi), so the
-z pass resamples them all in one vectorized batch, in fixed-size token
-blocks, with one uniform per token drawn in a single call: the same Gibbs
-kernel, and the same draws, as a token-by-token scan. The phenotype and
-token count matrices are one bincount per source; the local step counts
-phenotypes once and hands the counts to both the A scan and the theta
-draw.
+z assignments are conditionally independent given (theta, phi), and a
+token's categorical depends only on its (patient, word) pair, so the z
+pass builds one CDF per distinct pair, in fixed-size blocks of pairs, and
+binary-searches it for each token, with one uniform per token drawn in a
+single call: the same Gibbs kernel, and the same draws, as a
+token-by-token scan. The phenotype and token count matrices are one
+bincount per source; the local step counts phenotypes once and hands the
+counts to both the A scan and the theta draw.
 
 The A update is one exact sequential scan over phenotypes p, each column
 resampled for all D patients at once (activation_scan). Given the
@@ -71,7 +72,8 @@ MISSING_ESTIMATE = "estimate"
 B_FIXED = "fixed"
 B_SAMPLED = "sampled"
 
-# Tokens per block of the z pass: bounds its (block x P) temporaries.
+# Distinct (patient, word) pairs per block of the z pass: bounds its
+# (block x P) temporaries.
 Z_CHUNK = 4096
 
 
@@ -103,25 +105,63 @@ class TrainTrace:
 
 
 def _sample_z_batch(theta, phi_s, w_flat, doc_idx, rng):
-    """Vectorized z resample for all tokens of one source, Z_CHUNK tokens
-    at a time so the (tokens x P) temporaries stay bounded. The uniforms
-    are drawn in one call up front, so the draws do not depend on the
-    chunking."""
+    """Vectorized z resample for all tokens of one source.
+
+    A token's categorical depends only on its (patient, word) pair, so the
+    tokens are sorted by pair once and each distinct pair's weights,
+    total and cumulative sum are built once, Z_CHUNK pairs at a time so
+    the (pairs x P) temporaries stay bounded. Each token's draw is then
+    the number of CDF entries below u * total, found by a binary search
+    over the pair's nondecreasing cumsum: the same count as comparing
+    every entry, in O(log P) per token. Only the first P - 1 entries are
+    searched, so a total that rounds above the cumsum's last entry cannot
+    give the out-of-range phenotype P. The uniforms are drawn in one call
+    up front, one per token in flat order, so the draws do not depend on
+    the blocking.
+    """
+    N, P = len(w_flat), theta.shape[1]
     phi_t = np.ascontiguousarray(phi_s.T)
-    u = rng.random(len(w_flat))
-    z = np.empty(len(w_flat), dtype=np.int64)
-    for start in range(0, len(w_flat), Z_CHUNK):
-        chunk = slice(start, start + Z_CHUNK)
-        probs = theta[doc_idx[chunk]] * phi_t[w_flat[chunk]]
+    u = rng.random(N)
+    key = doc_idx * phi_t.shape[0] + w_flat
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new_pair = np.empty(N, dtype=bool)
+    new_pair[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new_pair[1:])
+    starts = np.append(np.flatnonzero(new_pair), N)
+    pair_of = np.cumsum(new_pair) - 1   # pair index of each sorted token
+    # the stable sort puts each pair's first token in flat order first
+    heads = order[starts[:-1]]
+    z = np.zeros(N, dtype=np.int64)
+    first_bad = N
+    for lo in range(0, len(heads), Z_CHUNK):
+        hi = min(lo + Z_CHUNK, len(heads))
+        block = heads[lo:hi]
+        probs = theta[doc_idx[block]] * phi_t[w_flat[block]]
         totals = probs.sum(axis=1)
         bad = ~(totals > 0.0) | ~np.isfinite(totals)
         if bad.any():
-            i = start + int(np.flatnonzero(bad)[0])
-            raise SamplingError(
-                f"all-zero assignment weights at patient {int(doc_idx[i])}, "
-                f"token {i} (corrupt state)")
-        cum = np.cumsum(probs, axis=1, out=probs)
-        z[chunk] = (cum < (u[chunk] * totals)[:, None]).sum(axis=1)
+            first_bad = min(first_bad, int(block[bad].min()))
+            continue
+        cum = np.cumsum(probs, axis=1, out=probs).ravel()
+        span = slice(starts[lo], starts[hi])
+        rows = pair_of[span] - lo
+        thr = u[order[span]] * totals[rows]
+        # branchless binary search over each row's first P - 1 entries:
+        # the count of entries below thr stays in at - row_start + [0, n],
+        # and n halves with each of the ceil(log2(P - 1)) gathers
+        row_start = rows * P
+        at, n = row_start.copy(), P - 1
+        while n > 1:
+            half = n // 2
+            at += half * (cum[at + half] < thr)
+            n -= half
+        if n:
+            z[order[span]] = at - row_start + (cum[at] < thr)
+    if first_bad < N:
+        raise SamplingError(
+            f"all-zero assignment weights at patient {int(doc_idx[first_bad])}"
+            f", token {first_bad} (corrupt state)")
     return z
 
 

@@ -207,3 +207,62 @@ def test_zero_weight_row_in_last_chunk_names_patient_and_token(n):
     with pytest.raises(SamplingError, match=message):
         gibbs._sample_z_batch(theta, phi_s, w_flat, doc_idx,
                               np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 4096])
+@pytest.mark.parametrize("P", [1, 2, 63, 64, 65, 70, 128])
+@pytest.mark.parametrize("shape", ["mixed", "one_word", "one_token", "empty"])
+def test_z_pass_search_edges(shape, P, chunk, monkeypatch):
+    # blocks of 1 or 2 pairs split every patient's pairs across blocks
+    D, V, n = {"mixed": (4, 7, 90), "one_word": (5, 1, 40),
+               "one_token": (1, 3, 1), "empty": (3, 4, 0)}[shape]
+    theta, phi_s, w_flat, doc_idx = _z_problem(n, P=P, V=V, D=D, seed=P)
+    monkeypatch.setattr(gibbs, "Z_CHUNK", chunk)
+    rng_want = np.random.default_rng(chunk)
+    want = ref.sample_z_batch(theta, phi_s, w_flat, doc_idx, rng_want)
+    rng = np.random.default_rng(chunk)
+    got = gibbs._sample_z_batch(theta, phi_s, w_flat, doc_idx, rng)
+    assert np.array_equal(got, want) and got.dtype == np.int64
+    assert rng.bit_generator.state == rng_want.bit_generator.state
+
+
+class _TopUniforms:
+    """A generator stub whose uniforms are all the largest double below 1."""
+
+    def random(self, n):
+        return np.full(n, 1.0 - 2.0**-53)
+
+
+def test_z_pass_never_returns_phenotype_P():
+    # a row whose pairwise total rounds above its sequential cumsum's last
+    # entry: u * total then exceeds every CDF entry
+    P, top = 70, 1.0 - 2.0**-53
+    for seed in range(100):
+        theta = np.random.default_rng(seed).dirichlet(np.ones(P))[None, :]
+        if top * theta.sum() > np.cumsum(theta)[-1]:
+            break
+    else:
+        pytest.fail("no Dirichlet row with total above its cumsum")
+    phi_s = np.ones((P, 1))
+    w_flat = doc_idx = np.zeros(3, dtype=np.int64)
+    z = gibbs._sample_z_batch(theta, phi_s, w_flat, doc_idx, _TopUniforms())
+    assert np.array_equal(z, [P - 1] * 3)
+
+
+def test_zero_weight_error_names_first_flat_token_across_pair_blocks(
+        monkeypatch):
+    # patient 1's tokens are words 5 then 1: its first pair, (1, 1), sits
+    # in an earlier block than its first token's pair, (1, 5)
+    theta, phi_s, _, _ = _z_problem(0, P=4, V=7, D=3)
+    theta[1] = 0.0
+    w_flat = np.array([3, 2, 5, 1, 4])
+    doc_idx = np.array([0, 0, 1, 1, 2])
+    with pytest.raises(SamplingError) as want:
+        ref.sample_z_batch(theta, phi_s, w_flat, doc_idx,
+                           np.random.default_rng(0))
+    monkeypatch.setattr(gibbs, "Z_CHUNK", 1)
+    with pytest.raises(SamplingError) as got:
+        gibbs._sample_z_batch(theta, phi_s, w_flat, doc_idx,
+                              np.random.default_rng(0))
+    assert str(got.value) == str(want.value)
+    assert "patient 1, token 2" in str(got.value)

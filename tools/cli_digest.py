@@ -11,6 +11,8 @@ holding the trained states) and summarize:
   * on configs/toy.cfg with seed 1, training ss3m_fixA0_fixB,
     ss3m_smplA0_smplB (estimated labels, HMC-sampled B and Bstar) and
     mc3m;
+  * at P=70 on configs/paper_default.cfg shortened by PAPER_OVERRIDES
+    (300 patients, 3 sweeps), seed 1, training the same three models;
   * on the six pipeline corpora of perfbench's pipeline-tokens workload
     for benchmark seed 501: perfbench/run.py's PIPELINE_CONFIG, generate
     and preprocess seeds 3006-3011, sampler seed 0, training
@@ -43,6 +45,16 @@ from pathlib import Path
 TOY_SEED = 1
 PIPELINE_SEEDS = range(3006, 3012)
 SOLVER_SEED = 0
+PAPER_SEED = 1
+# appended to configs/paper_default.cfg: later lines win
+PAPER_OVERRIDES = """\
+train.iterations = 3
+eval.burn_in = 2
+eval.samples = 3
+eval.lr_epochs = 30
+generate.num_patients = 300
+generate.vocab_size = 500,200
+"""
 MODEL_ID = "ss3m_fixA0_fixB"
 # ss3m_smplA0_smplB: the label-estimation clamps and the HMC moves.
 SAMPLED_MODEL = ("ss3m_smplA0_smplB",
@@ -118,8 +130,14 @@ def main(argv=None):
         configs.mkdir()
         pipeline_cfg = configs / "pipeline.cfg"
         pipeline_cfg.write_text(pipeline_config(checkout), encoding="utf-8")
+        paper_cfg = configs / "paper.cfg"
+        paper_cfg.write_text(
+            (checkout / "configs" / "paper_default.cfg").read_text(
+                encoding="utf-8") + PAPER_OVERRIDES, encoding="utf-8")
         run_pipeline(cli, checkout / "configs" / "toy.cfg", outputs / "toy",
                      TOY_SEED, TOY_SEED, [SAMPLED_MODEL])
+        run_pipeline(cli, paper_cfg, outputs / "paper", PAPER_SEED,
+                     PAPER_SEED, [SAMPLED_MODEL])
         for seed in PIPELINE_SEEDS:
             run_pipeline(cli, pipeline_cfg, outputs / f"pipeline-{seed}",
                          seed, SOLVER_SEED)
