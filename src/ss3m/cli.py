@@ -19,6 +19,12 @@ from .util import substream
 
 logger = logging.getLogger(__name__)
 
+# (error class, message prefix, exit code), the first class that matches
+EXITS = ((ConfigError, "config error", 1), (DataError, "data error", 2),
+         (NumericalError, "numerical error", 3), (SS3MError, "error", 1),
+         (OSError, "data error", 2))
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ss3m",
@@ -48,10 +54,9 @@ def build_parser():
                         "Dirichlet baseline")
 
     p = sub.add_parser("evaluate", help="metric suite over trained artifacts")
-    p.add_argument("--train-corpus", required=True)
-    p.add_argument("--train-labels", required=True)
-    p.add_argument("--test-corpus", required=True)
-    p.add_argument("--test-labels", required=True)
+    for name in ("--train-corpus", "--train-labels", "--test-corpus",
+                 "--test-labels"):
+        p.add_argument(name, required=True)
     p.add_argument("--state-dir", required=True,
                    help="directory holding <model_id>.state.json artifacts")
 
@@ -81,10 +86,13 @@ def prepare_out_dir(out_dir, force):
     os.makedirs(out_dir, exist_ok=True)
 
 
+def write_text(out_dir, name, text):
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def echo_config(cfg, out_dir):
-    with open(os.path.join(out_dir, "resolved_config.cfg"), "w",
-              encoding="utf-8") as fh:
-        fh.write(cfg.resolved_text())
+    write_text(out_dir, "resolved_config.cfg", cfg.resolved_text())
 
 
 def hyper_from_config(cfg: RunConfig, num_sources: int) -> model.Hyperparameters:
@@ -120,9 +128,8 @@ def preprocess_config_from(cfg: RunConfig) -> data_io.PreprocessConfig:
 def write_manifest(out_dir, seed, cfg, files):
     manifest = {"seed": seed, "config_sha256": cfg.digest(),
                 "files": sorted(files)}
-    with open(os.path.join(out_dir, "manifest.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    write_text(out_dir, "manifest.json",
+               json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def cmd_generate(args, cfg: RunConfig):
@@ -194,10 +201,16 @@ def _load_training_data(args, cfg):
     corpus, patient_ids, _ = data_io.load_corpus(args.corpus)
     labels = None
     if args.labels:
-        labels, label_pids = data_io.load_labels(args.labels)
-        if label_pids != patient_ids:
-            raise DataError("corpus and labels cover different patients")
+        labels = _load_labels_for(args.labels, patient_ids)
     return corpus, labels, patient_ids
+
+
+def _load_labels_for(path, patient_ids):
+    """The labels at path; DataError unless they cover patient_ids."""
+    labels, label_pids = data_io.load_labels(path)
+    if label_pids != patient_ids:
+        raise DataError(f"{path}: corpus and labels cover different patients")
+    return labels
 
 
 def cmd_train(args, cfg: RunConfig):
@@ -232,8 +245,7 @@ def cmd_train(args, cfg: RunConfig):
         else:
             rate = ""
         rows.append(f"{it},{ll!r},{rate}")
-    with open(os.path.join(args.out, "trace.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+    write_text(args.out, "trace.csv", "\n".join(rows) + "\n")
     echo_config(cfg, args.out)
     write_manifest(args.out, args.seed, cfg,
                    [f"{args.model_id}.state.json", "trace.csv",
@@ -247,8 +259,8 @@ def cmd_evaluate(args, cfg: RunConfig):
     prepare_out_dir(args.out, args.force)
     train_c, train_ids, _ = data_io.load_corpus(args.train_corpus)
     test_c, test_ids, _ = data_io.load_corpus(args.test_corpus)
-    train_l, _ = data_io.load_labels(args.train_labels)
-    test_l, _ = data_io.load_labels(args.test_labels)
+    train_l = _load_labels_for(args.train_labels, train_ids)
+    test_l = _load_labels_for(args.test_labels, test_ids)
     hyper = hyper_from_config(cfg, train_c.num_sources)
 
     if cfg.get("eval.shuffle_labels"):
@@ -272,13 +284,9 @@ def cmd_evaluate(args, cfg: RunConfig):
         mc3m_concentration=cfg.get("eval.mc3m_concentration"),
         lr_lam=cfg.get("eval.lr_lambda"), lr_epochs=cfg.get("eval.lr_epochs"))
 
-    with open(os.path.join(args.out, "metrics.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write(evaluation.reports_to_csv(reports))
+    write_text(args.out, "metrics.csv", evaluation.reports_to_csv(reports))
     table = evaluation.reports_to_table(reports)
-    with open(os.path.join(args.out, "metrics.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(table)
+    write_text(args.out, "metrics.txt", table)
     echo_config(cfg, args.out)
     print(table, end="")
     return 0
@@ -312,13 +320,10 @@ def cmd_summarize(args, cfg: RunConfig):
             text.append(f"  {source_names[s]}: {rendered}")
         payload.append(entry)
 
-    with open(os.path.join(args.out, "summary.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump({"top_k": k, "phenotypes": payload}, fh, indent=2)
+    write_text(args.out, "summary.json",
+               json.dumps({"top_k": k, "phenotypes": payload}, indent=2))
     rendered = "\n".join(text) + "\n"
-    with open(os.path.join(args.out, "summary.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(rendered)
+    write_text(args.out, "summary.txt", rendered)
     print(rendered, end="")
     return 0
 
@@ -339,21 +344,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         return COMMANDS[args.command](args, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
-    except SS3MError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+    except (SS3MError, OSError) as exc:
+        prefix, code = next((prefix, code) for kind, prefix, code in EXITS
+                            if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -13,12 +13,9 @@ from .errors import ConfigError
 REQUIRED = object()
 
 
-def _float_list(text):
-    return tuple(float(x) for x in str(text).split(","))
-
-
-def _int_list(text):
-    return tuple(int(x) for x in str(text).split(","))
+def _list_of(kind):
+    """Parser of a comma list of `kind` values into a tuple."""
+    return lambda text: tuple(kind(x) for x in str(text).split(","))
 
 
 def _bool(text):
@@ -37,7 +34,7 @@ SCHEMA = {
     "model.num_labeled": (int, 50),
     "model.alpha": (float, 0.1),
     # one value broadcast to all sources, or a comma list (one per source)
-    "model.gamma": (_float_list, (0.01,)),
+    "model.gamma": (_list_of(float), (0.01,)),
     "model.b_shape": (float, 10.0),
     "model.b_scale": (float, 1.0),
     "model.bstar_shape": (float, 0.01),
@@ -49,7 +46,7 @@ SCHEMA = {
     "train.b_mode": (str, "fixed"),
     "generate.num_patients": (int, 200),
     "generate.num_sources": (int, 2),
-    "generate.vocab_size": (_int_list, (100,)),
+    "generate.vocab_size": (_list_of(int), (100,)),
     "generate.doc_length_mode": (str, "poisson"),
     "generate.doc_length": (float, 100.0),
     "preprocess.min_count": (int, REQUIRED),

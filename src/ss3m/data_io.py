@@ -10,22 +10,17 @@ Wire formats:
     "ss3m-state-v1".
 """
 
+import contextlib
 import json
 import logging
 import os
 import tempfile
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    DimensionError,
-    NumericalError,
-    VersionError,
-)
+from .errors import ConfigError, DataError, SS3MError, VersionError
 from .model import (
     LABEL_PRESENT,
     LABEL_UNKNOWN,
@@ -108,10 +103,7 @@ def load_raw(path) -> list:
 
 
 def _patient_order(records) -> list:
-    seen = OrderedDict()
-    for rec in records:
-        seen.setdefault(rec.patient_id, None)
-    return list(seen)
+    return list(dict.fromkeys(rec.patient_id for rec in records))
 
 
 def preprocess(records, config: PreprocessConfig):
@@ -137,8 +129,7 @@ def preprocess(records, config: PreprocessConfig):
     for rec in records:
         streams[rec.source][pidx[rec.patient_id]].extend(rec.tokens)
 
-    vocab = []
-    tokens = []
+    vocab, tokens = [], []
     for s in sources:
         total = Counter()
         doc_count = Counter()
@@ -227,11 +218,8 @@ def split(corpus: Corpus, labels: LabelMatrix, train_fraction: float,
             tokens=[[per_source[d] for d in indices]
                     for per_source in corpus.tokens],
         )
-        lab = None
-        if labels is not None:
-            lab = LabelMatrix(entries=labels.entries[indices],
-                              label_names=labels.label_names)
-        return sub, lab
+        return sub, None if labels is None else LabelMatrix(
+            entries=labels.entries[indices], label_names=labels.label_names)
 
     return take(train_idx), take(test_idx), Split(train_idx, test_idx)
 
@@ -270,7 +258,7 @@ def load_state(path):
     whose arrays are malformed or inconsistent (ModelState.validate)
     raises DataError."""
     payload = _load_container(path, STATE_FORMAT_VERSION)
-    try:
+    with _reading(path, "state"):
         state = ModelState(
             theta=np.array(payload["theta"], dtype=float),
             phi=[np.array(p, dtype=float) for p in payload["phi"]],
@@ -281,11 +269,18 @@ def load_state(path):
             Bstar=float(payload["Bstar"]),
         )
         state.validate()
-    except (KeyError, TypeError, ValueError, DataError, DimensionError,
-            NumericalError) as exc:
-        raise DataError(f"{path}: malformed state: {exc}") from exc
     state.A = state.A.astype(np.int8)  # binary, checked by validate
     return state, payload.get("meta", {})
+
+
+@contextlib.contextmanager
+def _reading(path, what: str):
+    """Turns an error raised while building `what` from the fields of the
+    container at path into a DataError naming the file."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, SS3MError) as exc:
+        raise DataError(f"{path}: malformed {what}: {exc}") from exc
 
 
 def _integers(values) -> np.ndarray:
@@ -332,14 +327,22 @@ def save_corpus(corpus: Corpus, patient_ids, path, source_names=None):
 
 
 def load_corpus(path):
-    """Returns (Corpus, patient_ids, source_names)."""
+    """Returns (Corpus, patient_ids, source_names); DataError if a field
+    is missing, not integer where it must be, or of the wrong length."""
     payload = _load_container(path, CORPUS_FORMAT_VERSION)
-    corpus = Corpus(
-        vocab=[list(v) for v in payload["vocab"]],
-        tokens=[[np.array(w, dtype=np.int64) for w in per_source]
-                for per_source in payload["tokens"]],
-    )
-    return corpus, list(payload["patient_ids"]), list(payload["sources"])
+    with _reading(path, "corpus"):
+        corpus = Corpus(
+            vocab=[list(v) for v in payload["vocab"]],
+            tokens=[[_integers(w) for w in per_source]
+                    for per_source in payload["tokens"]],
+        )
+        ids, names = list(payload["patient_ids"]), list(payload["sources"])
+        if (len(ids), len(names)) != (corpus.num_patients, corpus.num_sources):
+            raise ValueError(
+                f"{len(ids)} patient_ids and {len(names)} source names for "
+                f"{corpus.num_patients} patients and {corpus.num_sources} "
+                "sources")
+    return corpus, ids, names
 
 
 def save_labels(labels: LabelMatrix, patient_ids, path):
@@ -353,13 +356,19 @@ def save_labels(labels: LabelMatrix, patient_ids, path):
 
 
 def load_labels(path):
-    """Returns (LabelMatrix, patient_ids)."""
+    """Returns (LabelMatrix, patient_ids); DataError if a field is
+    missing, not integer where it must be, or of the wrong length."""
     payload = _load_container(path, LABELS_FORMAT_VERSION)
-    labels = LabelMatrix(
-        entries=np.array(payload["entries"], dtype=np.int8),
-        label_names=list(payload["label_names"]),
-    )
-    return labels, list(payload["patient_ids"])
+    with _reading(path, "labels"):
+        labels = LabelMatrix(
+            entries=_integers(payload["entries"]),
+            label_names=list(payload["label_names"]),
+        )
+        ids = list(payload["patient_ids"])
+        if len(ids) != labels.num_patients:
+            raise ValueError(f"{len(ids)} patient_ids for "
+                             f"{labels.num_patients} rows")
+    return labels, ids
 
 
 def save_corpus_jsonl(corpus: Corpus, labels, path, patient_ids=None,

@@ -23,7 +23,6 @@ from .model import (
     LabelMatrix,
     ModelState,
     count_pairs,
-    flat_view,
 )
 from .util import substream
 
@@ -109,8 +108,7 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
     gibbs.draw_theta(state, gibbs.phenotype_counts(state, test_corpus), rng)
 
     clamp = np.full((D, P), 1 if unstructured else -1, dtype=np.int8)
-    a_sum = np.zeros((D, P))
-    theta_sum = np.zeros((D, P))
+    a_sum, theta_sum = np.zeros((D, P)), np.zeros((D, P))
     for it in range(burn_in + samples):
         gibbs.local_step(state, test_corpus, clamp, hyper.alpha, rng)
         if it >= burn_in:
@@ -285,11 +283,9 @@ def lr_train(features, truth, lam: float = 1.0, epochs: int = 200):
         w = np.zeros(Xb.shape[1])
         loss, grad = _lr_loss_grad(w, Xb, y, lam)
         for _ in range(epochs):
-            gnorm2 = float(grad @ grad)
-            if gnorm2 < 1e-18:
+            if float(grad @ grad) < 1e-18:
                 break
             t = 1.0
-            stalled = False
             while t > 1e-14:
                 w_new = w - t * grad
                 new_loss, new_grad = _lr_loss_grad(w_new, Xb, y, lam)
@@ -302,8 +298,6 @@ def lr_train(features, truth, lam: float = 1.0, epochs: int = 200):
             else:
                 # no step along -grad improves the objective: we are at
                 # the floating-point optimum, which counts as converged
-                stalled = True
-            if stalled:
                 break
             w, loss, grad = w_new, new_loss, new_grad
         weights.append(w)
@@ -324,9 +318,8 @@ def lr_predict(model, features) -> np.ndarray:
 def raw_token_features(corpus: Corpus) -> np.ndarray:
     """Per-patient token-count vectors, sources concatenated."""
     blocks = []
-    for s, per_source in enumerate(corpus.tokens):
-        w_flat, doc_idx = flat_view(per_source)
-        blocks.append(count_pairs(doc_idx, w_flat, corpus.num_patients,
+    for s, w in enumerate(corpus.tokens):
+        blocks.append(count_pairs(w.doc_idx, w.flat, corpus.num_patients,
                                   len(corpus.vocab[s])))
     return np.hstack(blocks).astype(float)
 
@@ -364,6 +357,18 @@ def evaluate_suite(artifacts: dict, train_corpus: Corpus,
     truth_train = truth_matrix(train_labels)
     reports = []
 
+    def classify(prefix, feats_train, feats_test, nb_mode, max_ll):
+        """The <prefix>_lr and <prefix>_nb reports."""
+        model = lr_train(feats_train, truth_train, lam=lr_lam,
+                         epochs=lr_epochs)
+        reports.append(compute_report(f"{prefix}_lr",
+                                      lr_predict(model, feats_test),
+                                      truth_test, max_ll))
+        model = nb_train(feats_train, truth_train, nb_mode)
+        reports.append(compute_report(f"{prefix}_nb",
+                                      nb_predict(model, feats_test),
+                                      truth_test, max_ll))
+
     for col in STATE_ARTIFACTS[:4]:
         if col not in artifacts:
             logger.warning("no artifact for %s; emitting placeholder", col)
@@ -380,32 +385,17 @@ def evaluate_suite(artifacts: dict, train_corpus: Corpus,
             reports += [MetricsReport(model_id=f"{base_id}_{clf}")
                         for clf in ("lr", "nb")]
             continue
-        # one held-out chain per base model feeds both classifiers
+        # one held-out chain per base model feeds both classifiers; they
+        # train on the max-likelihood theta of the training patients
         state, max_ll = artifacts[base_id]
         theta_prior = mc3m_concentration if base_id == "mc3m" else None
         res = heldout_infer(test_corpus, state, hyper, burn_in=burn_in,
                             samples=samples, seed=seed,
                             theta_prior=theta_prior)
-        feats_train = state.theta  # max-likelihood theta on train
-        feats_test = res.theta_mean
-        model = lr_train(feats_train, truth_train, lam=lr_lam,
-                         epochs=lr_epochs)
-        reports.append(compute_report(f"{base_id}_lr",
-                                      lr_predict(model, feats_test),
-                                      truth_test, max_ll))
-        model = nb_train(feats_train, truth_train, NB_GAUSSIAN)
-        reports.append(compute_report(f"{base_id}_nb",
-                                      nb_predict(model, feats_test),
-                                      truth_test, max_ll))
+        classify(base_id, state.theta, res.theta_mean, NB_GAUSSIAN, max_ll)
 
-    feats_train = raw_token_features(train_corpus)
-    feats_test = raw_token_features(test_corpus)
-    model = lr_train(feats_train, truth_train, lam=lr_lam, epochs=lr_epochs)
-    reports.append(compute_report(
-        "raw_lr", lr_predict(model, feats_test), truth_test))
-    model = nb_train(feats_train, truth_train, NB_MULTINOMIAL)
-    reports.append(compute_report(
-        "raw_nb", nb_predict(model, feats_test), truth_test))
+    classify("raw", raw_token_features(train_corpus),
+             raw_token_features(test_corpus), NB_MULTINOMIAL, None)
     return reports
 
 
@@ -428,13 +418,9 @@ def reports_to_table(reports) -> str:
     """Aligned text table: metric rows by model columns."""
     by_id = {r.model_id: r for r in reports}
     ids = [r.model_id for r in reports]
-    rows = [
-        ("AUROC micro", "auroc_micro"),
-        ("AUROC macro", "auroc_macro"),
-        ("AUPRC micro", "auprc_micro"),
-        ("AUPRC macro", "auprc_macro"),
-        ("Log-likelihood", "max_log_likelihood"),
-    ]
+    rows = (("AUROC micro", "auroc_micro"), ("AUROC macro", "auroc_macro"),
+            ("AUPRC micro", "auprc_micro"), ("AUPRC macro", "auprc_macro"),
+            ("Log-likelihood", "max_log_likelihood"))
     width = max(14, max(len(i) for i in ids) + 2)
     header = f"{'':<16}" + "".join(f"{i:>{width}}" for i in ids)
     lines = [header]

@@ -7,10 +7,10 @@ Dirichlet-multinomial conditional), and theta is drawn right after the
 scan given A and z, before anything reads theta again: a partially
 collapsed Gibbs sampler (van Dyk & Park 2008) whose stationary law is the
 posterior. phi is drawn given z, B is one HMC move over all of log B and
-Bstar one move over log Bstar. Each
-conditional has one kernel, shared by training, the mc3m baseline and
-held-out inference and tested as it is: _sample_z_batch (z),
-activation_scan (A), draw_theta (theta) and draw_phi (phi).
+Bstar one move over log Bstar. Each conditional has one kernel, shared
+by training, the mc3m baseline and held-out inference and tested as it
+is: _sample_z_batch (z), activation_scan (A), draw_theta (theta) and
+draw_phi (phi).
 
 The patient-local part, z -> A -> theta, is one function, local_step,
 run alike by training, the mc3m baseline and held-out inference. They
@@ -21,23 +21,14 @@ leaves every bit free, and the mc3m chains clamp every bit on, because
 mc3m's symmetric Dirichlet(c) prior is the gated prior with every
 activation on and B = Bstar = c (train_unstructured).
 
-Token-level work runs in one flat pass per source over model.flat_view's
-(w_flat, doc_idx), the source's per-patient arrays laid end to end. The
-z assignments are conditionally independent given (theta, phi), and a
-token's categorical depends only on its (patient, word) pair, so the z
-pass builds one CDF per distinct pair, in fixed-size blocks of pairs, and
-binary-searches it for each token, with one uniform per token drawn in a
-single call: the same Gibbs kernel, and the same draws, as a
-token-by-token scan. The phenotype and token count matrices are one
-bincount per source; the local step counts phenotypes once and hands the
-counts to both the A scan and the theta draw.
-
-The A update is one exact sequential scan over phenotypes p, each column
-resampled for all D patients at once (activation_scan). Given the
-phenotype counts the rows of A are independent, so the scan conditions
-every cell on exactly what a cell-by-cell pass over patients then
-phenotypes would, and its uniforms are drawn in that pass's row-major
-order. A scan with every bit clamped draws no uniform.
+Token-level work is one flat pass per source over the arrays the source
+stores (model.Ragged): corpus.tokens[s].flat and .doc_idx, the tokens
+end to end and the patient of each, and state.z[s].flat, the assignments
+in the same layout. The z pass draws what a token-by-token scan would
+(_sample_z_batch), the A update is an exact sequential scan over the
+phenotypes vectorized over patients (activation_scan), and the count
+matrices are one bincount per source: the local step counts phenotypes
+once and hands the counts to both the A scan and the theta draw.
 """
 
 import logging
@@ -48,7 +39,7 @@ import numpy as np
 from scipy.special import expit, gammaln
 
 from . import hmc
-from .errors import ConfigError, SamplingError
+from .errors import ConfigError, DimensionError, SamplingError
 from .model import (
     LABEL_ABSENT,
     LABEL_PRESENT,
@@ -59,9 +50,7 @@ from .model import (
     ModelState,
     complete_data_log_likelihood,
     count_pairs,
-    flat_view,
     prior_matrix,
-    split_flat,
 )
 from .util import PROB_FLOOR, floored_log, sample_dirichlet, substream
 
@@ -170,25 +159,27 @@ def phenotype_counts(state: ModelState, corpus: Corpus) -> np.ndarray:
     D, P = state.theta.shape
     c = np.zeros((D, P), dtype=np.int64)
     for s in range(corpus.num_sources):
-        z_flat, doc_idx = flat_view(state.z[s])
-        c += count_pairs(doc_idx, z_flat, D, P)
+        z = state.z[s]
+        c += count_pairs(z.doc_idx, z.flat, D, P)
     return c
 
 
 def token_counts(state: ModelState, corpus: Corpus, s: int) -> np.ndarray:
     """m[p, v] = number of source-s tokens with value v assigned to p."""
-    z_flat, _ = flat_view(state.z[s])
-    w_flat, _ = flat_view(corpus.tokens[s])
-    return count_pairs(z_flat, w_flat, state.theta.shape[1],
-                       len(corpus.vocab[s]))
+    return count_pairs(state.z[s].flat, corpus.tokens[s].flat,
+                       state.theta.shape[1], len(corpus.vocab[s]))
 
 
 def clamp_matrix(labels: LabelMatrix, options: TrainOptions, D: int,
                  P: int) -> np.ndarray:
     """D x P activation clamps: 1 or 0 where the labels fix the bit, -1
-    where it is sampled."""
+    where it is sampled. The labels must have D rows and at most P
+    columns (DimensionError)."""
     clamp = np.full((D, P), -1, dtype=np.int8)
     if labels is not None:
+        if labels.num_patients != D or labels.num_labels > P:
+            raise DimensionError(f"label matrix {labels.entries.shape} for "
+                                 f"{D} patients and {P} phenotypes")
         ent = labels.entries
         block = clamp[:, :labels.num_labels]
         block[ent == LABEL_PRESENT] = 1
@@ -270,10 +261,10 @@ def activation_scan(A: np.ndarray, clamp: np.ndarray, counts: np.ndarray,
 
 
 def initial_z(corpus: Corpus, P: int, rng: np.random.Generator) -> list:
-    """Uniform starting assignments z[s][d], drawn source by source and
-    patient by patient."""
-    return [[rng.integers(0, P, size=w.size) for w in per_source]
-            for per_source in corpus.tokens]
+    """Uniform starting assignments in the layout of the tokens, one call
+    per source: the values that calls patient by patient would draw."""
+    return [w.like(rng.integers(0, P, size=w.flat.size))
+            for w in corpus.tokens]
 
 
 def draw_theta(state: ModelState, counts: np.ndarray,
@@ -297,15 +288,10 @@ def local_step(state: ModelState, corpus: Corpus, clamp: np.ndarray,
     then A given z with theta integrated out (activation_scan under
     `clamp`), then theta given A and z. The scan and the theta draw read
     the same phenotype counts, summed from the new z."""
-    D, P = state.theta.shape
-    counts = np.zeros((D, P), dtype=np.int64)
-    for s in range(corpus.num_sources):
-        w_flat, doc_idx = flat_view(corpus.tokens[s])
-        if w_flat.size:
-            z_flat = _sample_z_batch(state.theta, state.phi[s], w_flat,
-                                     doc_idx, rng)
-            state.z[s] = split_flat(z_flat, doc_idx, D)
-            counts += count_pairs(doc_idx, z_flat, D, P)
+    for s, w in enumerate(corpus.tokens):
+        state.z[s] = w.like(_sample_z_batch(state.theta, state.phi[s],
+                                            w.flat, w.doc_idx, rng))
+    counts = phenotype_counts(state, corpus)
     activation_scan(state.A, clamp, counts, state.B, state.Bstar, alpha, rng)
     draw_theta(state, counts, rng)
 
@@ -346,8 +332,7 @@ def initialize_state(corpus: Corpus, clamp: np.ndarray,
     """Initial state: z uniform, A set to the clamped bits with free
     entries Bern(alpha), B/Bstar from their Gamma priors, theta/phi from
     their conditionals given the initial z and A."""
-    D = corpus.num_patients
-    P = hyper.num_phenotypes
+    D, P = corpus.num_patients, hyper.num_phenotypes
 
     z = initial_z(corpus, P, rng)
     A = (rng.random((D, P)) < hyper.alpha).astype(np.int8)
@@ -370,12 +355,9 @@ def _run_chain(state: ModelState, corpus: Corpus, clamp: np.ndarray,
     """Run hyper.iterations sweeps from state, tracking the complete-data
     log-likelihood and keeping a deep snapshot of the best state. An
     interrupt returns the partial trace."""
-    trace = TrainTrace()
-    ll = complete_data_log_likelihood(state, corpus, hyper)
-    trace.log_likelihoods.append(ll)
-    trace.best_state = state.copy()
-    trace.best_iteration = 0
-    best_ll = ll
+    best_ll = complete_data_log_likelihood(state, corpus, hyper)
+    trace = TrainTrace(log_likelihoods=[best_ll], best_state=state.copy(),
+                       best_iteration=0)
     try:
         for it in range(1, hyper.iterations + 1):
             stats = sweep(state, corpus, clamp, b_mode, hyper, rng)

@@ -43,7 +43,6 @@ class FunctionTarget:
 class HmcResult:
     next_point: np.ndarray
     accepted: bool
-    hamiltonian_error: float
 
 
 def leapfrog(x, momentum, target: FunctionTarget, eps: float, L: int):
@@ -86,12 +85,10 @@ def hmc_step(x, target: FunctionTarget, eps: float, L: int,
     h0 = -logp0 + 0.5 * float(p0 @ p0)
     h1 = -target.log_density(x1) + 0.5 * float(p1 @ p1)
     dh = h1 - h0
-    if not np.isfinite(dh):
-        return HmcResult(next_point=x.copy(), accepted=False,
-                         hamiltonian_error=float("inf"))
-    if np.log(rng.random()) < -dh:
-        return HmcResult(next_point=x1, accepted=True, hamiltonian_error=dh)
-    return HmcResult(next_point=x.copy(), accepted=False, hamiltonian_error=dh)
+    # a non-finite energy error is rejected without drawing a uniform
+    if np.isfinite(dh) and np.log(rng.random()) < -dh:
+        return HmcResult(next_point=x1, accepted=True)
+    return HmcResult(next_point=x.copy(), accepted=False)
 
 
 def _log_concentration_target(fixed, K, sum_log_theta, shape,

@@ -7,6 +7,9 @@ carries, per source s, a distribution phi_sp over that source's vocabulary.
 Binary activations A_dp gate the Dirichlet prior on theta_d between a
 per-phenotype pseudo-count B_p (active) and a shared small pseudo-count
 Bstar (inactive), which pushes patient mass onto activated phenotypes.
+
+Each source's tokens, and their assignments z, are stored once, end to
+end (Ragged); per-patient arrays are views of the flat one.
 """
 
 from dataclasses import dataclass
@@ -71,12 +74,61 @@ class Hyperparameters:
             raise ConfigError("iterations must be non-negative")
 
 
+class Ragged:
+    """One source's per-patient integer arrays, stored end to end:
+    flat[offsets[d]:offsets[d + 1]] is patient d's array and doc_idx[i]
+    the patient of flat[i]. len(), indexing and iteration give the
+    per-patient arrays as views of flat. offsets and doc_idx are read-only
+    and shared by every Ragged of the layout (like): a source's tokens and
+    its assignments z."""
+
+    __slots__ = ("flat", "offsets", "doc_idx")
+
+    def __init__(self, flat: np.ndarray, lengths):
+        """flat cut into spans of the given lengths."""
+        self.flat = flat
+        self.offsets = np.concatenate(([0], np.cumsum(lengths,
+                                                      dtype=np.int64)))
+        self.doc_idx = np.repeat(np.arange(len(lengths)), lengths)
+        self.offsets.flags.writeable = self.doc_idx.flags.writeable = False
+
+    @classmethod
+    def of(cls, per_patient) -> "Ragged":
+        """per_patient's 1-D arrays as int64, copied end to end; a Ragged
+        is returned as it is."""
+        if isinstance(per_patient, cls):
+            return per_patient
+        arrays = [np.asarray(a, dtype=np.int64) for a in per_patient]
+        if any(a.ndim != 1 for a in arrays):
+            raise DimensionError("each patient's entries must be a 1-D array")
+        return cls(np.concatenate([np.empty(0, dtype=np.int64), *arrays]),
+                   [a.size for a in arrays])
+
+    def like(self, flat: np.ndarray) -> "Ragged":
+        """flat, as long as self.flat, in this layout."""
+        out = object.__new__(Ragged)
+        out.flat, out.offsets, out.doc_idx = flat, self.offsets, self.doc_idx
+        return out
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, d: int) -> np.ndarray:
+        d = range(len(self))[d]
+        return self.flat[self.offsets[d]:self.offsets[d + 1]]
+
+    def __iter__(self):
+        bounds = self.offsets.tolist()
+        return (self.flat[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
 @dataclass(frozen=True)
 class Corpus:
     """Per-source, per-patient token-ID sequences with per-source vocabularies.
 
-    vocab[s] is the token-string list for source s; tokens[s][d] is a 1-D
-    integer array of token IDs for patient d in source s (possibly empty).
+    vocab[s] is the token-string list for source s; tokens[s] is a Ragged
+    built from the given per-patient arrays, tokens[s][d] the token IDs of
+    patient d in source s (possibly empty).
     """
 
     vocab: list
@@ -85,19 +137,18 @@ class Corpus:
     def __post_init__(self):
         if len(self.vocab) != len(self.tokens):
             raise DimensionError("vocab and tokens must have one entry per source")
-        counts = {len(per_source) for per_source in self.tokens}
-        if len(counts) > 1:
+        tokens = [Ragged.of(per_source) for per_source in self.tokens]
+        object.__setattr__(self, "tokens", tokens)
+        if len({len(w) for w in tokens}) > 1:
             raise DimensionError("all sources must cover the same patients")
-        for s, voc in enumerate(self.vocab):
+        for s, (voc, w) in enumerate(zip(self.vocab, tokens)):
             if len(set(voc)) != len(voc):
                 raise ConfigError(f"vocabulary for source {s} has duplicates")
-            v_s = len(voc)
-            for d, w in enumerate(self.tokens[s]):
-                w = np.asarray(w, dtype=np.int64)
-                self.tokens[s][d] = w
-                if w.size and (w.min() < 0 or w.max() >= v_s):
-                    raise DimensionError(
-                        f"token ID out of range for source {s}, patient {d}")
+            bad = np.flatnonzero((w.flat < 0) | (w.flat >= len(voc)))
+            if bad.size:
+                raise DimensionError(
+                    f"token ID out of range for source {s}, patient "
+                    f"{int(w.doc_idx[bad[0]])}")
 
     @property
     def num_sources(self) -> int:
@@ -108,7 +159,7 @@ class Corpus:
         return len(self.tokens[0]) if self.tokens else 0
 
     def num_tokens(self) -> int:
-        return sum(int(w.size) for per_source in self.tokens for w in per_source)
+        return sum(int(w.flat.size) for w in self.tokens)
 
 
 @dataclass(frozen=True)
@@ -119,15 +170,16 @@ class LabelMatrix:
     label_names: list
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.int8)
-        object.__setattr__(self, "entries", entries)
+        entries = np.asarray(self.entries)
         if entries.ndim != 2:
             raise DimensionError("label entries must be a 2-D matrix")
         if entries.shape[1] != len(self.label_names):
             raise DimensionError("label_names must match the number of columns")
+        # checked before the int8 cast, which would wrap 257 to Present
         valid = np.isin(entries, (LABEL_PRESENT, LABEL_ABSENT, LABEL_UNKNOWN))
         if not valid.all():
             raise DataError("label entries must be Present/Absent/Unknown")
+        object.__setattr__(self, "entries", entries.astype(np.int8))
 
     @property
     def num_patients(self) -> int:
@@ -140,8 +192,9 @@ class LabelMatrix:
 
 @dataclass
 class ModelState:
-    """Full latent state: theta (D,P), phi (per source (P,V_s)), z (mirrors
-    corpus tokens), A (D,P) binary, B (P,) positive, Bstar positive."""
+    """Full latent state: theta (D,P), phi (per source (P,V_s)), z (per
+    source a Ragged built from the given per-patient arrays, laid out as
+    the corpus tokens), A (D,P) binary, B (P,) positive, Bstar positive."""
 
     theta: np.ndarray
     phi: list
@@ -149,6 +202,9 @@ class ModelState:
     A: np.ndarray
     B: np.ndarray
     Bstar: float
+
+    def __post_init__(self):
+        self.z = [Ragged.of(z_s) for z_s in self.z]
 
     def validate(self, corpus: Corpus = None, atol: float = 1e-9):
         D, P = self.theta.shape
@@ -172,18 +228,16 @@ class ModelState:
                 and 0 < self.Bstar < np.inf):
             raise NumericalError("B and Bstar must be finite and strictly "
                                  "positive")
-        if corpus is not None:
-            for s, per_source in enumerate(corpus.tokens):
-                for d, w in enumerate(per_source):
-                    if self.z[s][d].shape != w.shape:
-                        raise DimensionError(
-                            f"z shape mismatch at source {s}, patient {d}")
+        if corpus is not None and [z.offsets.tolist() for z in self.z] != [
+                w.offsets.tolist() for w in corpus.tokens]:
+            raise DimensionError("z does not have the corpus's sources, "
+                                 "patients and document lengths")
 
     def copy(self) -> "ModelState":
         return ModelState(
             theta=self.theta.copy(),
             phi=[p.copy() for p in self.phi],
-            z=[[zz.copy() for zz in per_source] for per_source in self.z],
+            z=[z.like(z.flat.copy()) for z in self.z],
             A=self.A.copy(),
             B=self.B.copy(),
             Bstar=float(self.Bstar),
@@ -227,22 +281,6 @@ def prior_matrix(A, B, Bstar: float) -> np.ndarray:
     return np.where(np.asarray(A) == 1, B[None, :], float(Bstar))
 
 
-def flat_view(per_patient):
-    """One source's per-patient arrays laid end to end: (flat, doc_idx),
-    where doc_idx[i] is the patient whose array flat[i] came from. Every
-    token-level pass works on this view; split_flat inverts it."""
-    lengths = [a.size for a in per_patient]
-    flat = (np.concatenate(per_patient) if per_patient
-            else np.empty(0, dtype=np.int64))
-    return flat, np.repeat(np.arange(len(per_patient)), lengths)
-
-
-def split_flat(flat, doc_idx, D: int) -> list:
-    """flat cut into D views sized by the counts of 0..D-1 in doc_idx."""
-    ends = np.cumsum(np.bincount(doc_idx, minlength=D)).tolist()
-    return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
-
-
 def count_pairs(rows, cols, n_rows: int, n_cols: int) -> np.ndarray:
     """(n_rows, n_cols) int64 matrix counting each (rows[i], cols[i])."""
     return np.bincount(rows * n_cols + cols, minlength=n_rows * n_cols
@@ -261,16 +299,17 @@ def _categorical_draws(cdf, rows, u) -> np.ndarray:
     normalized cumulative row cdf[rows[i]] that lie below u[i], found by
     one binary search per draw, grouped by row."""
     out = np.empty(len(rows), dtype=np.int64)
-    order = np.argsort(rows, kind="stable")
-    for r, group in enumerate(split_flat(order, rows, cdf.shape[0])):
+    groups = Ragged(np.argsort(rows, kind="stable"),
+                    np.bincount(rows, minlength=cdf.shape[0]))
+    for r, group in enumerate(groups):
         out[group] = np.searchsorted(cdf[r], u[group], side="left")
     return out
 
 
 def draw_tokens(theta, phi_s, lengths, rng: np.random.Generator):
     """One source's assignments and tokens given theta and the source's
-    phi: (z, w), each a list of per-patient arrays, patient d holding
-    lengths[d] tokens.
+    phi: (z, w), two Ragged of one layout, patient d holding lengths[d]
+    tokens.
 
     Draws 2 * N uniforms in one call: for patient 0 its n_0 assignment
     uniforms then its n_0 token uniforms, then patient 1's two blocks, and
@@ -278,17 +317,17 @@ def draw_tokens(theta, phi_s, lengths, rng: np.random.Generator):
     normalized cumulative theta row below its uniform; a token is the same
     count over the cumulative phi row of z.
     """
-    D = len(lengths)
-    u = rng.random(2 * int(lengths.sum()))
-    doc_idx = np.repeat(np.arange(D), lengths)
-    # patient d's blocks start at 2 * start_d, so the token at flat index i
-    # takes u[start_d + i] for z and u[start_d + i + n_d] for w
-    starts = np.cumsum(lengths) - lengths
-    u_at = np.arange(doc_idx.size) + starts[doc_idx]
-    z_flat = _categorical_draws(_cdf_rows(theta), doc_idx, u[u_at])
-    w_flat = _categorical_draws(_cdf_rows(phi_s), z_flat,
-                                u[u_at + lengths[doc_idx]])
-    return split_flat(z_flat, doc_idx, D), split_flat(w_flat, doc_idx, D)
+    z = Ragged(np.empty(int(lengths.sum()), dtype=np.int64), lengths)
+    u = rng.random(2 * z.flat.size)
+    # patient d's blocks start at 2 * offsets[d], so the token at flat
+    # index i takes u[offsets[d] + i] for z and u[offsets[d] + i + n_d]
+    # for w
+    doc_idx = z.doc_idx
+    u_at = np.arange(doc_idx.size) + z.offsets[doc_idx]
+    z.flat[:] = _categorical_draws(_cdf_rows(theta), doc_idx, u[u_at])
+    w = z.like(_categorical_draws(_cdf_rows(phi_s), z.flat,
+                                  u[u_at + lengths[doc_idx]]))
+    return z, w
 
 
 def generate(hyper: Hyperparameters, vocab_sizes, doc_lengths: DocLengthSpec,
@@ -311,10 +350,8 @@ def generate(hyper: Hyperparameters, vocab_sizes, doc_lengths: DocLengthSpec,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     P, S = hyper.num_phenotypes, hyper.num_sources
 
-    phi = []
-    for s in range(S):
-        conc = np.full((P, vocab_sizes[s]), hyper.gamma[s])
-        phi.append(sample_dirichlet(conc, rng))
+    phi = [sample_dirichlet(np.full((P, v), g), rng)
+           for v, g in zip(vocab_sizes, hyper.gamma)]
 
     B = np.maximum(
         rng.gamma(hyper.b_shape, hyper.b_scale, size=P), PROB_FLOOR)
@@ -324,17 +361,13 @@ def generate(hyper: Hyperparameters, vocab_sizes, doc_lengths: DocLengthSpec,
     A = (rng.random((D, P)) < hyper.alpha).astype(np.int8)
     theta = sample_dirichlet(prior_matrix(A, B, Bstar), rng)
 
-    tokens, z = [], []
-    for s in range(S):
-        z_s, w_s = draw_tokens(theta, phi[s], doc_lengths.draw(s, D, rng), rng)
-        z.append(z_s)
-        tokens.append(w_s)
+    z, tokens = zip(*[draw_tokens(theta, phi[s], doc_lengths.draw(s, D, rng),
+                                  rng) for s in range(S)])
 
     vocab = [[f"s{s}_w{v:05d}" for v in range(vocab_sizes[s])]
              for s in range(S)]
-    corpus = Corpus(vocab=vocab, tokens=tokens)
-    state = ModelState(theta=theta, phi=phi, z=z, A=A, B=B, Bstar=Bstar)
-    return corpus, state
+    return (Corpus(vocab=vocab, tokens=tokens),
+            ModelState(theta=theta, phi=phi, z=z, A=A, B=B, Bstar=Bstar))
 
 
 def labels_from_activations(state: ModelState, num_labeled: int,
@@ -393,14 +426,13 @@ def complete_data_log_likelihood(state: ModelState, corpus: Corpus,
     # as a per-patient loop's.
     log_theta = floored_log(state.theta)
     for s in range(corpus.num_sources):
-        z_flat, doc_idx = flat_view(state.z[s])
-        phi_vals = state.phi[s][z_flat, flat_view(corpus.tokens[s])[0]]
+        z = state.z[s]
+        phi_vals = state.phi[s][z.flat, corpus.tokens[s].flat]
         if np.any(phi_vals == 0.0):
             return float("-inf")
         add = np.add.reduce
-        for theta_d, phi_d in zip(
-                split_flat(log_theta[doc_idx, z_flat], doc_idx, D),
-                split_flat(np.log(phi_vals), doc_idx, D)):
+        for theta_d, phi_d in zip(z.like(log_theta[z.doc_idx, z.flat]),
+                                  z.like(np.log(phi_vals))):
             if theta_d.size:
                 total += float(add(theta_d) + add(phi_d))
 

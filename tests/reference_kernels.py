@@ -13,8 +13,8 @@ gammaln on scalars, the function the vectorized kernel calls, so the two
 agree bit for bit.
 
 The token-path references are the per-patient loops the package used
-before every token-level pass went through one flat view per source
-(ss3m.model.flat_view): the forward simulator with its per-patient
+before every token-level pass went through the flat arrays each source
+stores (ss3m.model.Ragged): the forward simulator with its per-patient
 (n x K) categorical draws, the count matrices, the token terms of the
 complete-data log-likelihood, the raw-token features and the unchunked
 z pass.
@@ -44,11 +44,10 @@ from ss3m.model import (
     LABEL_PRESENT,
     Corpus,
     ModelState,
+    Ragged,
     count_pairs,
-    flat_view,
     log_gamma_pdf,
     prior_matrix,
-    split_flat,
 )
 from ss3m.util import PROB_FLOOR, floored_log, sample_dirichlet, substream
 
@@ -231,12 +230,11 @@ def unstructured_sweep(state, corpus, hyper, rng):
     """The sweep as the baseline ran it: z, no activation scan, theta from
     the constant prior B[0], phi, no HMC."""
     D, P = state.theta.shape
-    for s in range(corpus.num_sources):
-        w_flat, doc_idx = flat_view(corpus.tokens[s])
-        if w_flat.size:
-            z_flat = gibbs._sample_z_batch(state.theta, state.phi[s], w_flat,
-                                           doc_idx, rng)
-            state.z[s] = split_flat(z_flat, doc_idx, D)
+    for s, w in enumerate(corpus.tokens):
+        if w.flat.size:
+            z_flat = gibbs._sample_z_batch(state.theta, state.phi[s], w.flat,
+                                           w.doc_idx, rng)
+            state.z[s] = w.like(z_flat)
     counts = gibbs.phenotype_counts(state, corpus)
     prior = np.full((D, P), float(state.B[0]))
     state.theta = sample_dirichlet(prior + counts, rng)
@@ -280,8 +278,8 @@ def heldout_infer(test_corpus, trained, hyper, burn_in, samples, seed,
     D = test_corpus.num_patients
     P = hyper.num_phenotypes
     gated = theta_prior is None
-    flat = [flat_view(per_source) for per_source in test_corpus.tokens]
-    z = [flat_view([rng.integers(0, P, size=w.size) for w in per_source])[0]
+    flat = [(w.flat, w.doc_idx) for w in test_corpus.tokens]
+    z = [Ragged.of([rng.integers(0, P, size=w.size) for w in per_source]).flat
          for per_source in test_corpus.tokens]
     state = ModelState(theta=np.empty((D, P)),
                        phi=[p.copy() for p in trained.phi], z=[],

@@ -358,6 +358,46 @@ class TestErrorPaths:
                    "--corpus", os.path.join(prep, "corpus_train.json")) == 2
         assert "source 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["train", "test"])
+    def test_evaluate_labels_of_other_patients_is_data_error(
+            self, tmp_path, toy_config, capsys, which):
+        # the same number of rows, other patients: without the patient_ids
+        # check the metrics would silently score the wrong rows
+        prep, states = self._trained(tmp_path, toy_config)
+        corpora = {name: os.path.join(prep, f"corpus_{name}.json")
+                   for name in ("train", "test")}
+        labels = {name: os.path.join(prep, f"labels_{name}.json")
+                  for name in ("train", "test")}
+        with open(labels[which]) as fh:
+            payload = json.load(fh)
+        payload["patient_ids"] = payload["patient_ids"][::-1]
+        labels[which] = str(tmp_path / "other_labels.json")
+        with open(labels[which], "w") as fh:
+            json.dump(payload, fh)
+        capsys.readouterr()
+        assert run("--config", toy_config, "--out", str(tmp_path / "eval"),
+                   "evaluate",
+                   "--train-corpus", corpora["train"],
+                   "--train-labels", labels["train"],
+                   "--test-corpus", corpora["test"],
+                   "--test-labels", labels["test"],
+                   "--state-dir", states) == 2
+        assert "cover different patients" in capsys.readouterr().err
+
+    def test_corpus_missing_tokens_is_data_error(self, tmp_path, toy_config,
+                                                 capsys):
+        prep, _ = self._trained(tmp_path, toy_config)
+        path = os.path.join(prep, "corpus_train.json")
+        with open(path) as fh:
+            payload = json.load(fh)
+        del payload["tokens"]
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        capsys.readouterr()
+        assert run("--config", toy_config, "--out", str(tmp_path / "o"),
+                   "train", "--corpus", path) == 2
+        assert "malformed corpus" in capsys.readouterr().err
+
     def test_phenotype_count_mismatch_is_data_error(self, tmp_path,
                                                     toy_config):
         prep, states = self._trained(tmp_path, toy_config)

@@ -307,3 +307,60 @@ class TestContainers:
                 got = [corpus2.vocab[s][v] for v in corpus2.tokens[s][d]]
                 want = [corpus.vocab[s][v] for v in corpus.tokens[s][i]]
                 assert got == want
+
+
+class TestMalformedContainers:
+    """A corpus or labels container whose fields are missing, of the
+    wrong type or of the wrong length is a DataError (CLI exit 2)."""
+
+    def _corpus_payload(self):
+        return {"format_version": data_io.CORPUS_FORMAT_VERSION,
+                "patient_ids": ["p0"], "sources": ["s0"],
+                "vocab": [["a", "b"]], "tokens": [[[0, 1]]]}
+
+    def _labels_payload(self):
+        return {"format_version": data_io.LABELS_FORMAT_VERSION,
+                "patient_ids": ["p0", "p1"], "label_names": ["l0"],
+                "entries": [[1], [-1]]}
+
+    def _write(self, tmp_path, payload):
+        path = tmp_path / "container.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_well_formed_containers_load(self, tmp_path):
+        corpus, pids, sources = data_io.load_corpus(
+            self._write(tmp_path, self._corpus_payload()))
+        assert pids == ["p0"] and sources == ["s0"]
+        assert corpus.tokens[0][0].tolist() == [0, 1]
+        labels, pids = data_io.load_labels(
+            self._write(tmp_path, self._labels_payload()))
+        assert pids == ["p0", "p1"] and labels.entries.tolist() == [[1], [-1]]
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda pl: pl["tokens"][0][0].__setitem__(1, 1.7),  # fractional ID
+        lambda pl: pl.pop("tokens"),                         # missing field
+        lambda pl: pl.__setitem__("patient_ids", ["p0", "p1", "p2"]),
+        lambda pl: pl.__setitem__("sources", []),            # no source name
+        lambda pl: pl["tokens"][0][0].__setitem__(1, 2),     # out of range
+        lambda pl: pl["tokens"][0].__setitem__(0, [[0, 1]]),  # nested tokens
+    ])
+    def test_malformed_corpus_is_data_error(self, tmp_path, corrupt):
+        payload = self._corpus_payload()
+        corrupt(payload)
+        with pytest.raises(DataError, match="malformed corpus"):
+            data_io.load_corpus(self._write(tmp_path, payload))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda pl: pl["entries"][0].__setitem__(0, 0.9),    # not an integer
+        lambda pl: pl["entries"][0].__setitem__(0, 300),    # beyond int8
+        lambda pl: pl["entries"][0].__setitem__(0, 257),    # wraps to 1
+        lambda pl: pl.__setitem__("patient_ids", ["p0"]),   # one id, 2 rows
+        lambda pl: pl.pop("label_names"),                   # missing field
+        lambda pl: pl["entries"][1].append(1),              # ragged rows
+    ])
+    def test_malformed_labels_is_data_error(self, tmp_path, corrupt):
+        payload = self._labels_payload()
+        corrupt(payload)
+        with pytest.raises(DataError):
+            data_io.load_labels(self._write(tmp_path, payload))

@@ -28,7 +28,6 @@ from ss3m.model import (
     DocLengthSpec,
     ModelState,
     complete_data_log_likelihood,
-    flat_view,
     generate,
 )
 
@@ -157,7 +156,7 @@ def test_z_pass_matches_single_block(problem, chunk, seed):
     # a small chunk makes every example span several blocks
     state, corpus, _ = problem
     for s in range(corpus.num_sources):
-        w_flat, doc_idx = flat_view(corpus.tokens[s])
+        w_flat, doc_idx = corpus.tokens[s].flat, corpus.tokens[s].doc_idx
         phi_s = np.where(state.phi[s] > 0.0, state.phi[s], 0.01)
         rng_want = np.random.default_rng(seed)
         want = ref.sample_z_batch(state.theta, phi_s, w_flat, doc_idx,

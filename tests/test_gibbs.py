@@ -6,7 +6,7 @@ import scipy.stats as st
 
 from conftest import cell_log_odds, make_hyper, random_tiny_state
 from ss3m import gibbs
-from ss3m.errors import SamplingError
+from ss3m.errors import DimensionError, SamplingError
 from ss3m.gibbs import (
     TrainOptions,
     activation_scan,
@@ -421,3 +421,17 @@ class TestTrain:
         t2 = train(corpus, empty, h, TrainOptions(seed=11))
         assert t1.log_likelihoods == t2.log_likelihoods
         assert np.array_equal(t1.best_state.theta, t2.best_state.theta)
+
+    @pytest.mark.parametrize("shape", [(11, 1), (13, 1), (12, 4)])
+    def test_label_matrix_of_wrong_shape_is_dimension_error(self, shape):
+        # 12 patients and 3 phenotypes: a label row per patient and at
+        # most one column per phenotype
+        h = make_hyper(P=3, P_lab=1, gamma=0.2, iterations=1)
+        corpus, _ = generate(h, [10], DocLengthSpec.fixed(10, 1), 12, seed=5)
+        labels = LabelMatrix(entries=np.full(shape, LABEL_PRESENT,
+                                             dtype=np.int8),
+                             label_names=[f"l{j}" for j in range(shape[1])])
+        with pytest.raises(DimensionError, match="label matrix"):
+            clamp_matrix(labels, TrainOptions(), 12, 3)
+        with pytest.raises(DimensionError, match="label matrix"):
+            train(corpus, labels, h, TrainOptions(seed=1))
