@@ -108,9 +108,10 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
     gibbs.draw_theta(state, gibbs.phenotype_counts(state, test_corpus), rng)
 
     clamp = np.full((D, P), 1 if unstructured else -1, dtype=np.int8)
+    plan = gibbs.ZPlan.of(test_corpus, P)
     a_sum, theta_sum = np.zeros((D, P)), np.zeros((D, P))
     for it in range(burn_in + samples):
-        gibbs.local_step(state, test_corpus, clamp, hyper.alpha, rng)
+        gibbs.local_step(state, test_corpus, plan, clamp, hyper.alpha, rng)
         if it >= burn_in:
             a_sum += state.A
             theta_sum += state.theta

@@ -29,6 +29,16 @@ in the same layout. The z pass draws what a token-by-token scan would
 phenotypes vectorized over patients (activation_scan), and the count
 matrices are one bincount per source: the local step counts phenotypes
 once and hands the counts to both the A scan and the theta draw.
+
+The z pass works on distinct (patient, word) pairs, and the tokens do
+not change along a chain, so each chain plans it once (ZPlan, built next
+to the chain's clamp matrix): each source's tokens sorted by pair, with
+the pair starts and heads, and one scratch pair of at most Z_CHUNK x P
+floats that every block of every sweep reuses. A block gathers its theta
+and phi rows into the scratch, multiplies them in place, and turns the
+products into running sums by P - 1 in-place column adds: a row cumsum's
+additions in its order, so the same floats, without a fresh (block x P)
+temporary.
 """
 
 import logging
@@ -93,49 +103,125 @@ class TrainTrace:
         return max(self.log_likelihoods) if self.log_likelihoods else float("-inf")
 
 
-def _sample_z_batch(theta, phi_s, w_flat, doc_idx, rng):
-    """Vectorized z resample for all tokens of one source.
+@dataclass(frozen=True)
+class _Pairs:
+    """One source's tokens grouped by (patient, word) pair: the tokens in
+    pair order (order), each one's row within its block of pairs (rows),
+    where each pair's tokens start in that order (starts, one more than
+    the pairs), and each pair's first token in flat order (heads), patient
+    and word. V is the source's vocabulary size."""
 
-    A token's categorical depends only on its (patient, word) pair, so the
-    tokens are sorted by pair once and each distinct pair's weights,
-    total and cumulative sum are built once, Z_CHUNK pairs at a time so
-    the (pairs x P) temporaries stay bounded. Each token's draw is then
-    the number of CDF entries below u * total, found by a binary search
-    over the pair's nondecreasing cumsum: the same count as comparing
-    every entry, in O(log P) per token. Only the first P - 1 entries are
-    searched, so a total that rounds above the cumsum's last entry cannot
-    give the out-of-range phenotype P. The uniforms are drawn in one call
-    up front, one per token in flat order, so the draws do not depend on
-    the blocking.
+    order: np.ndarray
+    rows: np.ndarray
+    starts: np.ndarray
+    heads: np.ndarray
+    patient: np.ndarray
+    word: np.ndarray
+    V: int
+
+
+class ZPlan:
+    """What the z pass needs that stays fixed along a chain, built once
+    per chain and reused by every sweep: each source's pair index (_Pairs)
+    and one float64 scratch pair of min(Z_CHUNK, most pairs of a source)
+    x P, shared by the sources.
+
+    sources holds one (w_flat, doc_idx, V) per source: its token IDs end
+    to end, the patient of each and its vocabulary size. The token IDs
+    must lie in [0, V) and the patients in [0, num_patients)
+    (DimensionError): the z pass gathers rows at these indices without
+    checking them again.
     """
-    N, P = len(w_flat), theta.shape[1]
-    phi_t = np.ascontiguousarray(phi_s.T)
+
+    def __init__(self, sources, num_patients: int, num_phenotypes: int):
+        self.shape = (num_patients, num_phenotypes)
+        self.chunk = Z_CHUNK
+        self.pairs = [self._pair_index(np.asarray(w_flat), np.asarray(doc_idx),
+                                       V, s)
+                      for s, (w_flat, doc_idx, V) in enumerate(sources)]
+        rows = min(self.chunk, max((p.heads.size for p in self.pairs),
+                                   default=0))
+        self.scratch = np.empty((2, rows, num_phenotypes))
+
+    @classmethod
+    def of(cls, corpus: Corpus, num_phenotypes: int) -> "ZPlan":
+        """The plan for every source of corpus."""
+        return cls([(w.flat, w.doc_idx, len(voc))
+                    for w, voc in zip(corpus.tokens, corpus.vocab)],
+                   corpus.num_patients, num_phenotypes)
+
+    def _pair_index(self, w_flat, doc_idx, V: int, s: int) -> _Pairs:
+        D, N = self.shape[0], w_flat.size
+        if w_flat.shape != (N,) or doc_idx.shape != (N,):
+            raise DimensionError(f"source {s}: token IDs and patients must "
+                                 "be 1-D arrays of one length")
+        if N and not (0 <= w_flat.min() and w_flat.max() < V
+                      and 0 <= doc_idx.min() and doc_idx.max() < D):
+            raise DimensionError(f"source {s}: token ID outside [0, {V}) or "
+                                 f"patient outside [0, {D})")
+        key = doc_idx * V + w_flat
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new_pair = np.empty(N, dtype=bool)
+        new_pair[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new_pair[1:])
+        starts = np.append(np.flatnonzero(new_pair), N)
+        # the stable sort puts each pair's first token in flat order first
+        heads = order[starts[:-1]]
+        return _Pairs(order=order, rows=(np.cumsum(new_pair) - 1) % self.chunk,
+                      starts=starts, heads=heads, patient=doc_idx[heads],
+                      word=w_flat[heads], V=V)
+
+
+def _sample_z_batch(theta, phi_s, plan: ZPlan, s: int, rng):
+    """Vectorized z resample for all tokens of source s of plan.
+
+    A token's categorical depends only on its (patient, word) pair, so
+    each distinct pair's weights, total and cumulative sum are built once,
+    plan.chunk pairs at a time in the plan's scratch: the theta and phi
+    rows are gathered into it and multiplied there, the totals are the
+    row sums and the cumsum is P - 1 in-place column adds, the additions
+    of a row cumsum in its order. Each token's draw is then the number of
+    CDF entries below u * total, found by a binary search over the pair's
+    nondecreasing cumsum: the same count as comparing every entry, in
+    O(log P) per token. Only the first P - 1 entries are searched, so a
+    total that rounds above the cumsum's last entry cannot give the
+    out-of-range phenotype P. The uniforms are drawn in one call up
+    front, one per token in flat order, so the draws do not depend on the
+    blocking. theta must be (D, P) and phi_s (P, V) for the plan's D, P
+    and the source's V (DimensionError).
+    """
+    pairs, (D, P) = plan.pairs[s], plan.shape
+    if np.shape(theta) != (D, P) or np.shape(phi_s) != (P, pairs.V):
+        raise DimensionError(
+            f"theta {np.shape(theta)} and phi {np.shape(phi_s)} for a z plan "
+            f"of {D} patients, {P} phenotypes and {pairs.V} words")
+    theta = np.asarray(theta, dtype=np.float64)
+    phi_t = np.ascontiguousarray(np.transpose(phi_s), dtype=np.float64)
+    N, U = pairs.order.size, pairs.heads.size
     u = rng.random(N)
-    key = doc_idx * phi_t.shape[0] + w_flat
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    new_pair = np.empty(N, dtype=bool)
-    new_pair[:1] = True
-    np.not_equal(key[1:], key[:-1], out=new_pair[1:])
-    starts = np.append(np.flatnonzero(new_pair), N)
-    pair_of = np.cumsum(new_pair) - 1   # pair index of each sorted token
-    # the stable sort puts each pair's first token in flat order first
-    heads = order[starts[:-1]]
     z = np.zeros(N, dtype=np.int64)
-    first_bad = N
-    for lo in range(0, len(heads), Z_CHUNK):
-        hi = min(lo + Z_CHUNK, len(heads))
-        block = heads[lo:hi]
-        probs = theta[doc_idx[block]] * phi_t[w_flat[block]]
+    first_bad, bad_patient = N, None    # the first token of a corrupt pair
+    for lo in range(0, U, plan.chunk):
+        hi = min(lo + plan.chunk, U)
+        # the plan checked the indices, so clipping changes none of them
+        probs, factor = plan.scratch[:, :hi - lo]
+        np.take(theta, pairs.patient[lo:hi], axis=0, out=probs, mode="clip")
+        np.take(phi_t, pairs.word[lo:hi], axis=0, out=factor, mode="clip")
+        np.multiply(probs, factor, out=probs)
         totals = probs.sum(axis=1)
         bad = ~(totals > 0.0) | ~np.isfinite(totals)
         if bad.any():
-            first_bad = min(first_bad, int(block[bad].min()))
+            i = lo + np.flatnonzero(bad)[np.argmin(pairs.heads[lo:hi][bad])]
+            if pairs.heads[i] < first_bad:
+                first_bad, bad_patient = int(pairs.heads[i]), pairs.patient[i]
             continue
-        cum = np.cumsum(probs, axis=1, out=probs).ravel()
-        span = slice(starts[lo], starts[hi])
-        rows = pair_of[span] - lo
-        thr = u[order[span]] * totals[rows]
+        for p in range(1, P):
+            np.add(probs[:, p - 1], probs[:, p], out=probs[:, p])
+        cum = probs.ravel()
+        span = slice(pairs.starts[lo], pairs.starts[hi])
+        tokens, rows = pairs.order[span], pairs.rows[span]
+        thr = u[tokens] * totals[rows]
         # branchless binary search over each row's first P - 1 entries:
         # the count of entries below thr stays in at - row_start + [0, n],
         # and n halves with each of the ceil(log2(P - 1)) gathers
@@ -146,11 +232,11 @@ def _sample_z_batch(theta, phi_s, w_flat, doc_idx, rng):
             at += half * (cum[at + half] < thr)
             n -= half
         if n:
-            z[order[span]] = at - row_start + (cum[at] < thr)
+            z[tokens] = at - row_start + (cum[at] < thr)
     if first_bad < N:
         raise SamplingError(
-            f"all-zero assignment weights at patient {int(doc_idx[first_bad])}"
-            f", token {first_bad} (corrupt state)")
+            f"all-zero assignment weights at patient {int(bad_patient)}, "
+            f"token {first_bad} (corrupt state)")
     return z
 
 
@@ -282,27 +368,29 @@ def draw_phi(state: ModelState, corpus: Corpus, hyper: Hyperparameters,
         state.phi[s] = sample_dirichlet(hyper.gamma[s] + m, rng)
 
 
-def local_step(state: ModelState, corpus: Corpus, clamp: np.ndarray,
-               alpha: float, rng: np.random.Generator):
-    """The patient-local conditionals, in place: z given theta and phi,
-    then A given z with theta integrated out (activation_scan under
-    `clamp`), then theta given A and z. The scan and the theta draw read
-    the same phenotype counts, summed from the new z."""
+def local_step(state: ModelState, corpus: Corpus, plan: ZPlan,
+               clamp: np.ndarray, alpha: float, rng: np.random.Generator):
+    """The patient-local conditionals, in place: z given theta and phi
+    (_sample_z_batch on the chain's plan for corpus), then A given z with
+    theta integrated out (activation_scan under `clamp`), then theta given
+    A and z. The scan and the theta draw read the same phenotype counts,
+    summed from the new z."""
     for s, w in enumerate(corpus.tokens):
-        state.z[s] = w.like(_sample_z_batch(state.theta, state.phi[s],
-                                            w.flat, w.doc_idx, rng))
+        state.z[s] = w.like(_sample_z_batch(state.theta, state.phi[s], plan,
+                                            s, rng))
     counts = phenotype_counts(state, corpus)
     activation_scan(state.A, clamp, counts, state.B, state.Bstar, alpha, rng)
     draw_theta(state, counts, rng)
 
 
-def sweep(state: ModelState, corpus: Corpus, clamp: np.ndarray, b_mode: str,
-          hyper: Hyperparameters, rng: np.random.Generator) -> dict:
+def sweep(state: ModelState, corpus: Corpus, plan: ZPlan, clamp: np.ndarray,
+          b_mode: str, hyper: Hyperparameters,
+          rng: np.random.Generator) -> dict:
     """One full Gibbs pass: the local step over z, A and theta, then phi
     and, with b_mode "sampled", B then Bstar. Mutates state in place and
     returns the HMC bookkeeping counts.
     """
-    local_step(state, corpus, clamp, hyper.alpha, rng)
+    local_step(state, corpus, plan, clamp, hyper.alpha, rng)
     draw_phi(state, corpus, hyper, rng)
 
     # prior pseudo-counts: one HMC move over log B, then one over log Bstar
@@ -352,15 +440,16 @@ def initialize_state(corpus: Corpus, clamp: np.ndarray,
 def _run_chain(state: ModelState, corpus: Corpus, clamp: np.ndarray,
                b_mode: str, hyper: Hyperparameters,
                rng: np.random.Generator) -> TrainTrace:
-    """Run hyper.iterations sweeps from state, tracking the complete-data
-    log-likelihood and keeping a deep snapshot of the best state. An
-    interrupt returns the partial trace."""
+    """Run hyper.iterations sweeps from state on one z plan, tracking the
+    complete-data log-likelihood and keeping a deep snapshot of the best
+    state. An interrupt returns the partial trace."""
+    plan = ZPlan.of(corpus, hyper.num_phenotypes)
     best_ll = complete_data_log_likelihood(state, corpus, hyper)
     trace = TrainTrace(log_likelihoods=[best_ll], best_state=state.copy(),
                        best_iteration=0)
     try:
         for it in range(1, hyper.iterations + 1):
-            stats = sweep(state, corpus, clamp, b_mode, hyper, rng)
+            stats = sweep(state, corpus, plan, clamp, b_mode, hyper, rng)
             ll = complete_data_log_likelihood(state, corpus, hyper)
             trace.log_likelihoods.append(ll)
             trace.hmc_accepts.append(stats["hmc_accepts"])

@@ -74,6 +74,18 @@ class Hyperparameters:
             raise ConfigError("iterations must be non-negative")
 
 
+def _int64(values) -> np.ndarray:
+    """values as an int64 array; DataError if an entry is not an integer."""
+    read = np.asarray(values)
+    if read.dtype.kind in "iu":
+        return read.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage
+        cast = read.astype(np.int64)
+    if not np.array_equal(cast, read):
+        raise DataError("token IDs and assignments must be integers")
+    return cast
+
+
 class Ragged:
     """One source's per-patient integer arrays, stored end to end:
     flat[offsets[d]:offsets[d + 1]] is patient d's array and doc_idx[i]
@@ -95,10 +107,11 @@ class Ragged:
     @classmethod
     def of(cls, per_patient) -> "Ragged":
         """per_patient's 1-D arrays as int64, copied end to end; a Ragged
-        is returned as it is."""
+        is returned as it is. An entry that is not an integer (1.7, NaN)
+        is a DataError, where a cast would truncate it."""
         if isinstance(per_patient, cls):
             return per_patient
-        arrays = [np.asarray(a, dtype=np.int64) for a in per_patient]
+        arrays = [_int64(a) for a in per_patient]
         if any(a.ndim != 1 for a in arrays):
             raise DimensionError("each patient's entries must be a 1-D array")
         return cls(np.concatenate([np.empty(0, dtype=np.int64), *arrays]),
@@ -228,6 +241,9 @@ class ModelState:
                 and 0 < self.Bstar < np.inf):
             raise NumericalError("B and Bstar must be finite and strictly "
                                  "positive")
+        for s, z in enumerate(self.z):
+            if z.flat.size and not (0 <= z.flat.min() and z.flat.max() < P):
+                raise DataError(f"z of source {s} outside [0, {P})")
         if corpus is not None and [z.offsets.tolist() for z in self.z] != [
                 w.offsets.tolist() for w in corpus.tokens]:
             raise DimensionError("z does not have the corpus's sources, "

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ss3m.gibbs import activation_log_odds
+from ss3m import gibbs
+from ss3m.gibbs import ZPlan, activation_log_odds
 from ss3m.model import Corpus, Hyperparameters, ModelState, prior_matrix
 from ss3m.util import sample_dirichlet
 
@@ -31,6 +32,13 @@ def random_tiny_state(rng, D=2, P=2, S=1, V=3, max_tokens=3,
          for per_source in tokens]
     state = ModelState(theta=theta, phi=phi, z=z, A=A, B=B, Bstar=Bstar)
     return state, corpus
+
+
+def z_pass(theta, phi_s, w_flat, doc_idx, rng):
+    """The z kernel on a one-source plan over the given tokens."""
+    theta, phi_s = np.asarray(theta), np.asarray(phi_s)
+    plan = ZPlan([(w_flat, doc_idx, phi_s.shape[1])], *theta.shape)
+    return gibbs._sample_z_batch(theta, phi_s, plan, 0, rng)
 
 
 @st.composite

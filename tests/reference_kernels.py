@@ -230,10 +230,11 @@ def unstructured_sweep(state, corpus, hyper, rng):
     """The sweep as the baseline ran it: z, no activation scan, theta from
     the constant prior B[0], phi, no HMC."""
     D, P = state.theta.shape
+    plan = gibbs.ZPlan.of(corpus, P)
     for s, w in enumerate(corpus.tokens):
         if w.flat.size:
-            z_flat = gibbs._sample_z_batch(state.theta, state.phi[s], w.flat,
-                                           w.doc_idx, rng)
+            z_flat = gibbs._sample_z_batch(state.theta, state.phi[s], plan, s,
+                                           rng)
             state.z[s] = w.like(z_flat)
     counts = gibbs.phenotype_counts(state, corpus)
     prior = np.full((D, P), float(state.B[0]))
@@ -279,6 +280,7 @@ def heldout_infer(test_corpus, trained, hyper, burn_in, samples, seed,
     P = hyper.num_phenotypes
     gated = theta_prior is None
     flat = [(w.flat, w.doc_idx) for w in test_corpus.tokens]
+    plan = gibbs.ZPlan.of(test_corpus, P)
     z = [Ragged.of([rng.integers(0, P, size=w.size) for w in per_source]).flat
          for per_source in test_corpus.tokens]
     state = ModelState(theta=np.empty((D, P)),
@@ -300,8 +302,8 @@ def heldout_infer(test_corpus, trained, hyper, burn_in, samples, seed,
     for it in range(burn_in + samples):
         for s, (w_flat, doc_idx) in enumerate(flat):
             if w_flat.size:
-                z[s] = gibbs._sample_z_batch(state.theta, state.phi[s],
-                                             w_flat, doc_idx, rng)
+                z[s] = gibbs._sample_z_batch(state.theta, state.phi[s], plan,
+                                             s, rng)
         counts = assignment_counts()
         if gated:
             collapsed_scan(state, counts, hyper, rng)

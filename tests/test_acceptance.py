@@ -17,7 +17,7 @@ import pytest
 from scipy.special import gammaln
 from scipy.stats import chisquare, dirichlet_multinomial, kstest, norm
 
-from conftest import cell_log_odds, make_hyper, random_tiny_state
+from conftest import cell_log_odds, make_hyper, random_tiny_state, z_pass
 from ss3m.cli import main as cli_main
 from ss3m.evaluation import auprc, auroc, heldout_infer, micro_macro
 from ss3m.gibbs import (
@@ -26,7 +26,7 @@ from ss3m.gibbs import (
     MISSING_ESTIMATE,
     MISSING_FIX_ZERO,
     TrainOptions,
-    _sample_z_batch,
+    ZPlan,
     activation_scan,
     clamp_matrix,
     draw_phi,
@@ -145,9 +145,9 @@ def test_criterion_1_conditional_exactness(rng):
     for w in range(4):
         want = theta * phi[:, w]
         want /= want.sum()
-        draws = _sample_z_batch(theta[None, :], phi,
-                                np.full(N_DRAWS, w, dtype=np.int64),
-                                np.zeros(N_DRAWS, dtype=np.int64), rng)
+        draws = z_pass(theta[None, :], phi,
+                       np.full(N_DRAWS, w, dtype=np.int64),
+                       np.zeros(N_DRAWS, dtype=np.int64), rng)
         observed = np.bincount(draws, minlength=3)
         p = chisquare(observed, want * N_DRAWS).pvalue
         if p <= SIGNIFICANCE:
@@ -410,9 +410,10 @@ def test_paper_prior_training_prunes_activations():
         free = clamp < 0
         rng = substream(options.seed, "gibbs.train")
         state = initialize_state(corpus, clamp, h, rng)
+        plan = ZPlan.of(corpus, 10)
         fractions = []
         for _ in range(20):
-            sweep(state, corpus, clamp, options.b_mode, h, rng)
+            sweep(state, corpus, plan, clamp, options.b_mode, h, rng)
             ok &= bool(np.all(state.A[~free] == clamp[~free]))
             ok &= bool(np.isfinite(
                 complete_data_log_likelihood(state, corpus, h)))

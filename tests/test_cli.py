@@ -320,6 +320,29 @@ class TestErrorPaths:
                    "--corpus", os.path.join(prep, "corpus_train.json")) == 2
         assert "malformed state" in capsys.readouterr().err
 
+    def test_out_of_range_assignment_is_data_error(self, tmp_path,
+                                                   toy_config, capsys):
+        prep, states = self._trained(tmp_path, toy_config)
+        path = os.path.join(states, "ss3m_fixA0_fixB.state.json")
+        with open(path) as fh:
+            payload = json.load(fh)
+        next(z for z in payload["z"][0] if z)[0] = 99
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        capsys.readouterr()
+        assert run("--config", toy_config, "--out", str(tmp_path / "eval"),
+                   "evaluate",
+                   "--train-corpus", os.path.join(prep, "corpus_train.json"),
+                   "--train-labels", os.path.join(prep, "labels_train.json"),
+                   "--test-corpus", os.path.join(prep, "corpus_test.json"),
+                   "--test-labels", os.path.join(prep, "labels_test.json"),
+                   "--state-dir", states) == 2
+        assert "z of source 0 outside" in capsys.readouterr().err
+        assert run("--config", toy_config, "--out", str(tmp_path / "o"),
+                   "summarize", "--state", path,
+                   "--corpus", os.path.join(prep, "corpus_train.json")) == 2
+        assert "malformed state" in capsys.readouterr().err
+
     @pytest.mark.parametrize("override", [
         ["--eval.burn_in", "-2"],
         ["--eval.mc3m_concentration", "-1"],

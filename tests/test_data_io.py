@@ -260,6 +260,20 @@ class TestStateRoundTrip:
         with pytest.raises(DataError, match="malformed state"):
             load_state(path)
 
+    @pytest.mark.parametrize("value", [99, 2, -1])
+    def test_out_of_range_assignment_is_data_error(self, tmp_path, rng,
+                                                   value):
+        # P = 2, so z must lie in [0, 2)
+        state, _ = random_tiny_state(rng, D=4, P=2, max_tokens=3)
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        payload = json.loads(path.read_text())
+        patient = next(z for z in payload["z"][0] if z)
+        patient[0] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=r"z of source 0 outside \[0, 2\)"):
+            load_state(path)
+
     def test_future_version_names_both(self, tmp_path, rng):
         state, _ = random_tiny_state(rng)
         path = tmp_path / "state.json"

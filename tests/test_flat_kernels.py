@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reference_kernels as ref
-from conftest import make_hyper
+from conftest import make_hyper, z_pass
 from ss3m import gibbs
 from ss3m.errors import SamplingError
 from ss3m.evaluation import raw_token_features
@@ -164,8 +164,7 @@ def test_z_pass_matches_single_block(problem, chunk, seed):
         rng = np.random.default_rng(seed)
         saved, gibbs.Z_CHUNK = gibbs.Z_CHUNK, chunk
         try:
-            got = gibbs._sample_z_batch(state.theta, phi_s, w_flat, doc_idx,
-                                        rng)
+            got = z_pass(state.theta, phi_s, w_flat, doc_idx, rng)
         finally:
             gibbs.Z_CHUNK = saved
         assert np.array_equal(got, want) and got.dtype == np.int64
@@ -188,7 +187,7 @@ def test_z_pass_chunk_boundaries(n):
     rng_want = np.random.default_rng(n)
     want = ref.sample_z_batch(theta, phi_s, w_flat, doc_idx, rng_want)
     rng = np.random.default_rng(n)
-    got = gibbs._sample_z_batch(theta, phi_s, w_flat, doc_idx, rng)
+    got = z_pass(theta, phi_s, w_flat, doc_idx, rng)
     assert np.array_equal(got, want)
     assert rng.bit_generator.state == rng_want.bit_generator.state
 
@@ -204,8 +203,7 @@ def test_zero_weight_row_in_last_chunk_names_patient_and_token(n):
         ref.sample_z_batch(theta, phi_s, w_flat, doc_idx,
                            np.random.default_rng(0))
     with pytest.raises(SamplingError, match=message):
-        gibbs._sample_z_batch(theta, phi_s, w_flat, doc_idx,
-                              np.random.default_rng(0))
+        z_pass(theta, phi_s, w_flat, doc_idx, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 4096])
@@ -220,7 +218,7 @@ def test_z_pass_search_edges(shape, P, chunk, monkeypatch):
     rng_want = np.random.default_rng(chunk)
     want = ref.sample_z_batch(theta, phi_s, w_flat, doc_idx, rng_want)
     rng = np.random.default_rng(chunk)
-    got = gibbs._sample_z_batch(theta, phi_s, w_flat, doc_idx, rng)
+    got = z_pass(theta, phi_s, w_flat, doc_idx, rng)
     assert np.array_equal(got, want) and got.dtype == np.int64
     assert rng.bit_generator.state == rng_want.bit_generator.state
 
@@ -244,7 +242,7 @@ def test_z_pass_never_returns_phenotype_P():
         pytest.fail("no Dirichlet row with total above its cumsum")
     phi_s = np.ones((P, 1))
     w_flat = doc_idx = np.zeros(3, dtype=np.int64)
-    z = gibbs._sample_z_batch(theta, phi_s, w_flat, doc_idx, _TopUniforms())
+    z = z_pass(theta, phi_s, w_flat, doc_idx, _TopUniforms())
     assert np.array_equal(z, [P - 1] * 3)
 
 
@@ -261,7 +259,6 @@ def test_zero_weight_error_names_first_flat_token_across_pair_blocks(
                            np.random.default_rng(0))
     monkeypatch.setattr(gibbs, "Z_CHUNK", 1)
     with pytest.raises(SamplingError) as got:
-        gibbs._sample_z_batch(theta, phi_s, w_flat, doc_idx,
-                              np.random.default_rng(0))
+        z_pass(theta, phi_s, w_flat, doc_idx, np.random.default_rng(0))
     assert str(got.value) == str(want.value)
     assert "patient 1, token 2" in str(got.value)

@@ -33,7 +33,14 @@ import pytest
 from scipy.stats import norm
 
 from conftest import make_hyper
-from ss3m.gibbs import B_FIXED, B_SAMPLED, TrainOptions, clamp_matrix, sweep
+from ss3m.gibbs import (
+    B_FIXED,
+    B_SAMPLED,
+    TrainOptions,
+    ZPlan,
+    clamp_matrix,
+    sweep,
+)
 from ss3m.model import (
     Corpus,
     DocLengthSpec,
@@ -141,7 +148,9 @@ def test_sweep_leaves_the_joint_law_invariant(case):
     rng = np.random.default_rng((seed, 2))
     chain = np.empty((n_chain, prior.shape[1]))
     for it in range(n_chain):
-        sweep(state, corpus, clamp, options.b_mode, hyper, rng)
+        # the tokens are redrawn every sweep, and the plan with them
+        sweep(state, corpus, ZPlan.of(corpus, hyper.num_phenotypes), clamp,
+              options.b_mode, hyper, rng)
         corpus = redraw_tokens(state, corpus, rng)
         names, chain[it] = statistics(state, b_mode)
 

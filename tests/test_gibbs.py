@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from conftest import cell_log_odds, make_hyper, random_tiny_state
-from ss3m import gibbs
+from conftest import cell_log_odds, make_hyper, random_tiny_state, z_pass
 from ss3m.errors import DimensionError, SamplingError
 from ss3m.gibbs import (
     TrainOptions,
+    ZPlan,
     activation_scan,
     clamp_matrix,
     draw_phi,
@@ -36,9 +36,9 @@ from ss3m.util import sample_dirichlet, substream
 def _z_draws(theta, phi, w, n, rng):
     """n z draws for n copies of token w in one patient, from the batched
     z kernel the sweep runs."""
-    return gibbs._sample_z_batch(np.asarray([theta], dtype=float), phi,
-                                 np.full(n, w, dtype=np.int64),
-                                 np.zeros(n, dtype=np.int64), rng)
+    return z_pass(np.asarray([theta], dtype=float), phi,
+                  np.full(n, w, dtype=np.int64), np.zeros(n, dtype=np.int64),
+                  rng)
 
 
 class TestSampleZToken:
@@ -59,7 +59,7 @@ class TestSampleZToken:
         phi = np.full((P, 3), 1 / 3)
         n = 10 ** 5
         theta = np.full(P, 1 / P)
-        draws = gibbs._sample_z_batch(
+        draws = z_pass(
             np.tile(theta, (n, 1))[:1], phi,
             np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), rng)
         counts = np.bincount(draws, minlength=P)
@@ -300,7 +300,8 @@ class TestSweep:
         for _ in range(2):
             rng = substream(5, "sweep-test")
             state = initialize_state(corpus, clamp, h, rng)
-            sweep(state, corpus, clamp, "sampled", h, rng)
+            sweep(state, corpus, ZPlan.of(corpus, 4), clamp, "sampled", h,
+                  rng)
             states.append(state)
         a, b = states
         assert np.array_equal(a.theta, b.theta)
@@ -316,8 +317,9 @@ class TestSweep:
         clamp = clamp_matrix(labels, TrainOptions(), 20, 4)
         rng = substream(1, "sweep-test")
         state = initialize_state(corpus, clamp, h, rng)
+        plan = ZPlan.of(corpus, 4)
         for _ in range(3):
-            sweep(state, corpus, clamp, "sampled", h, rng)
+            sweep(state, corpus, plan, clamp, "sampled", h, rng)
             state.validate(corpus)
 
     def test_z_accuracy_above_chance_at_truth(self):
@@ -331,8 +333,7 @@ class TestSweep:
         lengths = [w.size for w in corpus.tokens[0]]
         w_flat = np.concatenate([w for w in corpus.tokens[0] if w.size])
         doc_idx = np.repeat(np.arange(500), lengths)
-        z_flat = gibbs._sample_z_batch(truth.theta, truth.phi[0], w_flat,
-                                       doc_idx, rng)
+        z_flat = z_pass(truth.theta, truth.phi[0], w_flat, doc_idx, rng)
         z_true = np.concatenate(truth.z[0])
         accuracy = (z_flat == z_true).mean()
         assert accuracy > 1.0 / P
@@ -343,7 +344,7 @@ class TestSweep:
         clamp = clamp_matrix(labels, TrainOptions(), 20, 4)
         rng = substream(3, "sweep-test")
         state = initialize_state(corpus, clamp, h, rng)
-        sweep(state, corpus, clamp, "fixed", h, rng)
+        sweep(state, corpus, ZPlan.of(corpus, 4), clamp, "fixed", h, rng)
         c = phenotype_counts(state, corpus)
         brute = np.zeros_like(c)
         for s in range(corpus.num_sources):

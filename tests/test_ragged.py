@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tiny_state
-from ss3m.errors import DimensionError
+from ss3m.errors import DataError, DimensionError
 from ss3m.model import Corpus, ModelState, Ragged
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None,
@@ -38,6 +38,31 @@ def test_round_trip_from_per_patient_arrays(arrays_in):
         w.tolist() for w in arrays_in]
     with pytest.raises(IndexError):
         r[len(r)]
+
+
+@pytest.mark.parametrize("entry", [1.7, float("nan"), float("inf"), -0.5])
+def test_non_integer_entries_are_data_errors(entry):
+    with pytest.raises(DataError, match="must be integers"):
+        Ragged.of([[0, 1], [0, entry]])
+    with pytest.raises(DataError, match="must be integers"):
+        Corpus(vocab=[["a", "b"]], tokens=[[[0, entry]]])
+    with pytest.raises(DataError, match="must be integers"):
+        ModelState(theta=np.full((1, 2), 0.5), phi=[np.full((2, 2), 0.5)],
+                   z=[[np.array([entry])]], A=np.ones((1, 2), dtype=np.int8),
+                   B=np.ones(2), Bstar=0.1)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, float])
+def test_integer_entries_are_kept(dtype):
+    # integral values keep their value whatever the array's dtype; an
+    # empty list (float64 to numpy) is an empty patient
+    r = Ragged.of([np.array([2, 0, 5], dtype=dtype), [], [1]])
+    assert r.flat.dtype == np.int64
+    assert r.flat.tolist() == [2, 0, 5, 1]
+    assert r.offsets.tolist() == [0, 3, 3, 4]
+    corpus = Corpus(vocab=[["a", "b", "c"]],
+                    tokens=[[np.array([2, 0], dtype=dtype), []]])
+    assert corpus.tokens[0].flat.tolist() == [2, 0]
 
 
 @PROPERTY_SETTINGS
