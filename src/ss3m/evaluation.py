@@ -83,10 +83,10 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
         raise ConfigError("samples must be >= 1")
     if unstructured and not theta_prior > 0:
         raise ConfigError("theta_prior must be positive")
-    for s in range(test_corpus.num_sources):
-        if trained.phi[s].shape[1] != len(test_corpus.vocab[s]):
-            raise DataError(
-                f"test vocabulary for source {s} does not match trained phi")
+    widths = [phi_s.shape[1] for phi_s in trained.phi]
+    if widths != [len(voc) for voc in test_corpus.vocab]:
+        raise DataError(f"trained phi has {widths} words per source, the test "
+                        f"vocabularies {[len(v) for v in test_corpus.vocab]}")
     P = hyper.num_phenotypes
     if trained.theta.shape[1] != P or trained.B.shape != (P,):
         raise DataError(
@@ -389,6 +389,10 @@ def evaluate_suite(artifacts: dict, train_corpus: Corpus,
         # one held-out chain per base model feeds both classifiers; they
         # train on the max-likelihood theta of the training patients
         state, max_ll = artifacts[base_id]
+        if state.theta.shape[0] != train_corpus.num_patients:
+            raise DataError(
+                f"{base_id}: theta has {state.theta.shape[0]} patients, the "
+                f"training corpus {train_corpus.num_patients}")
         theta_prior = mc3m_concentration if base_id == "mc3m" else None
         res = heldout_infer(test_corpus, state, hyper, burn_in=burn_in,
                             samples=samples, seed=seed,

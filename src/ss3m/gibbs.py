@@ -38,7 +38,7 @@ floats that every block of every sweep reuses. A block gathers its theta
 and phi rows into the scratch, multiplies them in place, and turns the
 products into running sums by P - 1 in-place column adds: a row cumsum's
 additions in its order, so the same floats, without a fresh (block x P)
-temporary.
+temporary. model.count_below, the search generate also draws with, finds z.
 """
 
 import logging
@@ -59,7 +59,9 @@ from .model import (
     LabelMatrix,
     ModelState,
     complete_data_log_likelihood,
+    count_below,
     count_pairs,
+    draw_concentrations,
     prior_matrix,
 )
 from .util import PROB_FLOOR, floored_log, sample_dirichlet, substream
@@ -182,14 +184,11 @@ def _sample_z_batch(theta, phi_s, plan: ZPlan, s: int, rng):
     rows are gathered into it and multiplied there, the totals are the
     row sums and the cumsum is P - 1 in-place column adds, the additions
     of a row cumsum in its order. Each token's draw is then the number of
-    CDF entries below u * total, found by a binary search over the pair's
-    nondecreasing cumsum: the same count as comparing every entry, in
-    O(log P) per token. Only the first P - 1 entries are searched, so a
-    total that rounds above the cumsum's last entry cannot give the
-    out-of-range phenotype P. The uniforms are drawn in one call up
-    front, one per token in flat order, so the draws do not depend on the
-    blocking. theta must be (D, P) and phi_s (P, V) for the plan's D, P
-    and the source's V (DimensionError).
+    its pair's first P - 1 cumsum entries below u * total, found in
+    O(log P) by model.count_below, so it is never the out-of-range P. The
+    uniforms are drawn in one call up front, one per token in flat order,
+    so the draws do not depend on the blocking. theta must be (D, P) and
+    phi_s (P, V) for the plan's D, P and the source's V (DimensionError).
     """
     pairs, (D, P) = plan.pairs[s], plan.shape
     if np.shape(theta) != (D, P) or np.shape(phi_s) != (P, pairs.V):
@@ -200,7 +199,7 @@ def _sample_z_batch(theta, phi_s, plan: ZPlan, s: int, rng):
     phi_t = np.ascontiguousarray(np.transpose(phi_s), dtype=np.float64)
     N, U = pairs.order.size, pairs.heads.size
     u = rng.random(N)
-    z = np.zeros(N, dtype=np.int64)
+    z = np.empty(N, dtype=np.int64)
     first_bad, bad_patient = N, None    # the first token of a corrupt pair
     for lo in range(0, U, plan.chunk):
         hi = min(lo + plan.chunk, U)
@@ -218,21 +217,9 @@ def _sample_z_batch(theta, phi_s, plan: ZPlan, s: int, rng):
             continue
         for p in range(1, P):
             np.add(probs[:, p - 1], probs[:, p], out=probs[:, p])
-        cum = probs.ravel()
         span = slice(pairs.starts[lo], pairs.starts[hi])
         tokens, rows = pairs.order[span], pairs.rows[span]
-        thr = u[tokens] * totals[rows]
-        # branchless binary search over each row's first P - 1 entries:
-        # the count of entries below thr stays in at - row_start + [0, n],
-        # and n halves with each of the ceil(log2(P - 1)) gathers
-        row_start = rows * P
-        at, n = row_start.copy(), P - 1
-        while n > 1:
-            half = n // 2
-            at += half * (cum[at + half] < thr)
-            n -= half
-        if n:
-            z[tokens] = at - row_start + (cum[at] < thr)
+        z[tokens] = count_below(probs, rows, u[tokens] * totals[rows])
     if first_bad < N:
         raise SamplingError(
             f"all-zero assignment weights at patient {int(bad_patient)}, "
@@ -426,10 +413,7 @@ def initialize_state(corpus: Corpus, clamp: np.ndarray,
     A = (rng.random((D, P)) < hyper.alpha).astype(np.int8)
     A = np.where(clamp < 0, A, clamp).astype(np.int8)
 
-    B = np.maximum(rng.gamma(hyper.b_shape, hyper.b_scale, size=P), PROB_FLOOR)
-    Bstar = float(max(rng.gamma(hyper.bstar_shape, hyper.bstar_scale),
-                      PROB_FLOOR))
-
+    B, Bstar = draw_concentrations(hyper, rng)
     state = ModelState(theta=np.empty((D, P)), phi=[None] * corpus.num_sources,
                        z=z, A=A, B=B, Bstar=Bstar)
     draw_theta(state, phenotype_counts(state, corpus), rng)

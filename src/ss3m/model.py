@@ -9,7 +9,8 @@ per-phenotype pseudo-count B_p (active) and a shared small pseudo-count
 Bstar (inactive), which pushes patient mass onto activated phenotypes.
 
 Each source's tokens, and their assignments z, are stored once, end to
-end (Ragged); per-patient arrays are views of the flat one.
+end (Ragged); per-patient arrays are views of the flat one. Every
+categorical draw, generate's and the Gibbs z pass's, is count_below.
 """
 
 from dataclasses import dataclass
@@ -219,8 +220,9 @@ class ModelState:
     def __post_init__(self):
         self.z = [Ragged.of(z_s) for z_s in self.z]
 
-    def validate(self, corpus: Corpus = None, atol: float = 1e-9):
+    def validate(self, corpus: Corpus = None):
         D, P = self.theta.shape
+        atol = 1e-9  # how far a theta or phi row sum may stray from 1
         if self.A.shape != (D, P):
             raise DimensionError("A must be D x P")
         if not np.isin(self.A, (0, 1)).all():
@@ -303,23 +305,24 @@ def count_pairs(rows, cols, n_rows: int, n_cols: int) -> np.ndarray:
                        ).reshape(n_rows, n_cols)
 
 
-def _cdf_rows(probs) -> np.ndarray:
-    """Row-wise cumulative sums, each divided by its last entry."""
-    cum = np.cumsum(probs, axis=1)
-    cum /= cum[:, -1:]
-    return cum
-
-
-def _categorical_draws(cdf, rows, u) -> np.ndarray:
-    """Inverse-CDF draws: out[i] is the number of entries of the
-    normalized cumulative row cdf[rows[i]] that lie below u[i], found by
-    one binary search per draw, grouped by row."""
-    out = np.empty(len(rows), dtype=np.int64)
-    groups = Ragged(np.argsort(rows, kind="stable"),
-                    np.bincount(rows, minlength=cdf.shape[0]))
-    for r, group in enumerate(groups):
-        out[group] = np.searchsorted(cdf[r], u[group], side="left")
-    return out
+def count_below(cum, rows, thr) -> np.ndarray:
+    """out[i]: how many of the first K - 1 entries of row cum[rows[i]] of
+    the (R, K) array cum lie below thr[i]. For running sums of weights and
+    thr[i] = u * the row's last entry, an inverse-CDF draw from the row;
+    the last entry is never searched, so a thr that rounds above it cannot
+    give K. A branchless binary search: the count stays in at - row_start
+    + [0, n], and n halves with each of the ceil(log2(K - 1)) gathers."""
+    K = cum.shape[1]
+    flat = cum.reshape(-1)
+    row_start = rows * K
+    at, n = row_start.copy(), K - 1
+    while n > 1:
+        half = n // 2
+        at += half * (flat[at + half] < thr)
+        n -= half
+    if n:
+        at += flat[at] < thr
+    return at - row_start
 
 
 def draw_tokens(theta, phi_s, lengths, rng: np.random.Generator):
@@ -329,9 +332,9 @@ def draw_tokens(theta, phi_s, lengths, rng: np.random.Generator):
 
     Draws 2 * N uniforms in one call: for patient 0 its n_0 assignment
     uniforms then its n_0 token uniforms, then patient 1's two blocks, and
-    so on. An assignment z is the number of entries of the patient's
-    normalized cumulative theta row below its uniform; a token is the same
-    count over the cumulative phi row of z.
+    so on. An assignment z is count_below over the patient's cumulative
+    theta row at its uniform times the row's total; a token is the same
+    search over the cumulative phi row of z.
     """
     z = Ragged(np.empty(int(lengths.sum()), dtype=np.int64), lengths)
     u = rng.random(2 * z.flat.size)
@@ -340,10 +343,21 @@ def draw_tokens(theta, phi_s, lengths, rng: np.random.Generator):
     # for w
     doc_idx = z.doc_idx
     u_at = np.arange(doc_idx.size) + z.offsets[doc_idx]
-    z.flat[:] = _categorical_draws(_cdf_rows(theta), doc_idx, u[u_at])
-    w = z.like(_categorical_draws(_cdf_rows(phi_s), z.flat,
-                                  u[u_at + lengths[doc_idx]]))
+    cum = np.cumsum(theta, axis=1)
+    z.flat[:] = count_below(cum, doc_idx, u[u_at] * cum[doc_idx, -1])
+    cum = np.cumsum(phi_s, axis=1)
+    w = z.like(count_below(cum, z.flat,
+                           u[u_at + lengths[doc_idx]] * cum[z.flat, -1]))
     return z, w
+
+
+def draw_concentrations(hyper: Hyperparameters, rng: np.random.Generator):
+    """(B, Bstar) from their Gamma priors floored at PROB_FLOOR, B first."""
+    B = np.maximum(rng.gamma(hyper.b_shape, hyper.b_scale,
+                             size=hyper.num_phenotypes), PROB_FLOOR)
+    Bstar = float(max(rng.gamma(hyper.bstar_shape, hyper.bstar_scale),
+                      PROB_FLOOR))
+    return B, Bstar
 
 
 def generate(hyper: Hyperparameters, vocab_sizes, doc_lengths: DocLengthSpec,
@@ -369,11 +383,7 @@ def generate(hyper: Hyperparameters, vocab_sizes, doc_lengths: DocLengthSpec,
     phi = [sample_dirichlet(np.full((P, v), g), rng)
            for v, g in zip(vocab_sizes, hyper.gamma)]
 
-    B = np.maximum(
-        rng.gamma(hyper.b_shape, hyper.b_scale, size=P), PROB_FLOOR)
-    Bstar = float(max(rng.gamma(hyper.bstar_shape, hyper.bstar_scale),
-                      PROB_FLOOR))
-
+    B, Bstar = draw_concentrations(hyper, rng)
     A = (rng.random((D, P)) < hyper.alpha).astype(np.int8)
     theta = sample_dirichlet(prior_matrix(A, B, Bstar), rng)
 

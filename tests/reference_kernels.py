@@ -19,6 +19,11 @@ stores (ss3m.model.Ragged): the forward simulator with its per-patient
 complete-data log-likelihood, the raw-token features and the unchunked
 z pass.
 
+The inverse-CDF reference is the sampler the forward model used before
+it shared the z pass's binary search (ss3m.model.count_below): rows of
+the cumulative weights divided by their totals, and one np.searchsorted
+per row over the uniforms themselves.
+
 The chain references are the code the package ran before the mc3m
 baseline and held-out inference became the gated chain with every
 activation on and B = Bstar = c: the baseline trainer with its own init
@@ -110,6 +115,38 @@ def categorical_rows(probs, rng):
     cum /= cum[:, -1:]
     u = rng.random((probs.shape[0], 1))
     return (cum < u).sum(axis=1).astype(np.int64)
+
+
+def cdf_rows(probs):
+    """Row-wise cumulative sums, each divided by its last entry."""
+    cum = np.cumsum(probs, axis=1)
+    cum /= cum[:, -1:]
+    return cum
+
+
+def categorical_draws(cdf, rows, u):
+    """Inverse-CDF draws: out[i] is the number of entries of the
+    normalized cumulative row cdf[rows[i]] that lie below u[i], found by
+    one np.searchsorted per row, the draws grouped by row."""
+    out = np.empty(len(rows), dtype=np.int64)
+    groups = Ragged(np.argsort(rows, kind="stable"),
+                    np.bincount(rows, minlength=cdf.shape[0]))
+    for r, group in enumerate(groups):
+        out[group] = np.searchsorted(cdf[r], u[group], side="left")
+    return out
+
+
+def draw_tokens(theta, phi_s, lengths, rng):
+    """model.draw_tokens on the sampler above: the same uniforms (2 * N in
+    one call, patient by patient its z block then its w block), searched
+    in the normalized CDF rows; returns (z, w) as flat arrays."""
+    doc_idx = np.repeat(np.arange(lengths.size), lengths)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    u = rng.random(2 * doc_idx.size)
+    u_at = np.arange(doc_idx.size) + offsets[doc_idx]
+    z = categorical_draws(cdf_rows(theta), doc_idx, u[u_at])
+    w = categorical_draws(cdf_rows(phi_s), z, u[u_at + lengths[doc_idx]])
+    return z, w
 
 
 def generate(hyper, vocab_sizes, doc_lengths, D, seed):

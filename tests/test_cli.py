@@ -432,6 +432,27 @@ class TestErrorPaths:
                    "--test-labels", os.path.join(prep, "labels_test.json"),
                    "--state-dir", states) == 2
 
+    def test_base_model_of_other_patients_is_data_error(self, tmp_path,
+                                                        toy_config, capsys):
+        # mc3m trained on the training split, evaluated against the test
+        # split given as the training corpus: its theta rows are other
+        # patients
+        prep, _ = self._trained(tmp_path, toy_config)
+        states = str(tmp_path / "mc3m")
+        assert run("--config", toy_config, "--seed", "1", "--out", states,
+                   "train",
+                   "--corpus", os.path.join(prep, "corpus_train.json"),
+                   "--model-id", "mc3m") == 0
+        capsys.readouterr()
+        assert run("--config", toy_config, "--out", str(tmp_path / "eval"),
+                   "evaluate",
+                   "--train-corpus", os.path.join(prep, "corpus_test.json"),
+                   "--train-labels", os.path.join(prep, "labels_test.json"),
+                   "--test-corpus", os.path.join(prep, "corpus_test.json"),
+                   "--test-labels", os.path.join(prep, "labels_test.json"),
+                   "--state-dir", states) == 2
+        assert "mc3m: theta has 9 patients" in capsys.readouterr().err
+
     def test_invalid_hyperparameter_is_config_error(self, tmp_path,
                                                     toy_config):
         assert run("--config", toy_config, "--model.alpha", "1.5",

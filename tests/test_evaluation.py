@@ -5,7 +5,12 @@ import pytest
 
 from conftest import make_hyper
 from ss3m import evaluation
-from ss3m.errors import ConfigError, SamplingError, UndefinedMetricError
+from ss3m.errors import (
+    ConfigError,
+    DataError,
+    SamplingError,
+    UndefinedMetricError,
+)
 from ss3m.evaluation import (
     NB_GAUSSIAN,
     NB_MULTINOMIAL,
@@ -252,6 +257,24 @@ class TestHeldoutInfer:
         with pytest.raises(ConfigError, match=message):
             heldout_infer(corpus, truth, h, seed=1, **settings)
 
+    def test_state_with_fewer_sources_is_data_error(self):
+        h = make_hyper(P=3, P_lab=2, S=2, alpha=0.3, gamma=0.05)
+        corpus, truth = generate(h, [20, 10], DocLengthSpec.poisson(10, 2),
+                                 12, seed=3)
+        truth.phi = truth.phi[:1]
+        with pytest.raises(DataError, match=r"phi has \[20\] words per "
+                                            r"source, the test vocabularies "
+                                            r"\[20, 10\]"):
+            heldout_infer(corpus, truth, h, burn_in=0, samples=1, seed=1)
+
+    def test_state_with_more_sources_is_data_error(self):
+        h, corpus, truth = _trained_toy()
+        truth.phi = truth.phi * 2
+        with pytest.raises(DataError, match=r"phi has \[30, 30\] words "
+                                            r"per source, the test "
+                                            r"vocabularies \[30\]"):
+            heldout_infer(corpus, truth, h, burn_in=0, samples=1, seed=1)
+
     def test_non_finite_log_odds_names_the_cell(self):
         # an infinite Bstar makes every activation log-odds inf - inf; the
         # held-out scan stops at the first cell instead of reading it as
@@ -385,6 +408,20 @@ class TestEvaluateSuite:
                                  burn_in=1, samples=2, seed=1, lr_epochs=20)
         placeholders = [r for r in reports if r.auroc_micro is None]
         assert len(placeholders) == 8  # everything but the raw columns
+
+    @pytest.mark.parametrize("base_id", ["mc3m_sp", "mc3m"])
+    def test_base_model_of_other_patients_is_data_error(self, base_id):
+        # the classifiers train on the base model's theta, one row per
+        # training patient
+        h, corpus, labels, truth = self._setup()
+        other = generate(h, [25], DocLengthSpec.poisson(30, 1), 31,
+                         seed=9)[1]
+        with pytest.raises(DataError, match=f"{base_id}: theta has 31 "
+                                            "patients, the training "
+                                            "corpus 30"):
+            evaluate_suite({base_id: (other, -1000.0)}, corpus, labels,
+                           corpus, labels, h, burn_in=1, samples=2, seed=1,
+                           lr_epochs=20)
 
     def test_csv_and_table_render(self):
         h, corpus, labels, truth = self._setup()

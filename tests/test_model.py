@@ -13,6 +13,7 @@ from ss3m.model import (
     Hyperparameters,
     ModelState,
     complete_data_log_likelihood,
+    count_below,
     generate,
     phenotype_summary,
     prior_matrix,
@@ -129,12 +130,13 @@ class TestGenerate:
         prior = np.array([4.0, 1.0, 0.5])
         n_docs, tokens_per_doc = 1000, 100
         theta = sample_dirichlet(np.tile(prior, (n_docs, 1)), rng)
-        # the inverse-CDF kernel generate() draws z and w with
-        from ss3m.model import _categorical_draws, _cdf_rows
+        # the inverse-CDF search generate() draws z and w with
         doc_idx = np.repeat(np.arange(n_docs), tokens_per_doc)
-        z = _categorical_draws(_cdf_rows(theta), doc_idx,
-                               rng.random(doc_idx.size))
-        w = _categorical_draws(_cdf_rows(phi), z, rng.random(z.size))
+        cum = np.cumsum(theta, axis=1)
+        z = count_below(cum, doc_idx,
+                        rng.random(doc_idx.size) * cum[doc_idx, -1])
+        cum = np.cumsum(phi, axis=1)
+        w = count_below(cum, z, rng.random(z.size) * cum[z, -1])
         counts = np.bincount(w, minlength=V).astype(float)
         expected = (prior / prior.sum()) @ phi * counts.sum()
         result = st.chisquare(counts, expected)

@@ -19,7 +19,18 @@ holding the trained states) and summarize:
     ss3m_fixA0_fixB and mc3m.
 
 It prints one `sha256  relative/path` line per output file, sorted by
-path. Two checkouts that draw the same numbers print the same lines:
+path. It then calls the library in-process and prints one
+`sha256  library/...` line per result:
+
+  * generate() for seeds 501-503 at each shape of GENERATE_SHAPES (the
+    train-paper and pipeline-tokens inputs, the toy config, a single
+    phenotype and word, and a sparse corpus with empty patients and a
+    one-word source), hashing the corpus tokens and the whole state;
+  * train() on the train-paper corpus of perfbench/run.py for seeds
+    501-503, each missing-label mode and each B mode, 3 sweeps, sampler
+    seed 0, hashing the best state, its iteration and the trace.
+
+Two checkouts that draw the same numbers print the same lines:
 
     diff <(python3 tools/cli_digest.py old) <(python3 tools/cli_digest.py new)
 """
@@ -34,6 +45,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -41,6 +53,8 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 TOY_SEED = 1
 PIPELINE_SEEDS = range(3006, 3012)
@@ -62,13 +76,26 @@ SAMPLED_MODEL = ("ss3m_smplA0_smplB",
                   "--train.b_mode", "sampled"])
 
 
-def pipeline_config(checkout: Path) -> str:
-    """PIPELINE_CONFIG of the checkout's perfbench/run.py."""
+LIBRARY_SEEDS = range(501, 504)
+LIBRARY_SWEEPS = 3
+# name -> (num_phenotypes, num_labeled, vocabulary sizes, document-length
+# law, patients); the priors are perfbench's PAPER_PRIORS and PAPER_GAMMA
+GENERATE_SHAPES = {
+    "paper": (70, 50, (500, 200), ("poisson", 100.0), 300),
+    "pipeline": (10, 6, (1000, 300), ("poisson", 150.0), 1000),
+    "toy": (4, 3, (40,), ("poisson", 50.0), 80),
+    "single": (1, 0, (1,), ("fixed", 3), 5),
+    "sparse": (5, 2, (3, 1), ("poisson", 0.5), 40),
+}
+
+
+def perfbench_module(checkout: Path):
+    """The checkout's perfbench/run.py, imported."""
     spec = importlib.util.spec_from_file_location(
         "_perfbench_run", checkout / "perfbench" / "run.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.PIPELINE_CONFIG
+    return module
 
 
 def run_pipeline(cli, config: Path, work: Path, data_seed: int,
@@ -110,6 +137,55 @@ def run_pipeline(cli, config: Path, work: Path, data_seed: int,
                "--labels", train_l])
 
 
+def array_digest(*arrays) -> str:
+    """sha256 over each array's dtype, shape and bytes, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def state_arrays(state):
+    return [state.theta, *state.phi, *(z.flat for z in state.z), state.A,
+            state.B, np.float64(state.Bstar)]
+
+
+def library_lines(bench):
+    """`sha256  library/...` lines for generate() and train() results;
+    bench is the checkout's perfbench/run.py."""
+    import ss3m
+    from ss3m import gibbs, model
+
+    for name, (P, P_lab, vocab, (mode, length), D) in GENERATE_SHAPES.items():
+        hyper = model.Hyperparameters(
+            num_phenotypes=P, num_labeled=P_lab, num_sources=len(vocab),
+            gamma=(bench.PAPER_GAMMA,) * len(vocab), **bench.PAPER_PRIORS)
+        law = getattr(model.DocLengthSpec, mode)(length, len(vocab))
+        for seed in LIBRARY_SEEDS:
+            corpus, state = model.generate(hyper, vocab, law, D, seed)
+            tokens = [a for w in corpus.tokens for a in (w.flat, w.offsets)]
+            yield (f"{array_digest(*tokens, *state_arrays(state))}  "
+                   f"library/generate-{name}-{seed}")
+    for seed in LIBRARY_SEEDS:
+        paper = bench.TrainPaper(ss3m, seed)
+        paper.build()
+        hyper = dataclasses.replace(paper.hyper, iterations=LIBRARY_SWEEPS)
+        for missing in (gibbs.MISSING_FIX_ZERO, gibbs.MISSING_ESTIMATE):
+            for b_mode in (gibbs.B_FIXED, gibbs.B_SAMPLED):
+                options = gibbs.TrainOptions(missing_label_mode=missing,
+                                             b_mode=b_mode, seed=SOLVER_SEED)
+                trace = gibbs.train(paper.corpus, paper.labels, hyper,
+                                    options)
+                digest = array_digest(
+                    *state_arrays(trace.best_state),
+                    np.int64(trace.best_iteration),
+                    np.array(trace.log_likelihoods),
+                    np.array(trace.hmc_accepts, dtype=np.int64))
+                yield f"{digest}  library/train-{seed}-{missing}-{b_mode}"
+
+
 def digest_lines(root: Path):
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         yield (f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
@@ -124,12 +200,13 @@ def main(argv=None):
     sys.path.insert(0, str(checkout / "src"))
     from ss3m import cli
 
+    bench = perfbench_module(checkout)
     with tempfile.TemporaryDirectory(prefix="cli-digest-") as tmp:
         tmp = Path(tmp)
         configs, outputs = tmp / "configs", tmp / "out"
         configs.mkdir()
         pipeline_cfg = configs / "pipeline.cfg"
-        pipeline_cfg.write_text(pipeline_config(checkout), encoding="utf-8")
+        pipeline_cfg.write_text(bench.PIPELINE_CONFIG, encoding="utf-8")
         paper_cfg = configs / "paper.cfg"
         paper_cfg.write_text(
             (checkout / "configs" / "paper_default.cfg").read_text(
@@ -143,6 +220,8 @@ def main(argv=None):
                          seed, SOLVER_SEED)
         for line in digest_lines(outputs):
             print(line)
+    for line in library_lines(bench):
+        print(line)
 
 
 if __name__ == "__main__":
