@@ -6,13 +6,23 @@ Wire formats:
     tokens, labels (labels may appear on any record of a patient and are
     unioned per patient);
   * preprocessed corpus, label matrix and model state: JSON containers
-    with format_version "ss3m-corpus-v1", "ss3m-labels-v1" and
-    "ss3m-state-v1".
+    with format_version "ss3m-corpus-v2", "ss3m-labels-v1" and
+    "ss3m-state-v2". In the v2 containers every numeric array is an
+    object {"dtype", "shape", "data"}, data being the base64 of the
+    array's little-endian C-order bytes: theta, each phi_s and B as
+    "<f8", A as "|i1", and each source's tokens and z as one
+    {"flat", "lengths"} pair of "<i4" arrays. vocab, patient_ids,
+    sources, Bstar and meta are plain JSON. The readers also accept the
+    v1 state and corpus containers, which hold every array as nested
+    JSON lists; the writers always write v2.
 """
 
+import base64
+import binascii
 import contextlib
 import json
 import logging
+import math
 import os
 import tempfile
 from collections import Counter
@@ -27,13 +37,20 @@ from .model import (
     Corpus,
     LabelMatrix,
     ModelState,
+    Ragged,
 )
 
 logger = logging.getLogger(__name__)
 
-STATE_FORMAT_VERSION = "ss3m-state-v1"
-CORPUS_FORMAT_VERSION = "ss3m-corpus-v1"
+STATE_FORMAT_VERSION = "ss3m-state-v2"
+CORPUS_FORMAT_VERSION = "ss3m-corpus-v2"
 LABELS_FORMAT_VERSION = "ss3m-labels-v1"
+# the v1 layouts of the state and corpus, still read
+STATE_FORMAT_V1 = "ss3m-state-v1"
+CORPUS_FORMAT_V1 = "ss3m-corpus-v1"
+# wire dtype of a v2 array -> the dtype it is read into
+F8, I1, I4 = "<f8", "|i1", "<i4"
+_READ_AS = {F8: np.float64, I1: np.int8, I4: np.int64}
 _RECORD_FIELDS = {"patient_id", "source", "tokens", "labels"}
 
 
@@ -241,11 +258,11 @@ def save_state(state: ModelState, path, extra=None):
     """Write a ModelState as a versioned JSON container (atomic)."""
     payload = {
         "format_version": STATE_FORMAT_VERSION,
-        "theta": state.theta.tolist(),
-        "phi": [p.tolist() for p in state.phi],
-        "z": [[zz.tolist() for zz in per_source] for per_source in state.z],
-        "A": state.A.tolist(),
-        "B": state.B.tolist(),
+        "theta": _encode(state.theta, F8),
+        "phi": [_encode(p, F8) for p in state.phi],
+        "z": [_encode_ragged(z) for z in state.z],
+        "A": _encode(state.A, I1),
+        "B": _encode(state.B, F8),
         "Bstar": float(state.Bstar),
     }
     if extra:
@@ -254,20 +271,27 @@ def save_state(state: ModelState, path, extra=None):
 
 
 def load_state(path):
-    """Inverse of save_state. Returns (ModelState, meta dict). A state
-    whose arrays are malformed or inconsistent (ModelState.validate)
-    raises DataError."""
-    payload = _load_container(path, STATE_FORMAT_VERSION)
+    """Inverse of save_state, which also reads v1 states. Returns
+    (ModelState, meta dict). A state whose arrays are malformed or
+    inconsistent (ModelState.validate) raises DataError."""
+    payload = _load_container(path, STATE_FORMAT_VERSION, STATE_FORMAT_V1)
     with _reading(path, "state"):
-        state = ModelState(
-            theta=np.array(payload["theta"], dtype=float),
-            phi=[np.array(p, dtype=float) for p in payload["phi"]],
-            z=[[_integers(zz) for zz in per_source]
-               for per_source in payload["z"]],
-            A=_integers(payload["A"]),
-            B=np.array(payload["B"], dtype=float),
-            Bstar=float(payload["Bstar"]),
-        )
+        if payload["format_version"] == STATE_FORMAT_V1:
+            arrays = dict(
+                theta=np.array(payload["theta"], dtype=float),
+                phi=[np.array(p, dtype=float) for p in payload["phi"]],
+                z=[[_integers(zz) for zz in per_source]
+                   for per_source in payload["z"]],
+                A=_integers(payload["A"]),
+                B=np.array(payload["B"], dtype=float))
+        else:
+            arrays = dict(
+                theta=_decode(payload["theta"], F8, 2),
+                phi=[_decode(p, F8, 2) for p in payload["phi"]],
+                z=[_decode_ragged(z) for z in payload["z"]],
+                A=_decode(payload["A"], I1, 2),
+                B=_decode(payload["B"], F8, 1))
+        state = ModelState(**arrays, Bstar=float(payload["Bstar"]))
         state.validate()
     state.A = state.A.astype(np.int8)  # binary, checked by validate
     return state, payload.get("meta", {})
@@ -292,10 +316,58 @@ def _integers(values) -> np.ndarray:
     return read.astype(np.int64, copy=False)
 
 
-def _load_container(path, expected_version):
+def _encode(array, dtype: str) -> dict:
+    """array as a v2 field: its dtype, shape and base64 bytes."""
+    array = np.ascontiguousarray(array, dtype=dtype)
+    return {"dtype": dtype, "shape": list(array.shape),
+            "data": base64.b64encode(array.tobytes()).decode("ascii")}
+
+
+def _encode_ragged(ragged: Ragged) -> dict:
+    """ragged as a v2 {"flat", "lengths"} pair."""
+    return {"flat": _encode(ragged.flat, I4),
+            "lengths": _encode(np.diff(ragged.offsets), I4)}
+
+
+def _decode(field, dtype: str, ndim: int) -> np.ndarray:
+    """The array a v2 field holds, as a new array of dtype's _READ_AS
+    type. ValueError unless the field's dtype is dtype, its shape ndim
+    non-negative integers and its data base64 of exactly that many
+    items."""
+    if field["dtype"] != dtype:
+        raise ValueError(f"dtype {field['dtype']!r} where {dtype!r} is "
+                         "expected")
+    shape = field["shape"]
+    if not (isinstance(shape, list) and len(shape) == ndim
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"shape {shape!r} is not {ndim} non-negative "
+                         "integers")
+    try:
+        data = base64.b64decode(field["data"], validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"data that is not base64 ({exc})") from exc
+    if len(data) != math.prod(shape) * np.dtype(dtype).itemsize:
+        raise ValueError(f"{len(data)} bytes for a {dtype} array of shape "
+                         f"{shape}")
+    return np.frombuffer(data, dtype=dtype).reshape(shape).astype(
+        _READ_AS[dtype])
+
+
+def _decode_ragged(field) -> Ragged:
+    """A v2 {"flat", "lengths"} pair as a Ragged; ValueError if a length
+    is negative or the lengths do not sum to the size of flat."""
+    flat = _decode(field["flat"], I4, 1)
+    lengths = _decode(field["lengths"], I4, 1)
+    if (lengths < 0).any() or lengths.sum() != flat.size:
+        raise ValueError(f"lengths that do not cut the {flat.size} entries "
+                         "of flat")
+    return Ragged(flat, lengths)
+
+
+def _load_container(path, *versions):
     """The JSON object in path, after checking its format_version: a
-    DataError if it is not a container, a VersionError naming both
-    versions if it is another version."""
+    DataError if it is not a container, a VersionError naming the
+    accepted versions if it is another version."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -304,10 +376,10 @@ def _load_container(path, expected_version):
     if not isinstance(payload, dict) or "format_version" not in payload:
         raise DataError(f"{path}: missing format_version field")
     version = payload["format_version"]
-    if version != expected_version:
+    if version not in versions:
         raise VersionError(
             f"{path}: format version {version!r} is not supported "
-            f"(expected {expected_version!r})")
+            f"(accepted: {', '.join(map(repr, versions))})")
     return payload
 
 
@@ -320,22 +392,24 @@ def save_corpus(corpus: Corpus, patient_ids, path, source_names=None):
         "patient_ids": list(patient_ids),
         "sources": list(source_names),
         "vocab": [list(v) for v in corpus.vocab],
-        "tokens": [[w.tolist() for w in per_source]
-                   for per_source in corpus.tokens],
+        "tokens": [_encode_ragged(w) for w in corpus.tokens],
     }
     _atomic_write(path, json.dumps(payload))
 
 
 def load_corpus(path):
-    """Returns (Corpus, patient_ids, source_names); DataError if a field
-    is missing, not integer where it must be, or of the wrong length."""
-    payload = _load_container(path, CORPUS_FORMAT_VERSION)
+    """Inverse of save_corpus, which also reads v1 corpora. Returns
+    (Corpus, patient_ids, source_names); DataError if a field is
+    missing, not integer where it must be, or of the wrong length."""
+    payload = _load_container(path, CORPUS_FORMAT_VERSION, CORPUS_FORMAT_V1)
     with _reading(path, "corpus"):
-        corpus = Corpus(
-            vocab=[list(v) for v in payload["vocab"]],
-            tokens=[[_integers(w) for w in per_source]
-                    for per_source in payload["tokens"]],
-        )
+        if payload["format_version"] == CORPUS_FORMAT_V1:
+            tokens = [[_integers(w) for w in per_source]
+                      for per_source in payload["tokens"]]
+        else:
+            tokens = [_decode_ragged(w) for w in payload["tokens"]]
+        corpus = Corpus(vocab=[list(v) for v in payload["vocab"]],
+                        tokens=tokens)
         ids, names = list(payload["patient_ids"]), list(payload["sources"])
         if (len(ids), len(names)) != (corpus.num_patients, corpus.num_sources):
             raise ValueError(
@@ -388,10 +462,11 @@ def save_corpus_jsonl(corpus: Corpus, labels, path, patient_ids=None,
                        for j in np.flatnonzero(
                            labels.entries[d] == LABEL_PRESENT)]
         for s in range(corpus.num_sources):
+            voc = corpus.vocab[s]
             obj = {
                 "patient_id": patient_ids[d],
                 "source": source_names[s],
-                "tokens": [corpus.vocab[s][v] for v in corpus.tokens[s][d]],
+                "tokens": [voc[v] for v in corpus.tokens[s][d].tolist()],
                 "labels": present if s == 0 else [],
             }
             lines.append(json.dumps(obj))

@@ -255,24 +255,28 @@ def nb_predict(model, features) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _lr_loss_grad(w, Xb, y, lam):
-    """L2-regularized logistic loss and gradient; intercept (last
-    coordinate) is not regularized."""
+def _lr_loss(w, Xb, y, lam):
+    """L2-regularized logistic loss, intercept (last coordinate) not
+    regularized, and the logits Xb @ w it was computed from."""
     logits = Xb @ w
     # log(1 + exp(-m)) with m = y_pm * logits, stable both directions
     m = np.where(y, logits, -logits)
     loss = float(np.logaddexp(0.0, -m).sum())
-    p = expit(logits)
-    grad = Xb.T @ (p - y)
     loss += 0.5 * lam * float(w[:-1] @ w[:-1])
-    grad = grad + lam * np.append(w[:-1], 0.0)
-    return loss, grad
+    return loss, logits
+
+
+def _lr_grad(w, logits, Xb, y, lam):
+    """Gradient of _lr_loss at w, given its logits."""
+    grad = Xb.T @ (expit(logits) - y)
+    return grad + lam * np.append(w[:-1], 0.0)
 
 
 def lr_train(features, truth, lam: float = 1.0, epochs: int = 200):
     """One-vs-rest L2 logistic regression by full-batch gradient descent
     with backtracking line search from a unit step (objective decreases
-    monotonically)."""
+    monotonically). The gradient is computed once per accepted step, from
+    the logits of the trial that was accepted."""
     X = np.asarray(features, dtype=float)
     if not np.all(np.isfinite(X)):
         raise DataError("features must be finite")
@@ -282,14 +286,15 @@ def lr_train(features, truth, lam: float = 1.0, epochs: int = 200):
     for j in range(Y.shape[1]):
         y = Y[:, j].astype(float)
         w = np.zeros(Xb.shape[1])
-        loss, grad = _lr_loss_grad(w, Xb, y, lam)
+        loss, logits = _lr_loss(w, Xb, y, lam)
+        grad = _lr_grad(w, logits, Xb, y, lam)
         for _ in range(epochs):
             if float(grad @ grad) < 1e-18:
                 break
             t = 1.0
             while t > 1e-14:
                 w_new = w - t * grad
-                new_loss, new_grad = _lr_loss_grad(w_new, Xb, y, lam)
+                new_loss, new_logits = _lr_loss(w_new, Xb, y, lam)
                 if not np.isfinite(new_loss):
                     raise OptimizationError(
                         "objective diverged to a non-finite value")
@@ -300,7 +305,8 @@ def lr_train(features, truth, lam: float = 1.0, epochs: int = 200):
                 # no step along -grad improves the objective: we are at
                 # the floating-point optimum, which counts as converged
                 break
-            w, loss, grad = w_new, new_loss, new_grad
+            w, loss = w_new, new_loss
+            grad = _lr_grad(w, new_logits, Xb, y, lam)
         weights.append(w)
     return {"weights": np.array(weights), "lam": lam}
 
@@ -352,8 +358,16 @@ def evaluate_suite(artifacts: dict, train_corpus: Corpus,
 
     artifacts maps a subset of STATE_ARTIFACTS to (ModelState,
     max_log_likelihood). Missing artifacts yield placeholder (all-None)
-    reports. The raw-token columns need no artifact.
+    reports. The raw-token columns need no artifact. An ss3m column
+    scores the first phenotypes, one per label column; the train and test
+    labels must name the same columns, at least one (DataError).
     """
+    if train_labels.label_names != test_labels.label_names:
+        raise DataError(
+            f"train labels {train_labels.label_names} and test labels "
+            f"{test_labels.label_names} name different columns")
+    if not test_labels.num_labels:
+        raise DataError("the labels have no column to score")
     truth_test = truth_matrix(test_labels)
     truth_train = truth_matrix(train_labels)
     reports = []
@@ -378,7 +392,8 @@ def evaluate_suite(artifacts: dict, train_corpus: Corpus,
         state, max_ll = artifacts[col]
         res = heldout_infer(test_corpus, state, hyper, burn_in=burn_in,
                             samples=samples, seed=seed)
-        reports.append(compute_report(col, res.scores, truth_test, max_ll))
+        reports.append(compute_report(
+            col, res.scores[:, :test_labels.num_labels], truth_test, max_ll))
 
     for base_id in STATE_ARTIFACTS[4:]:
         if base_id not in artifacts:

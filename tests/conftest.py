@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -72,6 +74,110 @@ def cell_log_odds(d, p, state, counts, hyper):
     return float(activation_log_odds(
         counts[d, p], counts[d].sum(), before + after, state.B[p],
         state.Bstar, hyper.alpha))
+
+
+def state_payload_v1(state, meta=None):
+    """The v1 state container of state, as the v1 writer laid it out:
+    every array as nested JSON lists."""
+    payload = {
+        "format_version": "ss3m-state-v1",
+        "theta": state.theta.tolist(),
+        "phi": [p.tolist() for p in state.phi],
+        "z": [[zz.tolist() for zz in per_source] for per_source in state.z],
+        "A": state.A.tolist(),
+        "B": state.B.tolist(),
+        "Bstar": float(state.Bstar),
+    }
+    if meta:
+        payload["meta"] = meta
+    return payload
+
+
+def corpus_payload_v1(corpus, patient_ids, source_names):
+    """The v1 corpus container, as the v1 writer laid it out."""
+    return {
+        "format_version": "ss3m-corpus-v1",
+        "patient_ids": list(patient_ids),
+        "sources": list(source_names),
+        "vocab": [list(v) for v in corpus.vocab],
+        "tokens": [[w.tolist() for w in per_source]
+                   for per_source in corpus.tokens],
+    }
+
+
+# the keys of the v2 state and corpus containers that hold arrays
+_V2_ARRAY_KEYS = ("theta", "phi", "z", "A", "B", "tokens")
+
+
+def v2_array(field):
+    """The array a v2 {"dtype", "shape", "data"} field holds."""
+    return np.frombuffer(base64.b64decode(field["data"]),
+                         dtype=field["dtype"]).reshape(field["shape"])
+
+
+def v2_field(values, dtype, shape=None):
+    """values as a v2 field of dtype; shape, when given, is written in
+    place of the shape of values."""
+    array = np.ascontiguousarray(values, dtype=dtype)
+    return {"dtype": np.dtype(dtype).str,
+            "shape": list(array.shape if shape is None else shape),
+            "data": base64.b64encode(array.tobytes()).decode("ascii")}
+
+
+def _as_lists(field):
+    """A v2 array field, a {"flat", "lengths"} pair or a list of them, as
+    the nested lists v1 holds (a pair as one list per patient)."""
+    if isinstance(field, list):
+        return [_as_lists(f) for f in field]
+    if "flat" in field:
+        flat = v2_array(field["flat"]).tolist()
+        ends = np.cumsum(v2_array(field["lengths"])).tolist()
+        return [flat[a:b] for a, b in zip([0] + ends, ends)]
+    return v2_array(field).tolist()
+
+
+def _fits(values, dtype) -> bool:
+    """Whether the array values holds exactly what dtype can."""
+    if values.size == 0 or values.dtype.kind == dtype.kind == "f":
+        return True
+    if values.dtype.kind in "iu" and dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        return info.min <= values.min() and values.max() <= info.max
+    return False
+
+
+def _encoded_as(lists, like):
+    """The nested lists of _as_lists(like), maybe edited, as v2 fields
+    again: each array in like's dtype where its values still fit it and
+    in theirs otherwise, so that 2.5 written into A makes a '<f8' field.
+    Rows of unequal length keep like's shape and lose the bytes of the
+    missing entries."""
+    if isinstance(like, list):
+        return [_encoded_as(v, f) for v, f in zip(lists, like)]
+    if "flat" in like:
+        return {"flat": _encoded_as([v for d in lists for v in d],
+                                    like["flat"]),
+                "lengths": v2_field([len(d) for d in lists], "<i4")}
+    dtype = np.dtype(like["dtype"])
+    try:
+        values = np.array(lists)
+    except ValueError:  # ragged rows
+        return v2_field(np.concatenate(lists), dtype, like["shape"])
+    return v2_field(values, dtype if _fits(values, dtype) else values.dtype)
+
+
+def corrupt_v2(payload, corrupt):
+    """Applies corrupt, an edit written for a v1 container payload, to the
+    v2 payload in place: its array fields are decoded to v1's nested
+    lists, corrupt edits the payload, and each array field still there is
+    encoded again (_encoded_as)."""
+    fields = {key: payload[key] for key in _V2_ARRAY_KEYS if key in payload}
+    for key, field in fields.items():
+        payload[key] = _as_lists(field)
+    corrupt(payload)
+    for key, field in fields.items():
+        if key in payload:
+            payload[key] = _encoded_as(payload[key], field)
 
 
 @pytest.fixture

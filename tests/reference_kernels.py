@@ -24,6 +24,11 @@ it shared the z pass's binary search (ss3m.model.count_below): rows of
 the cumulative weights divided by their totals, and one np.searchsorted
 per row over the uniforms themselves.
 
+The logistic-regression reference is the baseline's fit as it was when
+every line-search trial computed a gradient along with its loss; the
+package now computes the gradient once per accepted step, from the
+logits of that trial, and must give the same weights bit for bit.
+
 The chain references are the code the package ran before the mc3m
 baseline and held-out inference became the gated chain with every
 activation on and B = Bstar = c: the baseline trainer with its own init
@@ -42,7 +47,7 @@ import numpy as np
 from scipy.special import digamma, expit, gammaln
 
 from ss3m import gibbs, model
-from ss3m.errors import NumericalError, SamplingError
+from ss3m.errors import NumericalError, OptimizationError, SamplingError
 from ss3m.gibbs import MISSING_FIX_ZERO
 from ss3m.model import (
     LABEL_ABSENT,
@@ -430,3 +435,44 @@ def bstar_target(state, hyper):
     slt = (inactive * floored_log(state.theta)).sum(axis=1)
     return LogBstarTarget(active_totals, inactive.sum(axis=1), slt,
                           hyper.bstar_shape, hyper.bstar_scale)
+
+
+def _lr_loss_grad(w, Xb, y, lam):
+    logits = Xb @ w
+    m = np.where(y, logits, -logits)
+    loss = float(np.logaddexp(0.0, -m).sum())
+    p = expit(logits)
+    grad = Xb.T @ (p - y)
+    loss += 0.5 * lam * float(w[:-1] @ w[:-1])
+    grad = grad + lam * np.append(w[:-1], 0.0)
+    return loss, grad
+
+
+def lr_train(features, truth, lam=1.0, epochs=200):
+    """One-vs-rest L2 logistic regression, a gradient on every trial."""
+    X = np.asarray(features, dtype=float)
+    Y = np.asarray(truth).astype(bool)
+    Xb = np.column_stack([X, np.ones(X.shape[0])])
+    weights = []
+    for j in range(Y.shape[1]):
+        y = Y[:, j].astype(float)
+        w = np.zeros(Xb.shape[1])
+        loss, grad = _lr_loss_grad(w, Xb, y, lam)
+        for _ in range(epochs):
+            if float(grad @ grad) < 1e-18:
+                break
+            t = 1.0
+            while t > 1e-14:
+                w_new = w - t * grad
+                new_loss, new_grad = _lr_loss_grad(w_new, Xb, y, lam)
+                if not np.isfinite(new_loss):
+                    raise OptimizationError(
+                        "objective diverged to a non-finite value")
+                if new_loss < loss:
+                    break
+                t *= 0.5
+            else:
+                break
+            w, loss, grad = w_new, new_loss, new_grad
+        weights.append(w)
+    return {"weights": np.array(weights), "lam": lam}

@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from conftest import corrupt_v2, state_payload_v1, v2_array
 from ss3m import data_io, evaluation, model
 from ss3m.cli import hyper_from_config, main
 from ss3m.config import RunConfig
@@ -84,7 +85,7 @@ class TestPipeline:
 
         with open(state_path) as fh:
             payload = json.load(fh)
-        assert payload["format_version"] == "ss3m-state-v1"
+        assert payload["format_version"] == "ss3m-state-v2"
         assert "max_log_likelihood" in payload["meta"]
 
         ev = str(tmp_path / "eval")
@@ -126,8 +127,8 @@ class TestPipeline:
         with open(os.path.join(out, "mc3m.state.json")) as fh:
             payload = json.load(fh)
         # unstructured baseline keeps every activation on
-        A = payload["A"]
-        assert all(all(v == 1 for v in row) for row in A)
+        A = v2_array(payload["A"])
+        assert A.size and (A == 1).all()
 
 
 class TestDeterminism:
@@ -254,16 +255,16 @@ class TestErrorPaths:
                    "summarize", "--state", str(state),
                    "--corpus", os.path.join(prep, "corpus_train.json")) == 2
 
-    def _trained(self, tmp_path, toy_config):
+    def _trained(self, tmp_path, toy_config, *overrides):
         """(prep dir, states dir) after generate, preprocess and a train
-        of ss3m_fixA0_fixB on the toy config."""
+        of ss3m_fixA0_fixB on the toy config with the given overrides."""
         gen, prep = str(tmp_path / "gen"), str(tmp_path / "prep")
         states = str(tmp_path / "states")
-        run("--config", toy_config, "--seed", "1", "--out", gen, "generate")
-        run("--config", toy_config, "--seed", "1", "--out", prep,
-            "preprocess", "--corpus", os.path.join(gen, "corpus.jsonl"))
-        assert run("--config", toy_config, "--seed", "1", "--out", states,
-                   "train",
+        cfg = ["--config", toy_config, "--seed", "1", *overrides]
+        run(*cfg, "--out", gen, "generate")
+        run(*cfg, "--out", prep, "preprocess",
+            "--corpus", os.path.join(gen, "corpus.jsonl"))
+        assert run(*cfg, "--out", states, "train",
                    "--corpus", os.path.join(prep, "corpus_train.json"),
                    "--labels", os.path.join(prep, "labels_train.json"),
                    "--model-id", "ss3m_fixA0_fixB") == 0
@@ -275,7 +276,7 @@ class TestErrorPaths:
         path = os.path.join(states, "ss3m_fixA0_fixB.state.json")
         with open(path) as fh:
             payload = json.load(fh)
-        payload["phi"][0].pop()
+        corrupt_v2(payload, lambda pl: pl["phi"][0].pop())
         with open(path, "w") as fh:
             json.dump(payload, fh)
         assert run("--config", toy_config, "--out", str(tmp_path / "o"),
@@ -288,7 +289,7 @@ class TestErrorPaths:
         path = os.path.join(states, "ss3m_fixA0_fixB.state.json")
         with open(path) as fh:
             payload = json.load(fh)
-        payload["B"][0] = float("nan")
+        corrupt_v2(payload, lambda pl: pl["B"].__setitem__(0, float("nan")))
         with open(path, "w") as fh:
             json.dump(payload, fh)
         capsys.readouterr()
@@ -311,7 +312,7 @@ class TestErrorPaths:
         path = os.path.join(states, "ss3m_fixA0_fixB.state.json")
         with open(path) as fh:
             payload = json.load(fh)
-        payload["A"][0][0] = 300
+        corrupt_v2(payload, lambda pl: pl["A"][0].__setitem__(0, 300))
         with open(path, "w") as fh:
             json.dump(payload, fh)
         capsys.readouterr()
@@ -326,7 +327,8 @@ class TestErrorPaths:
         path = os.path.join(states, "ss3m_fixA0_fixB.state.json")
         with open(path) as fh:
             payload = json.load(fh)
-        next(z for z in payload["z"][0] if z)[0] = 99
+        corrupt_v2(payload, lambda pl: next(
+            z for z in pl["z"][0] if z).__setitem__(0, 99))
         with open(path, "w") as fh:
             json.dump(payload, fh)
         capsys.readouterr()
@@ -342,6 +344,87 @@ class TestErrorPaths:
                    "summarize", "--state", path,
                    "--corpus", os.path.join(prep, "corpus_train.json")) == 2
         assert "malformed state" in capsys.readouterr().err
+
+    def test_corrupt_v1_state_is_data_error(self, tmp_path, toy_config,
+                                            capsys):
+        # the four corruptions above, in a v1 copy of the trained state
+        prep, states = self._trained(tmp_path, toy_config)
+        state, meta = data_io.load_state(
+            os.path.join(states, "ss3m_fixA0_fixB.state.json"))
+        path = str(tmp_path / "v1.state.json")
+        for corrupt, message in [
+                (lambda pl: pl["phi"][0].pop(), "malformed state"),
+                (lambda pl: pl["B"].__setitem__(0, float("nan")),
+                 "malformed state"),
+                (lambda pl: pl["A"][0].__setitem__(0, 300),
+                 "malformed state"),
+                (lambda pl: next(z for z in pl["z"][0] if z).__setitem__(
+                    0, 99), "z of source 0 outside")]:
+            payload = state_payload_v1(state, meta)
+            corrupt(payload)
+            with open(path, "w") as fh:
+                json.dump(payload, fh)
+            capsys.readouterr()
+            assert run("--config", toy_config, "--out", str(tmp_path / "o"),
+                       "--force", "summarize", "--state", path, "--corpus",
+                       os.path.join(prep, "corpus_train.json")) == 2
+            assert message in capsys.readouterr().err
+        # and the uncorrupted v1 copy is read
+        with open(path, "w") as fh:
+            json.dump(state_payload_v1(state, meta), fh)
+        assert run("--config", toy_config, "--out", str(tmp_path / "o"),
+                   "--force", "summarize", "--state", path, "--corpus",
+                   os.path.join(prep, "corpus_train.json")) == 0
+
+    def test_undecodable_v2_corpus_is_data_error(self, tmp_path, toy_config,
+                                                 capsys):
+        gen, prep = str(tmp_path / "gen"), str(tmp_path / "prep")
+        run("--config", toy_config, "--seed", "1", "--out", gen, "generate")
+        run("--config", toy_config, "--seed", "1", "--out", prep,
+            "preprocess", "--corpus", os.path.join(gen, "corpus.jsonl"))
+        path = os.path.join(prep, "corpus_train.json")
+        with open(path) as fh:
+            payload = json.load(fh)
+        payload["tokens"][0]["flat"]["data"] = "%%%%"
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        capsys.readouterr()
+        assert run("--config", toy_config, "--out", str(tmp_path / "o"),
+                   "train", "--corpus", path) == 2
+        assert "malformed corpus" in capsys.readouterr().err
+
+    def _evaluate(self, tmp_path, toy_config, prep, states, *overrides):
+        return run("--config", toy_config, "--seed", "1", *overrides,
+                   "--out", str(tmp_path / "eval"), "evaluate",
+                   "--train-corpus", os.path.join(prep, "corpus_train.json"),
+                   "--train-labels", os.path.join(prep, "labels_train.json"),
+                   "--test-corpus", os.path.join(prep, "corpus_test.json"),
+                   "--test-labels", os.path.join(prep, "labels_test.json"),
+                   "--state-dir", states)
+
+    def test_evaluate_scores_fewer_labels_than_labeled_phenotypes(
+            self, tmp_path, toy_config):
+        # one label column for the two labeled phenotypes: train accepts
+        # it, and evaluate scores phenotype 0 against it
+        prep, states = self._trained(tmp_path, toy_config,
+                                     "--labels.top_k", "1")
+        assert self._evaluate(tmp_path, toy_config, prep, states,
+                              "--labels.top_k", "1") == 0
+        with open(tmp_path / "eval" / "metrics.csv") as fh:
+            rows = fh.read().splitlines()
+        assert any(row.startswith("ss3m_fixA0_fixB,auroc,micro,")
+                   and not row.endswith(",") for row in rows)
+
+    def test_evaluate_labels_without_columns_is_data_error(
+            self, tmp_path, toy_config, capsys):
+        # no labeled phenotype, so the corpus carries no label: the labels
+        # containers have no column to score
+        prep, states = self._trained(tmp_path, toy_config,
+                                     "--model.num_labeled", "0")
+        capsys.readouterr()
+        assert self._evaluate(tmp_path, toy_config, prep, states,
+                              "--model.num_labeled", "0") == 2
+        assert "no column to score" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", [
         ["--eval.burn_in", "-2"],

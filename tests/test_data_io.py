@@ -1,8 +1,13 @@
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ss3m import data_io
 from ss3m.data_io import (
@@ -19,12 +24,24 @@ from ss3m.errors import ConfigError, DataError, VersionError
 from ss3m.model import (
     LABEL_PRESENT,
     LABEL_UNKNOWN,
+    Corpus,
     DocLengthSpec,
     LabelMatrix,
+    ModelState,
     generate,
     labels_from_activations,
 )
-from conftest import make_hyper, random_tiny_state
+from ss3m.util import PROB_FLOOR
+from conftest import (
+    corpora,
+    corpus_payload_v1,
+    corrupt_v2,
+    make_hyper,
+    random_tiny_state,
+    state_payload_v1,
+    v2_array,
+    v2_field,
+)
 
 IDENTITY = PreprocessConfig()
 
@@ -212,6 +229,25 @@ class TestSplit:
             split(corpus, labels, 0.01, seed=0)
 
 
+# edits of a v1 state payload (nested lists); corrupt_v2 applies each to a
+# v2 payload
+STATE_CORRUPTIONS = [
+    lambda pl: pl["phi"][0].pop(),                   # P-1 rows of phi
+    lambda pl: pl["B"].append(1.0),                  # P+1 pseudo-counts
+    lambda pl: pl["theta"][0].__setitem__(0, -0.5),  # off the simplex
+    lambda pl: pl["theta"][1].pop(),                 # ragged theta
+    lambda pl: pl.pop("A"),                          # missing field
+    lambda pl: pl["B"].__setitem__(0, float("nan")),  # NaN pseudo-count
+    lambda pl: pl.__setitem__("Bstar", float("inf")),  # infinite Bstar
+    lambda pl: pl["theta"][0].__setitem__(0, float("nan")),  # NaN theta
+    lambda pl: pl["phi"][0][1].__setitem__(0, float("nan")),  # NaN phi
+    lambda pl: pl["A"][0].__setitem__(0, 7),         # non-binary A
+    lambda pl: pl["A"][0].__setitem__(0, 2.5),       # fractional A
+    lambda pl: pl["A"][0].__setitem__(0, 300),       # A beyond int8
+    lambda pl: pl["z"][0][0].append(0.5),            # fractional z
+]
+
+
 class TestStateRoundTrip:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         state, corpus = random_tiny_state(rng, D=3, P=2, S=2, V=4)
@@ -235,30 +271,30 @@ class TestStateRoundTrip:
         with pytest.raises(DataError):
             load_state(path)
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda pl: pl["phi"][0].pop(),                   # P-1 rows of phi
-        lambda pl: pl["B"].append(1.0),                  # P+1 pseudo-counts
-        lambda pl: pl["theta"][0].__setitem__(0, -0.5),  # off the simplex
-        lambda pl: pl["theta"][1].pop(),                 # ragged theta
-        lambda pl: pl.pop("A"),                          # missing field
-        lambda pl: pl["B"].__setitem__(0, float("nan")),  # NaN pseudo-count
-        lambda pl: pl.__setitem__("Bstar", float("inf")),  # infinite Bstar
-        lambda pl: pl["theta"][0].__setitem__(0, float("nan")),  # NaN theta
-        lambda pl: pl["phi"][0][1].__setitem__(0, float("nan")),  # NaN phi
-        lambda pl: pl["A"][0].__setitem__(0, 7),         # non-binary A
-        lambda pl: pl["A"][0].__setitem__(0, 2.5),       # fractional A
-        lambda pl: pl["A"][0].__setitem__(0, 300),       # A beyond int8
-        lambda pl: pl["z"][0][0].append(0.5),            # fractional z
-    ])
+    @pytest.mark.parametrize("corrupt", STATE_CORRUPTIONS)
     def test_malformed_state_is_data_error(self, tmp_path, rng, corrupt):
         state, _ = random_tiny_state(rng, D=3, P=2)
         path = tmp_path / "state.json"
         save_state(state, path)
         payload = json.loads(path.read_text())
-        corrupt(payload)
+        corrupt_v2(payload, corrupt)
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="malformed state"):
             load_state(path)
+
+    @pytest.mark.parametrize("corrupt", STATE_CORRUPTIONS)
+    def test_malformed_v1_state_is_data_error(self, tmp_path, rng, corrupt):
+        state, _ = random_tiny_state(rng, D=3, P=2)
+        payload = state_payload_v1(state)
+        corrupt(payload)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="malformed state"):
+            load_state(path)
+
+    @staticmethod
+    def _set_first_assignment(payload, value):
+        next(z for z in payload["z"][0] if z)[0] = value
 
     @pytest.mark.parametrize("value", [99, 2, -1])
     def test_out_of_range_assignment_is_data_error(self, tmp_path, rng,
@@ -268,8 +304,18 @@ class TestStateRoundTrip:
         path = tmp_path / "state.json"
         save_state(state, path)
         payload = json.loads(path.read_text())
-        patient = next(z for z in payload["z"][0] if z)
-        patient[0] = value
+        corrupt_v2(payload, lambda pl: self._set_first_assignment(pl, value))
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=r"z of source 0 outside \[0, 2\)"):
+            load_state(path)
+
+    @pytest.mark.parametrize("value", [99, 2, -1])
+    def test_out_of_range_v1_assignment_is_data_error(self, tmp_path, rng,
+                                                      value):
+        state, _ = random_tiny_state(rng, D=4, P=2, max_tokens=3)
+        payload = state_payload_v1(state)
+        self._set_first_assignment(payload, value)
+        path = tmp_path / "state.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=r"z of source 0 outside \[0, 2\)"):
             load_state(path)
@@ -283,6 +329,7 @@ class TestStateRoundTrip:
         path.write_text(json.dumps(payload))
         with pytest.raises(VersionError, match="ss3m-state-v99") as exc:
             load_state(path)
+        assert "ss3m-state-v2" in str(exc.value)
         assert "ss3m-state-v1" in str(exc.value)
 
 
@@ -325,10 +372,11 @@ class TestContainers:
 
 class TestMalformedContainers:
     """A corpus or labels container whose fields are missing, of the
-    wrong type or of the wrong length is a DataError (CLI exit 2)."""
+    wrong type or of the wrong length is a DataError (CLI exit 2). The
+    corpus here is a v1 container, whose token lists can hold any JSON."""
 
     def _corpus_payload(self):
-        return {"format_version": data_io.CORPUS_FORMAT_VERSION,
+        return {"format_version": data_io.CORPUS_FORMAT_V1,
                 "patient_ids": ["p0"], "sources": ["s0"],
                 "vocab": [["a", "b"]], "tokens": [[[0, 1]]]}
 
@@ -378,3 +426,208 @@ class TestMalformedContainers:
         corrupt(payload)
         with pytest.raises(DataError):
             data_io.load_labels(self._write(tmp_path, payload))
+
+
+SPECIAL_FLOATS = [0.0, -0.0, PROB_FLOOR, 5e-324, 1e-310,
+                  2.2250738585072014e-308]
+
+
+@st.composite
+def simplex_rows(draw, rows, cols):
+    """(rows, cols) rows summing to 1, built from the special floats and
+    small draws, each row's last entry taking up the remainder."""
+    small = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                      st.floats(0.0, 1.0 / cols))
+    out = np.empty((rows, cols))
+    for r in range(rows):
+        head = draw(st.lists(small, min_size=cols - 1, max_size=cols - 1))
+        out[r] = head + [1.0 - math.fsum(head)]
+    return out
+
+
+@st.composite
+def containers(draw):
+    """(state, corpus) with D in 1..4, P in 1..3, S in 1..2 and
+    vocabularies of 1..3 words: patients without tokens, in some examples
+    a source without tokens, and floats at PROB_FLOOR, subnormal and
+    -0.0."""
+    D, P, S = (draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+               draw(st.integers(1, 2)))
+    vocab_sizes = draw(st.lists(st.integers(1, 3), min_size=S, max_size=S))
+    corpus = draw(corpora(D, vocab_sizes))
+    positive = st.one_of(st.sampled_from([PROB_FLOOR, 5e-324, 1e300]),
+                         st.floats(1e-3, 1e3))
+    state = ModelState(
+        theta=draw(simplex_rows(D, P)),
+        phi=[draw(simplex_rows(P, v)) for v in vocab_sizes],
+        z=[w.like(draw(arrays(np.int64, w.flat.size,
+                              elements=st.integers(0, P - 1))))
+           for w in corpus.tokens],
+        A=draw(arrays(np.int8, (D, P), elements=st.integers(0, 1))),
+        B=np.array(draw(st.lists(positive, min_size=P, max_size=P))),
+        Bstar=draw(positive))
+    return state, corpus
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes (so -0.0 differs from 0.0)."""
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def assert_same_state(loaded, state):
+    for got, want in [(loaded.theta, state.theta), (loaded.A, state.A),
+                      (loaded.B, state.B), *zip(loaded.phi, state.phi),
+                      *((g.flat, w.flat) for g, w in zip(loaded.z, state.z)),
+                      *((g.offsets, w.offsets)
+                        for g, w in zip(loaded.z, state.z))]:
+        assert same_bits(got, want)
+    assert same_bits(np.float64(loaded.Bstar), np.float64(state.Bstar))
+
+
+def assert_same_corpus(loaded, corpus):
+    assert loaded.vocab == corpus.vocab
+    for got, want in zip(loaded.tokens, corpus.tokens):
+        assert same_bits(got.flat, want.flat)
+        assert same_bits(got.offsets, want.offsets)
+
+
+class TestV2Containers:
+    """The v2 state and corpus containers: bitwise round trips, v1 files
+    still read, and every undecodable field a DataError."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(containers())
+    def test_round_trip_is_bitwise(self, tmp_path_factory, problem):
+        state, corpus = problem
+        tmp = tmp_path_factory.mktemp("v2")
+        ids = [f"p{d}" for d in range(corpus.num_patients)]
+        names = [f"s{s}" for s in range(corpus.num_sources)]
+        save_state(state, tmp / "state.json", extra={"seed": 3})
+        data_io.save_corpus(corpus, ids, tmp / "corpus.json", names)
+        loaded, meta = load_state(tmp / "state.json")
+        assert_same_state(loaded, state)
+        assert meta == {"seed": 3}
+        corpus2, ids2, names2 = data_io.load_corpus(tmp / "corpus.json")
+        assert_same_corpus(corpus2, corpus)
+        assert (ids2, names2) == (ids, names)
+        loaded.validate(corpus2)
+
+    def test_writers_write_v2(self, tmp_path, rng):
+        state, corpus = random_tiny_state(rng, D=3, P=2, S=2, V=4)
+        save_state(state, tmp_path / "state.json")
+        data_io.save_corpus(corpus, ["a", "b", "c"], tmp_path / "corpus.json")
+        state_payload = json.loads((tmp_path / "state.json").read_text())
+        corpus_payload = json.loads((tmp_path / "corpus.json").read_text())
+        assert state_payload["format_version"] == "ss3m-state-v2"
+        assert corpus_payload["format_version"] == "ss3m-corpus-v2"
+        assert state_payload["A"]["dtype"] == "|i1"
+        assert same_bits(v2_array(state_payload["theta"]), state.theta)
+        assert v2_array(corpus_payload["tokens"][1]["lengths"]).tolist() == \
+            [w.size for w in corpus.tokens[1]]
+
+    def test_v1_files_load_to_identical_arrays(self, tmp_path, rng):
+        state, corpus = random_tiny_state(rng, D=4, P=3, S=2, V=5)
+        state.theta[0, :2] = [-0.0, PROB_FLOOR]
+        state.theta[0, 2] = 1.0 - PROB_FLOOR
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state_payload_v1(state, {"seed": 1})))
+        loaded, meta = load_state(path)
+        assert_same_state(loaded, state)
+        assert meta == {"seed": 1}
+        ids, names = ["a", "b", "c", "d"], ["x", "y"]
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(corpus_payload_v1(corpus, ids, names)))
+        corpus2, ids2, names2 = data_io.load_corpus(path)
+        assert_same_corpus(corpus2, corpus)
+        assert (ids2, names2) == (ids, names)
+
+    @staticmethod
+    def _negative_length(ragged):
+        lengths = v2_array(ragged["lengths"]).copy()
+        lengths[0] += lengths[1] + 1
+        lengths[1] = -1  # same sum, one length below zero
+        ragged["lengths"] = v2_field(lengths, "<i4")
+
+    @staticmethod
+    def _longer_lengths(ragged):
+        lengths = v2_array(ragged["lengths"]) + 1
+        ragged["lengths"] = v2_field(lengths, "<i4")
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda pl: pl["theta"].__setitem__("data", "not base64!"),
+         "not base64"),
+        (lambda pl: pl["B"].__setitem__("data", pl["B"]["data"][:-2]),
+         "not base64"),
+        (lambda pl: pl["B"].__setitem__("data", 5), ""),
+        (lambda pl: pl["theta"].__setitem__("dtype", "<f4"), "dtype '<f4'"),
+        (lambda pl: pl.__setitem__("A", v2_field(v2_array(pl["A"]), "<i8")),
+         "dtype '<i8'"),
+        (lambda pl: pl.__setitem__("B", v2_field(v2_array(pl["B"]), ">f8")),
+         "dtype '>f8'"),
+        (lambda pl: pl["theta"].__setitem__("shape", [3, 3]), "48 bytes"),
+        (lambda pl: pl["B"].__setitem__("shape", [1, 2]), "shape"),
+        (lambda pl: pl["theta"].__setitem__("shape", [-3, -2]), "shape"),
+        (lambda pl: pl["B"].__setitem__("shape", 2), "shape"),
+        (lambda pl: pl["A"].pop("shape"), "shape"),
+        (lambda pl: pl.__setitem__("theta", [[0.5, 0.5]] * 3), ""),
+        (lambda pl: TestV2Containers._negative_length(pl["z"][0]),
+         "lengths"),
+        (lambda pl: TestV2Containers._longer_lengths(pl["z"][0]),
+         "lengths"),
+        (lambda pl: pl["z"][0].__setitem__(
+            "flat", v2_field(v2_array(pl["z"][0]["flat"]), "<i8")),
+         "dtype '<i8'"),
+    ], ids=["bad-base64", "bad-padding", "data-not-a-string", "theta-f4",
+            "A-i8", "B-big-endian", "shape-too-big", "B-2d", "shape-negative",
+            "shape-not-a-list", "shape-missing", "theta-as-lists",
+            "z-negative-length", "z-lengths-too-long", "z-flat-i8"])
+    def test_malformed_v2_state_is_data_error(self, tmp_path, corrupt,
+                                              message):
+        state, _ = random_tiny_state(np.random.default_rng(5), D=3, P=2,
+                                     max_tokens=4)
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="malformed state") as exc:
+            load_state(path)
+        assert re.search(message, str(exc.value))
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda pl: pl["tokens"][0]["flat"].__setitem__("data", "@@@@"),
+         "not base64"),
+        (lambda pl: TestV2Containers._negative_length(pl["tokens"][0]),
+         "lengths"),
+        (lambda pl: TestV2Containers._longer_lengths(pl["tokens"][0]),
+         "lengths"),
+        (lambda pl: pl["tokens"][0].__setitem__(
+            "lengths", v2_field([3], "<i4")), "same patients"),
+        (lambda pl: pl["tokens"][0].__setitem__(
+            "flat", v2_field([0, 1, 9], "<i4")), "out of range"),
+        (lambda pl: pl["tokens"][0].__setitem__(
+            "flat", v2_field([0.0, 1.0, 0.0], "<f8")), "dtype '<f8'"),
+        (lambda pl: pl.__setitem__("tokens", [[[0, 1], [0]]] * 2), ""),
+    ], ids=["bad-base64", "negative-length", "lengths-too-long",
+            "fewer-patients", "id-out-of-range", "flat-f8", "as-lists"])
+    def test_malformed_v2_corpus_is_data_error(self, tmp_path, corrupt,
+                                               message):
+        corpus = Corpus(vocab=[["a", "b"], ["c"]],
+                        tokens=[[[0, 1], [0]], [[0], []]])
+        path = tmp_path / "corpus.json"
+        data_io.save_corpus(corpus, ["p0", "p1"], path)
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="malformed corpus") as exc:
+            data_io.load_corpus(path)
+        assert re.search(message, str(exc.value))
+
+    def test_other_corpus_version_names_the_accepted(self, tmp_path):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps({"format_version": "ss3m-corpus-v3"}))
+        with pytest.raises(VersionError, match="ss3m-corpus-v3") as exc:
+            data_io.load_corpus(path)
+        assert "'ss3m-corpus-v2', 'ss3m-corpus-v1'" in str(exc.value)

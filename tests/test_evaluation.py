@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import reference_kernels
 from conftest import make_hyper
 from ss3m import evaluation
 from ss3m.errors import (
     ConfigError,
     DataError,
+    OptimizationError,
     SamplingError,
     UndefinedMetricError,
 )
@@ -206,20 +211,55 @@ class TestLogisticRegression:
         assert auroc(scores[:, 0], Y[:, 0]) == 1.0
 
     def test_gradient_matches_finite_differences(self, rng):
-        from ss3m.evaluation import _lr_loss_grad
+        from ss3m.evaluation import _lr_grad, _lr_loss
         X = rng.normal(size=(15, 3))
         Xb = np.column_stack([X, np.ones(15)])
         y = (rng.random(15) < 0.5).astype(float)
         w = rng.normal(size=4)
-        _, grad = _lr_loss_grad(w, Xb, y, lam=0.7)
+        _, logits = _lr_loss(w, Xb, y, lam=0.7)
+        assert np.array_equal(logits, Xb @ w)
+        grad = _lr_grad(w, logits, Xb, y, lam=0.7)
         h = 1e-6
         for i in range(4):
             e = np.zeros(4)
             e[i] = h
-            fp, _ = _lr_loss_grad(w + e, Xb, y, 0.7)
-            fm, _ = _lr_loss_grad(w - e, Xb, y, 0.7)
+            fp, _ = _lr_loss(w + e, Xb, y, 0.7)
+            fm, _ = _lr_loss(w - e, Xb, y, 0.7)
             assert grad[i] == pytest.approx((fp - fm) / (2 * h), rel=1e-6,
                                             abs=1e-8)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data(), n=st.integers(1, 12), d=st.integers(1, 4),
+           labels=st.integers(1, 3),
+           scale=st.sampled_from([1.0, 30.0, 1e200]),
+           lam=st.sampled_from([0.0, 1e-3, 1.0, 1e8]),
+           epochs=st.integers(0, 40))
+    @example(data=None, n=6, d=2, labels=1, scale=1e200, lam=1.0, epochs=5)
+    def test_weights_match_the_gradient_per_trial_loop(
+            self, data, n, d, labels, scale, lam, epochs):
+        # the loop that computed a gradient on every line-search trial:
+        # the same weights bit for bit, or the same error
+        if data is None:  # features ~1e200: the objective diverges
+            X = np.full((n, d), scale)
+            X[::2] *= -1.0
+            Y = np.arange(n)[:, None] % 2
+        else:
+            X = scale * data.draw(arrays(np.float64, (n, d),
+                                         elements=st.floats(-1.0, 1.0)))
+            Y = data.draw(arrays(np.int64, (n, labels),
+                                 elements=st.integers(0, 1)))
+        outcomes = []
+        for fit in (lr_train, reference_kernels.lr_train):
+            try:
+                with np.errstate(all="ignore"):
+                    outcomes.append(fit(X, Y, lam=lam, epochs=epochs)
+                                    ["weights"].tobytes())
+            except OptimizationError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if data is None:
+            assert outcomes[0] == "objective diverged to a non-finite value"
 
     def test_huge_regularization_kills_weights(self, rng):
         X = rng.normal(size=(40, 3))
@@ -422,6 +462,36 @@ class TestEvaluateSuite:
             evaluate_suite({base_id: (other, -1000.0)}, corpus, labels,
                            corpus, labels, h, burn_in=1, samples=2, seed=1,
                            lr_epochs=20)
+
+    def test_fewer_label_columns_than_labeled_phenotypes(self):
+        # one label column for two labeled phenotypes: the ss3m column
+        # scores phenotype 0 against it
+        h, corpus, labels, truth = self._setup()
+        one = LabelMatrix(entries=labels.entries[:, :1],
+                          label_names=labels.label_names[:1])
+        reports = evaluate_suite({"ss3m_fixA0_fixB": (truth, -1000.0)},
+                                 corpus, one, corpus, one, h, burn_in=1,
+                                 samples=2, seed=1, lr_epochs=20)
+        res = heldout_infer(corpus, truth, h, burn_in=1, samples=2, seed=1)
+        ss3m = next(r for r in reports if r.model_id == "ss3m_fixA0_fixB")
+        assert ss3m.auroc_micro == auroc(res.scores[:, 0],
+                                         truth_matrix(one)[:, 0])
+
+    def test_labels_naming_other_columns_is_data_error(self):
+        h, corpus, labels, truth = self._setup()
+        renamed = LabelMatrix(entries=labels.entries,
+                              label_names=labels.label_names[::-1])
+        with pytest.raises(DataError, match="name different columns"):
+            evaluate_suite({}, corpus, labels, corpus, renamed, h,
+                           burn_in=1, samples=2, seed=1, lr_epochs=20)
+
+    def test_labels_without_columns_is_data_error(self):
+        h, corpus, labels, truth = self._setup()
+        none = LabelMatrix(entries=labels.entries[:, :0], label_names=[])
+        with pytest.raises(DataError, match="no column to score"):
+            evaluate_suite({"ss3m_fixA0_fixB": (truth, -1000.0)}, corpus,
+                           none, corpus, none, h, burn_in=1, samples=2,
+                           seed=1, lr_epochs=20)
 
     def test_csv_and_table_render(self):
         h, corpus, labels, truth = self._setup()
