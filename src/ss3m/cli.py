@@ -280,9 +280,8 @@ def cmd_evaluate(args, cfg: RunConfig):
     reports = evaluation.evaluate_suite(
         artifacts, train_c, train_l, test_c, test_l, hyper,
         burn_in=cfg.get("eval.burn_in"), samples=cfg.get("eval.samples"),
-        seed=args.seed,
-        mc3m_concentration=cfg.get("eval.mc3m_concentration"),
-        lr_lam=cfg.get("eval.lr_lambda"), lr_epochs=cfg.get("eval.lr_epochs"))
+        seed=args.seed, lr_lam=cfg.get("eval.lr_lambda"),
+        lr_epochs=cfg.get("eval.lr_epochs"))
 
     write_text(args.out, "metrics.csv", evaluation.reports_to_csv(reports))
     table = evaluation.reports_to_table(reports)

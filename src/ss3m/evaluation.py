@@ -64,25 +64,21 @@ class MetricsReport:
 
 def heldout_infer(test_corpus: Corpus, trained: ModelState,
                   hyper: Hyperparameters, burn_in: int = 50,
-                  samples: int = 100, seed: int = 0,
-                  theta_prior=None) -> HeldoutResult:
+                  samples: int = 100, seed: int = 0) -> HeldoutResult:
     """Patient-local Gibbs over (z, A, theta) with the trained globals
     (phi, B, Bstar) held fixed: gibbs.local_step, repeated.
 
     Every labeled activation runs in Estimate mode -- the labels are what
     is being predicted. score(d, p) is the mean of sampled A_dp over the
-    retained samples. theta_prior, when given, is the unstructured
-    baseline's symmetric concentration c: the chain then runs with
-    B = Bstar = c and every activation clamped on, which is the symmetric
-    Dirichlet(c) prior.
+    retained samples. The bits of each phenotype with B_p == Bstar change
+    no prior, so they are clamped on rather than drawn; the rest are free.
+    An mc3m state (B = Bstar = c) thus keeps every activation on: the
+    symmetric Dirichlet(c) prior.
     """
-    unstructured = theta_prior is not None
     if burn_in < 0:
         raise ConfigError("burn_in must be >= 0")
     if samples < 1:
         raise ConfigError("samples must be >= 1")
-    if unstructured and not theta_prior > 0:
-        raise ConfigError("theta_prior must be positive")
     widths = [phi_s.shape[1] for phi_s in trained.phi]
     if widths != [len(voc) for voc in test_corpus.vocab]:
         raise DataError(f"trained phi has {widths} words per source, the test "
@@ -95,19 +91,17 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
     rng = substream(seed, "evaluation.heldout")
     D = test_corpus.num_patients
     state = ModelState(
-        theta=np.empty((D, P)),
-        phi=trained.phi,
+        theta=np.empty((D, P)), phi=trained.phi,
         z=gibbs.initial_z(test_corpus, P, rng),
         # start fully active: when Bstar is a spike near zero the
         # off-to-on move has vanishing probability, so the chain must
         # prune activations rather than discover them
         A=np.ones((D, P), dtype=np.int8),
-        B=np.full(P, float(theta_prior)) if unstructured else trained.B,
-        Bstar=float(theta_prior if unstructured else trained.Bstar),
-    )
+        B=trained.B, Bstar=float(trained.Bstar))
     gibbs.draw_theta(state, gibbs.phenotype_counts(state, test_corpus), rng)
 
-    clamp = np.full((D, P), 1 if unstructured else -1, dtype=np.int8)
+    clamp = np.tile(np.where(trained.B == trained.Bstar, 1, -1).astype(np.int8),
+                    (D, 1))
     plan = gibbs.ZPlan.of(test_corpus, P)
     a_sum, theta_sum = np.zeros((D, P)), np.zeros((D, P))
     for it in range(burn_in + samples):
@@ -277,6 +271,9 @@ def lr_train(features, truth, lam: float = 1.0, epochs: int = 200):
     with backtracking line search from a unit step (objective decreases
     monotonically). The gradient is computed once per accepted step, from
     the logits of the trial that was accepted."""
+    if epochs < 0 or not 0 <= lam < np.inf:
+        raise ConfigError("logistic regression needs epochs >= 0 and 0 <= "
+                          f"lambda < inf, got epochs {epochs}, lambda {lam}")
     X = np.asarray(features, dtype=float)
     if not np.all(np.isfinite(X)):
         raise DataError("features must be finite")
@@ -352,7 +349,6 @@ def evaluate_suite(artifacts: dict, train_corpus: Corpus,
                    train_labels: LabelMatrix, test_corpus: Corpus,
                    test_labels: LabelMatrix, hyper: Hyperparameters,
                    burn_in: int = 50, samples: int = 100, seed: int = 0,
-                   mc3m_concentration: float = 1.0,
                    lr_lam: float = 1.0, lr_epochs: int = 200):
     """One MetricsReport per configured column.
 
@@ -360,7 +356,8 @@ def evaluate_suite(artifacts: dict, train_corpus: Corpus,
     max_log_likelihood). Missing artifacts yield placeholder (all-None)
     reports. The raw-token columns need no artifact. An ss3m column
     scores the first phenotypes, one per label column; the train and test
-    labels must name the same columns, at least one (DataError).
+    labels must name the same columns, at least one (DataError), and at
+    most hyper.num_labeled when an ss3m column is scored (ConfigError).
     """
     if train_labels.label_names != test_labels.label_names:
         raise DataError(
@@ -389,6 +386,10 @@ def evaluate_suite(artifacts: dict, train_corpus: Corpus,
             logger.warning("no artifact for %s; emitting placeholder", col)
             reports.append(MetricsReport(model_id=col))
             continue
+        if test_labels.num_labels > hyper.num_labeled:
+            raise ConfigError(
+                f"label matrix has more columns ({test_labels.num_labels}) "
+                f"than model.num_labeled ({hyper.num_labeled})")
         state, max_ll = artifacts[col]
         res = heldout_infer(test_corpus, state, hyper, burn_in=burn_in,
                             samples=samples, seed=seed)
@@ -408,10 +409,8 @@ def evaluate_suite(artifacts: dict, train_corpus: Corpus,
             raise DataError(
                 f"{base_id}: theta has {state.theta.shape[0]} patients, the "
                 f"training corpus {train_corpus.num_patients}")
-        theta_prior = mc3m_concentration if base_id == "mc3m" else None
         res = heldout_infer(test_corpus, state, hyper, burn_in=burn_in,
-                            samples=samples, seed=seed,
-                            theta_prior=theta_prior)
+                            samples=samples, seed=seed)
         classify(base_id, state.theta, res.theta_mean, NB_GAUSSIAN, max_ll)
 
     classify("raw", raw_token_features(train_corpus),

@@ -16,9 +16,9 @@ The patient-local part, z -> A -> theta, is one function, local_step,
 run alike by training, the mc3m baseline and held-out inference. They
 differ only in the D x P clamp matrix each chain builds once, which
 fixes some activation bits and leaves the rest free: training clamps the
-labeled bits (clamp_matrix), held-out inference for the gated models
-leaves every bit free, and the mc3m chains clamp every bit on, because
-mc3m's symmetric Dirichlet(c) prior is the gated prior with every
+labeled bits (clamp_matrix), held-out inference clamps on the bits of
+each phenotype with B_p == Bstar, and the mc3m chain clamps every bit on,
+because mc3m's symmetric Dirichlet(c) prior is the gated prior with every
 activation on and B = Bstar = c (train_unstructured).
 
 Token-level work is one flat pass per source over the arrays the source
@@ -469,8 +469,8 @@ def train_unstructured(corpus: Corpus, hyper: Hyperparameters,
     activation scan draws nothing)."""
     if corpus.num_patients == 0:
         raise ConfigError("corpus is empty")
-    if concentration <= 0:
-        raise ConfigError("concentration must be positive")
+    if not 0 < concentration < np.inf:
+        raise ConfigError("concentration must be positive and finite")
     rng = substream(seed, "gibbs.train")
     D, P, c = corpus.num_patients, hyper.num_phenotypes, float(concentration)
     state = ModelState(

@@ -444,13 +444,13 @@ def complete_data_log_likelihood(state: ModelState, corpus: Corpus,
 
     # Patient-phenotype Dirichlet priors.
     prior = prior_matrix(state.A, state.B, state.Bstar)
+    log_theta = floored_log(state.theta)
     total += float(gammaln(prior.sum(axis=1)).sum() - gammaln(prior).sum()
-                   + ((prior - 1.0) * floored_log(state.theta)).sum())
+                   + ((prior - 1.0) * log_theta).sum())
 
     # Token terms: log theta_d[z] + log phi_s[z, w], gathered once per
     # source and summed patient by patient, so the total is the same float
     # as a per-patient loop's.
-    log_theta = floored_log(state.theta)
     for s in range(corpus.num_sources):
         z = state.z[s]
         phi_vals = state.phi[s][z.flat, corpus.tokens[s].flat]

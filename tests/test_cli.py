@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import shutil
 
 import pytest
 
@@ -200,8 +199,7 @@ class TestDeterminism:
             train_c, train_l, test_c, shuffled,
             hyper_from_config(cfg, train_c.num_sources),
             burn_in=cfg.get("eval.burn_in"), samples=cfg.get("eval.samples"),
-            seed=1, mc3m_concentration=cfg.get("eval.mc3m_concentration"),
-            lr_lam=cfg.get("eval.lr_lambda"),
+            seed=1, lr_lam=cfg.get("eval.lr_lambda"),
             lr_epochs=cfg.get("eval.lr_epochs"))
         assert outputs[0] == evaluation.reports_to_csv(reports).encode()
 
@@ -426,18 +424,32 @@ class TestErrorPaths:
                               "--model.num_labeled", "0") == 2
         assert "no column to score" in capsys.readouterr().err
 
+    def test_evaluate_more_labels_than_labeled_phenotypes_is_config_error(
+            self, tmp_path, capsys):
+        # configs/toy.cfg: three label columns, a model trained with two
+        # labeled phenotypes; the message gives both counts
+        cfg = ["--config", REPO_TOY_CONFIG, "--seed", "1"]
+        gen, prep = str(tmp_path / "gen"), str(tmp_path / "prep")
+        states = str(tmp_path / "states")
+        run(*cfg, "--out", gen, "generate")
+        run(*cfg, "--out", prep, "--labels.top_k", "3", "preprocess",
+            "--corpus", os.path.join(gen, "corpus.jsonl"))
+        assert run(*cfg, "--out", states, "--model.num_labeled", "2",
+                   "train", "--corpus", os.path.join(prep, "corpus_train.json"),
+                   "--model-id", "ss3m_fixA0_fixB") == 0
+        capsys.readouterr()
+        assert self._evaluate(tmp_path, REPO_TOY_CONFIG, prep, states,
+                              "--model.num_labeled", "2") == 1
+        assert ("label matrix has more columns (3) than model.num_labeled "
+                "(2)") in capsys.readouterr().err
+
     @pytest.mark.parametrize("override", [
         ["--eval.burn_in", "-2"],
-        ["--eval.mc3m_concentration", "-1"],
-        ["--eval.mc3m_concentration", "0"],
     ])
     def test_bad_heldout_settings_are_config_errors(self, tmp_path,
                                                     toy_config, capsys,
                                                     override):
         prep, states = self._trained(tmp_path, toy_config)
-        # the mc3m held-out chain reads only phi and the shapes of the state
-        shutil.copyfile(os.path.join(states, "ss3m_fixA0_fixB.state.json"),
-                        os.path.join(states, "mc3m.state.json"))
         capsys.readouterr()
         assert run("--config", toy_config, "--out", str(tmp_path / "eval"),
                    *override, "evaluate",
@@ -447,6 +459,35 @@ class TestErrorPaths:
                    "--test-labels", os.path.join(prep, "labels_test.json"),
                    "--state-dir", states) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        ["--eval.lr_epochs", "-3"],
+        ["--eval.lr_lambda", "-1"],
+        ["--eval.lr_lambda", "nan"],
+    ])
+    def test_bad_lr_settings_are_config_errors(self, tmp_path, toy_config,
+                                               capsys, override):
+        prep, states = self._trained(tmp_path, toy_config)
+        capsys.readouterr()
+        assert self._evaluate(tmp_path, toy_config, prep, states,
+                              *override) == 1
+        assert ("config error: logistic regression needs epochs >= 0"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_mc3m_concentration_is_config_error(self, tmp_path,
+                                                    toy_config, capsys,
+                                                    value):
+        gen = str(tmp_path / "gen")
+        run("--config", toy_config, "--seed", "1", "--out", gen, "generate")
+        capsys.readouterr()
+        assert run("--config", toy_config, "--seed", "1",
+                   "--out", str(tmp_path / "mc3m"),
+                   "--eval.mc3m_concentration", value, "train",
+                   "--corpus", os.path.join(gen, "corpus.jsonl"),
+                   "--model-id", "mc3m") == 1
+        assert ("config error: concentration must be positive and finite"
+                in capsys.readouterr().err)
 
     def test_summarize_vocabulary_mismatch_is_data_error(self, tmp_path,
                                                          toy_config, capsys):

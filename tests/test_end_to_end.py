@@ -6,8 +6,8 @@ vocabularies of one, documents that are all empty, P_lab from 0 to P,
 both missing-label modes, both B modes and the paper's Bstar prior shape
 next to a flat one. Whatever the input, the best state must be a valid
 state of the corpus with a finite log-likelihood trace, it must keep
-every Present and Absent label clamp, and the held-out scores must be
-activation frequencies.
+every Present and Absent label clamp, and the held-out scores, of that
+state or of the mc3m baseline's, must be activation frequencies.
 """
 
 import numpy as np
@@ -24,6 +24,7 @@ from ss3m.gibbs import (
     MISSING_FIX_ZERO,
     TrainOptions,
     train,
+    train_unstructured,
 )
 from ss3m.model import LABEL_ABSENT, LABEL_PRESENT, LabelMatrix
 
@@ -58,7 +59,7 @@ def pipelines(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(pipelines(), st.sampled_from([None, 1.0]), st.integers(0, 2),
        st.integers(1, 3))
-def test_train_then_heldout_invariants(problem, theta_prior, burn_in,
+def test_train_then_heldout_invariants(problem, concentration, burn_in,
                                        samples):
     corpus, labels, hyper, options, test_corpus = problem
     trace = train(corpus, labels, hyper, options)
@@ -70,8 +71,11 @@ def test_train_then_heldout_invariants(problem, theta_prior, burn_in,
     assert np.all(labeled[labels.entries == LABEL_PRESENT] == 1)
     assert np.all(labeled[labels.entries == LABEL_ABSENT] == 0)
 
+    if concentration is not None:
+        # the mc3m baseline's best state: B = Bstar = concentration
+        best = train_unstructured(corpus, hyper, concentration,
+                                  options.seed).best_state
     res = heldout_infer(test_corpus, best, hyper, burn_in=burn_in,
-                        samples=samples, seed=options.seed,
-                        theta_prior=theta_prior)
+                        samples=samples, seed=options.seed)
     assert res.scores.shape == (test_corpus.num_patients, hyper.num_labeled)
     assert np.all((res.scores >= 0.0) & (res.scores <= 1.0))

@@ -261,6 +261,15 @@ class TestLogisticRegression:
         if data is None:
             assert outcomes[0] == "objective diverged to a non-finite value"
 
+    @pytest.mark.parametrize("lam, epochs", [
+        (1.0, -3), (-1.0, 10), (float("nan"), 10), (float("inf"), 10),
+    ])
+    def test_bad_settings_are_config_errors(self, lam, epochs):
+        X = np.array([[0.0], [1.0]])
+        Y = np.array([[0], [1]])
+        with pytest.raises(ConfigError, match="epochs >= 0 and 0 <= lambda"):
+            lr_train(X, Y, lam=lam, epochs=epochs)
+
     def test_huge_regularization_kills_weights(self, rng):
         X = rng.normal(size=(40, 3))
         Y = (rng.random((40, 1)) < 0.3).astype(int)
@@ -288,9 +297,6 @@ class TestHeldoutInfer:
     @pytest.mark.parametrize("settings, message", [
         ({"burn_in": -2, "samples": 4}, "burn_in"),
         ({"samples": 0}, "samples"),
-        ({"theta_prior": 0.0}, "theta_prior"),
-        ({"theta_prior": -1.0}, "theta_prior"),
-        ({"theta_prior": float("nan")}, "theta_prior"),
     ])
     def test_bad_chain_settings_are_config_errors(self, settings, message):
         h, corpus, truth = _trained_toy()
@@ -314,6 +320,16 @@ class TestHeldoutInfer:
                                             r"per source, the test "
                                             r"vocabularies \[30\]"):
             heldout_infer(corpus, truth, h, burn_in=0, samples=1, seed=1)
+
+    def test_phenotype_with_b_equal_to_bstar_is_clamped_on(self):
+        # B_1 == Bstar: phenotype 1's bits change no prior and stay on,
+        # while phenotypes 0 and 2 are drawn (each has a patient whose
+        # bit is off in every retained sample; the chain starts all on)
+        h, corpus, truth = _trained_toy()
+        truth.B[1] = truth.Bstar
+        res = heldout_infer(corpus, truth, h, burn_in=2, samples=5, seed=1)
+        assert np.all(res.activation_mean[:, 1] == 1.0)
+        assert np.all(res.activation_mean[:, [0, 2]].min(axis=0) == 0.0)
 
     def test_non_finite_log_odds_names_the_cell(self):
         # an infinite Bstar makes every activation log-odds inf - inf; the
@@ -476,6 +492,24 @@ class TestEvaluateSuite:
         ss3m = next(r for r in reports if r.model_id == "ss3m_fixA0_fixB")
         assert ss3m.auroc_micro == auroc(res.scores[:, 0],
                                          truth_matrix(one)[:, 0])
+
+    def test_more_label_columns_than_labeled_phenotypes(self):
+        # three label columns for two labeled phenotypes: an ss3m column
+        # is a config error naming both counts; the base models and raw
+        # columns alone still score every label column
+        h, corpus, labels, truth = self._setup()
+        three = labels_from_activations(truth, 3)
+        with pytest.raises(ConfigError, match=r"label matrix has more "
+                                              r"columns \(3\) than "
+                                              r"model.num_labeled \(2\)"):
+            evaluate_suite({"ss3m_fixA0_fixB": (truth, -1000.0)}, corpus,
+                           three, corpus, three, h, burn_in=1, samples=2,
+                           seed=1, lr_epochs=20)
+        reports = evaluate_suite({"mc3m": (truth, -1000.0)}, corpus, three,
+                                 corpus, three, h, burn_in=1, samples=2,
+                                 seed=1, lr_epochs=20)
+        scored = {r.model_id for r in reports if r.auroc_micro is not None}
+        assert scored == {"mc3m_lr", "mc3m_nb", "raw_lr", "raw_nb"}
 
     def test_labels_naming_other_columns_is_data_error(self):
         h, corpus, labels, truth = self._setup()

@@ -5,7 +5,7 @@ import pytest
 import scipy.stats as st
 
 from conftest import cell_log_odds, make_hyper, random_tiny_state, z_pass
-from ss3m.errors import DimensionError, SamplingError
+from ss3m.errors import ConfigError, DimensionError, SamplingError
 from ss3m.gibbs import (
     TrainOptions,
     ZPlan,
@@ -18,6 +18,7 @@ from ss3m.gibbs import (
     sweep,
     token_counts,
     train,
+    train_unstructured,
 )
 from ss3m.model import (
     LABEL_PRESENT,
@@ -384,6 +385,15 @@ class TestClampInvariants:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("concentration",
+                             [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_unstructured_concentration_is_config_error(
+            self, concentration):
+        h = make_hyper(P=2, gamma=0.2, iterations=0)
+        corpus, _ = generate(h, [6], DocLengthSpec.fixed(5, 1), 8, seed=1)
+        with pytest.raises(ConfigError, match="positive and finite"):
+            train_unstructured(corpus, h, concentration, seed=0)
+
     def test_zero_iterations(self):
         h = make_hyper(P=2, gamma=0.2, iterations=0)
         corpus, truth = generate(h, [6], DocLengthSpec.fixed(5, 1), 8, seed=1)

@@ -1,11 +1,12 @@
 """The mc3m baseline, held-out inference and the HMC targets against the
 code they replaced.
 
-The baseline trainer and held-out inference now run the gated chain with
-every activation held on and B = Bstar = c; the B target is one vector
-conditional over all of log B. Each property runs the package and the
-reference from tests/reference_kernels.py on the same input and asserts
-the same floats, arrays and final generator state (for the targets:
+The baseline trainer runs the gated chain with every activation held on
+and B = Bstar = c, and held-out inference reads that prior from the
+trained state; the B target is one vector conditional over all of log B.
+Each property runs the package and the reference from
+tests/reference_kernels.py on the same input and asserts the same
+floats, arrays and final generator state (for the targets:
 log-density differences and derivatives along each coordinate that agree
 to 1e-12 of the summed magnitudes of the old target's terms).
 The inputs reach the corners: one patient, one phenotype, one to three
@@ -16,7 +17,7 @@ to P, and Bstar at the paper spike 1e-18.
 import contextlib
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import digamma, gammaln
@@ -101,6 +102,8 @@ def test_mc3m_chain_matches_flagged_sweep(problem, concentration, seed):
        st.integers(1, 3), st.data())
 def test_heldout_matches_prior_branches(problem, theta_prior, bstar, burn_in,
                                         samples, data):
+    # An mc3m state (B = Bstar = theta_prior) runs the reference's
+    # unstructured branch; a gated state, every B_p != Bstar, its gated one.
     test_corpus, vocab_sizes, hyper = problem
     P = hyper.num_phenotypes
     D = test_corpus.num_patients
@@ -110,13 +113,16 @@ def test_heldout_matches_prior_branches(problem, theta_prior, bstar, burn_in,
         A=data.draw(arrays(np.int8, (D, P), elements=st.integers(0, 1))),
         B=data.draw(arrays(np.float64, P, elements=st.floats(0.1, 20.0))),
         Bstar=bstar)
+    if theta_prior is None:
+        assume(np.all(trained.B != trained.Bstar))
+    else:
+        trained.B, trained.Bstar = np.full(P, theta_prior), theta_prior
     seed = data.draw(st.integers(0, 2**32))
     theta_want, a_want, rng_want = ref.heldout_infer(
         test_corpus, trained, hyper, burn_in, samples, seed, theta_prior)
     with substreams_made(evaluation) as made:
         res = heldout_infer(test_corpus, trained, hyper, burn_in=burn_in,
-                            samples=samples, seed=seed,
-                            theta_prior=theta_prior)
+                            samples=samples, seed=seed)
     assert np.array_equal(res.theta_mean, theta_want)
     assert np.array_equal(res.activation_mean, a_want)
     assert np.array_equal(res.scores, a_want[:, :hyper.num_labeled])
