@@ -142,7 +142,7 @@ def cmd_generate(args, cfg: RunConfig):
     if mode == "poisson":
         lengths = model.DocLengthSpec.poisson(length, S)
     elif mode == "fixed":
-        lengths = model.DocLengthSpec.fixed(int(length), S)
+        lengths = model.DocLengthSpec.fixed(length, S)
     else:
         raise ConfigError(f"unknown doc_length_mode {mode!r}")
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import rankdata
 
 from . import gibbs
 from .errors import (
@@ -62,6 +61,14 @@ class MetricsReport:
     max_log_likelihood: float = None  # absent for raw-token baselines
 
 
+def _check_chain_settings(burn_in: int, samples: int):
+    """ConfigError unless a held-out chain can run with these settings."""
+    if burn_in < 0:
+        raise ConfigError("burn_in must be >= 0")
+    if samples < 1:
+        raise ConfigError("samples must be >= 1")
+
+
 def heldout_infer(test_corpus: Corpus, trained: ModelState,
                   hyper: Hyperparameters, burn_in: int = 50,
                   samples: int = 100, seed: int = 0) -> HeldoutResult:
@@ -75,10 +82,7 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
     An mc3m state (B = Bstar = c) thus keeps every activation on: the
     symmetric Dirichlet(c) prior.
     """
-    if burn_in < 0:
-        raise ConfigError("burn_in must be >= 0")
-    if samples < 1:
-        raise ConfigError("samples must be >= 1")
+    _check_chain_settings(burn_in, samples)
     widths = [phi_s.shape[1] for phi_s in trained.phi]
     if widths != [len(voc) for voc in test_corpus.vocab]:
         raise DataError(f"trained phi has {widths} words per source, the test "
@@ -121,27 +125,30 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
 # ---------------------------------------------------------------------------
 
 def auroc(scores, truth) -> float:
-    """Mann-Whitney AUROC with ties counted half."""
+    """Mann-Whitney AUROC with ties counted half; NaN if a score is NaN."""
     scores = np.asarray(scores, dtype=float)
     truth = np.asarray(truth).astype(bool)
-    n_pos = int(truth.sum())
-    n_neg = truth.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    pos, neg = scores[truth], np.sort(scores[~truth])
+    if pos.size == 0 or neg.size == 0:
         raise UndefinedMetricError(
             "AUROC needs at least one positive and one negative")
-    ranks = rankdata(scores, method="average")
-    return float((ranks[truth].sum() - n_pos * (n_pos + 1) / 2.0)
-                 / (n_pos * n_neg))
+    twice_u = int(np.searchsorted(neg, pos, "left").sum()
+                  + np.searchsorted(neg, pos, "right").sum())
+    return (float("nan") if np.isnan(scores).any()
+            else twice_u / 2.0 / (pos.size * neg.size))
 
 
 def auprc(scores, truth) -> float:
     """Area under the precision-recall curve by step-wise summation over
-    descending unique score thresholds, ties grouped."""
+    descending unique score thresholds, ties grouped; NaN if any score is
+    NaN, as for auroc."""
     scores = np.asarray(scores, dtype=float)
     truth = np.asarray(truth).astype(bool)
     n_pos = int(truth.sum())
     if n_pos == 0:
         raise UndefinedMetricError("AUPRC needs at least one positive")
+    if np.isnan(scores).any():
+        return float("nan")
     order = np.argsort(-scores, kind="stable")
     s_sorted = scores[order]
     t_sorted = truth[order]
@@ -266,14 +273,19 @@ def _lr_grad(w, logits, Xb, y, lam):
     return grad + lam * np.append(w[:-1], 0.0)
 
 
+def _check_lr_settings(lam: float, epochs: int):
+    """ConfigError unless lr_train can run with these settings."""
+    if epochs < 0 or not 0 <= lam < np.inf:
+        raise ConfigError("logistic regression needs epochs >= 0 and 0 <= "
+                          f"lambda < inf, got epochs {epochs}, lambda {lam}")
+
+
 def lr_train(features, truth, lam: float = 1.0, epochs: int = 200):
     """One-vs-rest L2 logistic regression by full-batch gradient descent
     with backtracking line search from a unit step (objective decreases
     monotonically). The gradient is computed once per accepted step, from
     the logits of the trial that was accepted."""
-    if epochs < 0 or not 0 <= lam < np.inf:
-        raise ConfigError("logistic regression needs epochs >= 0 and 0 <= "
-                          f"lambda < inf, got epochs {epochs}, lambda {lam}")
+    _check_lr_settings(lam, epochs)
     X = np.asarray(features, dtype=float)
     if not np.all(np.isfinite(X)):
         raise DataError("features must be finite")
@@ -358,7 +370,11 @@ def evaluate_suite(artifacts: dict, train_corpus: Corpus,
     scores the first phenotypes, one per label column; the train and test
     labels must name the same columns, at least one (DataError), and at
     most hyper.num_labeled when an ss3m column is scored (ConfigError).
+    The chain and logistic-regression settings are checked before any
+    chain runs.
     """
+    _check_chain_settings(burn_in, samples)
+    _check_lr_settings(lr_lam, lr_epochs)
     if train_labels.label_names != test_labels.label_names:
         raise DataError(
             f"train labels {train_labels.label_names} and test labels "

@@ -62,13 +62,13 @@ class Hyperparameters:
         gam = tuple(float(g) for g in self.gamma)
         if len(gam) != self.num_sources:
             raise ConfigError("gamma must have one entry per source")
-        if any(g <= 0 for g in gam):
-            raise ConfigError("gamma entries must be positive")
+        if not all(0 < g < np.inf for g in gam):
+            raise ConfigError("gamma entries must be positive and finite")
         object.__setattr__(self, "gamma", gam)
         for name in ("b_shape", "b_scale", "bstar_shape", "bstar_scale",
                      "hmc_step_size"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         if self.hmc_path_length < 1:
             raise ConfigError("hmc_path_length must be a positive integer")
         if self.iterations < 0:
@@ -270,15 +270,17 @@ class DocLengthSpec:
     modes: tuple
 
     @classmethod
-    def fixed(cls, n: int, num_sources: int) -> "DocLengthSpec":
-        if n < 0:
-            raise ConfigError("fixed document length must be >= 0")
+    def fixed(cls, n: float, num_sources: int) -> "DocLengthSpec":
+        if not (n >= 0 and float(n).is_integer()):
+            raise ConfigError("fixed document length must be a whole "
+                              f"number >= 0, got {n}")
         return cls(tuple(("fixed", int(n)) for _ in range(num_sources)))
 
     @classmethod
     def poisson(cls, lam: float, num_sources: int) -> "DocLengthSpec":
-        if lam <= 0:
-            raise ConfigError("poisson mean must be > 0")
+        if not 0 < lam < np.inf:
+            raise ConfigError(
+                f"poisson mean must be > 0 and finite, got {lam}")
         return cls(tuple(("poisson", float(lam)) for _ in range(num_sources)))
 
     def draw(self, s: int, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -39,15 +39,27 @@ fixed totals are the left-to-right total over q != p, not the old row
 sum minus B_p, which lost Bstar: up to
 P*Bstar*|digamma(B_p)| of the log-density, far above rounding at
 Bstar = 1e-18 and a tiny B_p.
+
+The AUROC reference is the rank-sum formula the metric used before it
+counted Mann-Whitney's U from the sorted negatives: average ranks, their
+sum over the positives minus n_pos(n_pos + 1)/2, over n_pos * n_neg. The
+ranks are half-integers and their sum is exact, so the two agree bit for
+bit.
 """
 
 from math import lgamma, log
 
 import numpy as np
 from scipy.special import digamma, expit, gammaln
+from scipy.stats import rankdata
 
 from ss3m import gibbs, model
-from ss3m.errors import NumericalError, OptimizationError, SamplingError
+from ss3m.errors import (
+    NumericalError,
+    OptimizationError,
+    SamplingError,
+    UndefinedMetricError,
+)
 from ss3m.gibbs import MISSING_FIX_ZERO
 from ss3m.model import (
     LABEL_ABSENT,
@@ -476,3 +488,17 @@ def lr_train(features, truth, lam=1.0, epochs=200):
             w, loss, grad = w_new, new_loss, new_grad
         weights.append(w)
     return {"weights": np.array(weights), "lam": lam}
+
+
+def auroc(scores, truth):
+    """Mann-Whitney AUROC from average ranks, ties counted half."""
+    scores = np.asarray(scores, dtype=float)
+    truth = np.asarray(truth).astype(bool)
+    n_pos = int(truth.sum())
+    n_neg = truth.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise UndefinedMetricError(
+            "AUROC needs at least one positive and one negative")
+    ranks = rankdata(scores, method="average")
+    return float((ranks[truth].sum() - n_pos * (n_pos + 1) / 2.0)
+                 / (n_pos * n_neg))

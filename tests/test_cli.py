@@ -582,6 +582,34 @@ class TestErrorPaths:
         assert run("--config", toy_config, "--model.alpha", "1.5",
                    "--out", str(tmp_path / "o"), "generate") == 1
 
+    @pytest.mark.parametrize("override", [
+        ["--model.b_shape", "nan"],
+        ["--model.gamma", "nan"],
+        ["--hmc.step_size", "inf"],
+        ["--generate.doc_length", "nan"],
+        ["--generate.doc_length_mode", "fixed", "--generate.doc_length",
+         "inf"],
+        ["--generate.doc_length_mode", "fixed", "--generate.doc_length",
+         "7.9"],
+    ])
+    def test_non_finite_or_fractional_setting_is_config_error(
+            self, tmp_path, capsys, override):
+        assert run("--config", REPO_TOY_CONFIG, "--seed", "1", *override,
+                   "--out", str(tmp_path / "o"), "generate") == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_bad_chain_settings_fail_without_states(self, tmp_path,
+                                                    toy_config, capsys):
+        # no state to run a chain on: the settings are still checked
+        prep, _ = self._trained(tmp_path, toy_config)
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        capsys.readouterr()
+        assert self._evaluate(tmp_path, toy_config, prep, str(empty),
+                              "--eval.burn_in", "-5",
+                              "--eval.samples", "0") == 1
+        assert "config error: burn_in must be >= 0" in capsys.readouterr().err
+
 
 class TestManifest:
     def test_manifest_records_config_digest(self, tmp_path, toy_config):

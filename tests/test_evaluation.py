@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -103,6 +106,78 @@ class TestAuroc:
         with pytest.raises(UndefinedMetricError):
             auroc([0.1, 0.2], [1, 1])
 
+    def test_nan_score_gives_nan(self):
+        assert math.isnan(auroc([0.1, np.nan, 0.3], [1, 0, 1]))
+        assert math.isnan(auroc([np.nan, 0.2, 0.3], [1, 0, 1]))
+        with pytest.raises(UndefinedMetricError):
+            auroc([0.1, np.nan], [1, 1])
+
+
+# Scores where sorting and tie handling are easiest to get wrong: signed
+# zeros, infinities, the ends of the float range and small integers,
+# which tie often.
+AUROC_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 1e300, -1e300,
+                     5e-324]),
+    st.integers(-3, 3).map(float),
+    st.floats(allow_nan=False))
+
+
+class TestAurocMatchesRankSum:
+    """auroc counts U from the sorted negatives; the rank-sum formula it
+    replaced (reference_kernels.auroc) must give the same float, bit for
+    bit, and the same error for one-class truth."""
+
+    @staticmethod
+    def _assert_same(scores, truth):
+        try:
+            expected = reference_kernels.auroc(scores, truth)
+        except UndefinedMetricError:
+            with pytest.raises(UndefinedMetricError):
+                auroc(scores, truth)
+            return
+        got = auroc(scores, truth)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(AUROC_SCORES, st.booleans()), min_size=1,
+                    max_size=60))
+    @example([(0.5, True), (0.5, False), (0.5, False), (0.5, True)])
+    @example([(np.inf, True), (np.inf, False), (-np.inf, False)])
+    @example([(-0.0, True), (0.0, False), (0.0, True), (-0.0, False)])
+    @example([(1e300, True), (-1e300, False), (1e300, False)])
+    @example([(2.0, True), (2.0, True)])
+    def test_bitwise_equal_to_rank_sum(self, pairs):
+        scores, truth = zip(*pairs)
+        self._assert_same(list(scores), list(truth))
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.int64, st.integers(1, 60),
+                  elements=st.integers(-5, 5)),
+           st.data())
+    def test_integer_scores_bitwise_equal(self, scores, data):
+        truth = data.draw(arrays(np.bool_, scores.shape))
+        self._assert_same(scores, truth)
+
+    def test_long_tied_vectors_bitwise_equal(self, rng):
+        for n in (1000, 100_000):
+            scores = rng.integers(0, 7, size=n).astype(float)
+            truth = rng.random(n) < 0.3
+            self._assert_same(scores, truth)
+
+
+def test_package_imports_no_scipy_stats():
+    # the package uses scipy.special alone; scipy.stats costs every
+    # command a large share of its start-up time and memory
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, ss3m, ss3m.cli; print(sorted(m for m in sys.modules"
+            " if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
+
 
 class TestAuprc:
     def test_perfect_ranking(self):
@@ -129,6 +204,13 @@ class TestAuprc:
     def test_no_positives(self):
         with pytest.raises(UndefinedMetricError):
             auprc([0.3, 0.4], [0, 0])
+
+    def test_nan_score_gives_nan(self):
+        # as auroc does; a NaN is not ranked below every other score
+        assert math.isnan(auprc([0.1, np.nan, 0.3], [1, 0, 1]))
+        assert math.isnan(auprc([np.nan, 0.2, 0.3], [1, 0, 1]))
+        with pytest.raises(UndefinedMetricError):
+            auprc([0.1, np.nan], [0, 0])
 
 
 class TestMicroMacro:
@@ -510,6 +592,29 @@ class TestEvaluateSuite:
                                  seed=1, lr_epochs=20)
         scored = {r.model_id for r in reports if r.auroc_micro is not None}
         assert scored == {"mc3m_lr", "mc3m_nb", "raw_lr", "raw_nb"}
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"burn_in": -5}, "burn_in must be >= 0"),
+        ({"samples": 0}, "samples must be >= 1"),
+        ({"lr_epochs": -3}, "logistic regression needs epochs >= 0"),
+        ({"lr_lam": np.nan}, "logistic regression needs epochs >= 0"),
+    ])
+    @pytest.mark.parametrize("with_artifacts", [True, False])
+    def test_bad_settings_fail_before_any_chain(self, monkeypatch, settings,
+                                                message, with_artifacts):
+        h, corpus, labels, truth = self._setup()
+
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a held-out chain ran")
+
+        monkeypatch.setattr(evaluation, "heldout_infer", no_chain)
+        artifacts = ({name: (truth, -1000.0)
+                      for name in evaluation.STATE_ARTIFACTS}
+                     if with_artifacts else {})
+        with pytest.raises(ConfigError, match=message):
+            evaluate_suite(artifacts, corpus, labels, corpus, labels, h,
+                           **{"burn_in": 1, "samples": 2, "seed": 1,
+                              "lr_epochs": 20, **settings})
 
     def test_labels_naming_other_columns_is_data_error(self):
         h, corpus, labels, truth = self._setup()

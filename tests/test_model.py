@@ -75,6 +75,35 @@ class TestHyperparameters:
         with pytest.raises(ConfigError):
             make_hyper(hmc_step_size=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["b_shape", "b_scale", "bstar_shape",
+                                      "bstar_scale", "hmc_step_size"])
+    def test_non_finite_reals(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be positive "
+                                              "and finite"):
+            make_hyper(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_gamma(self, value):
+        with pytest.raises(ConfigError, match="gamma entries"):
+            Hyperparameters(num_phenotypes=2, num_labeled=0, num_sources=2,
+                            alpha=0.1, gamma=(0.01, value))
+
+
+class TestDocLengthSpec:
+    @pytest.mark.parametrize("n", [-1, 7.9, math.nan, math.inf])
+    def test_fixed_needs_a_whole_number(self, n):
+        with pytest.raises(ConfigError, match="whole number >= 0"):
+            DocLengthSpec.fixed(n, 2)
+
+    def test_fixed_accepts_a_whole_float(self):
+        assert DocLengthSpec.fixed(7.0, 2).modes == (("fixed", 7),) * 2
+
+    @pytest.mark.parametrize("lam", [0.0, -2.0, math.nan, math.inf])
+    def test_poisson_needs_a_finite_positive_mean(self, lam):
+        with pytest.raises(ConfigError, match="poisson mean"):
+            DocLengthSpec.poisson(lam, 1)
+
 
 class TestGenerate:
     def test_seed_reproducibility(self):
