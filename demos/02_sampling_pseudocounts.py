@@ -2,8 +2,8 @@
 
 The pseudo-counts gate how strongly an active phenotype pulls patient
 mass toward itself. Holding them fixed keeps phenotypes interpretable;
-sampling them (via Hamiltonian Monte Carlo on log B) lets the model
-adapt the gate to the data.
+sampling them (by a Gibbs step given the token assignments and the
+activations) lets the model adapt the gate to the data.
 
 Run:  python3 demos/02_sampling_pseudocounts.py
 """
@@ -40,15 +40,10 @@ for mode in (B_FIXED, B_SAMPLED):
                            b_mode=mode, seed=1)
     trace = train(corpus, labels, hyper, options)
     state = trace.best_state
-    accepts = sum(trace.hmc_accepts)
-    attempts = sum(trace.hmc_attempts)
     print(f"b_mode={mode}")
     print(f"  best log-likelihood: {trace.best_log_likelihood:.1f}")
     print(f"  B  = {np.round(state.B, 3)}")
     print(f"  B* = {state.Bstar:.4g}")
-    if attempts:
-        print(f"  HMC acceptance: {accepts}/{attempts} "
-              f"({accepts / attempts:.2%})")
     print()
 
 print("true B was", np.round(truth.B, 3), "and true B* was",

@@ -44,7 +44,7 @@ def build_parser():
     p = sub.add_parser("preprocess", help="filter a raw JSONL corpus and split")
     p.add_argument("--corpus", required=True, help="raw JSON-lines corpus")
 
-    p = sub.add_parser("train", help="run the Gibbs/HMC trainer")
+    p = sub.add_parser("train", help="run the Gibbs trainer")
     p.add_argument("--corpus", required=True,
                    help="preprocessed corpus container (or raw .jsonl)")
     p.add_argument("--labels", help="labels container (required unless "
@@ -238,13 +238,8 @@ def cmd_train(args, cfg: RunConfig):
         "seed": args.seed,
         "model_id": args.model_id,
     })
-    rows = ["iteration,log_likelihood,hmc_accept_rate"]
-    for it, ll in enumerate(trace.log_likelihoods):
-        if 1 <= it <= len(trace.hmc_attempts) and trace.hmc_attempts[it - 1]:
-            rate = repr(trace.hmc_accepts[it - 1] / trace.hmc_attempts[it - 1])
-        else:
-            rate = ""
-        rows.append(f"{it},{ll!r},{rate}")
+    rows = ["iteration,log_likelihood"]
+    rows += [f"{it},{ll!r}" for it, ll in enumerate(trace.log_likelihoods)]
     write_text(args.out, "trace.csv", "\n".join(rows) + "\n")
     echo_config(cfg, args.out)
     write_manifest(args.out, args.seed, cfg,

@@ -39,6 +39,7 @@ SCHEMA = {
     "model.b_scale": (float, 1.0),
     "model.bstar_shape": (float, 0.01),
     "model.bstar_scale": (float, 1.0),
+    # validated but unread (Hyperparameters.hmc_*)
     "hmc.path_length": (int, 25),
     "hmc.step_size": (float, 0.01),
     "train.iterations": (int, 200),

@@ -1,20 +1,22 @@
-"""Gibbs sampler: the complete conditionals of z, A, theta and phi, the
-HMC updates for B and Bstar, and the training sweep tying them together.
+"""Gibbs sampler: the complete conditionals of z, A, B and Bstar, theta
+and phi, and the training sweep tying them together.
 
-Within a sweep the update order is z -> A -> theta -> phi -> B -> Bstar.
+Within a sweep the update order is z -> A -> (B, Bstar) -> theta -> phi.
 Each bit of A is drawn given z with theta integrated out (a
-Dirichlet-multinomial conditional), and theta is drawn right after the
-scan given A and z, before anything reads theta again: a partially
-collapsed Gibbs sampler (van Dyk & Park 2008) whose stationary law is the
-posterior. phi is drawn given z, B is one HMC move over all of log B and
-Bstar one move over log Bstar. Each conditional has one kernel, shared
-by training, the mc3m baseline and held-out inference and tested as it
-is: _sample_z_batch (z), activation_scan (A), draw_theta (theta) and
-draw_phi (phi).
+Dirichlet-multinomial conditional); with sampled B, B and Bstar are then
+drawn given z and A, theta still integrated out, by an auxiliary-variable
+Gibbs step (draw_pseudocounts); theta is drawn right after, given A, B,
+Bstar and z, before anything reads theta again: a partially collapsed
+Gibbs sampler (van Dyk & Park 2008) whose stationary law is the
+posterior. phi is drawn last, given z. Each conditional has one kernel,
+shared by training, the mc3m baseline and held-out inference and tested
+as it is: _sample_z_batch (z), activation_scan (A), draw_pseudocounts (B
+and Bstar), draw_theta (theta) and draw_phi (phi).
 
 The patient-local part, z -> A -> theta, is one function, local_step,
 run alike by training, the mc3m baseline and held-out inference. They
-differ only in the D x P clamp matrix each chain builds once, which
+differ only in whether the step draws B and Bstar (training with sampled
+B alone) and in the D x P clamp matrix each chain builds once, which
 fixes some activation bits and leaves the rest free: training clamps the
 labeled bits (clamp_matrix), held-out inference clamps on the bits of
 each phenotype with B_p == Bstar, and the mc3m chain clamps every bit on,
@@ -28,7 +30,7 @@ in the same layout. The z pass draws what a token-by-token scan would
 (_sample_z_batch), the A update is an exact sequential scan over the
 phenotypes vectorized over patients (activation_scan), and the count
 matrices are one bincount per source: the local step counts phenotypes
-once and hands the counts to both the A scan and the theta draw.
+once and hands the counts to the A scan, the B step and the theta draw.
 
 The z pass works on distinct (patient, word) pairs, and the tokens do
 not change along a chain, so each chain plans it once (ZPlan, built next
@@ -48,7 +50,6 @@ from math import log
 import numpy as np
 from scipy.special import expit, gammaln
 
-from . import hmc
 from .errors import ConfigError, DimensionError, SamplingError
 from .model import (
     LABEL_ABSENT,
@@ -64,7 +65,7 @@ from .model import (
     draw_concentrations,
     prior_matrix,
 )
-from .util import PROB_FLOOR, floored_log, sample_dirichlet, substream
+from .util import PROB_FLOOR, sample_dirichlet, substream
 
 logger = logging.getLogger(__name__)
 
@@ -95,8 +96,6 @@ class TrainOptions:
 @dataclass
 class TrainTrace:
     log_likelihoods: list = field(default_factory=list)
-    hmc_accepts: list = field(default_factory=list)
-    hmc_attempts: list = field(default_factory=list)
     best_state: ModelState = None
     best_iteration: int = -1
 
@@ -355,50 +354,89 @@ def draw_phi(state: ModelState, corpus: Corpus, hyper: Hyperparameters,
         state.phi[s] = sample_dirichlet(hyper.gamma[s] + m, rng)
 
 
+def _log_gamma(shape, rng: np.random.Generator):
+    """log of Gamma(shape, 1) variates, one per entry of shape, drawn as
+    log G(shape + 1) + log(U) / shape: a plain draw at a shape near 1e-7
+    underflows to 0."""
+    with np.errstate(divide="ignore"):  # U == 0 gives -inf, floored later
+        return (np.log(rng.standard_gamma(shape + 1.0))
+                + np.log(rng.random(np.shape(shape))) / shape)
+
+
+def table_counts(n: np.ndarray, c: np.ndarray,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Chinese-restaurant table counts, CRT(n, c) per cell of the count
+    array n and the concentration array c of its shape: the sum over
+    i < n of Bern(c / (c + i)), one uniform per token, the tokens grouped
+    by cell in row-major order."""
+    flat = n.ravel()
+    cell = np.repeat(np.arange(flat.size), flat)
+    c_tok = c.ravel()[cell]
+    ith = np.arange(cell.size) - np.repeat(np.cumsum(flat) - flat, flat)
+    sat = cell[rng.random(cell.size) < c_tok / (c_tok + ith)]
+    return np.bincount(sat, minlength=flat.size).reshape(n.shape)
+
+
+def draw_pseudocounts(state: ModelState, counts: np.ndarray,
+                      hyper: Hyperparameters, rng: np.random.Generator):
+    """Draw B and Bstar given z (as its phenotype counts) and A with theta
+    integrated out, in place, floored at PROB_FLOOR.
+
+    Auxiliary variables make the Dirichlet-multinomial marginal of each
+    patient's counts conjugate to the Gamma priors (Teh et al. 2006;
+    Zhou & Carin 2015): log q_d ~ log Beta(T_d, N_d) for each patient
+    with N_d > 0 tokens and gated prior total T_d, and a table count
+    l_dp ~ CRT(n_dp, c_dp) per cell (table_counts). Given them, B_p is
+    Gamma(b_shape + sum of l over p's active cells, rate 1/b_scale - sum
+    of their log q) and Bstar is Gamma(bstar_shape + sum of l over the
+    inactive cells, rate 1/bstar_scale - sum of their log q). Every Gamma
+    variate is drawn in log space (_log_gamma).
+    """
+    prior = prior_matrix(state.A, state.B, state.Bstar)
+    N = counts.sum(axis=1)
+    has = N > 0
+    log_x = _log_gamma(prior[has].sum(axis=1), rng)
+    log_q = np.zeros(len(counts))
+    log_q[has] = log_x - np.logaddexp(log_x,
+                                      np.log(rng.standard_gamma(N[has])))
+    tables = table_counts(counts, prior, rng)
+    active = state.A == 1
+    log_b = (_log_gamma(hyper.b_shape + (tables * active).sum(axis=0), rng)
+             - np.log(1.0 / hyper.b_scale - log_q @ active))
+    log_bstar = (_log_gamma(hyper.bstar_shape + tables[~active].sum(), rng)
+                 - np.log(1.0 / hyper.bstar_scale
+                          - log_q @ (~active).sum(axis=1)))
+    state.B = np.maximum(np.exp(log_b), PROB_FLOOR)
+    state.Bstar = float(max(np.exp(log_bstar), PROB_FLOOR))
+
+
 def local_step(state: ModelState, corpus: Corpus, plan: ZPlan,
-               clamp: np.ndarray, alpha: float, rng: np.random.Generator):
+               clamp: np.ndarray, alpha: float, rng: np.random.Generator,
+               b_prior: Hyperparameters = None):
     """The patient-local conditionals, in place: z given theta and phi
     (_sample_z_batch on the chain's plan for corpus), then A given z with
-    theta integrated out (activation_scan under `clamp`), then theta given
-    A and z. The scan and the theta draw read the same phenotype counts,
-    summed from the new z."""
+    theta integrated out (activation_scan under `clamp`), then, when the
+    chain samples B and passes b_prior (the Hyperparameters holding their
+    Gamma priors), B and Bstar given z and A (draw_pseudocounts), then
+    theta given A and z. The scan, the B step and the theta draw read the
+    same phenotype counts, summed from the new z."""
     for s, w in enumerate(corpus.tokens):
         state.z[s] = w.like(_sample_z_batch(state.theta, state.phi[s], plan,
                                             s, rng))
     counts = phenotype_counts(state, corpus)
     activation_scan(state.A, clamp, counts, state.B, state.Bstar, alpha, rng)
+    if b_prior is not None:
+        draw_pseudocounts(state, counts, b_prior, rng)
     draw_theta(state, counts, rng)
 
 
 def sweep(state: ModelState, corpus: Corpus, plan: ZPlan, clamp: np.ndarray,
-          b_mode: str, hyper: Hyperparameters,
-          rng: np.random.Generator) -> dict:
-    """One full Gibbs pass: the local step over z, A and theta, then phi
-    and, with b_mode "sampled", B then Bstar. Mutates state in place and
-    returns the HMC bookkeeping counts.
-    """
-    local_step(state, corpus, plan, clamp, hyper.alpha, rng)
+          b_mode: str, hyper: Hyperparameters, rng: np.random.Generator):
+    """One full Gibbs pass, in place: the local step over z, A, (with
+    b_mode "sampled") B and Bstar, and theta, then phi."""
+    local_step(state, corpus, plan, clamp, hyper.alpha, rng,
+               hyper if b_mode == B_SAMPLED else None)
     draw_phi(state, corpus, hyper, rng)
-
-    # prior pseudo-counts: one HMC move over log B, then one over log Bstar
-    # given the new B.
-    if b_mode != B_SAMPLED:
-        return {"hmc_accepts": 0, "hmc_attempts": 0}
-    state.B, b_accepted = _hmc_move(state.B, hmc.b_target(state, hyper),
-                                    hyper, rng)
-    bstar, bstar_accepted = _hmc_move(
-        np.array([state.Bstar]), hmc.bstar_target(state, hyper), hyper, rng)
-    state.Bstar = float(bstar[0])
-    return {"hmc_accepts": b_accepted + bstar_accepted, "hmc_attempts": 2}
-
-
-def _hmc_move(b, target, hyper: Hyperparameters, rng: np.random.Generator):
-    """One HMC transition on log b: (b after it, whether it moved)."""
-    res = hmc.hmc_step(floored_log(b), target, hyper.hmc_step_size,
-                       hyper.hmc_path_length, rng)
-    if not res.accepted:
-        return b, False
-    return np.maximum(np.exp(res.next_point), PROB_FLOOR), True
 
 
 def initialize_state(corpus: Corpus, clamp: np.ndarray,
@@ -433,11 +471,9 @@ def _run_chain(state: ModelState, corpus: Corpus, clamp: np.ndarray,
                        best_iteration=0)
     try:
         for it in range(1, hyper.iterations + 1):
-            stats = sweep(state, corpus, plan, clamp, b_mode, hyper, rng)
+            sweep(state, corpus, plan, clamp, b_mode, hyper, rng)
             ll = complete_data_log_likelihood(state, corpus, hyper)
             trace.log_likelihoods.append(ll)
-            trace.hmc_accepts.append(stats["hmc_accepts"])
-            trace.hmc_attempts.append(stats["hmc_attempts"])
             if ll > best_ll:
                 best_ll = ll
                 trace.best_state = state.copy()

@@ -34,7 +34,9 @@ class Hyperparameters:
 
     gamma is one symmetric Dirichlet concentration per source.
     b_shape/b_scale and bstar_shape/bstar_scale are shape-scale Gamma
-    parameters for B_p and Bstar.
+    parameters for B_p and Bstar. hmc_path_length and hmc_step_size are
+    validated but unread, since B and Bstar are drawn by a Gibbs step with
+    nothing to tune; they stay while perfbench/run.py still passes them.
     """
 
     num_phenotypes: int

@@ -33,12 +33,7 @@ The chain references are the code the package ran before the mc3m
 baseline and held-out inference became the gated chain with every
 activation on and B = Bstar = c: the baseline trainer with its own init
 and a sweep that skipped the activation scan and drew theta from a
-constant prior, held-out inference with its two prior branches, and the
-two HMC target classes for log B_p and log Bstar. The B_p target's
-fixed totals are the left-to-right total over q != p, not the old row
-sum minus B_p, which lost Bstar: up to
-P*Bstar*|digamma(B_p)| of the log-density, far above rounding at
-Bstar = 1e-18 and a tiny B_p.
+constant prior, and held-out inference with its two prior branches.
 
 The AUROC reference is the rank-sum formula the metric used before it
 counted Mann-Whitney's U from the sorted negatives: average ranks, their
@@ -50,7 +45,7 @@ bit.
 from math import lgamma, log
 
 import numpy as np
-from scipy.special import digamma, expit, gammaln
+from scipy.special import expit, gammaln
 from scipy.stats import rankdata
 
 from ss3m import gibbs, model
@@ -72,14 +67,6 @@ from ss3m.model import (
     prior_matrix,
 )
 from ss3m.util import PROB_FLOOR, floored_log, sample_dirichlet, substream
-
-
-def _rest_total(row, p):
-    total = 0.0
-    for q, value in enumerate(row):
-        if q != p:
-            total += value
-    return total
 
 
 def collapsed_scan(state, counts, hyper, rng, labels=None, options=None):
@@ -366,87 +353,6 @@ def heldout_infer(test_corpus, trained, hyper, burn_in, samples, seed,
             a_sum += state.A
             theta_sum += state.theta
     return theta_sum / samples, a_sum / samples, rng
-
-
-def _eta_to_b(eta):
-    return max(float(np.exp(float(np.asarray(eta).reshape(())))), PROB_FLOOR)
-
-
-class LogBTarget:
-    """The conditional of eta = log B_p over the patients active for p."""
-
-    def __init__(self, base_totals, log_theta_p, b_shape, b_scale):
-        self.base = np.asarray(base_totals, dtype=float)
-        self.logt = np.asarray(log_theta_p, dtype=float)
-        self.shape = float(b_shape)
-        self.scale = float(b_scale)
-
-    def log_density(self, eta):
-        b = _eta_to_b(eta)
-        val = float(np.asarray(eta).reshape(())) * self.shape - b / self.scale
-        if self.base.size:
-            totals = self.base + b
-            val += float(gammaln(totals).sum() - self.base.size * gammaln(b)
-                         + (b - 1.0) * self.logt.sum())
-        return val
-
-    def gradient(self, eta):
-        b = _eta_to_b(eta)
-        g = self.shape - b / self.scale
-        if self.base.size:
-            totals = self.base + b
-            g += float((b * digamma(totals)).sum()
-                       - self.base.size * b * digamma(b)
-                       + b * self.logt.sum())
-        return np.array([g])
-
-
-class LogBstarTarget:
-    """The conditional of eta = log Bstar over every patient's inactive
-    coordinates."""
-
-    def __init__(self, active_totals, k_inactive, sum_log_theta_inactive,
-                 bstar_shape, bstar_scale):
-        self.active = np.asarray(active_totals, dtype=float)
-        self.k = np.asarray(k_inactive, dtype=float)
-        self.slt = np.asarray(sum_log_theta_inactive, dtype=float)
-        self.shape = float(bstar_shape)
-        self.scale = float(bstar_scale)
-
-    def log_density(self, eta):
-        b = _eta_to_b(eta)
-        val = float(np.asarray(eta).reshape(())) * self.shape - b / self.scale
-        if self.active.size:
-            totals = self.active + self.k * b
-            val += float(gammaln(totals).sum() - gammaln(b) * self.k.sum()
-                         + (b - 1.0) * self.slt.sum())
-        return val
-
-    def gradient(self, eta):
-        b = _eta_to_b(eta)
-        g = self.shape - b / self.scale
-        if self.active.size:
-            totals = self.active + self.k * b
-            g += float((self.k * b * digamma(totals)).sum()
-                       - b * digamma(b) * self.k.sum() + b * self.slt.sum())
-        return np.array([g])
-
-
-def b_target(p, state, hyper):
-    active = state.A[:, p] == 1
-    prior = prior_matrix(state.A, state.B, state.Bstar)
-    base = np.array([_rest_total(row, p) for row in prior[active]])
-    return LogBTarget(base, floored_log(state.theta[active, p]),
-                      hyper.b_shape, hyper.b_scale)
-
-
-def bstar_target(state, hyper):
-    A = state.A
-    inactive = A == 0
-    active_totals = (A * state.B[None, :]).sum(axis=1)
-    slt = (inactive * floored_log(state.theta)).sum(axis=1)
-    return LogBstarTarget(active_totals, inactive.sum(axis=1), slt,
-                          hyper.bstar_shape, hyper.bstar_scale)
 
 
 def _lr_loss_grad(w, Xb, y, lam):

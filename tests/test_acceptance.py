@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 from scipy.special import gammaln
-from scipy.stats import chisquare, dirichlet_multinomial, kstest, norm
+from scipy.stats import chisquare, dirichlet_multinomial, gamma, norm, poisson
 
 from conftest import cell_log_odds, make_hyper, random_tiny_state, z_pass
 from ss3m.cli import main as cli_main
@@ -30,13 +30,14 @@ from ss3m.gibbs import (
     activation_scan,
     clamp_matrix,
     draw_phi,
+    draw_pseudocounts,
     draw_theta,
     initialize_state,
     phenotype_counts,
     sweep,
+    table_counts,
     train,
 )
-from ss3m.hmc import FunctionTarget, b_target, bstar_target, hmc_step, leapfrog
 from ss3m.model import (
     LABEL_ABSENT,
     LABEL_PRESENT,
@@ -44,6 +45,7 @@ from ss3m.model import (
     DocLengthSpec,
     Hyperparameters,
     LabelMatrix,
+    ModelState,
     complete_data_log_likelihood,
     generate,
     labels_from_activations,
@@ -253,68 +255,119 @@ def test_criterion_2_activation_log_odds(rng):
 
 
 # ---------------------------------------------------------------------------
-# criterion 3: HMC validity
+# criterion 3: concentration draw validity
 # ---------------------------------------------------------------------------
 
-def test_criterion_3_hmc(rng):
+CRT_CONCENTRATIONS = (1e-7, 0.3, 5.0)
+CRT_MAX_N = 6
+# (phenotype counts, activations) of D=2, P=2 models: every cell coupled,
+# and one with an empty patient, which the B step skips
+B_STEP_CASES = (
+    (np.array([[3, 1], [0, 2]]), np.array([[1, 0], [0, 1]], dtype=np.int8)),
+    (np.array([[2, 3], [0, 0]]), np.array([[1, 0], [0, 1]], dtype=np.int8)),
+)
+B_STEP_REPEATS = 20000
+LOG_GRID = np.linspace(-10.0, 5.0, 121)
+
+
+def _crt_pmf(n, c):
+    """P(l) for l = 0..n under CRT(n, c): |s(n, l)| c^l Gamma(c) /
+    Gamma(c + n), with s the Stirling numbers of the first kind."""
+    row = [1]
+    for m in range(n):
+        row = [(row[k - 1] if k else 0) + m * (row[k] if k < len(row) else 0)
+               for k in range(m + 2)]
+    return np.array([math.exp(math.log(s) + k * math.log(c) + gammaln(c)
+                               - gammaln(c + n)) if s else 0.0
+                     for k, s in enumerate(row)])
+
+
+def _histogram_pvalues(hist, pmf):
+    """p-values of a histogram against a pmf: a chi-square test over the
+    bins expecting at least 5 draws, and a Poisson upper-tail test of the
+    draws in the other bins when they expect fewer than 5 together (else
+    they are one more chi-square bin)."""
+    expected = hist.sum() * pmf
+    big = expected >= 5
+    obs, exp = list(hist[big]), list(expected[big])
+    rest_obs, rest_exp = hist[~big].sum(), expected[~big].sum()
+    pvalues = []
+    if rest_exp >= 5:
+        obs.append(rest_obs)
+        exp.append(rest_exp)
+    else:
+        pvalues.append(poisson.sf(rest_obs - 1, rest_exp))
+        i = int(np.argmax(exp))
+        obs[i] += rest_obs
+        exp[i] += rest_exp
+    if len(obs) > 1:
+        pvalues.append(chisquare(obs, exp).pvalue)
+    return pvalues
+
+
+def _b_step_means(counts, A, hyper):
+    """Means of B_0, B_1 and Bstar under p(B, Bstar | z, A), theta
+    integrated out, by a Riemann sum over LOG_GRID in each log."""
+    u = np.meshgrid(LOG_GRID, LOG_GRID, LOG_GRID, indexing="ij")
+    b = [np.exp(x) for x in u]
+    log_p = sum(gamma.logpdf(b[p], hyper.b_shape, scale=hyper.b_scale)
+                + u[p] for p in range(2))
+    log_p += gamma.logpdf(b[2], hyper.bstar_shape,
+                          scale=hyper.bstar_scale) + u[2]
+    for n_d, a_d in zip(counts, A):
+        c = [b[p] if a_d[p] else b[2] for p in range(2)]
+        log_p += gammaln(c[0] + c[1]) - gammaln(c[0] + c[1] + n_d.sum())
+        log_p += sum(gammaln(c[p] + n_d[p]) - gammaln(c[p]) for p in range(2))
+    w = np.exp(log_p - log_p.max())
+    return np.array([(w * x).sum() / w.sum() for x in b])
+
+
+def test_criterion_3_concentration_draws(rng):
     t0 = time.time()
-    failures = []
+    failures, pvalues = [], []
 
-    # gradient vs central finite differences, both targets
-    state, _ = random_tiny_state(rng, D=3, P=3, S=1, V=4, b_low=0.5,
-                                 b_high=8.0, bstar_low=0.01, bstar_high=1.0)
-    hyper = make_hyper(P=3, P_lab=0)
-    h = 1e-6
-    for name, target, dim in (("b", b_target(state, hyper), 3),
-                              ("bstar", bstar_target(state, hyper), 1)):
-        for _ in range(100):
-            eta = rng.uniform(-3.0, 2.5, size=dim)
-            grad = target.gradient(eta)
-            fd = np.array([(target.log_density(eta + e)
-                            - target.log_density(eta - e)) / (2 * h)
-                           for e in np.eye(dim) * h])
-            rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
-            if rel.max() >= 1e-5:
-                failures.append(f"{name} grad rel={rel.max():.2e} at "
-                                f"eta={np.round(eta, 2).tolist()}")
-                break
+    # the CRT table counts against their exact pmf
+    for c in CRT_CONCENTRATIONS:
+        for n in range(CRT_MAX_N + 1):
+            tables = table_counts(np.full(N_DRAWS, n), np.full(N_DRAWS, c),
+                                  rng)
+            hist = np.bincount(tables, minlength=n + 1)
+            pmf = _crt_pmf(n, c)
+            if hist.size > n + 1 or np.any(hist[pmf == 0]):
+                failures.append(f"CRT({n}, {c:g}) outside its support")
+            pvalues += [(f"CRT({n}, {c:g})", p)
+                        for p in _histogram_pvalues(hist[:n + 1], pmf)]
 
-    # leapfrog reversibility: integrate forward, flip momentum, return
-    gauss = FunctionTarget(lambda q: -0.5 * float(q @ q), lambda q: -q)
-    q0 = rng.normal(size=3)
-    p0 = rng.normal(size=3)
-    q1, p1 = leapfrog(q0, p0, gauss, 0.1, 30)
-    q2, p2 = leapfrog(q1, -p1, gauss, 0.1, 30)
-    if not (np.allclose(q2, q0, atol=1e-8) and np.allclose(-p2, p0, atol=1e-8)):
-        failures.append("reversibility")
+    # the B step, repeated with z and A frozen, against quadrature
+    hyper = make_hyper(P=2, b_shape=2.0, b_scale=2.0, bstar_shape=2.0,
+                       bstar_scale=0.5)
+    z_scores = []
+    for k, (counts, A) in enumerate(B_STEP_CASES):
+        state = ModelState(theta=np.empty((2, 2)), phi=[], z=[], A=A,
+                           B=np.ones(2), Bstar=1.0)
+        draws = np.empty((B_STEP_REPEATS, 3))
+        for i in range(B_STEP_REPEATS):
+            draw_pseudocounts(state, counts, hyper, rng)
+            draws[i] = *state.B, state.Bstar
+        batch = draws.reshape(50, -1, 3).mean(axis=1)
+        se = batch.std(axis=0, ddof=1) / math.sqrt(50)
+        z = (draws.mean(axis=0) - _b_step_means(counts, A, hyper)) / se
+        z_scores += [(f"case {k} {name}", v)
+                     for name, v in zip(("B_0", "B_1", "Bstar"), z)]
 
-    # KS against the standard normal (well-mixing settings)
-    chain = np.empty(N_DRAWS)
-    q = np.zeros(1)
-    for i in range(N_DRAWS):
-        res = hmc_step(q, gauss, 0.45, 5, rng)
-        q = res.next_point
-        chain[i] = q[0]
-    p = kstest(chain, "norm").pvalue
-    if p <= SIGNIFICANCE:
-        failures.append(f"KS p={p:.2e}")
-
-    # acceptance rate at the production step size
-    accepted = 0
-    q = np.zeros(1)
-    for _ in range(2000):
-        res = hmc_step(q, gauss, 0.01, 25, rng)
-        q = res.next_point
-        accepted += res.accepted
-    rate = accepted / 2000
-    if rate <= 0.95:
-        failures.append(f"acceptance {rate:.3f}")
-
+    tests = len(pvalues) + len(z_scores)
+    bound = norm.isf(SIGNIFICANCE / (2 * tests))
+    failures += [f"{name} p={p:.2e}" for name, p in pvalues
+                 if p < SIGNIFICANCE / tests]
+    failures += [f"{name} z={v:+.2f}" for name, v in z_scores
+                 if abs(v) >= bound]
     elapsed = time.time() - t0
     if elapsed >= 120:
         failures.append(f"runtime {elapsed:.0f}s")
-    report(3, "hmc validity", not failures,
-           "; ".join(failures) or f"rate {rate:.3f}, {elapsed:.0f}s")
+    worst = max(abs(v) for _, v in z_scores)
+    report(3, "concentration draw validity", not failures,
+           "; ".join(failures) or f"{len(pvalues)} CRT tests, B step max "
+           f"|z| {worst:.2f} < {bound:.2f}, {elapsed:.0f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +448,7 @@ def test_paper_prior_training_prunes_activations():
     # theta, so the first sweep turns most free cells on; the chain must
     # then prune them. Two of these seeds plateau near a third of the free
     # cells active, against about 5% in the generating state (ROADMAP,
-    # Open item 1), so this asserts only a decline.
+    # Open item 3), so this asserts only a decline.
     h = Hyperparameters(num_phenotypes=10, num_labeled=5, num_sources=2,
                         alpha=0.1, gamma=(0.01, 0.01), bstar_shape=0.01)
     options = TrainOptions(missing_label_mode=MISSING_ESTIMATE,

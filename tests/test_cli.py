@@ -79,7 +79,7 @@ class TestPipeline:
         state_path = os.path.join(states, "ss3m_fixA0_fixB.state.json")
         assert os.path.exists(state_path)
         trace = open(os.path.join(states, "trace.csv")).read().splitlines()
-        assert trace[0] == "iteration,log_likelihood,hmc_accept_rate"
+        assert trace[0] == "iteration,log_likelihood"
         assert len(trace) == 1 + 3 + 1  # initial state plus 3 sweeps
 
         with open(state_path) as fh:

@@ -22,10 +22,9 @@ The models are tiny (D 2-3, P 2-3, S 1-2, V 2-3, documents of 4-5 tokens)
 and have no labels (P_lab = 0): labels add no likelihood term, and the
 chain must be able to move every activation. The Bstar prior is moderate,
 Gamma(2, 0.5), rather than the paper's spike at zero: a draw below
-PROB_FLOOR is floored there, in generate and after each HMC move, which
-would bias the chain's Bstar draws against the prior's. At Gamma(2, 0.5)
-such a draw never happens. The HMC moves take longer steps than the
-defaults (eps = 0.1, L = 10), so log B mixes within a few sweeps.
+PROB_FLOOR is floored there, in generate and after each draw of the
+sweep's B step, which would bias the chain's Bstar draws against the
+prior's. At Gamma(2, 0.5) such a draw never happens.
 """
 
 import numpy as np
@@ -56,7 +55,7 @@ SIGNIFICANCE = 0.001
 N_BATCHES = 50
 
 PRIORS = dict(alpha=0.3, b_shape=2.0, b_scale=2.0, bstar_shape=2.0,
-              bstar_scale=0.5, hmc_step_size=0.1, hmc_path_length=10)
+              bstar_scale=0.5)
 # (id, hyper, B mode, D, vocabulary sizes, document length,
 #  prior draws, chain sweeps)
 CASES = [

@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 
-from conftest import cell_log_odds, make_hyper, random_tiny_state, z_pass
+from conftest import (
+    cell_log_odds,
+    corpora,
+    make_hyper,
+    random_tiny_state,
+    z_pass,
+)
 from ss3m.errors import ConfigError, DimensionError, SamplingError
 from ss3m.gibbs import (
     TrainOptions,
@@ -27,6 +36,7 @@ from ss3m.model import (
     DocLengthSpec,
     LabelMatrix,
     ModelState,
+    complete_data_log_likelihood,
     generate,
     labels_from_activations,
     prior_matrix,
@@ -360,6 +370,57 @@ class TestSweep:
                 for z, w in zip(state.z[s][d], corpus.tokens[s][d]):
                     brute_m[z, w] += 1
             assert np.array_equal(m, brute_m)
+
+
+@hst.composite
+def degenerate_problems(draw):
+    """(corpus, labels, hyper): D in 1..5, P in 1..4, one or two sources
+    with vocabularies of one to three words, documents of 0..5 tokens (all
+    empty in some examples), P_lab = 0, P or between, tri-state labels,
+    and Bstar priors from the paper spike to a moderate one."""
+    D = draw(hst.integers(1, 5))
+    P = draw(hst.integers(1, 4))
+    vocab_sizes = draw(hst.lists(hst.integers(1, 3), min_size=1, max_size=2))
+    P_lab = draw(hst.sampled_from([0, P, draw(hst.integers(0, P))]))
+    hyper = make_hyper(P=P, P_lab=P_lab, S=len(vocab_sizes),
+                       gamma=draw(hst.sampled_from([0.01, 0.5])),
+                       bstar_shape=draw(hst.sampled_from([0.01, 2.0])))
+    entries = draw(arrays(np.int8, (D, P_lab), elements=hst.integers(-1, 1)))
+    labels = LabelMatrix(entries=entries,
+                         label_names=[f"l{p}" for p in range(P_lab)])
+    return draw(corpora(D, vocab_sizes)), labels, hyper
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(degenerate_problems(), hst.integers(0, 2**32))
+def test_sampled_b_sweep_keeps_invariants_on_degenerate_inputs(problem,
+                                                                seed):
+    # A sampled-B, estimate-mode sweep: the B step skips empty patients and
+    # every phenotype may have no tokens.
+    corpus, labels, hyper = problem
+    D, P = corpus.num_patients, hyper.num_phenotypes
+    options = TrainOptions(missing_label_mode="estimate", b_mode="sampled")
+    clamp = clamp_matrix(labels, options, D, P)
+    rng = np.random.default_rng(seed)
+    state = initialize_state(corpus, clamp, hyper, rng)
+    sweep(state, corpus, ZPlan.of(corpus, P), clamp, options.b_mode, hyper,
+          rng)
+    assert np.all(np.isfinite(state.B) & (state.B > 0))
+    assert np.isfinite(state.Bstar) and state.Bstar > 0
+    lengths = sum(np.array([w.size for w in tokens])
+                  for tokens in corpus.tokens)
+    assert np.array_equal(phenotype_counts(state, corpus).sum(axis=1),
+                          lengths)
+    for s, w in enumerate(corpus.tokens):
+        assert np.array_equal(token_counts(state, corpus, s).sum(axis=0),
+                              np.bincount(w.flat, minlength=len(
+                                  corpus.vocab[s])))
+    for rows in (state.theta, *state.phi):
+        assert np.all(rows >= 0)
+        assert np.allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+    fixed = clamp >= 0
+    assert np.array_equal(state.A[fixed], clamp[fixed])
+    assert np.isfinite(complete_data_log_likelihood(state, corpus, hyper))
 
 
 class TestClampInvariants:

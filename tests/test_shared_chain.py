@@ -1,17 +1,14 @@
-"""The mc3m baseline, held-out inference and the HMC targets against the
-code they replaced.
+"""The mc3m baseline and held-out inference against the code they
+replaced.
 
 The baseline trainer runs the gated chain with every activation held on
 and B = Bstar = c, and held-out inference reads that prior from the
-trained state; the B target is one vector conditional over all of log B.
-Each property runs the package and the reference from
+trained state. Each property runs the package and the reference from
 tests/reference_kernels.py on the same input and asserts the same
-floats, arrays and final generator state (for the targets:
-log-density differences and derivatives along each coordinate that agree
-to 1e-12 of the summed magnitudes of the old target's terms).
-The inputs reach the corners: one patient, one phenotype, one to three
-sources, vocabularies of one, documents that are all empty, P_lab from 0
-to P, and Bstar at the paper spike 1e-18.
+floats, arrays and final generator state. The inputs reach the corners:
+one patient, one phenotype, one to three sources, vocabularies of one,
+documents that are all empty, P_lab from 0 to P, and Bstar at the paper
+spike 1e-18.
 """
 
 import contextlib
@@ -20,11 +17,10 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import digamma, gammaln
 
 import reference_kernels as ref
 from conftest import corpora, make_hyper
-from ss3m import evaluation, gibbs, hmc
+from ss3m import evaluation, gibbs
 from ss3m.evaluation import heldout_infer
 from ss3m.gibbs import train_unstructured
 from ss3m.model import ModelState
@@ -93,7 +89,6 @@ def test_mc3m_chain_matches_flagged_sweep(problem, concentration, seed):
     assert trace.best_iteration == best_it
     _assert_same_state(trace.best_state, best)
     assert made[-1].bit_generator.state == rng_want.bit_generator.state
-    assert trace.hmc_attempts == [0] * hyper.iterations
 
 
 @PROPERTY_SETTINGS
@@ -127,75 +122,3 @@ def test_heldout_matches_prior_branches(problem, theta_prior, bstar, burn_in,
     assert np.array_equal(res.activation_mean, a_want)
     assert np.array_equal(res.scores, a_want[:, :hyper.num_labeled])
     assert made[-1].bit_generator.state == rng_want.bit_generator.state
-
-
-@st.composite
-def target_problems(draw):
-    """(state, hyper) with D in 1..6, P in 1..5 and Bstar from the paper
-    spike to 2; some examples have a phenotype with no active patient,
-    others a patient with every phenotype active (k = 0 for Bstar)."""
-    D = draw(st.integers(1, 6))
-    P = draw(st.integers(1, 5))
-    A = draw(arrays(np.int8, (D, P), elements=st.integers(0, 1)))
-    corner = draw(st.sampled_from(["none", "inactive column", "active row"]))
-    if corner == "inactive column":
-        A[:, draw(st.integers(0, P - 1))] = 0
-    elif corner == "active row":
-        A[draw(st.integers(0, D - 1))] = 1
-    state = ModelState(
-        theta=_simplex_rows(draw, (D, P)), phi=[], z=[], A=A,
-        B=draw(arrays(np.float64, P, elements=st.floats(0.05, 50.0))),
-        Bstar=draw(st.sampled_from([1e-18, 1e-3, 2.0])))
-    hyper = make_hyper(P=P, b_shape=draw(st.floats(0.5, 20.0)),
-                       b_scale=draw(st.floats(0.1, 3.0)),
-                       bstar_shape=draw(st.sampled_from([0.01, 2.0])),
-                       bstar_scale=draw(st.floats(0.1, 3.0)))
-    return state, hyper
-
-
-def _term_scales(want, fixed, k, slt, eta):
-    """Sums of the absolute values of the terms of an old scalar target's
-    log-density and of its gradient at eta, for b filling k_d coordinates
-    of patient d's prior whose others sum to fixed_d."""
-    b = max(float(np.exp(eta)), 1e-300)
-    totals = fixed + k * b
-    ld = (abs(want.shape * eta) + b / want.scale
-          + np.abs(gammaln(totals)).sum() + k.sum() * abs(gammaln(b))
-          + abs((b - 1.0) * slt))
-    grad = (want.shape + b / want.scale
-            + np.abs(k * b * digamma(totals)).sum()
-            + k.sum() * abs(b * digamma(b)) + abs(b * slt))
-    return ld, grad
-
-
-@PROPERTY_SETTINGS
-@given(target_problems(), st.lists(st.floats(-42.0, 5.0), min_size=1,
-                                   max_size=4))
-def test_vector_target_matches_scalar_targets(problem, etas):
-    # Along eta_p, the other coordinates held at log B, the vector B
-    # target has the old scalar B_p target's log-density differences and
-    # derivative; the Bstar target keeps the old one's. Both agree to
-    # 1e-12 of the summed magnitudes of the old target's terms.
-    state, hyper = problem
-    got, cases = hmc.b_target(state, hyper), []
-    for p in range(state.A.shape[1]):
-        want = ref.b_target(p, state, hyper)
-        cases.append((got, np.log(state.B), p, want,
-                      (want.base, np.ones(want.base.size), want.logt.sum())))
-    want = ref.bstar_target(state, hyper)
-    cases.append((hmc.bstar_target(state, hyper),
-                  np.array([np.log(state.Bstar)]), 0, want,
-                  (want.active, want.k, want.slt.sum())))
-    for got, start, p, want, terms in cases:
-        start_scale = _term_scales(want, *terms, start[p])[0]
-        for e in etas:
-            eta = start.copy()
-            eta[p] = e
-            diff_got = got.log_density(eta) - got.log_density(start)
-            diff_want = (want.log_density(np.array([e]))
-                         - want.log_density(start[p:p + 1]))
-            ld_scale, grad_scale = _term_scales(want, *terms, e)
-            assert (abs(diff_got - diff_want)
-                    <= 1e-12 * (ld_scale + start_scale))
-            assert (abs(got.gradient(eta)[p] - want.gradient(np.array([e]))[0])
-                    <= 1e-12 * grad_scale)

@@ -9,7 +9,7 @@ its own directory, so every trace is kept), evaluate (on a directory
 holding the trained states) and summarize:
 
   * on configs/toy.cfg with seed 1, training ss3m_fixA0_fixB,
-    ss3m_smplA0_smplB (estimated labels, HMC-sampled B and Bstar) and
+    ss3m_smplA0_smplB (estimated labels, sampled B and Bstar) and
     mc3m;
   * at P=70 on configs/paper_default.cfg shortened by PAPER_OVERRIDES
     (300 patients, 3 sweeps), seed 1, training the same three models;
@@ -28,7 +28,8 @@ path. It then calls the library in-process and prints one
     one-word source), hashing the corpus tokens and the whole state;
   * train() on the train-paper corpus of perfbench/run.py for seeds
     501-503, each missing-label mode and each B mode, 3 sweeps, sampler
-    seed 0, hashing the best state, its iteration and the trace.
+    seed 0, hashing the best state, its iteration and the log-likelihood
+    trace.
 
 Two checkouts that draw the same numbers print the same lines:
 
@@ -70,7 +71,7 @@ generate.num_patients = 300
 generate.vocab_size = 500,200
 """
 MODEL_ID = "ss3m_fixA0_fixB"
-# ss3m_smplA0_smplB: the label-estimation clamps and the HMC moves.
+# ss3m_smplA0_smplB: the label-estimation clamps and the B and Bstar draws.
 SAMPLED_MODEL = ("ss3m_smplA0_smplB",
                  ["--train.missing_label_mode", "estimate",
                   "--train.b_mode", "sampled"])
@@ -181,8 +182,7 @@ def library_lines(bench):
                 digest = array_digest(
                     *state_arrays(trace.best_state),
                     np.int64(trace.best_iteration),
-                    np.array(trace.log_likelihoods),
-                    np.array(trace.hmc_accepts, dtype=np.int64))
+                    np.array(trace.log_likelihoods))
                 yield f"{digest}  library/train-{seed}-{missing}-{b_mode}"
 
 
