@@ -9,7 +9,7 @@ from .model import (
     Hyperparameters,
     LabelMatrix,
     ModelState,
-    complete_data_log_likelihood,
+    collapsed_log_joint,
     generate,
     labels_from_activations,
     phenotype_summary,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "LABEL_ABSENT", "LABEL_PRESENT", "LABEL_UNKNOWN",
     "Corpus", "DocLengthSpec", "Hyperparameters", "LabelMatrix", "ModelState",
-    "complete_data_log_likelihood", "generate", "labels_from_activations",
+    "collapsed_log_joint", "generate", "labels_from_activations",
     "phenotype_summary",
     "TrainOptions", "TrainTrace", "train", "train_unstructured",
     "HeldoutResult", "MetricsReport",

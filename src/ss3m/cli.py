@@ -25,8 +25,15 @@ EXITS = ((ConfigError, "config error", 1), (DataError, "data error", 2),
          (OSError, "data error", 2))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are ConfigErrors, exit code 1, not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ss3m",
         description="Semi-supervised mixed membership modeling of "
                     "multi-source count data")
@@ -220,7 +227,7 @@ def cmd_train(args, cfg: RunConfig):
 
     if args.model_id == "mc3m":
         trace = gibbs.train_unstructured(
-            corpus, hyper, cfg.get("eval.mc3m_concentration"), args.seed)
+            corpus, hyper, cfg.get("train.mc3m_concentration"), args.seed)
     else:
         if labels is not None and labels.num_labels > hyper.num_labeled:
             raise ConfigError(
@@ -333,9 +340,8 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args)
         return COMMANDS[args.command](args, cfg)
     except (SS3MError, OSError) as exc:

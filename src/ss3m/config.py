@@ -45,6 +45,8 @@ SCHEMA = {
     "train.iterations": (int, 200),
     "train.missing_label_mode": (str, "fix_zero"),
     "train.b_mode": (str, "fixed"),
+    # the mc3m baseline's Dirichlet concentration (train --model-id mc3m)
+    "train.mc3m_concentration": (float, 1.0),
     "generate.num_patients": (int, 200),
     "generate.num_sources": (int, 2),
     "generate.vocab_size": (_list_of(int), (100,)),
@@ -57,7 +59,6 @@ SCHEMA = {
     "split.train_fraction": (float, 0.8),
     "eval.burn_in": (int, 50),
     "eval.samples": (int, 100),
-    "eval.mc3m_concentration": (float, 1.0),
     "eval.lr_lambda": (float, 1.0),
     "eval.lr_epochs": (int, 200),
     "eval.shuffle_labels": (_bool, False),

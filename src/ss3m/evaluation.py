@@ -1,5 +1,6 @@
 """Held-out label prediction, baseline classifiers, and the metric suite
-(micro/macro AUROC and AUPRC plus max complete-data log-likelihood).
+(micro/macro AUROC and AUPRC, plus the best state's collapsed log joint,
+model.collapsed_log_joint, as the log_likelihood row).
 """
 
 import logging
@@ -419,7 +420,7 @@ def evaluate_suite(artifacts: dict, train_corpus: Corpus,
                         for clf in ("lr", "nb")]
             continue
         # one held-out chain per base model feeds both classifiers; they
-        # train on the max-likelihood theta of the training patients
+        # train on the best state's theta of the training patients
         state, max_ll = artifacts[base_id]
         if state.theta.shape[0] != train_corpus.num_patients:
             raise DataError(

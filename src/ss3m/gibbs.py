@@ -13,6 +13,10 @@ shared by training, the mc3m baseline and held-out inference and tested
 as it is: _sample_z_batch (z), activation_scan (A), draw_pseudocounts (B
 and Bstar), draw_theta (theta) and draw_phi (phi).
 
+A chain (_run_chain) traces model.collapsed_log_joint, log p(w, z, A, B,
+Bstar) with theta and phi integrated out, after every sweep and keeps the
+state where it is highest.
+
 The patient-local part, z -> A -> theta, is one function, local_step,
 run alike by training, the mc3m baseline and held-out inference. They
 differ only in whether the step draws B and Bstar (training with sampled
@@ -59,7 +63,7 @@ from .model import (
     Hyperparameters,
     LabelMatrix,
     ModelState,
-    complete_data_log_likelihood,
+    collapsed_log_joint,
     count_below,
     count_pairs,
     draw_concentrations,
@@ -462,17 +466,17 @@ def initialize_state(corpus: Corpus, clamp: np.ndarray,
 def _run_chain(state: ModelState, corpus: Corpus, clamp: np.ndarray,
                b_mode: str, hyper: Hyperparameters,
                rng: np.random.Generator) -> TrainTrace:
-    """Run hyper.iterations sweeps from state on one z plan, tracking the
-    complete-data log-likelihood and keeping a deep snapshot of the best
-    state. An interrupt returns the partial trace."""
+    """Run hyper.iterations sweeps from state on one z plan, tracing the
+    collapsed log joint and keeping a deep snapshot of the state where it
+    is highest. An interrupt returns the partial trace."""
     plan = ZPlan.of(corpus, hyper.num_phenotypes)
-    best_ll = complete_data_log_likelihood(state, corpus, hyper)
+    best_ll = collapsed_log_joint(state, corpus, hyper)
     trace = TrainTrace(log_likelihoods=[best_ll], best_state=state.copy(),
                        best_iteration=0)
     try:
         for it in range(1, hyper.iterations + 1):
             sweep(state, corpus, plan, clamp, b_mode, hyper, rng)
-            ll = complete_data_log_likelihood(state, corpus, hyper)
+            ll = collapsed_log_joint(state, corpus, hyper)
             trace.log_likelihoods.append(ll)
             if ll > best_ll:
                 best_ll = ll
@@ -486,8 +490,8 @@ def _run_chain(state: ModelState, corpus: Corpus, clamp: np.ndarray,
 
 def train(corpus: Corpus, labels: LabelMatrix, hyper: Hyperparameters,
           options: TrainOptions) -> TrainTrace:
-    """Run hyper.iterations Gibbs sweeps, tracking the complete-data
-    log-likelihood and keeping a deep snapshot of the best state."""
+    """Run hyper.iterations Gibbs sweeps, tracing the collapsed log joint
+    and keeping a deep snapshot of the state where it is highest."""
     if corpus.num_patients == 0:
         raise ConfigError("corpus is empty")
     rng = substream(options.seed, "gibbs.train")

@@ -1,5 +1,5 @@
 """Core model: domain types, the activation-gated Dirichlet prior, the
-forward generative sampler, and the complete-data log-likelihood.
+forward generative sampler, and the chain's objective, the collapsed log joint.
 
 The model describes D patients observed through S token sources. Each
 patient d carries a distribution theta_d over P phenotypes; each phenotype p
@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConfigError, DataError, DimensionError, NumericalError
-from .util import PROB_FLOOR, floored_log, sample_dirichlet
+from .util import PROB_FLOOR, sample_dirichlet
 
 # Tri-state label cell values.
 LABEL_PRESENT = 1
@@ -417,57 +417,41 @@ def log_gamma_pdf(x: float, shape: float, scale: float) -> float:
             - lgamma(shape) - shape * log(scale))
 
 
-def complete_data_log_likelihood(state: ModelState, corpus: Corpus,
-                                 hyper: Hyperparameters) -> float:
-    """Joint log-density of tokens and every latent variable.
-
-    Returns -inf (never NaN) if an assigned token sits on an exactly-zero
-    phi entry; theta and phi logs inside prior terms use the underflow
-    floor.
-    """
-    D, P = state.theta.shape
+def collapsed_log_joint(state: ModelState, corpus: Corpus,
+                        hyper: Hyperparameters) -> float:
+    """log p(w, z, A, B, Bstar), theta and phi integrated out (Griffiths &
+    Steyvers 2004): a Dirichlet-multinomial term per (source, phenotype)
+    over its token counts under gamma_s and one per patient over its
+    phenotype counts under the gated prior, summed cell by cell so that an
+    empty cell adds exactly 0, plus the Bernoulli terms of A and the Gamma
+    terms of B and Bstar. Reads neither theta nor phi. A NaN total is a
+    NumericalError."""
+    D, P = state.A.shape
+    n = np.zeros((D, P), dtype=np.int64)
     total = 0.0
+    for s, (z, w) in enumerate(zip(state.z, corpus.tokens)):
+        gam, V = hyper.gamma[s], len(corpus.vocab[s])
+        m = count_pairs(z.flat, w.flat, P, V)
+        total += float(
+            (lgamma(V * gam) - gammaln(V * gam + m.sum(axis=1))).sum()
+            + (gammaln(gam + m) - lgamma(gam)).sum())
+        n += count_pairs(z.doc_idx, z.flat, D, P)
 
-    # Phenotype-token Dirichlet priors.
-    for s in range(corpus.num_sources):
-        gam = hyper.gamma[s]
-        v_s = len(corpus.vocab[s])
-        norm = lgamma(gam * v_s) - v_s * lgamma(gam)
-        total += P * norm + (gam - 1.0) * floored_log(state.phi[s]).sum()
+    prior = prior_matrix(state.A, state.B, state.Bstar)
+    T = prior.sum(axis=1)
+    total += float((gammaln(T) - gammaln(T + n.sum(axis=1))).sum()
+                   + (gammaln(prior + n) - gammaln(prior)).sum())
 
-    # Gamma priors on B and Bstar.
     total += sum(log_gamma_pdf(float(b), hyper.b_shape, hyper.b_scale)
                  for b in state.B)
     total += log_gamma_pdf(float(state.Bstar), hyper.bstar_shape,
                            hyper.bstar_scale)
-
-    # Bernoulli activations.
     n_active = int(state.A.sum())
     total += n_active * log(hyper.alpha) + (D * P - n_active) * log(
         1.0 - hyper.alpha)
 
-    # Patient-phenotype Dirichlet priors.
-    prior = prior_matrix(state.A, state.B, state.Bstar)
-    log_theta = floored_log(state.theta)
-    total += float(gammaln(prior.sum(axis=1)).sum() - gammaln(prior).sum()
-                   + ((prior - 1.0) * log_theta).sum())
-
-    # Token terms: log theta_d[z] + log phi_s[z, w], gathered once per
-    # source and summed patient by patient, so the total is the same float
-    # as a per-patient loop's.
-    for s in range(corpus.num_sources):
-        z = state.z[s]
-        phi_vals = state.phi[s][z.flat, corpus.tokens[s].flat]
-        if np.any(phi_vals == 0.0):
-            return float("-inf")
-        add = np.add.reduce
-        for theta_d, phi_d in zip(z.like(log_theta[z.doc_idx, z.flat]),
-                                  z.like(np.log(phi_vals))):
-            if theta_d.size:
-                total += float(add(theta_d) + add(phi_d))
-
     if np.isnan(total):
-        raise NumericalError("complete-data log-likelihood is NaN")
+        raise NumericalError("collapsed log joint is NaN")
     return float(total)
 
 

@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 
-# Floor applied to probabilities before taking logs; guards against
+# Floor applied to Gamma draws and to B and Bstar; guards against
 # floating-point underflow, not genuine zero mass.
 PROB_FLOOR = 1e-300
 
@@ -19,11 +19,6 @@ def substream(seed: int, name: str) -> np.random.Generator:
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     key = int.from_bytes(digest[:8], "little")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
-
-
-def floored_log(x):
-    """log(max(x, PROB_FLOOR)), elementwise."""
-    return np.log(np.maximum(x, PROB_FLOOR))
 
 
 def sample_dirichlet(alpha, rng: np.random.Generator):

@@ -15,9 +15,12 @@ agree bit for bit.
 The token-path references are the per-patient loops the package used
 before every token-level pass went through the flat arrays each source
 stores (ss3m.model.Ragged): the forward simulator with its per-patient
-(n x K) categorical draws, the count matrices, the token terms of the
-complete-data log-likelihood, the raw-token features and the unchunked
-z pass.
+(n x K) categorical draws, the count matrices, the raw-token features
+and the unchunked z pass. The complete-data log-likelihood, with its
+token terms summed patient by patient and its logs floored at
+PROB_FLOOR, is the chain objective the package used before the collapsed
+log joint; with the Dirichlet log-density of theta and phi under their
+full conditionals it is the oracle of that joint (Chib's identity).
 
 The inverse-CDF reference is the sampler the forward model used before
 it shared the z pass's binary search (ss3m.model.count_below): rows of
@@ -66,7 +69,7 @@ from ss3m.model import (
     log_gamma_pdf,
     prior_matrix,
 )
-from ss3m.util import PROB_FLOOR, floored_log, sample_dirichlet, substream
+from ss3m.util import PROB_FLOOR, sample_dirichlet, substream
 
 
 def collapsed_scan(state, counts, hyper, rng, labels=None, options=None):
@@ -218,6 +221,17 @@ def raw_token_features(corpus):
     return np.hstack(blocks)
 
 
+def floored_log(x):
+    """log(max(x, PROB_FLOOR)), elementwise."""
+    return np.log(np.maximum(x, PROB_FLOOR))
+
+
+def dirichlet_log_density(x, conc):
+    """log Dir(x[i] | conc[i]) for each row i of the (R, K) arrays."""
+    return (gammaln(conc.sum(axis=1)) - gammaln(conc).sum(axis=1)
+            + ((conc - 1.0) * np.log(x)).sum(axis=1))
+
+
 def complete_data_log_likelihood(state, corpus, hyper):
     D, P = state.theta.shape
     total = 0.0
@@ -302,11 +316,11 @@ def train_unstructured(corpus, hyper, concentration, seed):
     for s in range(corpus.num_sources):
         m = gibbs.token_counts(state, corpus, s)
         state.phi[s] = sample_dirichlet(hyper.gamma[s] + m, rng)
-    lls = [model.complete_data_log_likelihood(state, corpus, hyper)]
+    lls = [model.collapsed_log_joint(state, corpus, hyper)]
     best, best_it = state.copy(), 0
     for it in range(1, hyper.iterations + 1):
         unstructured_sweep(state, corpus, hyper, rng)
-        lls.append(model.complete_data_log_likelihood(state, corpus, hyper))
+        lls.append(model.collapsed_log_joint(state, corpus, hyper))
         if lls[-1] > max(lls[:-1]):
             best, best_it = state.copy(), it
     return lls, best, best_it, rng

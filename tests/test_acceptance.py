@@ -46,7 +46,7 @@ from ss3m.model import (
     Hyperparameters,
     LabelMatrix,
     ModelState,
-    complete_data_log_likelihood,
+    collapsed_log_joint,
     generate,
     labels_from_activations,
     prior_matrix,
@@ -469,7 +469,7 @@ def test_paper_prior_training_prunes_activations():
             sweep(state, corpus, plan, clamp, options.b_mode, h, rng)
             ok &= bool(np.all(state.A[~free] == clamp[~free]))
             ok &= bool(np.isfinite(
-                complete_data_log_likelihood(state, corpus, h)))
+                collapsed_log_joint(state, corpus, h)))
             fractions.append(state.A[free].mean())
         ok &= bool(fractions[-1] < fractions[0])
         details.append(f"{fractions[0]:.2f}->{fractions[-1]:.2f} "

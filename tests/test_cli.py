@@ -483,11 +483,28 @@ class TestErrorPaths:
         capsys.readouterr()
         assert run("--config", toy_config, "--seed", "1",
                    "--out", str(tmp_path / "mc3m"),
-                   "--eval.mc3m_concentration", value, "train",
+                   "--train.mc3m_concentration", value, "train",
                    "--corpus", os.path.join(gen, "corpus.jsonl"),
                    "--model-id", "mc3m") == 1
         assert ("config error: concentration must be positive and finite"
                 in capsys.readouterr().err)
+
+    def test_evaluate_rejects_old_mc3m_concentration_key(
+            self, tmp_path, toy_config, capsys):
+        # only train --model-id mc3m reads the concentration, under train.
+        prep, states = self._trained(tmp_path, toy_config)
+        capsys.readouterr()
+        assert run("--config", toy_config, "--seed", "1",
+                   "--out", str(tmp_path / "eval"), "evaluate",
+                   "--train-corpus", os.path.join(prep, "corpus_train.json"),
+                   "--train-labels", os.path.join(prep, "labels_train.json"),
+                   "--test-corpus", os.path.join(prep, "corpus_test.json"),
+                   "--test-labels", os.path.join(prep, "labels_test.json"),
+                   "--state-dir", states,
+                   "--eval.mc3m_concentration", "1") == 1
+        assert ("config error: unrecognized arguments: "
+                "--eval.mc3m_concentration 1" in capsys.readouterr().err)
+        assert not (tmp_path / "eval").exists()
 
     def test_summarize_vocabulary_mismatch_is_data_error(self, tmp_path,
                                                          toy_config, capsys):

@@ -6,6 +6,11 @@ identically seeded generators) and asserts exactly equal arrays and
 floats and the same generator state afterwards. The inputs reach the
 corners: one patient, documents that are all empty, a vocabulary of one,
 one phenotype, one to three sources, and phi with exact zeros.
+
+The collapsed log joint has no per-patient loop to match; it is checked
+against the per-patient complete-data reference by Chib's identity
+instead: the complete-data value less the log-densities of theta and phi
+under their full conditionals.
 """
 
 import contextlib
@@ -27,8 +32,9 @@ from ss3m.model import (
     Corpus,
     DocLengthSpec,
     ModelState,
-    complete_data_log_likelihood,
+    collapsed_log_joint,
     generate,
+    prior_matrix,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None,
@@ -137,17 +143,41 @@ def test_counts_match_per_patient_loops(problem):
 
 
 @PROPERTY_SETTINGS
-@given(token_problems())
-def test_log_likelihood_matches_per_patient_loop(problem):
+@given(token_problems(), st.data())
+def test_collapsed_log_joint_chib_identity(problem, data):
+    # log p(w, z, theta, phi, A, B, Bstar) = log p(w, z, A, B, Bstar)
+    # + log Dir(theta | prior + n) + sum_s log Dir(phi_s | gamma_s + m_s),
+    # at theta and phi drawn with no entry near the floor
     state, corpus, hyper = problem
-    got = complete_data_log_likelihood(state, corpus, hyper)
-    assert got == ref.complete_data_log_likelihood(state, corpus, hyper)
-    hits_zero = any(
-        np.any(state.phi[s][state.z[s][d], corpus.tokens[s][d]] == 0.0)
-        for s in range(corpus.num_sources)
-        for d in range(corpus.num_patients))
-    assert (got == -math.inf) == hits_zero
-    assert not math.isnan(got)
+    D, P = state.theta.shape
+    state.theta = _simplex_rows(data.draw, (D, P), zeros=False)
+    state.phi = [_simplex_rows(data.draw, phi_s.shape, zeros=False)
+                 for phi_s in state.phi]
+    want = ref.complete_data_log_likelihood(state, corpus, hyper)
+    want -= ref.dirichlet_log_density(
+        state.theta, prior_matrix(state.A, state.B, state.Bstar)
+        + phenotype_counts(state, corpus)).sum()
+    for s, phi_s in enumerate(state.phi):
+        want -= ref.dirichlet_log_density(
+            phi_s, hyper.gamma[s] + token_counts(state, corpus, s)).sum()
+    assert collapsed_log_joint(state, corpus, hyper) == pytest.approx(
+        want, rel=1e-10)
+
+
+@PROPERTY_SETTINGS
+@given(token_problems(), st.data())
+def test_collapsed_log_joint_ignores_theta_and_phi(problem, data):
+    state, corpus, hyper = problem
+    got = collapsed_log_joint(state, corpus, hyper)
+    assert math.isfinite(got)
+    D, P = state.theta.shape
+    state.theta = _simplex_rows(data.draw, (D, P), zeros=True)
+    state.phi = [_simplex_rows(data.draw, phi_s.shape, zeros=True)
+                 for phi_s in state.phi]
+    assert collapsed_log_joint(state, corpus, hyper) == got
+    state.theta = np.zeros((D, P))
+    state.phi = [np.zeros_like(phi_s) for phi_s in state.phi]
+    assert collapsed_log_joint(state, corpus, hyper) == got
 
 
 @PROPERTY_SETTINGS

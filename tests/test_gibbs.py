@@ -36,7 +36,7 @@ from ss3m.model import (
     DocLengthSpec,
     LabelMatrix,
     ModelState,
-    complete_data_log_likelihood,
+    collapsed_log_joint,
     generate,
     labels_from_activations,
     prior_matrix,
@@ -420,7 +420,7 @@ def test_sampled_b_sweep_keeps_invariants_on_degenerate_inputs(problem,
         assert np.allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-9)
     fixed = clamp >= 0
     assert np.array_equal(state.A[fixed], clamp[fixed])
-    assert np.isfinite(complete_data_log_likelihood(state, corpus, hyper))
+    assert np.isfinite(collapsed_log_joint(state, corpus, hyper))
 
 
 class TestClampInvariants:

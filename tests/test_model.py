@@ -12,7 +12,7 @@ from ss3m.model import (
     DocLengthSpec,
     Hyperparameters,
     ModelState,
-    complete_data_log_likelihood,
+    collapsed_log_joint,
     count_below,
     generate,
     phenotype_summary,
@@ -173,14 +173,21 @@ class TestGenerate:
 
 
 def _oracle_log_likelihood(state, corpus, hyper):
-    """Independent sum-of-log-densities oracle built on scipy.stats."""
+    """Independent sum-of-log-densities oracle built on scipy.stats: the
+    complete-data log-likelihood less the log-densities of theta and phi
+    under their full conditionals, which by Chib's identity is the
+    collapsed log joint."""
     total = 0.0
     P = state.theta.shape[1]
     for s in range(corpus.num_sources):
+        m = np.zeros((P, len(corpus.vocab[s])))
+        for z_sd, w_sd in zip(state.z[s], corpus.tokens[s]):
+            np.add.at(m, (z_sd, w_sd), 1)
         for p in range(P):
-            total += st.dirichlet.logpdf(
-                state.phi[s][p] / state.phi[s][p].sum(),
-                np.full(len(corpus.vocab[s]), hyper.gamma[s]))
+            phi = state.phi[s][p] / state.phi[s][p].sum()
+            gam = np.full(len(corpus.vocab[s]), hyper.gamma[s])
+            total += (st.dirichlet.logpdf(phi, gam)
+                      - st.dirichlet.logpdf(phi, gam + m[p]))
     for p in range(P):
         total += st.gamma.logpdf(state.B[p], a=hyper.b_shape,
                                  scale=hyper.b_scale)
@@ -190,8 +197,12 @@ def _oracle_log_likelihood(state, corpus, hyper):
         for p in range(P):
             total += st.bernoulli.logpmf(state.A[d, p], hyper.alpha)
         prior = np.where(state.A[d] == 1, state.B, state.Bstar)
-        total += st.dirichlet.logpdf(state.theta[d] / state.theta[d].sum(),
-                                     prior)
+        theta = state.theta[d] / state.theta[d].sum()
+        n = np.zeros(P)
+        for s in range(corpus.num_sources):
+            np.add.at(n, state.z[s][d], 1)
+        total += (st.dirichlet.logpdf(theta, prior)
+                  - st.dirichlet.logpdf(theta, prior + n))
         for s in range(corpus.num_sources):
             for z, w in zip(state.z[s][d], corpus.tokens[s][d]):
                 total += math.log(state.theta[d, z])
@@ -200,28 +211,29 @@ def _oracle_log_likelihood(state, corpus, hyper):
 
 
 class TestCompleteDataLogLikelihood:
+    """The chain objective that TrainTrace.log_likelihoods traces,
+    model.collapsed_log_joint."""
+
     def test_degenerate_single_outcome(self):
-        # P=1, V=1, N=1: token term is log(1) = 0, so the total equals the
-        # prior densities alone.
+        # P=1, V=1, N=1: both Dirichlet-multinomial terms are log(1) = 0,
+        # so the total is the Gamma and Bernoulli terms alone.
         h = make_hyper(P=1, alpha=0.4, gamma=0.7)
         corpus = Corpus(vocab=[["only"]], tokens=[[np.zeros(1, dtype=int)]])
         state = ModelState(
             theta=np.ones((1, 1)), phi=[np.ones((1, 1))],
             z=[[np.zeros(1, dtype=int)]],
             A=np.ones((1, 1), dtype=np.int8), B=np.array([2.0]), Bstar=0.5)
-        got = complete_data_log_likelihood(state, corpus, h)
-        expected = (st.dirichlet.logpdf([1.0], [0.7])  # phi prior (V=1)
-                    + st.gamma.logpdf(2.0, a=h.b_shape, scale=h.b_scale)
+        got = collapsed_log_joint(state, corpus, h)
+        expected = (st.gamma.logpdf(2.0, a=h.b_shape, scale=h.b_scale)
                     + st.gamma.logpdf(0.5, a=h.bstar_shape, scale=h.bstar_scale)
-                    + math.log(0.4)
-                    + st.dirichlet.logpdf([1.0], [2.0]))
+                    + math.log(0.4))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_matches_independent_oracle(self, rng):
         h = make_hyper(P=2, S=1, alpha=0.3, gamma=0.5)
         for _ in range(100):
             state, corpus = random_tiny_state(rng, bstar_low=0.05)
-            got = complete_data_log_likelihood(state, corpus, h)
+            got = collapsed_log_joint(state, corpus, h)
             want = _oracle_log_likelihood(state, corpus, h)
             assert got == pytest.approx(want, rel=1e-10)
 
@@ -235,29 +247,16 @@ class TestCompleteDataLogLikelihood:
         values = []
         for b in grid:
             state.B = np.array([b])
-            values.append(complete_data_log_likelihood(state, corpus, h))
+            values.append(collapsed_log_joint(state, corpus, h))
         best = grid[int(np.argmax(values))]
         mode = (h.b_shape - 1.0) * h.b_scale
         assert abs(best - mode) <= grid[1] - grid[0]
-
-    def test_zero_phi_at_assigned_token_is_minus_inf(self):
-        h = make_hyper(P=2, gamma=0.5)
-        corpus = Corpus(vocab=[["a", "b"]],
-                        tokens=[[np.array([1], dtype=int)]])
-        phi = np.array([[1.0, 0.0], [0.5, 0.5]])
-        state = ModelState(
-            theta=np.array([[0.5, 0.5]]), phi=[phi],
-            z=[[np.array([0], dtype=int)]],  # token b assigned where phi=0
-            A=np.ones((1, 2), dtype=np.int8),
-            B=np.array([1.0, 1.0]), Bstar=0.5)
-        got = complete_data_log_likelihood(state, corpus, h)
-        assert got == float("-inf") and not math.isnan(got)
 
     def test_finite_on_sampled_states(self, rng):
         h = make_hyper(P=2, gamma=0.5)
         for _ in range(20):
             state, corpus = random_tiny_state(rng)
-            assert math.isfinite(complete_data_log_likelihood(state, corpus, h))
+            assert math.isfinite(collapsed_log_joint(state, corpus, h))
 
 
 class TestPhenotypeSummary:
