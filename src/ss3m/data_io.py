@@ -146,38 +146,40 @@ def preprocess(records, config: PreprocessConfig):
     for rec in records:
         streams[rec.source][pidx[rec.patient_id]].extend(rec.tokens)
 
-    vocab, tokens = [], []
+    vocab, kept_ids, kept_lengths = [], [], []
     for s in sources:
-        total = Counter()
-        doc_count = Counter()
-        for doc in streams[s]:
-            total.update(doc)
-            doc_count.update(set(doc))
-        keep = {
-            tok for tok, cnt in total.items()
-            if tok not in config.stopwords
-            and cnt >= config.min_count
-            and doc_count[tok] / D <= config.max_doc_fraction
-        }
-        if not keep:
+        index = {}
+        ids = np.array([index.setdefault(t, len(index))
+                        for doc in streams[s] for t in doc], dtype=np.int64)
+        doc_idx = np.repeat(np.arange(D), [len(doc) for doc in streams[s]])
+        V = len(index)
+        # patients per ID: the distinct keys doc * V + ID, by one sort
+        pairs = np.sort(doc_idx * V + ids)
+        doc_count = np.bincount(pairs[np.diff(pairs, prepend=-1) != 0] % V,
+                                minlength=V)
+        passes = ((np.bincount(ids, minlength=V) >= config.min_count)
+                  & (doc_count / D <= config.max_doc_fraction))
+        voc = sorted(tok for tok, ok in zip(index, passes)
+                     if ok and tok not in config.stopwords)
+        if not voc:
             raise ConfigError(
                 f"preprocessing left an empty vocabulary for source {s!r}")
-        voc = sorted(keep)
-        tok2id = {tok: i for i, tok in enumerate(voc)}
+        new_id = np.full(V, -1, dtype=np.int64)
+        new_id[[index[tok] for tok in voc]] = np.arange(len(voc))
+        ids = new_id[ids]
+        survives = ids >= 0
         vocab.append(voc)
-        tokens.append([
-            np.array([tok2id[t] for t in doc if t in keep], dtype=np.int64)
-            for doc in streams[s]
-        ])
+        kept_ids.append(ids[survives])
+        kept_lengths.append(np.bincount(doc_idx[survives], minlength=D))
 
-    keep_idx = [d for d in range(D)
-                if any(per_source[d].size for per_source in tokens)]
-    if len(keep_idx) < D:
+    keep = sum(kept_lengths) > 0
+    if not keep.all():
         logger.warning("dropping %d patient(s) with no surviving tokens",
-                       D - len(keep_idx))
-        tokens = [[per_source[d] for d in keep_idx] for per_source in tokens]
-        patients = [patients[d] for d in keep_idx]
-
+                       D - int(keep.sum()))
+        patients = [pid for pid, k in zip(patients, keep) if k]
+    # a dropped patient has no token left, so only the lengths change
+    tokens = [Ragged(flat, lengths[keep])
+              for flat, lengths in zip(kept_ids, kept_lengths)]
     return Corpus(vocab=vocab, tokens=tokens), patients
 
 

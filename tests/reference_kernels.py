@@ -30,7 +30,15 @@ per row over the uniforms themselves.
 The logistic-regression reference is the baseline's fit as it was when
 every line-search trial computed a gradient along with its loss; the
 package now computes the gradient once per accepted step, from the
-logits of that trial, and must give the same weights bit for bit.
+logits of that trial, screens the trials on the cached logits and
+computes the exact loss only for those the screen cannot reject, and
+must give the same weights bit for bit.
+
+The preprocessing reference is the per-token pass the package ran
+before it interned each source's tokens once and counted them with
+np.bincount: Counter totals, per-patient sets for the patient counts,
+and a dictionary lookup per surviving token. It must give the same
+vocabularies, token IDs and patient list.
 
 The chain references are the code the package ran before the mc3m
 baseline and held-out inference became the gated chain with every
@@ -45,6 +53,7 @@ ranks are half-integers and their sum is exact, so the two agree bit for
 bit.
 """
 
+from collections import Counter
 from math import lgamma, log
 
 import numpy as np
@@ -53,6 +62,8 @@ from scipy.stats import rankdata
 
 from ss3m import gibbs, model
 from ss3m.errors import (
+    ConfigError,
+    DataError,
     NumericalError,
     OptimizationError,
     SamplingError,
@@ -408,6 +419,47 @@ def lr_train(features, truth, lam=1.0, epochs=200):
             w, loss, grad = w_new, new_loss, new_grad
         weights.append(w)
     return {"weights": np.array(weights), "lam": lam}
+
+
+def preprocess(records, config):
+    """Corpus and patient IDs by per-token Counter passes."""
+    if not records:
+        raise DataError("no records to preprocess")
+    patients = list(dict.fromkeys(rec.patient_id for rec in records))
+    pidx = {pid: i for i, pid in enumerate(patients)}
+    sources = sorted({rec.source for rec in records})
+    D = len(patients)
+    streams = {s: [[] for _ in range(D)] for s in sources}
+    for rec in records:
+        streams[rec.source][pidx[rec.patient_id]].extend(rec.tokens)
+    vocab, tokens = [], []
+    for s in sources:
+        total = Counter()
+        doc_count = Counter()
+        for doc in streams[s]:
+            total.update(doc)
+            doc_count.update(set(doc))
+        keep = {
+            tok for tok, cnt in total.items()
+            if tok not in config.stopwords
+            and cnt >= config.min_count
+            and doc_count[tok] / D <= config.max_doc_fraction
+        }
+        if not keep:
+            raise ConfigError(
+                f"preprocessing left an empty vocabulary for source {s!r}")
+        voc = sorted(keep)
+        tok2id = {tok: i for i, tok in enumerate(voc)}
+        vocab.append(voc)
+        tokens.append([
+            np.array([tok2id[t] for t in doc if t in keep], dtype=np.int64)
+            for doc in streams[s]
+        ])
+    keep_idx = [d for d in range(D)
+                if any(per_source[d].size for per_source in tokens)]
+    tokens = [[per_source[d] for d in keep_idx] for per_source in tokens]
+    patients = [patients[d] for d in keep_idx]
+    return Corpus(vocab=vocab, tokens=tokens), patients
 
 
 def auroc(scores, truth):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import reference_kernels
 from ss3m import data_io
 from ss3m.data_io import (
     PreprocessConfig,
@@ -158,6 +159,38 @@ class TestPreprocess:
         corpus1, _ = preprocess(records, IDENTITY)
         corpus2, _ = preprocess(records[::-1], IDENTITY)
         assert corpus1.vocab == corpus2.vocab
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data(), integer_tokens=st.booleans(),
+           min_count=st.integers(0, 4), fraction=st.sampled_from(
+               [1.0, 0.75, 2 / 3, 0.6, 0.5, 0.4, 1 / 3, 0.25, 0.2]))
+    def test_matches_the_counter_pass(self, data, integer_tokens, min_count,
+                                      fraction):
+        # the per-token Counter loop the interned bincount pass replaced:
+        # the same vocabularies, token IDs and patients, or the same error.
+        # Few patients and words make the fractions land on k / D exactly;
+        # repeated patient IDs give duplicate records
+        pool = list(range(5)) if integer_tokens else list("abcde")
+        records = data.draw(st.lists(st.builds(
+            RawRecord, st.sampled_from(["p0", "p1", "p2", "p3"]),
+            st.sampled_from(["s0", "s1"]),
+            st.lists(st.sampled_from(pool), max_size=6)),
+            min_size=1, max_size=10))
+        cfg = PreprocessConfig(
+            stopwords=data.draw(st.sets(st.sampled_from(pool))),
+            min_count=min_count, max_doc_fraction=fraction)
+        outcomes = []
+        for fit in (preprocess, reference_kernels.preprocess):
+            try:
+                corpus, pids = fit(records, cfg)
+                outcomes.append((pids, corpus.vocab,
+                                 [(w.flat.dtype, w.flat.tolist(),
+                                   w.offsets.tolist())
+                                  for w in corpus.tokens]))
+            except ConfigError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestBuildLabels:

@@ -343,6 +343,56 @@ class TestLogisticRegression:
         if data is None:
             assert outcomes[0] == "objective diverged to a non-finite value"
 
+    @staticmethod
+    def _count_problem():
+        """Raw-token-shaped features: 800 patients, Poisson counts over 500
+        words of Gamma-spread rates, 6 labels."""
+        rng = np.random.default_rng(7)
+        X = rng.poisson(rng.gamma(0.3, 2.0, size=500), size=(800, 500))
+        return X.astype(float), (rng.random((800, 6)) < 0.3).astype(int)
+
+    def test_count_features_match_the_gradient_per_trial_loop(self):
+        # where the line-search screen rejects most trials without a matvec
+        X, Y = self._count_problem()
+        ours = lr_train(X, Y, lam=1.0, epochs=30)["weights"]
+        theirs = reference_kernels.lr_train(X, Y, lam=1.0, epochs=30)["weights"]
+        assert ours.tobytes() == theirs.tobytes()
+
+    def test_fits_run_to_the_float_optimum_match_the_loop(self):
+        # 400 epochs on small count problems reach steps whose loss change
+        # is at rounding level, where a screen without its margin rejects
+        # a trial the exact loss accepts (problems 11 and 56 here)
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n, d = rng.integers(5, 60), rng.integers(1, 20)
+            X = rng.poisson(rng.gamma(0.5, 2.0, size=d), size=(n, d))
+            Y = (rng.random((n, 2)) < 0.4).astype(int)
+            lam = (0.0, 1e-3, 1.0)[seed % 3]
+            fits = [fit(X.astype(float), Y, lam=lam, epochs=400)["weights"]
+                    for fit in (lr_train, reference_kernels.lr_train)]
+            assert fits[0].tobytes() == fits[1].tobytes(), seed
+
+    def test_one_exact_loss_per_accepted_step(self, monkeypatch):
+        # _lr_grad runs once per label at the start and once per accepted
+        # step; the exact loss should run about as often, not once per
+        # backtracking trial
+        X, Y = self._count_problem()
+        calls = {"loss": 0, "grad": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(evaluation, "_lr_loss",
+                            counted("loss", evaluation._lr_loss))
+        monkeypatch.setattr(evaluation, "_lr_grad",
+                            counted("grad", evaluation._lr_grad))
+        lr_train(X, Y, lam=1.0, epochs=30)
+        assert calls["grad"] > 6 * 20  # most of the 30 epochs take a step
+        assert calls["loss"] <= calls["grad"] + 6
+
     @pytest.mark.parametrize("lam, epochs", [
         (1.0, -3), (-1.0, 10), (float("nan"), 10), (float("inf"), 10),
     ])

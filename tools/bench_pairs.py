@@ -11,8 +11,10 @@ either side. The runs are not traced. --seconds defaults to the
 run_seconds of the change's BENCHMARK.json.
 
 The output file maps each workload to its report; a run adds or
-replaces its workload's entry and keeps the others. A report holds every
-pair's end-to-end metrics for both sides and, per metric, the medians
+replaces its workload's entry and keeps the others. A report holds each
+side's commit as the run starts (HEAD, and whether and how the tree
+differs from it), every pair's end-to-end metrics for both sides and,
+per metric, the medians
 and quartiles of each side, the number of pairs the change wins (a
 strictly better value in the direction BENCHMARK.json gives), the median
 difference (change minus parent) and the parent's interquartile spread. A run that fails or prints no result is recorded
@@ -20,6 +22,7 @@ with its error and its pair is left out of the summary.
 """
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -36,13 +39,25 @@ def _quartiles(values):
     return q[0], q[2]
 
 
+def _git(root: Path, *args) -> str:
+    return subprocess.run(["git", "-C", str(root), *args], capture_output=True,
+                          text=True, check=True).stdout
+
+
 def _commit(root: Path):
+    """root's HEAD and whether its tree differs from it: {"head", "dirty",
+    "diff_sha256"}, the last the sha256 of `git diff HEAD` (None when
+    clean), so that an uncommitted change is not filed under its parent's
+    hash. None if root is not a git checkout."""
     try:
-        return subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
-                              capture_output=True, text=True,
-                              check=True).stdout.strip()
+        head = _git(root, "rev-parse", "HEAD").strip()
+        dirty = bool(_git(root, "status", "--porcelain"))
+        diff = _git(root, "diff", "HEAD", "--binary")
     except (OSError, subprocess.CalledProcessError):
         return None
+    return {"head": head, "dirty": dirty,
+            "diff_sha256": (hashlib.sha256(diff.encode()).hexdigest()
+                            if dirty else None)}
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -106,6 +121,7 @@ def main(argv=None):
     seconds = args.seconds or spec["run_seconds"]
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    commits = {s: _commit(roots[s]) for s in SIDES}
     pairs = []
     for i in range(args.pairs):
         seed = args.first_seed + i
@@ -121,7 +137,7 @@ def main(argv=None):
     report = {
         "seconds": seconds,
         "first_seed": args.first_seed,
-        "commits": {s: _commit(roots[s]) for s in SIDES},
+        "commits": commits,
         "pairs": pairs,
         "summary": summarize(pairs, better),
     }
