@@ -85,6 +85,21 @@ class Split:
     test_indices: np.ndarray
 
 
+def _strings(obj: dict, key: str, path, lineno: int) -> list:
+    """obj[key], [] when absent, as a list of str: the decoded list itself
+    when every entry is a str, which "".join checks at C speed, else a
+    cast of each entry. DataError if it is not a JSON array."""
+    values = obj.get(key, [])
+    if not isinstance(values, list):
+        raise DataError(f"{path}: line {lineno}: {key} must be a JSON array, "
+                        f"got {type(values).__name__}")
+    try:
+        "".join(values)
+    except TypeError:
+        return [str(v) for v in values]
+    return values
+
+
 def load_raw(path) -> list:
     """Parse a JSON-lines corpus file into RawRecords, in file order."""
     records = []
@@ -111,8 +126,8 @@ def load_raw(path) -> list:
             records.append(RawRecord(
                 patient_id=pid,
                 source=str(obj["source"]),
-                tokens=[str(t) for t in obj["tokens"]],
-                labels=[str(l) for l in obj.get("labels", [])],
+                tokens=_strings(obj, "tokens", path, lineno),
+                labels=_strings(obj, "labels", path, lineno),
             ))
     if unknown_fields:
         logger.warning("%s: ignored %d unknown field(s)", path, unknown_fields)

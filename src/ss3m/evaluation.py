@@ -300,8 +300,14 @@ def _line_search(w, loss, logits, grad, Xb, y, lam, col_abs):
     the screen's rounding error and that of the exact loss (the summation
     bounds of the matvecs, the sums and the ridge dots; log(1 + e^-m) is
     1-Lipschitz in m), so every trial it rejects the exact loss rejects
-    too, and with a finite value. Every other trial, and every trial of a
-    step whose scale reaches _SCREEN_MAX, gets the exact loss.
+    too, and with a finite value. Before the screen, a cheaper bound
+    rejects most trials: the sum of max(-m, 0) plus the ridge term. As
+    log(1 + e^-m) >= max(-m, 0), and rounding is monotone, each computed
+    logaddexp term is at least the exact max, and the same summation of
+    smaller terms gives a sum no larger than the screen's. A bound above
+    loss + margin thus means a screened loss above it: the bound rejects
+    only trials the screen rejects. Every other trial, and every trial of
+    a step whose scale reaches _SCREEN_MAX, gets the exact loss.
     """
     n, D = Xb.shape
     with np.errstate(over="ignore", invalid="ignore"):  # scale may be inf
@@ -315,16 +321,18 @@ def _line_search(w, loss, logits, grad, Xb, y, lam, col_abs):
         margin = 4 * (n + D + 8) * np.finfo(float).eps * scale
         sign = 2.0 * y - 1.0
         m_now, m_dir = sign * logits, sign * (Xb @ grad)
-        buf = np.empty(n)
+        buf, hinge = np.empty(n), np.empty(n)
     t = 1.0
     while t > 1e-14:
         if screen:
             # -m at w - t * grad is t * m_dir - m_now
             np.multiply(m_dir, t, out=buf)
             buf -= m_now
-            screened = (float(np.logaddexp(0.0, buf, out=buf).sum())
-                        + 0.5 * lam * (ww - 2.0 * t * wg + t * t * gg))
-            if screened > loss + margin:
+            ridge = 0.5 * lam * (ww - 2.0 * t * wg + t * t * gg)
+            bound = float(np.maximum(buf, 0.0, out=hinge).sum()) + ridge
+            if (bound > loss + margin
+                    or float(np.logaddexp(0.0, buf, out=buf).sum()) + ridge
+                    > loss + margin):
                 t *= 0.5
                 continue
         w_new = w - t * grad

@@ -15,7 +15,8 @@ and Bstar), draw_theta (theta) and draw_phi (phi).
 
 A chain (_run_chain) traces model.collapsed_log_joint, log p(w, z, A, B,
 Bstar) with theta and phi integrated out, after every sweep and keeps the
-state where it is highest.
+state where it is highest. The sweep hands it the counts it has built,
+so nothing is counted twice, and the value is the recount's, bit for bit.
 
 The patient-local part, z -> A -> theta, is one function, local_step,
 run alike by training, the mc3m baseline and held-out inference. They
@@ -34,7 +35,9 @@ in the same layout. The z pass draws what a token-by-token scan would
 (_sample_z_batch), the A update is an exact sequential scan over the
 phenotypes vectorized over patients (activation_scan), and the count
 matrices are one bincount per source: the local step counts phenotypes
-once and hands the counts to the A scan, the B step and the theta draw.
+once and hands the counts to the A scan, the B step and the theta draw,
+the phi draw counts each source's tokens once, and the sweep returns both
+for the log joint.
 
 The z pass works on distinct (patient, word) pairs, and the tokens do
 not change along a chain, so each chain plans it once (ZPlan, built next
@@ -164,9 +167,15 @@ class ZPlan:
                       and 0 <= doc_idx.min() and doc_idx.max() < D):
             raise DimensionError(f"source {s}: token ID outside [0, {V}) or "
                                  f"patient outside [0, {D})")
-        key = doc_idx * V + w_flat
-        order = np.argsort(key, kind="stable")
-        key = key[order]
+        # argsort(key, kind="stable") as two stable passes, words then
+        # patients, each on the narrowest integer type that holds them, so
+        # that numpy radix-sorts keys of up to 16 bits
+        order = np.argsort(w_flat.astype(np.min_scalar_type(V - 1)),
+                           kind="stable")
+        order = order[np.argsort(
+            doc_idx[order].astype(np.min_scalar_type(D - 1)),
+            kind="stable")]
+        key = doc_idx[order] * V + w_flat[order]
         new_pair = np.empty(N, dtype=bool)
         new_pair[:1] = True
         np.not_equal(key[1:], key[:-1], out=new_pair[1:])
@@ -265,7 +274,8 @@ def clamp_matrix(labels: LabelMatrix, options: TrainOptions, D: int,
     return clamp
 
 
-def activation_log_odds(n, N, rest, b_p, bstar: float, alpha: float):
+def activation_log_odds(n, N, rest, b_p, bstar: float, alpha: float,
+                        out=None):
     """log P(A_dp=1 | z, A_d,-p) - log P(A_dp=0 | z, A_d,-p) with theta_d
     integrated out, for patients with n tokens on phenotype p out of N
     and gated concentrations summing to `rest` over the phenotypes
@@ -273,16 +283,36 @@ def activation_log_odds(n, N, rest, b_p, bstar: float, alpha: float):
 
     Ratio of the two Dirichlet-multinomial marginals of the patient's
     phenotype counts whose concentration vectors differ only at
-    coordinate p (B_p vs Bstar), times the Bernoulli prior odds.
+    coordinate p (B_p vs Bstar), times the Bernoulli prior odds. The six
+    log-gamma arguments that vary by patient are laid out in the rows of
+    out, a (6,) + shape float64 scratch (allocated when None), and go
+    through one gammaln call; the eight terms are then added left to
+    right into out[0], which is returned. Non-finite arguments give
+    non-finite odds, with numpy's warnings as the caller's errstate sets
+    them.
     """
-    t_on = rest + b_p
-    t_off = rest + bstar
-    with np.errstate(invalid="ignore"):  # the scan reports non-finite odds
-        return (log(alpha / (1.0 - alpha))
-                + gammaln(t_on) - gammaln(t_on + N)
-                + gammaln(b_p + n) - gammaln(b_p)
-                - gammaln(t_off) + gammaln(t_off + N)
-                - gammaln(bstar + n) + gammaln(bstar))
+    if out is None:
+        out = np.empty((6,) + np.broadcast_shapes(np.shape(n), np.shape(N),
+                                                  np.shape(rest)))
+    t_on, t_on_n, b_n, t_off, t_off_n, bstar_n = (out[i, ...]
+                                                   for i in range(6))
+    np.add(rest, b_p, out=t_on)
+    np.add(t_on, N, out=t_on_n)
+    np.add(b_p, n, out=b_n)
+    np.add(rest, bstar, out=t_off)
+    np.add(t_off, N, out=t_off_n)
+    np.add(bstar, n, out=bstar_n)
+    gammaln(out, out=out)
+    odds = t_on
+    odds += log(alpha / (1.0 - alpha))
+    odds -= t_on_n
+    odds += b_n
+    odds -= gammaln(b_p)
+    odds -= t_off
+    odds += t_off_n
+    odds -= bstar_n
+    odds += gammaln(bstar)
+    return odds
 
 
 def activation_scan(A: np.ndarray, clamp: np.ndarray, counts: np.ndarray,
@@ -294,8 +324,8 @@ def activation_scan(A: np.ndarray, clamp: np.ndarray, counts: np.ndarray,
 
     Cells where `clamp` (shaped like A) holds 0 or 1 are set to it; the
     cells where it holds -1 are free and resampled with
-    activation_log_odds. A non-finite log-odds raises SamplingError
-    naming the cell.
+    activation_log_odds. A non-finite log-odds at a free cell raises
+    SamplingError naming the cell.
 
     Given the counts the rows are conditionally independent, so updating
     column p of every row before moving to p+1 is the same kernel as a
@@ -303,11 +333,14 @@ def activation_scan(A: np.ndarray, clamp: np.ndarray, counts: np.ndarray,
     new bits to its left and the old bits to its right. A row's
     concentration total over q != p is the running sum of the updated
     columns q < p plus the sum of the columns q > p, taken right to left
-    by one reverse cumulative sum at the start of the scan: O(D * P), and
-    no total has a term taken back out of it, which at Bstar ~ 1e-18 would
-    lose every Bstar next to a B_p and put the log-odds off by log P. The
-    uniforms are drawn in one call, in row-major order over the free
-    cells: the order of the cell-by-cell scan.
+    by one reverse cumulative sum of the entering A's prior at the start
+    of the scan, before the clamps are written: O(D * P), and no total
+    has a term taken back out of it, which at Bstar ~ 1e-18 would lose
+    every Bstar next to a B_p and put the log-odds off by log P. A column
+    with a free cell gets the log-odds of every row in one preallocated
+    scratch, and only its free cells take the new bits. The uniforms are
+    drawn in one call, in row-major order over the free cells: the order
+    of the cell-by-cell scan.
     """
     D, P = A.shape
     free = clamp < 0
@@ -316,23 +349,25 @@ def activation_scan(A: np.ndarray, clamp: np.ndarray, counts: np.ndarray,
     prior = prior_matrix(A, B, Bstar)
     after = np.zeros((D, P + 1))
     after[:, :P] = np.cumsum(prior[:, ::-1], axis=1)[:, ::-1]
+    np.copyto(A, clamp, where=~free)
+    sampled = free.any(axis=0)
     before = np.zeros(D)
     N = counts.sum(axis=1)
-    for p in range(P):
-        fixed = ~free[:, p]
-        A[fixed, p] = clamp[fixed, p]
-        rows = np.flatnonzero(free[:, p])
-        if rows.size:
-            odds = activation_log_odds(
-                counts[rows, p], N[rows], before[rows] + after[rows, p + 1],
-                B[p], Bstar, alpha)
-            bad = ~np.isfinite(odds)
-            if bad.any():
-                raise SamplingError(
-                    "non-finite activation log-odds at patient "
-                    f"{int(rows[bad][0])}, phenotype {p}")
-            A[rows, p] = u[rows, p] < expit(odds)
-        before += np.where(A[:, p] == 1, B[p], Bstar)
+    rest, scratch = np.empty(D), np.empty((6, D))
+    with np.errstate(invalid="ignore"):  # checked below, on free cells
+        for p in range(P):
+            if sampled[p]:
+                np.add(before, after[:, p + 1], out=rest)
+                odds = activation_log_odds(counts[:, p], N, rest, B[p], Bstar,
+                                           alpha, scratch)
+                if not np.isfinite(odds).all():
+                    bad = np.flatnonzero(free[:, p] & ~np.isfinite(odds))
+                    if bad.size:
+                        raise SamplingError(
+                            "non-finite activation log-odds at patient "
+                            f"{int(bad[0])}, phenotype {p}")
+                np.copyto(A[:, p], u[:, p] < expit(odds), where=free[:, p])
+            before += np.where(A[:, p] == 1, B[p], Bstar)
     return A
 
 
@@ -351,11 +386,14 @@ def draw_theta(state: ModelState, counts: np.ndarray,
 
 
 def draw_phi(state: ModelState, corpus: Corpus, hyper: Hyperparameters,
-             rng: np.random.Generator):
-    """Draw each phi_s from Dir(gamma_s + token counts), in place."""
+             rng: np.random.Generator) -> list:
+    """Draw each phi_s from Dir(gamma_s + token counts), in place, and
+    return the token counts, one (P, V_s) array per source."""
+    counts = []
     for s in range(corpus.num_sources):
-        m = token_counts(state, corpus, s)
-        state.phi[s] = sample_dirichlet(hyper.gamma[s] + m, rng)
+        counts.append(token_counts(state, corpus, s))
+        state.phi[s] = sample_dirichlet(hyper.gamma[s] + counts[-1], rng)
+    return counts
 
 
 def _log_gamma(shape, rng: np.random.Generator):
@@ -423,7 +461,7 @@ def local_step(state: ModelState, corpus: Corpus, plan: ZPlan,
     chain samples B and passes b_prior (the Hyperparameters holding their
     Gamma priors), B and Bstar given z and A (draw_pseudocounts), then
     theta given A and z. The scan, the B step and the theta draw read the
-    same phenotype counts, summed from the new z."""
+    same phenotype counts, summed from the new z, which are returned."""
     for s, w in enumerate(corpus.tokens):
         state.z[s] = w.like(_sample_z_batch(state.theta, state.phi[s], plan,
                                             s, rng))
@@ -432,15 +470,18 @@ def local_step(state: ModelState, corpus: Corpus, plan: ZPlan,
     if b_prior is not None:
         draw_pseudocounts(state, counts, b_prior, rng)
     draw_theta(state, counts, rng)
+    return counts
 
 
 def sweep(state: ModelState, corpus: Corpus, plan: ZPlan, clamp: np.ndarray,
           b_mode: str, hyper: Hyperparameters, rng: np.random.Generator):
     """One full Gibbs pass, in place: the local step over z, A, (with
-    b_mode "sampled") B and Bstar, and theta, then phi."""
-    local_step(state, corpus, plan, clamp, hyper.alpha, rng,
-               hyper if b_mode == B_SAMPLED else None)
-    draw_phi(state, corpus, hyper, rng)
+    b_mode "sampled") B and Bstar, and theta, then phi. Returns the counts
+    of the new z, (phenotype counts, token counts per source), as
+    model.collapsed_log_joint reads them."""
+    n = local_step(state, corpus, plan, clamp, hyper.alpha, rng,
+                   hyper if b_mode == B_SAMPLED else None)
+    return n, draw_phi(state, corpus, hyper, rng)
 
 
 def initialize_state(corpus: Corpus, clamp: np.ndarray,
@@ -467,16 +508,19 @@ def _run_chain(state: ModelState, corpus: Corpus, clamp: np.ndarray,
                b_mode: str, hyper: Hyperparameters,
                rng: np.random.Generator) -> TrainTrace:
     """Run hyper.iterations sweeps from state on one z plan, tracing the
-    collapsed log joint and keeping a deep snapshot of the state where it
-    is highest. An interrupt returns the partial trace."""
+    collapsed log joint, from the counts each sweep returns, and keeping a
+    deep snapshot of the state where it is highest. An interrupt returns
+    the partial trace."""
     plan = ZPlan.of(corpus, hyper.num_phenotypes)
     best_ll = collapsed_log_joint(state, corpus, hyper)
     trace = TrainTrace(log_likelihoods=[best_ll], best_state=state.copy(),
                        best_iteration=0)
     try:
         for it in range(1, hyper.iterations + 1):
-            sweep(state, corpus, plan, clamp, b_mode, hyper, rng)
-            ll = collapsed_log_joint(state, corpus, hyper)
+            # passed inline, so the sweep's counts are freed before the
+            # next sweep allocates
+            ll = collapsed_log_joint(state, corpus, hyper, sweep(
+                state, corpus, plan, clamp, b_mode, hyper, rng))
             trace.log_likelihoods.append(ll)
             if ll > best_ll:
                 best_ll = ll

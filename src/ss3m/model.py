@@ -418,29 +418,47 @@ def log_gamma_pdf(x: float, shape: float, scale: float) -> float:
 
 
 def collapsed_log_joint(state: ModelState, corpus: Corpus,
-                        hyper: Hyperparameters) -> float:
+                        hyper: Hyperparameters, counts=None) -> float:
     """log p(w, z, A, B, Bstar), theta and phi integrated out (Griffiths &
     Steyvers 2004): a Dirichlet-multinomial term per (source, phenotype)
     over its token counts under gamma_s and one per patient over its
     phenotype counts under the gated prior, summed cell by cell so that an
     empty cell adds exactly 0, plus the Bernoulli terms of A and the Gamma
     terms of B and Bstar. Reads neither theta nor phi. A NaN total is a
-    NumericalError."""
+    NumericalError.
+
+    counts, when given, is (n, m): the (D, P) phenotype counts of state.z
+    and the list of each source's (P, V_s) token counts, as a sweep
+    returns them; None counts them here. The log-gammas repeat a few
+    arguments, so they are looked up: a source's gammaln(gamma_s + m) in
+    a table over 0..max m, each cell's gammaln(prior) gated like the prior
+    from the P + 1 values gammaln(B) and gammaln(Bstar), and
+    gammaln(prior + n) taken only where n > 0, an empty cell's term being
+    exactly 0. The cell arrays are summed whole, in the same order, so the
+    value is the float that evaluating every cell gives."""
     D, P = state.A.shape
-    n = np.zeros((D, P), dtype=np.int64)
+    n = np.zeros((D, P), dtype=np.int64) if counts is None else counts[0]
     total = 0.0
     for s, (z, w) in enumerate(zip(state.z, corpus.tokens)):
         gam, V = hyper.gamma[s], len(corpus.vocab[s])
-        m = count_pairs(z.flat, w.flat, P, V)
+        if counts is None:
+            m = count_pairs(z.flat, w.flat, P, V)
+            n += count_pairs(z.doc_idx, z.flat, D, P)
+        else:
+            m = counts[1][s]
+        cell = gammaln(gam + np.arange(m.max(initial=0) + 1)) - lgamma(gam)
         total += float(
             (lgamma(V * gam) - gammaln(V * gam + m.sum(axis=1))).sum()
-            + (gammaln(gam + m) - lgamma(gam)).sum())
-        n += count_pairs(z.doc_idx, z.flat, D, P)
+            + cell[m].sum())
 
     prior = prior_matrix(state.A, state.B, state.Bstar)
     T = prior.sum(axis=1)
+    hit = n > 0
+    gain = np.zeros((D, P))
+    gain[hit] = gammaln(prior[hit] + n[hit]) - prior_matrix(
+        state.A, gammaln(state.B), gammaln(state.Bstar))[hit]
     total += float((gammaln(T) - gammaln(T + n.sum(axis=1))).sum()
-                   + (gammaln(prior + n) - gammaln(prior)).sum())
+                   + gain.sum())
 
     total += sum(log_gamma_pdf(float(b), hyper.b_shape, hyper.b_scale)
                  for b in state.B)

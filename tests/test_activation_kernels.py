@@ -24,7 +24,13 @@ from ss3m.gibbs import (
     activation_scan,
     clamp_matrix,
 )
-from ss3m.model import LABEL_PRESENT, LabelMatrix, ModelState
+from ss3m.model import (
+    LABEL_ABSENT,
+    LABEL_PRESENT,
+    LABEL_UNKNOWN,
+    LabelMatrix,
+    ModelState,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None,
                              derandomize=True, database=None)
@@ -85,6 +91,51 @@ def test_collapsed_scan_matches_cell_loop(problem):
     activation_scan(state.A, every_cell_free, counts, state.B, state.Bstar,
                     hyper.alpha, rng)
     assert np.array_equal(state.A, want.A)
+    assert rng.bit_generator.state == rng_want.bit_generator.state
+
+
+def _corner_case(case):
+    """(state, labels, options, hyper, counts) of one named corner."""
+    rng = np.random.default_rng(11)
+    D, P, P_lab = 7, (1 if case == "one phenotype" else 4), 1
+    mode = MISSING_ESTIMATE
+    A = rng.integers(0, 2, size=(D, P)).astype(np.int8)
+    entries = rng.integers(-1, 2, size=(D, P_lab)).astype(np.int8)
+    if case == "clamps disagree with A":
+        P_lab = 3
+        entries = np.where(A[:, :P_lab] == 1, LABEL_ABSENT, LABEL_PRESENT)
+        entries[::3, 1] = LABEL_UNKNOWN
+    elif case == "column without a free cell":
+        P_lab = 2
+        entries = rng.integers(-1, 2, size=(D, P_lab)).astype(np.int8)
+        mode = MISSING_FIX_ZERO
+    state = ModelState(theta=np.full((D, P), 1.0 / P), phi=[], z=[], A=A,
+                       B=rng.uniform(0.5, 20.0, size=P), Bstar=1e-3)
+    labels = LabelMatrix(entries=entries,
+                         label_names=[f"l{j}" for j in range(P_lab)])
+    counts = rng.integers(0, 30, size=(D, P))
+    return (state, labels, TrainOptions(missing_label_mode=mode),
+            make_hyper(P=P, P_lab=P_lab), counts)
+
+
+@pytest.mark.parametrize("case", ["clamps disagree with A",
+                                  "column without a free cell",
+                                  "one phenotype"])
+def test_corner_cases_match_cell_loop(case):
+    state, labels, options, hyper, counts = _corner_case(case)
+    clamp = clamp_matrix(labels, options, *state.A.shape)
+    if case == "clamps disagree with A":
+        fixed = clamp >= 0
+        assert np.all(state.A[fixed] != clamp[fixed]) and fixed.any()
+    if case == "column without a free cell":
+        assert not (clamp < 0)[:, :2].any() and (clamp < 0)[:, 2:].all()
+    want = _copy(state)
+    rng_want = np.random.default_rng(5)
+    ref.collapsed_scan(want, counts, hyper, rng_want, labels, options)
+    rng = np.random.default_rng(5)
+    got = activation_scan(state.A.copy(), clamp, counts, state.B,
+                          state.Bstar, hyper.alpha, rng)
+    assert np.array_equal(got, want.A)
     assert rng.bit_generator.state == rng_want.bit_generator.state
 
 

@@ -76,6 +76,26 @@ class TestLoadRaw:
         with pytest.raises(DataError, match="line 2"):
             load_raw(path)
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("tokens", "abc", "str"),    # was split into ['a', 'b', 'c']
+        ("labels", "flu", "str"),    # was labels f, l and u
+        ("tokens", 5, "int"),        # was a TypeError traceback
+    ])
+    def test_field_that_is_not_an_array(self, tmp_path, field, value, kind):
+        path = tmp_path / "scalar.jsonl"
+        record = {"patient_id": "p1", "source": "s", "tokens": ["a"]}
+        write_jsonl(path, [record, {**record, field: value}])
+        with pytest.raises(DataError, match=rf"scalar\.jsonl: line 2: "
+                           rf"{field} must be a JSON array, got {kind}"):
+            load_raw(path)
+
+    def test_entries_that_are_not_strings_are_cast(self, tmp_path):
+        path = tmp_path / "numbers.jsonl"
+        write_jsonl(path, [{"patient_id": "p1", "source": "s",
+                            "tokens": ["a", 7, 1.5], "labels": [486]}])
+        rec = load_raw(path)[0]
+        assert rec.tokens == ["a", "7", "1.5"] and rec.labels == ["486"]
+
     def test_unknown_fields_ignored(self, tmp_path):
         path = tmp_path / "extra.jsonl"
         write_jsonl(path, [{"patient_id": "p1", "source": "s",

@@ -372,6 +372,33 @@ class TestLogisticRegression:
                     for fit in (lr_train, reference_kernels.lr_train)]
             assert fits[0].tobytes() == fits[1].tobytes(), seed
 
+    def test_trials_only_the_logaddexp_screen_rejects_match_the_loop(self):
+        # one feature unrelated to the labels: the first step's trials
+        # with margins of order 1 sum to less than the loss under
+        # max(-m, 0), so the cheap bound lets them through, and to more
+        # than it under log(1 + e^-m), so the screen rejects them
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(200, 1))
+        Y = (rng.random((200, 1)) < 0.5).astype(int)
+        Xb = np.column_stack([X, np.ones(200)])
+        y = Y[:, 0].astype(float)
+        w = np.zeros(2)
+        loss, logits = evaluation._lr_loss(w, Xb, y, 1.0)
+        grad = evaluation._lr_grad(w, logits, Xb, y, 1.0)
+        sign = 2.0 * y - 1.0
+        only_screen = []
+        for t in 0.5 ** np.arange(10):
+            w_t = w[:-1] - t * grad[:-1]
+            ridge = 0.5 * float(w_t @ w_t)
+            neg_m = sign * (t * (Xb @ grad) - logits)
+            only_screen.append(
+                np.maximum(neg_m, 0.0).sum() + ridge < loss - 1.0
+                and np.logaddexp(0.0, neg_m).sum() + ridge > loss + 1.0)
+        assert any(only_screen)
+        fits = [fit(X, Y, lam=1.0, epochs=50)["weights"]
+                for fit in (lr_train, reference_kernels.lr_train)]
+        assert fits[0].tobytes() == fits[1].tobytes()
+
     def test_one_exact_loss_per_accepted_step(self, monkeypatch):
         # _lr_grad runs once per label at the start and once per accepted
         # step; the exact loss should run about as often, not once per

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from conftest import (
     random_tiny_state,
     z_pass,
 )
+from ss3m import gibbs
 from ss3m.errors import ConfigError, DimensionError, SamplingError
 from ss3m.gibbs import (
     TrainOptions,
@@ -421,6 +423,35 @@ def test_sampled_b_sweep_keeps_invariants_on_degenerate_inputs(problem,
     fixed = clamp >= 0
     assert np.array_equal(state.A[fixed], clamp[fixed])
     assert np.isfinite(collapsed_log_joint(state, corpus, hyper))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(degenerate_problems(), hst.integers(1, 3), hst.integers(0, 2**32))
+def test_log_joint_from_the_sweep_counts_is_the_recount(problem, sweeps,
+                                                        seed):
+    # every chain (train in each label and B mode, and the mc3m chain)
+    # hands each sweep's counts to the log joint; recounting the state
+    # it scores must give the same float
+    corpus, labels, hyper = problem
+    hyper = dataclasses.replace(hyper, iterations=sweeps)
+    pairs = []
+
+    def checked(state, corpus, hyper, counts=None):
+        got = collapsed_log_joint(state, corpus, hyper, counts)
+        if counts is not None:
+            pairs.append((got, collapsed_log_joint(state, corpus, hyper)))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gibbs, "collapsed_log_joint", checked)
+        for missing in ("fix_zero", "estimate"):
+            for b_mode in ("fixed", "sampled"):
+                train(corpus, labels, hyper, TrainOptions(
+                    missing_label_mode=missing, b_mode=b_mode, seed=seed))
+        train_unstructured(corpus, hyper, 0.5, seed)
+    assert len(pairs) == 5 * sweeps
+    for got, recount in pairs:
+        assert np.float64(got).tobytes() == np.float64(recount).tobytes()
 
 
 class TestClampInvariants:

@@ -95,6 +95,27 @@ def test_one_phenotype_and_empty_sources():
     assert ZPlan.of(corpus, 2).pairs[0].heads.size == 0
 
 
+# around the 8- and 16-bit limits of the radix-sorted key types
+_SIZES = (1, 2, 255, 256, 257, 65535, 65536, 65537)
+
+
+@pytest.mark.parametrize("V", _SIZES)
+def test_pair_order_is_the_stable_sort_of_the_pair_keys(V):
+    # tokens drawn from 40 (patient, word) pairs, so that every pair
+    # repeats at unsorted positions, the extreme IDs among them
+    rng = np.random.default_rng(V)
+    empty = np.zeros(0, dtype=np.int64)
+    for D in _SIZES:
+        words, patients = rng.integers(0, V, 40), rng.integers(0, D, 40)
+        words[:2], patients[:2] = (0, V - 1), (D - 1, 0)
+        pick = rng.integers(0, 40, 600)
+        w_flat, doc_idx = words[pick], patients[pick]
+        plan = ZPlan([(w_flat, doc_idx, V), (empty, empty, V)], D, 1)
+        want = np.argsort(doc_idx * V + w_flat, kind="stable")
+        assert np.array_equal(plan.pairs[0].order, want), D
+        assert plan.pairs[1].order.size == 0
+
+
 def _pass_peak_bytes(theta, phi_s, plan, rng):
     """Peak bytes allocated above the starting level by one z pass."""
     tracing = tracemalloc.is_tracing()

@@ -19,8 +19,13 @@ holding the trained states) and summarize:
     ss3m_fixA0_fixB and mc3m.
 
 It prints one `sha256  relative/path` line per output file, sorted by
-path. It then calls the library in-process and prints one
-`sha256  library/...` line per result:
+path. On each pipeline corpus it then repeats evaluate's arithmetic
+in-process and prints one `sha256  evaluation/...` line per result:
+heldout_infer's scores and theta_mean for each trained state, and
+lr_train's weights on the mc3m theta and on the raw token counts.
+metrics.csv's AUROC is rank-based and does not show a change of these
+numbers at the rounding level. Last it prints one `sha256  library/...`
+line per library result:
 
   * generate() for seeds 501-503 at each shape of GENERATE_SHAPES (the
     train-paper and pipeline-tokens inputs, the toy config, a single
@@ -186,6 +191,37 @@ def library_lines(bench):
                 yield f"{digest}  library/train-{seed}-{missing}-{b_mode}"
 
 
+def evaluation_lines(work: Path, config: Path, solver_seed: int):
+    """`sha256  evaluation/...` lines for the evaluate run of the
+    pipeline in work (run_pipeline's layout): what evaluate_suite
+    computes before it ranks, from the same inputs and settings."""
+    from ss3m import cli, data_io, evaluation
+    from ss3m.config import RunConfig
+
+    cfg = RunConfig.from_file(config)
+    prep, states = work / "prep", work / "states"
+    train_c, _, _ = data_io.load_corpus(prep / "corpus_train.json")
+    test_c, _, _ = data_io.load_corpus(prep / "corpus_test.json")
+    truth = evaluation.truth_matrix(
+        data_io.load_labels(prep / "labels_train.json")[0])
+    hyper = cli.hyper_from_config(cfg, train_c.num_sources)
+    lr = dict(lam=cfg.get("eval.lr_lambda"), epochs=cfg.get("eval.lr_epochs"))
+    for model_id in (MODEL_ID, "mc3m"):
+        state, _ = data_io.load_state(states / f"{model_id}.state.json")
+        res = evaluation.heldout_infer(
+            test_c, state, hyper, burn_in=cfg.get("eval.burn_in"),
+            samples=cfg.get("eval.samples"), seed=solver_seed)
+        yield (f"{array_digest(res.scores, res.theta_mean)}  "
+               f"evaluation/{work.name}/heldout-{model_id}")
+        if model_id == "mc3m":
+            weights = evaluation.lr_train(state.theta, truth, **lr)["weights"]
+            yield (f"{array_digest(weights)}  "
+                   f"evaluation/{work.name}/lr-{model_id}")
+    weights = evaluation.lr_train(evaluation.raw_token_features(train_c),
+                                  truth, **lr)["weights"]
+    yield f"{array_digest(weights)}  evaluation/{work.name}/lr-raw"
+
+
 def digest_lines(root: Path):
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         yield (f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
@@ -220,6 +256,10 @@ def main(argv=None):
                          seed, SOLVER_SEED)
         for line in digest_lines(outputs):
             print(line)
+        for seed in PIPELINE_SEEDS:
+            for line in evaluation_lines(outputs / f"pipeline-{seed}",
+                                         pipeline_cfg, SOLVER_SEED):
+                print(line)
     for line in library_lines(bench):
         print(line)
 
