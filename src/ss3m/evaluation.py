@@ -110,11 +110,15 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
                     (D, 1))
     plan = gibbs.ZPlan.of(test_corpus, P)
     a_sum, theta_sum = np.zeros((D, P)), np.zeros((D, P))
-    for it in range(burn_in + samples):
-        gibbs.local_step(state, test_corpus, plan, clamp, hyper.alpha, rng)
-        if it >= burn_in:
-            a_sum += state.A
-            theta_sum += state.theta
+    try:
+        for it in range(burn_in + samples):
+            gibbs.local_step(state, test_corpus, plan, clamp, hyper.alpha,
+                             rng)
+            if it >= burn_in:
+                a_sum += state.A
+                theta_sum += state.theta
+    finally:
+        plan.close()
 
     a_mean = a_sum / samples
     return HeldoutResult(scores=a_mean[:, :hyper.num_labeled],

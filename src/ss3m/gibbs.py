@@ -15,8 +15,9 @@ and Bstar), draw_theta (theta) and draw_phi (phi).
 
 A chain (_run_chain) traces model.collapsed_log_joint, log p(w, z, A, B,
 Bstar) with theta and phi integrated out, after every sweep and keeps the
-state where it is highest. The sweep hands it the counts it has built,
-so nothing is counted twice, and the value is the recount's, bit for bit.
+state where it is highest. The sweep computes it from the counts it has
+built, so nothing is counted twice, and the value is the recount's, bit
+for bit.
 
 The patient-local part, z -> A -> theta, is one function, local_step,
 run alike by training, the mc3m baseline and held-out inference. They
@@ -36,8 +37,8 @@ in the same layout. The z pass draws what a token-by-token scan would
 phenotypes vectorized over patients (activation_scan), and the count
 matrices are one bincount per source: the local step counts phenotypes
 once and hands the counts to the A scan, the B step and the theta draw,
-the phi draw counts each source's tokens once, and the sweep returns both
-for the log joint.
+and the sweep counts each source's tokens once for the phi draw and
+hands both to the log joint.
 
 The z pass works on distinct (patient, word) pairs, and the tokens do
 not change along a chain, so each chain plans it once (ZPlan, built next
@@ -48,9 +49,28 @@ and phi rows into the scratch, multiplies them in place, and turns the
 products into running sums by P - 1 in-place column adds: a row cumsum's
 additions in its order, so the same floats, without a fresh (block x P)
 temporary. model.count_below, the search generate also draws with, finds z.
+
+Threads. A chain runs on the calling thread plus at most one helper, a
+single-worker executor its ZPlan starts when the process may use two or
+more CPUs (os.sched_getaffinity) and some source's z pass has more than
+one block; the chain shuts it down before it returns or raises. In a z
+pass the two threads take blocks from one shared iterator, each in its
+own scratch, and write disjoint entries of z; the uniforms are drawn up
+front and a block's floats do not depend on the thread that builds them,
+so the draws are those of one thread. The sweep computes the log joint of
+its new state on the helper while the calling thread draws phi, which the
+log joint does not read, and the chain scores its starting state, from
+the snapshot it keeps, during the first sweep. The helper draws no
+random numbers, so one seed gives the same bytes with one CPU or more,
+and the kernels a benchmark tracer wraps by module attribute
+(_sample_z_batch, the counts, the Dirichlet draws, the state copy) all
+run on the calling thread.
 """
 
 import logging
+import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from math import log
 
@@ -128,11 +148,21 @@ class _Pairs:
     V: int
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class ZPlan:
     """What the z pass needs that stays fixed along a chain, built once
     per chain and reused by every sweep: each source's pair index (_Pairs)
     and one float64 scratch pair of min(Z_CHUNK, most pairs of a source)
-    x P, shared by the sources.
+    x P, shared by the sources. With two or more usable CPUs and a source
+    of more than one block, also a helper thread (helper, a single-worker
+    executor; None otherwise) and its own scratch of the same shape
+    (helper_scratch). close() shuts the helper down.
 
     sources holds one (w_flat, doc_idx, V) per source: its token IDs end
     to end, the patient of each and its vocabulary size. The token IDs
@@ -150,6 +180,28 @@ class ZPlan:
         rows = min(self.chunk, max((p.heads.size for p in self.pairs),
                                    default=0))
         self.scratch = np.empty((2, rows, num_phenotypes))
+        self.helper = self.helper_scratch = None
+        if (_usable_cpus() > 1
+                and any(p.heads.size > self.chunk for p in self.pairs)):
+            self.helper = ThreadPoolExecutor(1, thread_name_prefix="ss3m")
+            self.helper_scratch = np.empty_like(self.scratch)
+
+    def submit(self, fn, *args) -> Future:
+        """fn(*args) on the helper thread, or here and now without one;
+        its outcome as a future either way."""
+        if self.helper is not None:
+            return self.helper.submit(fn, *args)
+        done = Future()
+        try:
+            done.set_result(fn(*args))
+        except Exception as exc:
+            done.set_exception(exc)
+        return done
+
+    def close(self):
+        """Shut the helper thread down once its work is done."""
+        if self.helper is not None:
+            self.helper.shutdown()
 
     @classmethod
     def of(cls, corpus: Corpus, num_phenotypes: int) -> "ZPlan":
@@ -192,15 +244,18 @@ def _sample_z_batch(theta, phi_s, plan: ZPlan, s: int, rng):
 
     A token's categorical depends only on its (patient, word) pair, so
     each distinct pair's weights, total and cumulative sum are built once,
-    plan.chunk pairs at a time in the plan's scratch: the theta and phi
+    plan.chunk pairs at a time in a scratch of the plan: the theta and phi
     rows are gathered into it and multiplied there, the totals are the
     row sums and the cumsum is P - 1 in-place column adds, the additions
     of a row cumsum in its order. Each token's draw is then the number of
     its pair's first P - 1 cumsum entries below u * total, found in
     O(log P) by model.count_below, so it is never the out-of-range P. The
     uniforms are drawn in one call up front, one per token in flat order,
-    so the draws do not depend on the blocking. theta must be (D, P) and
-    phi_s (P, V) for the plan's D, P and the source's V (DimensionError).
+    so the draws depend neither on the blocking nor on the thread that
+    takes a block: with the plan's helper and more than one block, the
+    helper takes blocks in its own scratch alongside this thread, which
+    joins it before returning or raising. theta must be (D, P) and phi_s
+    (P, V) for the plan's D, P and the source's V (DimensionError).
     """
     pairs, (D, P) = plan.pairs[s], plan.shape
     if np.shape(theta) != (D, P) or np.shape(phi_s) != (P, pairs.V):
@@ -212,30 +267,58 @@ def _sample_z_batch(theta, phi_s, plan: ZPlan, s: int, rng):
     N, U = pairs.order.size, pairs.heads.size
     u = rng.random(N)
     z = np.empty(N, dtype=np.int64)
-    first_bad, bad_patient = N, None    # the first token of a corrupt pair
-    for lo in range(0, U, plan.chunk):
-        hi = min(lo + plan.chunk, U)
-        # the plan checked the indices, so clipping changes none of them
-        probs, factor = plan.scratch[:, :hi - lo]
-        np.take(theta, pairs.patient[lo:hi], axis=0, out=probs, mode="clip")
-        np.take(phi_t, pairs.word[lo:hi], axis=0, out=factor, mode="clip")
-        np.multiply(probs, factor, out=probs)
-        totals = probs.sum(axis=1)
-        bad = ~(totals > 0.0) | ~np.isfinite(totals)
-        if bad.any():
-            i = lo + np.flatnonzero(bad)[np.argmin(pairs.heads[lo:hi][bad])]
-            if pairs.heads[i] < first_bad:
-                first_bad, bad_patient = int(pairs.heads[i]), pairs.patient[i]
-            continue
-        for p in range(1, P):
-            np.add(probs[:, p - 1], probs[:, p], out=probs[:, p])
-        span = slice(pairs.starts[lo], pairs.starts[hi])
-        tokens, rows = pairs.order[span], pairs.rows[span]
-        z[tokens] = count_below(probs, rows, u[tokens] * totals[rows])
-    if first_bad < N:
+    blocks, lock = iter(range(0, U, plan.chunk)), threading.Lock()
+
+    def take():
+        with lock:
+            return next(blocks, None)
+
+    def work(scratch):
+        """Draw the blocks this thread takes; return the flat index and
+        patient of the first token of a corrupt pair among them."""
+        first = (N, -1)
+        for lo in iter(take, None):
+            hi = min(lo + plan.chunk, U)
+            # the plan checked the indices, so clipping changes none of them
+            probs, factor = scratch[:, :hi - lo]
+            np.take(theta, pairs.patient[lo:hi], axis=0, out=probs,
+                    mode="clip")
+            np.take(phi_t, pairs.word[lo:hi], axis=0, out=factor, mode="clip")
+            np.multiply(probs, factor, out=probs)
+            totals = probs.sum(axis=1)
+            bad = ~(totals > 0.0) | ~np.isfinite(totals)
+            if bad.any():
+                i = lo + np.flatnonzero(bad)[
+                    np.argmin(pairs.heads[lo:hi][bad])]
+                first = min(first, (int(pairs.heads[i]),
+                                    int(pairs.patient[i])))
+                continue
+            for p in range(1, P):
+                np.add(probs[:, p - 1], probs[:, p], out=probs[:, p])
+            span = slice(pairs.starts[lo], pairs.starts[hi])
+            tokens, rows = pairs.order[span], pairs.rows[span]
+            # two blocks may be in flight, so each holds as few token-long
+            # arrays as it can: the thresholds are built in place and the
+            # totals freed before the search
+            thr = u[tokens]
+            thr *= totals[rows]
+            del totals
+            z[tokens] = count_below(probs, rows, thr)
+        return first
+
+    if plan.helper is None or U <= plan.chunk:
+        first = work(plan.scratch)
+    else:
+        other = plan.helper.submit(work, plan.helper_scratch)
+        try:
+            first = work(plan.scratch)
+        finally:
+            wait([other])
+        first = min(first, other.result())
+    if first[0] < N:
         raise SamplingError(
-            f"all-zero assignment weights at patient {int(bad_patient)}, "
-            f"token {first_bad} (corrupt state)")
+            f"all-zero assignment weights at patient {first[1]}, "
+            f"token {first[0]} (corrupt state)")
     return z
 
 
@@ -386,14 +469,13 @@ def draw_theta(state: ModelState, counts: np.ndarray,
 
 
 def draw_phi(state: ModelState, corpus: Corpus, hyper: Hyperparameters,
-             rng: np.random.Generator) -> list:
-    """Draw each phi_s from Dir(gamma_s + token counts), in place, and
-    return the token counts, one (P, V_s) array per source."""
-    counts = []
+             rng: np.random.Generator, counts: list = None):
+    """Draw each phi_s from Dir(gamma_s + token counts), in place. counts,
+    when given, holds the token counts of state.z, one (P, V_s) array per
+    source; None counts them here."""
     for s in range(corpus.num_sources):
-        counts.append(token_counts(state, corpus, s))
-        state.phi[s] = sample_dirichlet(hyper.gamma[s] + counts[-1], rng)
-    return counts
+        m = token_counts(state, corpus, s) if counts is None else counts[s]
+        state.phi[s] = sample_dirichlet(hyper.gamma[s] + m, rng)
 
 
 def _log_gamma(shape, rng: np.random.Generator):
@@ -476,12 +558,15 @@ def local_step(state: ModelState, corpus: Corpus, plan: ZPlan,
 def sweep(state: ModelState, corpus: Corpus, plan: ZPlan, clamp: np.ndarray,
           b_mode: str, hyper: Hyperparameters, rng: np.random.Generator):
     """One full Gibbs pass, in place: the local step over z, A, (with
-    b_mode "sampled") B and Bstar, and theta, then phi. Returns the counts
-    of the new z, (phenotype counts, token counts per source), as
-    model.collapsed_log_joint reads them."""
+    b_mode "sampled") B and Bstar, and theta, then phi. Returns
+    model.collapsed_log_joint of the new state, computed from the counts
+    of the new z on the plan's helper thread while phi is drawn."""
     n = local_step(state, corpus, plan, clamp, hyper.alpha, rng,
                    hyper if b_mode == B_SAMPLED else None)
-    return n, draw_phi(state, corpus, hyper, rng)
+    m = [token_counts(state, corpus, s) for s in range(corpus.num_sources)]
+    log_joint = plan.submit(collapsed_log_joint, state, corpus, hyper, (n, m))
+    draw_phi(state, corpus, hyper, rng, m)
+    return log_joint.result()
 
 
 def initialize_state(corpus: Corpus, clamp: np.ndarray,
@@ -508,19 +593,20 @@ def _run_chain(state: ModelState, corpus: Corpus, clamp: np.ndarray,
                b_mode: str, hyper: Hyperparameters,
                rng: np.random.Generator) -> TrainTrace:
     """Run hyper.iterations sweeps from state on one z plan, tracing the
-    collapsed log joint, from the counts each sweep returns, and keeping a
-    deep snapshot of the state where it is highest. An interrupt returns
-    the partial trace."""
+    collapsed log joint each sweep returns and keeping a deep snapshot of
+    the state where it is highest. The starting state is scored from its
+    snapshot, which no sweep touches, on the plan's helper thread during
+    the first sweep. An interrupt returns the partial trace; the helper is
+    shut down either way."""
+    trace = TrainTrace(best_state=state.copy(), best_iteration=0)
     plan = ZPlan.of(corpus, hyper.num_phenotypes)
-    best_ll = collapsed_log_joint(state, corpus, hyper)
-    trace = TrainTrace(log_likelihoods=[best_ll], best_state=state.copy(),
-                       best_iteration=0)
+    start = plan.submit(collapsed_log_joint, trace.best_state, corpus, hyper)
     try:
         for it in range(1, hyper.iterations + 1):
-            # passed inline, so the sweep's counts are freed before the
-            # next sweep allocates
-            ll = collapsed_log_joint(state, corpus, hyper, sweep(
-                state, corpus, plan, clamp, b_mode, hyper, rng))
+            ll = sweep(state, corpus, plan, clamp, b_mode, hyper, rng)
+            if it == 1:
+                best_ll = start.result()
+                trace.log_likelihoods.append(best_ll)
             trace.log_likelihoods.append(ll)
             if ll > best_ll:
                 best_ll = ll
@@ -528,7 +614,11 @@ def _run_chain(state: ModelState, corpus: Corpus, clamp: np.ndarray,
                 trace.best_iteration = it
     except KeyboardInterrupt:
         logger.warning("training interrupted at iteration %d; returning "
-                       "partial trace", len(trace.log_likelihoods) - 1)
+                       "partial trace", max(len(trace.log_likelihoods) - 1, 0))
+    finally:
+        plan.close()
+    if not trace.log_likelihoods:   # no sweep finished
+        trace.log_likelihoods.append(start.result())
     return trace
 
 

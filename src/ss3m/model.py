@@ -314,19 +314,21 @@ def count_below(cum, rows, thr) -> np.ndarray:
     the (R, K) array cum lie below thr[i]. For running sums of weights and
     thr[i] = u * the row's last entry, an inverse-CDF draw from the row;
     the last entry is never searched, so a thr that rounds above it cannot
-    give K. A branchless binary search: the count stays in at - row_start
-    + [0, n], and n halves with each of the ceil(log2(K - 1)) gathers."""
+    give K. A branchless binary search: the count stays in at - rows * K
+    + [0, n], and n halves with each of the ceil(log2(K - 1)) gathers,
+    each taken through a view of cum offset by the step, so that it holds
+    no more than two arrays of thr's length besides the count."""
     K = cum.shape[1]
     flat = cum.reshape(-1)
-    row_start = rows * K
-    at, n = row_start.copy(), K - 1
+    at, n = rows * K, K - 1
     while n > 1:
         half = n // 2
-        at += half * (flat[at + half] < thr)
+        at += half * (flat[half:][at] < thr)
         n -= half
     if n:
         at += flat[at] < thr
-    return at - row_start
+    at -= rows * K
+    return at
 
 
 def draw_tokens(theta, phi_s, lengths, rng: np.random.Generator):

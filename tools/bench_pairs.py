@@ -11,19 +11,24 @@ either side. The runs are not traced. --seconds defaults to the
 run_seconds of the change's BENCHMARK.json.
 
 The output file maps each workload to its report; a run adds or
-replaces its workload's entry and keeps the others. A report holds each
-side's commit as the run starts (HEAD, and whether and how the tree
-differs from it), every pair's end-to-end metrics for both sides and,
-per metric, the medians
-and quartiles of each side, the number of pairs the change wins (a
-strictly better value in the direction BENCHMARK.json gives), the median
-difference (change minus parent) and the parent's interquartile spread. A run that fails or prints no result is recorded
-with its error and its pair is left out of the summary.
+replaces its workload's entry and keeps the others. A report holds the
+host the runs shared (the CPUs this process may use, and the Python and
+numpy versions), each side's commit as the run starts (HEAD, and
+whether and how the tree differs from it), every pair's end-to-end
+metrics for both sides and, per metric, the medians and quartiles of
+each side, the number of pairs the change wins (a strictly better value
+in the direction BENCHMARK.json gives), the median difference (change
+minus parent) and the parent's interquartile spread. A run that fails or
+prints no result is recorded with its error and its pair is left out of
+the summary.
 """
 
 import argparse
 import hashlib
+import importlib.metadata
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -58,6 +63,15 @@ def _commit(root: Path):
     return {"head": head, "dirty": dirty,
             "diff_sha256": (hashlib.sha256(diff.encode()).hexdigest()
                             if dirty else None)}
+
+
+def _host() -> dict:
+    """The CPUs this process may run on, which the runs inherit, and the
+    Python and numpy versions of this interpreter, which runs them."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    return {"cpus": cpus, "python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy")}
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -135,6 +149,7 @@ def main(argv=None):
         pairs.append(pair)
 
     report = {
+        "host": _host(),
         "seconds": seconds,
         "first_seed": args.first_seed,
         "commits": commits,
