@@ -4,7 +4,6 @@ model.collapsed_log_joint, as the log_likelihood row).
 """
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,12 +263,15 @@ def nb_predict(model, features) -> np.ndarray:
 
 def _lr_loss(w, Xb, y, lam):
     """L2-regularized logistic loss, intercept (last coordinate) not
-    regularized, and the logits Xb @ w it was computed from."""
+    regularized, and the logits Xb @ w it was computed from;
+    OptimizationError if the loss is not finite."""
     logits = Xb @ w
     # log(1 + exp(-m)) with m = y_pm * logits, stable both directions
     m = np.where(y, logits, -logits)
     loss = float(np.logaddexp(0.0, -m).sum())
     loss += 0.5 * lam * float(w[:-1] @ w[:-1])
+    if not np.isfinite(loss):
+        raise OptimizationError("objective diverged to a non-finite value")
     return loss, logits
 
 
@@ -286,109 +288,45 @@ def _check_lr_settings(lam: float, epochs: int):
                           f"lambda < inf, got epochs {epochs}, lambda {lam}")
 
 
-# Below this scale no screened or exact line-search trial can overflow.
-_SCREEN_MAX = 1e300
-
-
-def _line_search(w, loss, logits, grad, Xb, y, lam, col_abs):
-    """Backtracking along -grad from t = 1, halving while t > 1e-14: the
-    (w_new, loss, logits) of the first trial whose exact _lr_loss falls
-    below loss, or None if no trial does.
-
-    Each trial is screened first on the cached logits, logits - t * Xg
-    with Xg = Xb @ grad computed once, and the ridge term in closed form,
-    lam/2 (|w|^2 - 2t <w, grad> + t^2 |grad|^2) over the non-intercept
-    coordinates. A screened loss above loss + margin rejects the trial
-    without a matvec. The margin, 4 (n + D + 8) eps times a scale that
-    bounds every logit, loss and ridge term of the step's trials, bounds
-    the screen's rounding error and that of the exact loss (the summation
-    bounds of the matvecs, the sums and the ridge dots; log(1 + e^-m) is
-    1-Lipschitz in m), so every trial it rejects the exact loss rejects
-    too, and with a finite value. Before the screen, a cheaper bound
-    rejects most trials: the sum of max(-m, 0) plus the ridge term. As
-    log(1 + e^-m) >= max(-m, 0), and rounding is monotone, each computed
-    logaddexp term is at least the exact max, and the same summation of
-    smaller terms gives a sum no larger than the screen's. A bound above
-    loss + margin thus means a screened loss above it: the bound rejects
-    only trials the screen rejects. Every other trial, and every trial of
-    a step whose scale reaches _SCREEN_MAX, gets the exact loss.
-    """
-    n, D = Xb.shape
-    with np.errstate(over="ignore", invalid="ignore"):  # scale may be inf
-        ww, wg, gg = (float(a[:-1] @ b[:-1])
-                      for a, b in ((w, w), (w, grad), (grad, grad)))
-        cw, cg = float(col_abs @ np.abs(w)), float(col_abs @ np.abs(grad))
-    norms = math.sqrt(ww) + math.sqrt(gg)
-    scale = n + cw + cg + (1.0 + lam) * norms * norms
-    screen = scale < _SCREEN_MAX
-    if screen:
-        margin = 4 * (n + D + 8) * np.finfo(float).eps * scale
-        sign = 2.0 * y - 1.0
-        m_now, m_dir = sign * logits, sign * (Xb @ grad)
-        buf, hinge = np.empty(n), np.empty(n)
-    t = 1.0
-    while t > 1e-14:
-        if screen:
-            # -m at w - t * grad is t * m_dir - m_now
-            np.multiply(m_dir, t, out=buf)
-            buf -= m_now
-            ridge = 0.5 * lam * (ww - 2.0 * t * wg + t * t * gg)
-            bound = float(np.maximum(buf, 0.0, out=hinge).sum()) + ridge
-            if (bound > loss + margin
-                    or float(np.logaddexp(0.0, buf, out=buf).sum()) + ridge
-                    > loss + margin):
-                t *= 0.5
-                continue
-        w_new = w - t * grad
-        new_loss, new_logits = _lr_loss(w_new, Xb, y, lam)
-        if not np.isfinite(new_loss):
-            raise OptimizationError("objective diverged to a non-finite value")
-        if new_loss < loss:
-            return w_new, new_loss, new_logits
-        t *= 0.5
-    return None
-
-
 def lr_train(features, truth, lam: float = 1.0, epochs: int = 200):
-    """One-vs-rest L2 logistic regression by full-batch gradient descent
-    with backtracking line search from a unit step (objective decreases
-    monotonically).
+    """One-vs-rest L2 logistic regression by full-batch gradient descent.
 
-    The line search (_line_search) screens each trial on the current
-    logits and Xb @ grad: a trial whose screened loss is above the
-    current loss by more than a margin that bounds the rounding error of
-    the screen and of the exact loss is rejected without a matvec, and
-    only the others get the exact _lr_loss. An accepted step thus costs
-    three matvecs, Xb @ grad, the exact loss of the accepted trial and
-    the gradient from its logits, and each rejected trial O(n). The
-    screen skips only trials the exact loss rejects, so the weights, and
-    any OptimizationError, are those of the loop that evaluates every
-    trial exactly, bit for bit."""
+    Each step's backtracking search starts from the t the previous step
+    accepted (1 at first), doubles t up to 1 while the loss at 2t still
+    falls below the current loss, or else halves t until the loss falls,
+    down to 2^-46. The loss is convex along -grad, so this is the step of
+    a search from t = 1 but where trial losses tie within rounding."""
     _check_lr_settings(lam, epochs)
     X = np.asarray(features, dtype=float)
     if not np.all(np.isfinite(X)):
         raise DataError("features must be finite")
     Y = np.asarray(truth).astype(bool)
     Xb = np.column_stack([X, np.ones(X.shape[0])])
-    col_abs = np.abs(Xb).sum(axis=0)
     weights = []
     for j in range(Y.shape[1]):
         y = Y[:, j].astype(float)
         w = np.zeros(Xb.shape[1])
         loss, logits = _lr_loss(w, Xb, y, lam)
         grad = _lr_grad(w, logits, Xb, y, lam)
+        t = 1.0
         for _ in range(epochs):
             if float(grad @ grad) < 1e-18:
                 break
-            step = _line_search(w, loss, logits, grad, Xb, y, lam, col_abs)
-            if step is None:
-                # no step along -grad improves the objective: we are at
-                # the floating-point optimum, which counts as converged
-                break
-            w, loss, logits = step
+            trial = _lr_loss(w - t * grad, Xb, y, lam)
+            while trial[0] < loss and t < 1.0:
+                longer = _lr_loss(w - 2.0 * t * grad, Xb, y, lam)
+                if longer[0] >= loss:
+                    break
+                t, trial = 2.0 * t, longer
+            while trial[0] >= loss and t > 2.0 ** -46:
+                t *= 0.5
+                trial = _lr_loss(w - t * grad, Xb, y, lam)
+            if trial[0] >= loss:
+                break  # no t lowers the loss: the floating-point optimum
+            w, (loss, logits) = w - t * grad, trial
             grad = _lr_grad(w, logits, Xb, y, lam)
         weights.append(w)
-    return {"weights": np.array(weights), "lam": lam}
+    return {"weights": np.array(weights)}
 
 
 def lr_predict(model, features) -> np.ndarray:

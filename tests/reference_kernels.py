@@ -27,12 +27,16 @@ it shared the z pass's binary search (ss3m.model.count_below): rows of
 the cumulative weights divided by their totals, and one np.searchsorted
 per row over the uniforms themselves.
 
-The logistic-regression reference is the baseline's fit as it was when
-every line-search trial computed a gradient along with its loss; the
-package now computes the gradient once per accepted step, from the
-logits of that trial, screens the trials on the cached logits and
-computes the exact loss only for those the screen cannot reject, and
-must give the same weights bit for bit.
+The logistic-regression reference is the baseline's fit with a
+gradient computed on every line-search trial along with its loss; the
+package computes the gradient once per accepted step, from the logits
+of that trial, and must give the same weights bit for bit. Both search
+the same way: each label's first step tries t = 1, every later step
+starts from the t the previous one accepted, and t doubles (up to 1)
+while the loss still falls, or halves (down to 2^-46) until it does.
+As the loss is convex along the search line, that accepts the step of
+a search restarting at t = 1 every step, except where a trial's loss
+ties the current loss within rounding.
 
 The preprocessing reference is the per-token pass the package ran
 before it interned each source's tokens once and counted them with
@@ -396,29 +400,42 @@ def lr_train(features, truth, lam=1.0, epochs=200):
     X = np.asarray(features, dtype=float)
     Y = np.asarray(truth).astype(bool)
     Xb = np.column_stack([X, np.ones(X.shape[0])])
+
+    def trial(w, grad, t):
+        w_new = w - t * grad
+        new_loss, new_grad = _lr_loss_grad(w_new, Xb, y, lam)
+        if not np.isfinite(new_loss):
+            raise OptimizationError("objective diverged to a non-finite value")
+        return w_new, new_loss, new_grad
+
     weights = []
     for j in range(Y.shape[1]):
         y = Y[:, j].astype(float)
         w = np.zeros(Xb.shape[1])
         loss, grad = _lr_loss_grad(w, Xb, y, lam)
+        t = 1.0
         for _ in range(epochs):
             if float(grad @ grad) < 1e-18:
                 break
-            t = 1.0
-            while t > 1e-14:
-                w_new = w - t * grad
-                new_loss, new_grad = _lr_loss_grad(w_new, Xb, y, lam)
-                if not np.isfinite(new_loss):
-                    raise OptimizationError(
-                        "objective diverged to a non-finite value")
-                if new_loss < loss:
-                    break
-                t *= 0.5
+            w_new, new_loss, new_grad = trial(w, grad, t)
+            if new_loss < loss:
+                # lengthen: double t while t < 1 and 2t still lowers the loss
+                while t < 1.0:
+                    longer = trial(w, grad, 2.0 * t)
+                    if not longer[1] < loss:
+                        break
+                    t = 2.0 * t
+                    w_new, new_loss, new_grad = longer
             else:
-                break
+                # shorten: halve t until the loss falls, down to 2^-46
+                while not new_loss < loss and t > 2.0 ** -46:
+                    t = 0.5 * t
+                    w_new, new_loss, new_grad = trial(w, grad, t)
+                if not new_loss < loss:
+                    break
             w, loss, grad = w_new, new_loss, new_grad
         weights.append(w)
-    return {"weights": np.array(weights), "lam": lam}
+    return {"weights": np.array(weights)}
 
 
 def preprocess(records, config):

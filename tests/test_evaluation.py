@@ -352,57 +352,50 @@ class TestLogisticRegression:
         return X.astype(float), (rng.random((800, 6)) < 0.3).astype(int)
 
     def test_count_features_match_the_gradient_per_trial_loop(self):
-        # where the line-search screen rejects most trials without a matvec
+        # raw-token-shaped features, where the accepted t is far below 1
         X, Y = self._count_problem()
         ours = lr_train(X, Y, lam=1.0, epochs=30)["weights"]
         theirs = reference_kernels.lr_train(X, Y, lam=1.0, epochs=30)["weights"]
         assert ours.tobytes() == theirs.tobytes()
 
+    @staticmethod
+    def _small_count_problem(seed):
+        """(X, Y, lam): up to 60 patients, Poisson counts over up to 19
+        words, 2 labels; tools/cli_digest.py builds the same problems."""
+        rng = np.random.default_rng(seed)
+        n, d = rng.integers(5, 60), rng.integers(1, 20)
+        X = rng.poisson(rng.gamma(0.5, 2.0, size=d), size=(n, d))
+        Y = (rng.random((n, 2)) < 0.4).astype(int)
+        return X.astype(float), Y, (0.0, 1e-3, 1.0)[seed % 3]
+
     def test_fits_run_to_the_float_optimum_match_the_loop(self):
         # 400 epochs on small count problems reach steps whose loss change
-        # is at rounding level, where a screen without its margin rejects
-        # a trial the exact loss accepts (problems 11 and 56 here)
+        # is at rounding level, where trial losses tie the current loss;
+        # tools/cli_digest.py hashes these fits (library/lr-optimum-*)
         for seed in range(60):
-            rng = np.random.default_rng(seed)
-            n, d = rng.integers(5, 60), rng.integers(1, 20)
-            X = rng.poisson(rng.gamma(0.5, 2.0, size=d), size=(n, d))
-            Y = (rng.random((n, 2)) < 0.4).astype(int)
-            lam = (0.0, 1e-3, 1.0)[seed % 3]
-            fits = [fit(X.astype(float), Y, lam=lam, epochs=400)["weights"]
+            X, Y, lam = self._small_count_problem(seed)
+            fits = [fit(X, Y, lam=lam, epochs=400)["weights"]
                     for fit in (lr_train, reference_kernels.lr_train)]
             assert fits[0].tobytes() == fits[1].tobytes(), seed
 
-    def test_trials_only_the_logaddexp_screen_rejects_match_the_loop(self):
-        # one feature unrelated to the labels: the first step's trials
-        # with margins of order 1 sum to less than the loss under
-        # max(-m, 0), so the cheap bound lets them through, and to more
-        # than it under log(1 + e^-m), so the screen rejects them
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(200, 1))
-        Y = (rng.random((200, 1)) < 0.5).astype(int)
-        Xb = np.column_stack([X, np.ones(200)])
-        y = Y[:, 0].astype(float)
-        w = np.zeros(2)
-        loss, logits = evaluation._lr_loss(w, Xb, y, 1.0)
-        grad = evaluation._lr_grad(w, logits, Xb, y, 1.0)
-        sign = 2.0 * y - 1.0
-        only_screen = []
-        for t in 0.5 ** np.arange(10):
-            w_t = w[:-1] - t * grad[:-1]
-            ridge = 0.5 * float(w_t @ w_t)
-            neg_m = sign * (t * (Xb @ grad) - logits)
-            only_screen.append(
-                np.maximum(neg_m, 0.0).sum() + ridge < loss - 1.0
-                and np.logaddexp(0.0, neg_m).sum() + ridge > loss + 1.0)
-        assert any(only_screen)
-        fits = [fit(X, Y, lam=1.0, epochs=50)["weights"]
-                for fit in (lr_train, reference_kernels.lr_train)]
-        assert fits[0].tobytes() == fits[1].tobytes()
+    def test_a_search_that_finds_no_step_stops_after_t_2_to_the_minus_46(
+            self, monkeypatch):
+        # features of 1e12 give the loss along -grad a curvature that no
+        # t >= 2^-46 survives: the first search tries t = 1, 1/2, ...,
+        # 2^-46 (the last halving above 1e-14) and the fit stops at w = 0
+        X = np.array([[1e12], [1e12], [-1e12]])
+        Y = np.array([[1], [0], [0]])
+        calls = []
+        loss_fn = evaluation._lr_loss
+        monkeypatch.setattr(evaluation, "_lr_loss",
+                            lambda *args: calls.append(1) or loss_fn(*args))
+        assert not lr_train(X, Y, lam=1.0, epochs=5)["weights"].any()
+        assert len(calls) == 1 + 47
 
-    def test_one_exact_loss_per_accepted_step(self, monkeypatch):
+    def test_at_most_three_losses_per_accepted_step(self, monkeypatch):
         # _lr_grad runs once per label at the start and once per accepted
-        # step; the exact loss should run about as often, not once per
-        # backtracking trial
+        # step; a search that starts from the last step's t mostly needs
+        # that trial and one doubling, not a backtrack from t = 1
         X, Y = self._count_problem()
         calls = {"loss": 0, "grad": 0}
 
@@ -418,7 +411,85 @@ class TestLogisticRegression:
                             counted("grad", evaluation._lr_grad))
         lr_train(X, Y, lam=1.0, epochs=30)
         assert calls["grad"] > 6 * 20  # most of the 30 epochs take a step
-        assert calls["loss"] <= calls["grad"] + 6
+        assert calls["loss"] <= 3 * calls["grad"]
+
+    @staticmethod
+    def _accepted_steps(X, Y, lam, epochs):
+        """Every step lr_train accepts on (X, Y), up to an
+        OptimizationError, as (Xb, y, w, grad, t), read from its _lr_grad
+        calls: w - t * grad is the next point, t the largest power of two
+        that gives it."""
+        points = []
+        grad_fn = evaluation._lr_grad
+
+        def recorded(w, logits, Xb, y, lam):
+            grad = grad_fn(w, logits, Xb, y, lam)
+            points.append((Xb, y, w, grad))
+            return grad
+
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(evaluation, "_lr_grad", recorded)
+            try:
+                lr_train(X, Y, lam=lam, epochs=epochs)
+            except OptimizationError:
+                pass
+        steps = []
+        for (Xb, y, w, grad), (_, y_next, w_next, _) in zip(points,
+                                                            points[1:]):
+            if y_next is not y:  # the next label's first point
+                continue
+            t = next(t for t in 0.5 ** np.arange(47)
+                     if np.array_equal(w - t * grad, w_next))
+            steps.append((Xb, y, w, grad, t))
+        return steps
+
+    @staticmethod
+    def _losses(Xb, y, w, grad, lam, ts):
+        """_lr_loss at w and at w - t * grad for each t."""
+        with np.errstate(all="ignore"):
+            return [evaluation._lr_loss(w - t * grad, Xb, y, lam)[0]
+                    for t in (0.0, *ts)]
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data(), n=st.integers(1, 12), d=st.integers(1, 4),
+           labels=st.integers(1, 3),
+           scale=st.sampled_from([1.0, 30.0, 1e200]),
+           lam=st.sampled_from([0.0, 1e-3, 1.0, 1e8]),
+           epochs=st.integers(0, 40))
+    def test_each_step_lowers_the_loss_and_its_double_does_not(
+            self, data, n, d, labels, scale, lam, epochs):
+        X = scale * data.draw(arrays(np.float64, (n, d),
+                                     elements=st.floats(-1.0, 1.0)))
+        Y = data.draw(arrays(np.int64, (n, labels),
+                             elements=st.integers(0, 1)))
+        for Xb, y, w, grad, t in self._accepted_steps(X, Y, lam, epochs):
+            longer = (2.0 * t,) if t < 1.0 else ()
+            now, at_t, *at_2t = self._losses(Xb, y, w, grad, lam,
+                                             (t, *longer))
+            assert at_t < now
+            assert all(loss >= now for loss in at_2t)
+
+    def test_steps_on_traffic_shaped_features_are_those_from_a_unit_start(
+            self):
+        # each accepted t is the largest 2^-k <= 1 that lowers the loss,
+        # the step of a backtracking search restarted at t = 1 every time;
+        # the theta of a pipeline-shaped generate stands in for mc3m's
+        h = make_hyper(P=10, P_lab=6, S=2, alpha=0.1, gamma=0.01,
+                       b_shape=10.0, b_scale=1.0, bstar_shape=0.01,
+                       bstar_scale=1.0)
+        _, truth = generate(h, [1000, 300], DocLengthSpec.fixed(1, 2), 800,
+                            seed=3006)
+        theta_problem = (truth.theta, truth.A[:, :6])
+        for X, Y in (self._count_problem(), theta_problem):
+            steps = self._accepted_steps(X, Y, 1.0, 30)
+            assert len(steps) > 6 * 20
+            for Xb, y, w, grad, t in steps:
+                longer = 2.0 ** -np.arange(round(-np.log2(t)))
+                now, at_t, *at_longer = self._losses(Xb, y, w, grad, 1.0,
+                                                     (t, *longer))
+                assert at_t < now
+                assert all(loss >= now for loss in at_longer)
 
     @pytest.mark.parametrize("lam, epochs", [
         (1.0, -3), (-1.0, 10), (float("nan"), 10), (float("inf"), 10),

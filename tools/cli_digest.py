@@ -34,7 +34,11 @@ line per library result:
   * train() on the train-paper corpus of perfbench/run.py for seeds
     501-503, each missing-label mode and each B mode, 3 sweeps, sampler
     seed 0, hashing the best state, its iteration and the log-likelihood
-    trace.
+    trace;
+  * lr_train()'s weights after 400 epochs on each of the 60 small count
+    problems of tests/test_evaluation.py's float-optimum test (seeds
+    0-59), fits that run to steps whose loss change is at rounding level,
+    where a change of the line search's step rule shows.
 
 Two checkouts that draw the same numbers print the same lines:
 
@@ -84,6 +88,8 @@ SAMPLED_MODEL = ("ss3m_smplA0_smplB",
 
 LIBRARY_SEEDS = range(501, 504)
 LIBRARY_SWEEPS = 3
+LR_OPTIMUM_SEEDS = range(60)
+LR_OPTIMUM_EPOCHS = 400
 # name -> (num_phenotypes, num_labeled, vocabulary sizes, document-length
 # law, patients); the priors are perfbench's PAPER_PRIORS and PAPER_GAMMA
 GENERATE_SHAPES = {
@@ -159,10 +165,10 @@ def state_arrays(state):
 
 
 def library_lines(bench):
-    """`sha256  library/...` lines for generate() and train() results;
-    bench is the checkout's perfbench/run.py."""
+    """`sha256  library/...` lines for generate(), train() and lr_train()
+    results; bench is the checkout's perfbench/run.py."""
     import ss3m
-    from ss3m import gibbs, model
+    from ss3m import evaluation, gibbs, model
 
     for name, (P, P_lab, vocab, (mode, length), D) in GENERATE_SHAPES.items():
         hyper = model.Hyperparameters(
@@ -189,6 +195,16 @@ def library_lines(bench):
                     np.int64(trace.best_iteration),
                     np.array(trace.log_likelihoods))
                 yield f"{digest}  library/train-{seed}-{missing}-{b_mode}"
+    for seed in LR_OPTIMUM_SEEDS:
+        # the problem of test_fits_run_to_the_float_optimum_match_the_loop
+        rng = np.random.default_rng(seed)
+        n, d = rng.integers(5, 60), rng.integers(1, 20)
+        X = rng.poisson(rng.gamma(0.5, 2.0, size=d), size=(n, d))
+        Y = (rng.random((n, 2)) < 0.4).astype(int)
+        weights = evaluation.lr_train(X.astype(float), Y,
+                                      lam=(0.0, 1e-3, 1.0)[seed % 3],
+                                      epochs=LR_OPTIMUM_EPOCHS)["weights"]
+        yield f"{array_digest(weights)}  library/lr-optimum-{seed}"
 
 
 def evaluation_lines(work: Path, config: Path, solver_seed: int):
