@@ -95,29 +95,26 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
             f"{trained.B.shape}) does not have the configured {P} phenotypes")
     rng = substream(seed, "evaluation.heldout")
     D = test_corpus.num_patients
-    state = ModelState(
-        theta=np.empty((D, P)), phi=trained.phi,
-        z=gibbs.initial_z(test_corpus, P, rng),
-        # start fully active: when Bstar is a spike near zero the
-        # off-to-on move has vanishing probability, so the chain must
-        # prune activations rather than discover them
-        A=np.ones((D, P), dtype=np.int8),
-        B=trained.B, Bstar=float(trained.Bstar))
-    gibbs.draw_theta(state, gibbs.phenotype_counts(state, test_corpus), rng)
-
     clamp = np.tile(np.where(trained.B == trained.Bstar, 1, -1).astype(np.int8),
                     (D, 1))
-    plan = gibbs.ZPlan.of(test_corpus, P)
     a_sum, theta_sum = np.zeros((D, P)), np.zeros((D, P))
-    try:
+    with gibbs.ZPlan.of(test_corpus, P) as plan:
+        state = ModelState(
+            theta=np.empty((D, P)), phi=trained.phi,
+            z=gibbs.initial_z(test_corpus, P, rng),
+            # start fully active: when Bstar is a spike near zero the
+            # off-to-on move has vanishing probability, so the chain must
+            # prune activations rather than discover them
+            A=np.ones((D, P), dtype=np.int8),
+            B=trained.B, Bstar=float(trained.Bstar))
+        gibbs.draw_theta(state, gibbs.phenotype_counts(state, test_corpus),
+                         rng)
         for it in range(burn_in + samples):
             gibbs.local_step(state, test_corpus, plan, clamp, hyper.alpha,
                              rng)
             if it >= burn_in:
                 a_sum += state.A
                 theta_sum += state.theta
-    finally:
-        plan.close()
 
     a_mean = a_sum / samples
     return HeldoutResult(scores=a_mean[:, :hyper.num_labeled],

@@ -52,19 +52,22 @@ temporary. model.count_below, the search generate also draws with, finds z.
 
 Threads. A chain runs on the calling thread plus at most one helper, a
 single-worker executor its ZPlan starts when the process may use two or
-more CPUs (os.sched_getaffinity) and some source's z pass has more than
-one block; the chain shuts it down before it returns or raises. In a z
-pass the two threads take blocks from one shared iterator, each in its
-own scratch, and write disjoint entries of z; the uniforms are drawn up
-front and a block's floats do not depend on the thread that builds them,
-so the draws are those of one thread. The sweep computes the log joint of
-its new state on the helper while the calling thread draws phi, which the
+more CPUs (os.sched_getaffinity) and some source has more than Z_CHUNK
+tokens; the chain builds its plan first and shuts the helper down before
+it returns or raises, also when drawing its starting state fails. The
+helper sorts the plan's pair index while the calling thread draws the
+starting state, and the first z pass waits for it. In a z pass the two
+threads take blocks from one shared iterator, each in its own scratch,
+and write disjoint entries of z; the uniforms are drawn up front and a
+block's floats do not depend on the thread that builds them, so the
+draws are those of one thread. The sweep computes the log joint of its
+new state on the helper while the calling thread draws phi, which the
 log joint does not read, and the chain scores its starting state, from
 the snapshot it keeps, during the first sweep. The helper draws no
 random numbers, so one seed gives the same bytes with one CPU or more,
 and the kernels a benchmark tracer wraps by module attribute
-(_sample_z_batch, the counts, the Dirichlet draws, the state copy) all
-run on the calling thread.
+(_sample_z_batch, the counts, the Dirichlet draws, the state copy, the
+initial state) all run on the calling thread.
 """
 
 import logging
@@ -72,6 +75,7 @@ import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import log
 
 import numpy as np
@@ -157,34 +161,51 @@ def _usable_cpus() -> int:
 
 class ZPlan:
     """What the z pass needs that stays fixed along a chain, built once
-    per chain and reused by every sweep: each source's pair index (_Pairs)
-    and one float64 scratch pair of min(Z_CHUNK, most pairs of a source)
-    x P, shared by the sources. With two or more usable CPUs and a source
-    of more than one block, also a helper thread (helper, a single-worker
-    executor; None otherwise) and its own scratch of the same shape
-    (helper_scratch). close() shuts the helper down.
+    per chain and reused by every sweep: each source's pair index (pairs,
+    one _Pairs per source) and one float64 scratch pair of min(Z_CHUNK,
+    most pairs of a source) x P, shared by the sources. With two or more
+    usable CPUs and a source of more than Z_CHUNK tokens, also a helper
+    thread (helper, a single-worker executor; None otherwise) and its own
+    scratch of the same shape (helper_scratch). A plan is a context
+    manager; close(), or leaving its with block, shuts the helper down.
 
     sources holds one (w_flat, doc_idx, V) per source: its token IDs end
     to end, the patient of each and its vocabulary size. The token IDs
     must lie in [0, V) and the patients in [0, num_patients)
-    (DimensionError): the z pass gathers rows at these indices without
-    checking them again.
+    (DimensionError, raised by the constructor): the z pass gathers rows
+    at these indices without checking them again. The constructor then
+    hands the pair sort to the helper, so that the caller can draw the
+    chain's starting state meanwhile; pairs, and the scratch sized by
+    them, wait for it.
     """
 
     def __init__(self, sources, num_patients: int, num_phenotypes: int):
         self.shape = (num_patients, num_phenotypes)
         self.chunk = Z_CHUNK
-        self.pairs = [self._pair_index(np.asarray(w_flat), np.asarray(doc_idx),
-                                       V, s)
-                      for s, (w_flat, doc_idx, V) in enumerate(sources)]
+        sources = [self._checked(np.asarray(w_flat), np.asarray(doc_idx), V, s)
+                   for s, (w_flat, doc_idx, V) in enumerate(sources)]
+        self.helper = None
+        if (_usable_cpus() > 1
+                and any(w_flat.size > self.chunk for w_flat, _, _ in sources)):
+            self.helper = ThreadPoolExecutor(1, thread_name_prefix="ss3m")
+        self._pairs = self.submit(
+            lambda: [self._pair_index(*source) for source in sources])
+
+    @property
+    def pairs(self) -> list:
+        """Each source's _Pairs, once the sort the constructor started is
+        done."""
+        return self._pairs.result()
+
+    @cached_property
+    def scratch(self) -> np.ndarray:
         rows = min(self.chunk, max((p.heads.size for p in self.pairs),
                                    default=0))
-        self.scratch = np.empty((2, rows, num_phenotypes))
-        self.helper = self.helper_scratch = None
-        if (_usable_cpus() > 1
-                and any(p.heads.size > self.chunk for p in self.pairs)):
-            self.helper = ThreadPoolExecutor(1, thread_name_prefix="ss3m")
-            self.helper_scratch = np.empty_like(self.scratch)
+        return np.empty((2, rows, self.shape[1]))
+
+    @cached_property
+    def helper_scratch(self):
+        return None if self.helper is None else np.empty_like(self.scratch)
 
     def submit(self, fn, *args) -> Future:
         """fn(*args) on the helper thread, or here and now without one;
@@ -203,6 +224,12 @@ class ZPlan:
         if self.helper is not None:
             self.helper.shutdown()
 
+    def __enter__(self) -> "ZPlan":
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
     @classmethod
     def of(cls, corpus: Corpus, num_phenotypes: int) -> "ZPlan":
         """The plan for every source of corpus."""
@@ -210,7 +237,7 @@ class ZPlan:
                     for w, voc in zip(corpus.tokens, corpus.vocab)],
                    corpus.num_patients, num_phenotypes)
 
-    def _pair_index(self, w_flat, doc_idx, V: int, s: int) -> _Pairs:
+    def _checked(self, w_flat, doc_idx, V: int, s: int):
         D, N = self.shape[0], w_flat.size
         if w_flat.shape != (N,) or doc_idx.shape != (N,):
             raise DimensionError(f"source {s}: token IDs and patients must "
@@ -219,6 +246,10 @@ class ZPlan:
                       and 0 <= doc_idx.min() and doc_idx.max() < D):
             raise DimensionError(f"source {s}: token ID outside [0, {V}) or "
                                  f"patient outside [0, {D})")
+        return w_flat, doc_idx, V
+
+    def _pair_index(self, w_flat, doc_idx, V: int) -> _Pairs:
+        D, N = self.shape[0], w_flat.size
         # argsort(key, kind="stable") as two stable passes, words then
         # patients, each on the narrowest integer type that holds them, so
         # that numpy radix-sorts keys of up to 16 bits
@@ -227,10 +258,15 @@ class ZPlan:
         order = order[np.argsort(
             doc_idx[order].astype(np.min_scalar_type(D - 1)),
             kind="stable")]
-        key = doc_idx[order] * V + w_flat[order]
+        # built in place and freed early: the sort runs beside the draw of
+        # the chain's starting state, and the two share the peak memory
+        key = doc_idx[order]
+        key *= V
+        key += w_flat[order]
         new_pair = np.empty(N, dtype=bool)
         new_pair[:1] = True
         np.not_equal(key[1:], key[:-1], out=new_pair[1:])
+        del key
         starts = np.append(np.flatnonzero(new_pair), N)
         # the stable sort puts each pair's first token in flat order first
         heads = order[starts[:-1]]
@@ -358,7 +394,7 @@ def clamp_matrix(labels: LabelMatrix, options: TrainOptions, D: int,
 
 
 def activation_log_odds(n, N, rest, b_p, bstar: float, alpha: float,
-                        out=None):
+                        out=None, lookup=None):
     """log P(A_dp=1 | z, A_d,-p) - log P(A_dp=0 | z, A_d,-p) with theta_d
     integrated out, for patients with n tokens on phenotype p out of N
     and gated concentrations summing to `rest` over the phenotypes
@@ -366,35 +402,39 @@ def activation_log_odds(n, N, rest, b_p, bstar: float, alpha: float,
 
     Ratio of the two Dirichlet-multinomial marginals of the patient's
     phenotype counts whose concentration vectors differ only at
-    coordinate p (B_p vs Bstar), times the Bernoulli prior odds. The six
-    log-gamma arguments that vary by patient are laid out in the rows of
-    out, a (6,) + shape float64 scratch (allocated when None), and go
-    through one gammaln call; the eight terms are then added left to
-    right into out[0], which is returned. Non-finite arguments give
-    non-finite odds, with numpy's warnings as the caller's errstate sets
-    them.
+    coordinate p (B_p vs Bstar), times the Bernoulli prior odds. The four
+    log-gamma arguments that depend on `rest` are laid out in the rows of
+    out, a (4,) + shape float64 scratch (allocated when None), and go
+    through one gammaln call. The four that do not, gammaln(b_p + n),
+    gammaln(b_p), gammaln(bstar + n) and gammaln(bstar), come in lookup,
+    as the scan looks them up, or are computed here when it is None. The
+    eight terms are then added left to right into out[0], which is
+    returned. Non-finite arguments give non-finite odds, with numpy's
+    warnings as the caller's errstate sets them.
     """
     if out is None:
-        out = np.empty((6,) + np.broadcast_shapes(np.shape(n), np.shape(N),
+        out = np.empty((4,) + np.broadcast_shapes(np.shape(n), np.shape(N),
                                                   np.shape(rest)))
-    t_on, t_on_n, b_n, t_off, t_off_n, bstar_n = (out[i, ...]
-                                                   for i in range(6))
+    if lookup is None:
+        lookup = (gammaln(np.add(b_p, n)), gammaln(b_p),
+                  gammaln(np.add(bstar, n)), gammaln(bstar))
+    b_n, gamma_b, bstar_n, gamma_bstar = lookup
+    t_on, t_on_n, t_off, t_off_n = (out[0, ...], out[1, ...], out[2, ...],
+                                    out[3, ...])
     np.add(rest, b_p, out=t_on)
     np.add(t_on, N, out=t_on_n)
-    np.add(b_p, n, out=b_n)
     np.add(rest, bstar, out=t_off)
     np.add(t_off, N, out=t_off_n)
-    np.add(bstar, n, out=bstar_n)
     gammaln(out, out=out)
     odds = t_on
     odds += log(alpha / (1.0 - alpha))
     odds -= t_on_n
     odds += b_n
-    odds -= gammaln(b_p)
+    odds -= gamma_b
     odds -= t_off
     odds += t_off_n
     odds -= bstar_n
-    odds += gammaln(bstar)
+    odds += gamma_bstar
     return odds
 
 
@@ -416,41 +456,65 @@ def activation_scan(A: np.ndarray, clamp: np.ndarray, counts: np.ndarray,
     new bits to its left and the old bits to its right. A row's
     concentration total over q != p is the running sum of the updated
     columns q < p plus the sum of the columns q > p, taken right to left
-    by one reverse cumulative sum of the entering A's prior at the start
-    of the scan, before the clamps are written: O(D * P), and no total
-    has a term taken back out of it, which at Bstar ~ 1e-18 would lose
-    every Bstar next to a B_p and put the log-odds off by log P. A column
-    with a free cell gets the log-odds of every row in one preallocated
-    scratch, and only its free cells take the new bits. The uniforms are
-    drawn in one call, in row-major order over the free cells: the order
-    of the cell-by-cell scan.
+    over the entering A's prior at the start of the scan, before the
+    clamps are written, by P vector adds (a reverse cumulative sum): O(D *
+    P), and no total has a term taken back out of it, which at Bstar ~
+    1e-18 would lose every Bstar next to a B_p and put the log-odds off
+    by log P. The uniforms are drawn in one call, in row-major order over
+    the free cells: the order of the cell-by-cell scan.
+
+    The scan reads the counts, uniforms, free cells and bits from
+    column-major copies made once per scan and writes the bits back to A
+    at its end, so A is untouched when it raises. A column with a free
+    cell gets the log-odds of every row in one preallocated scratch, and
+    only its free cells take the new bits. Per column, only the four
+    log-gammas that depend on the running total go through gammaln; the
+    other four terms are looked up in tables built once per scan,
+    gammaln(B_p + k) up to the largest count of each column with a free
+    cell and gammaln(Bstar + k) up to the largest of those counts. An
+    entry is the float gammaln gives for its argument, so the log-odds
+    are, bit for bit, those of activation_log_odds computing every term.
     """
     D, P = A.shape
-    free = clamp < 0
-    u = np.zeros(free.shape)
-    u[free] = rng.random(np.count_nonzero(free))
-    prior = prior_matrix(A, B, Bstar)
-    after = np.zeros((D, P + 1))
-    after[:, :P] = np.cumsum(prior[:, ::-1], axis=1)[:, ::-1]
-    np.copyto(A, clamp, where=~free)
-    sampled = free.any(axis=0)
+    free = np.ascontiguousarray(clamp.T) < 0
+    counts = np.ascontiguousarray(counts.T)
+    bits = np.ascontiguousarray(A.T == 1)
+    u = np.zeros((P, D))
+    u.T[free.T] = rng.random(np.count_nonzero(free))
+    prior = prior_matrix(bits.T, B, Bstar).T
+    after = np.zeros((P + 1, D))
+    for p in range(P - 1, -1, -1):
+        np.add(after[p + 1], prior[p], out=after[p])
+    np.copyto(bits, clamp.T == 1, where=~free)
+    sampled = free.any(axis=1)
+    # every sampled column's table end to end, gammaln(B_p + k) from
+    # starts[p]; gammaln(Bstar + k) for k up to the largest of their counts
+    sizes = np.where(sampled, counts.max(axis=1, initial=0) + 1, 0)
+    starts = np.cumsum(sizes) - sizes
+    gamma_b_n = gammaln(np.repeat(B, sizes)
+                        + (np.arange(sizes.sum()) - np.repeat(starts, sizes)))
+    gamma_bstar_n = gammaln(Bstar + np.arange(sizes.max(initial=0)))
     before = np.zeros(D)
-    N = counts.sum(axis=1)
-    rest, scratch = np.empty(D), np.empty((6, D))
+    N = counts.sum(axis=0)
+    rest, scratch = np.empty(D), np.empty((4, D))
     with np.errstate(invalid="ignore"):  # checked below, on free cells
         for p in range(P):
             if sampled[p]:
-                np.add(before, after[:, p + 1], out=rest)
-                odds = activation_log_odds(counts[:, p], N, rest, B[p], Bstar,
-                                           alpha, scratch)
+                n, table = counts[p], gamma_b_n[starts[p]:]
+                np.add(before, after[p + 1], out=rest)
+                odds = activation_log_odds(
+                    n, N, rest, B[p], Bstar, alpha, scratch,
+                    (table[n], table[0], gamma_bstar_n[n], gamma_bstar_n[0]))
                 if not np.isfinite(odds).all():
-                    bad = np.flatnonzero(free[:, p] & ~np.isfinite(odds))
+                    bad = np.flatnonzero(free[p] & ~np.isfinite(odds))
                     if bad.size:
                         raise SamplingError(
                             "non-finite activation log-odds at patient "
                             f"{int(bad[0])}, phenotype {p}")
-                np.copyto(A[:, p], u[:, p] < expit(odds), where=free[:, p])
-            before += np.where(A[:, p] == 1, B[p], Bstar)
+                np.less(u[p], expit(odds, out=odds), out=bits[p],
+                        where=free[p])
+            before += np.where(bits[p], B[p], Bstar)
+    A[...] = bits.T
     return A
 
 
@@ -589,17 +653,16 @@ def initialize_state(corpus: Corpus, clamp: np.ndarray,
     return state
 
 
-def _run_chain(state: ModelState, corpus: Corpus, clamp: np.ndarray,
-               b_mode: str, hyper: Hyperparameters,
+def _run_chain(state: ModelState, corpus: Corpus, plan: ZPlan,
+               clamp: np.ndarray, b_mode: str, hyper: Hyperparameters,
                rng: np.random.Generator) -> TrainTrace:
-    """Run hyper.iterations sweeps from state on one z plan, tracing the
-    collapsed log joint each sweep returns and keeping a deep snapshot of
-    the state where it is highest. The starting state is scored from its
-    snapshot, which no sweep touches, on the plan's helper thread during
-    the first sweep. An interrupt returns the partial trace; the helper is
-    shut down either way."""
+    """Run hyper.iterations sweeps from state on the chain's z plan,
+    tracing the collapsed log joint each sweep returns and keeping a deep
+    snapshot of the state where it is highest. The starting state is
+    scored from its snapshot, which no sweep touches, on the plan's helper
+    thread during the first sweep. An interrupt returns the partial
+    trace."""
     trace = TrainTrace(best_state=state.copy(), best_iteration=0)
-    plan = ZPlan.of(corpus, hyper.num_phenotypes)
     start = plan.submit(collapsed_log_joint, trace.best_state, corpus, hyper)
     try:
         for it in range(1, hyper.iterations + 1):
@@ -615,8 +678,6 @@ def _run_chain(state: ModelState, corpus: Corpus, clamp: np.ndarray,
     except KeyboardInterrupt:
         logger.warning("training interrupted at iteration %d; returning "
                        "partial trace", max(len(trace.log_likelihoods) - 1, 0))
-    finally:
-        plan.close()
     if not trace.log_likelihoods:   # no sweep finished
         trace.log_likelihoods.append(start.result())
     return trace
@@ -625,14 +686,18 @@ def _run_chain(state: ModelState, corpus: Corpus, clamp: np.ndarray,
 def train(corpus: Corpus, labels: LabelMatrix, hyper: Hyperparameters,
           options: TrainOptions) -> TrainTrace:
     """Run hyper.iterations Gibbs sweeps, tracing the collapsed log joint
-    and keeping a deep snapshot of the state where it is highest."""
+    and keeping a deep snapshot of the state where it is highest. The
+    chain's z plan sorts its pairs on the helper while the starting state
+    is drawn."""
     if corpus.num_patients == 0:
         raise ConfigError("corpus is empty")
     rng = substream(options.seed, "gibbs.train")
     clamp = clamp_matrix(labels, options, corpus.num_patients,
                          hyper.num_phenotypes)
-    state = initialize_state(corpus, clamp, hyper, rng)
-    return _run_chain(state, corpus, clamp, options.b_mode, hyper, rng)
+    with ZPlan.of(corpus, hyper.num_phenotypes) as plan:
+        state = initialize_state(corpus, clamp, hyper, rng)
+        return _run_chain(state, corpus, plan, clamp, options.b_mode, hyper,
+                          rng)
 
 
 def train_unstructured(corpus: Corpus, hyper: Hyperparameters,
@@ -647,11 +712,12 @@ def train_unstructured(corpus: Corpus, hyper: Hyperparameters,
         raise ConfigError("concentration must be positive and finite")
     rng = substream(seed, "gibbs.train")
     D, P, c = corpus.num_patients, hyper.num_phenotypes, float(concentration)
-    state = ModelState(
-        theta=np.empty((D, P)), phi=[None] * corpus.num_sources,
-        z=initial_z(corpus, P, rng), A=np.ones((D, P), dtype=np.int8),
-        B=np.full(P, c), Bstar=c)
-    draw_theta(state, phenotype_counts(state, corpus), rng)
-    draw_phi(state, corpus, hyper, rng)
-    return _run_chain(state, corpus, np.ones((D, P), dtype=np.int8), B_FIXED,
-                      hyper, rng)
+    with ZPlan.of(corpus, P) as plan:
+        state = ModelState(
+            theta=np.empty((D, P)), phi=[None] * corpus.num_sources,
+            z=initial_z(corpus, P, rng), A=np.ones((D, P), dtype=np.int8),
+            B=np.full(P, c), Bstar=c)
+        draw_theta(state, phenotype_counts(state, corpus), rng)
+        draw_phi(state, corpus, hyper, rng)
+        return _run_chain(state, corpus, plan, np.ones((D, P), dtype=np.int8),
+                          B_FIXED, hyper, rng)

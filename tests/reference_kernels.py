@@ -9,8 +9,9 @@ uniform per free cell, so it pins down the kernel and the draw order the
 vectorized scan must reproduce exactly. Its total over q != p is summed
 in the scan's order (the q < p prefix, then the q > p suffix), never as
 the full row sum minus B_p, which loses Bstar; log-gamma is scipy's
-gammaln on scalars, the function the vectorized kernel calls, so the two
-agree bit for bit.
+gammaln on scalars, the function the vectorized kernel calls, and its
+eight terms are added in the kernel's order, so the two agree bit for
+bit in the log-odds as well as in the bits drawn.
 
 The token-path references are the per-patient loops the package used
 before every token-level pass went through the flat arrays each source
@@ -87,13 +88,16 @@ from ss3m.model import (
 from ss3m.util import PROB_FLOOR, sample_dirichlet, substream
 
 
-def collapsed_scan(state, counts, hyper, rng, labels=None, options=None):
+def collapsed_scan(state, counts, hyper, rng, labels=None, options=None,
+                   log_odds=None):
     """The activation update with theta integrated out, patients then
     phenotypes, honoring the label clamps (none when labels is None). The
     total over q != p is the q < p prefix added left to right plus the
-    q > p suffix added right to left."""
+    q > p suffix added right to left, and the log-odds terms are added
+    in the kernel's order. log_odds, a D x P float array when given,
+    takes the log-odds of each cell drawn."""
     D, P = state.A.shape
-    prior_bias = np.log(hyper.alpha) - np.log1p(-hyper.alpha)
+    prior_odds = log(hyper.alpha / (1.0 - hyper.alpha))
     totals = counts.sum(axis=1)
     for d in range(D):
         n_d = counts[d]
@@ -119,13 +123,13 @@ def collapsed_scan(state, counts, hyper, rng, labels=None, options=None):
             base = before + after
             t_on = base + state.B[p]
             t_off = base + state.Bstar
-            log_odds = (prior_bias
-                        + gammaln(t_on) - gammaln(t_on + N)
-                        + gammaln(state.B[p] + n_d[p]) - gammaln(state.B[p])
-                        - gammaln(t_off) + gammaln(t_off + N)
-                        - gammaln(state.Bstar + n_d[p])
-                        + gammaln(state.Bstar))
-            state.A[d, p] = 1 if rng.random() < expit(log_odds) else 0
+            odds = (gammaln(t_on) + prior_odds - gammaln(t_on + N)
+                    + gammaln(state.B[p] + n_d[p]) - gammaln(state.B[p])
+                    - gammaln(t_off) + gammaln(t_off + N)
+                    - gammaln(state.Bstar + n_d[p]) + gammaln(state.Bstar))
+            if log_odds is not None:
+                log_odds[d, p] = odds
+            state.A[d, p] = 1 if rng.random() < expit(odds) else 0
 
 
 def categorical_rows(probs, rng):

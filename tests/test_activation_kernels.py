@@ -5,7 +5,9 @@ column scan (under the training label clamps of clamp_matrix, and as
 held-out inference calls it with every cell free) and the reference loop
 from tests/reference_kernels.py on identically seeded generators, and
 asserts the same activation matrix and the same generator state
-afterwards: the same kernel, draw for draw.
+afterwards: the same kernel, draw for draw. Under the label clamps it
+also asserts the same log-odds float at every free cell, also at the
+ends of the tables the scan looks its count log-gammas up in.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 import reference_kernels as ref
 from conftest import make_hyper
+from ss3m import gibbs
 from ss3m.errors import SamplingError
 from ss3m.gibbs import (
     MISSING_ESTIMATE,
@@ -64,19 +67,40 @@ def _copy(state):
                       B=state.B, Bstar=state.Bstar)
 
 
+def _check_scan(state, labels, options, hyper, counts, seed):
+    """Run the scan under the clamps of labels and the reference loop on
+    identically seeded generators, and assert the same bits, the same
+    generator state afterwards and, at every free cell, the same
+    log-odds float: the scan's as it hands a column to expit."""
+    want = _copy(state)
+    rng_want = np.random.default_rng(seed)
+    want_odds = np.full(state.A.shape, np.nan)
+    ref.collapsed_scan(want, counts, hyper, rng_want, labels, options,
+                       want_odds)
+    clamp = clamp_matrix(labels, options, *state.A.shape)
+    rng, seen, real_expit = np.random.default_rng(seed), [], gibbs.expit
+
+    def expit(odds, out=None):
+        seen.append(odds.copy())
+        return real_expit(odds, out=out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gibbs, "expit", expit)
+        got = activation_scan(state.A.copy(), clamp, counts, state.B,
+                              state.Bstar, hyper.alpha, rng)
+    assert np.array_equal(got, want.A)
+    assert rng.bit_generator.state == rng_want.bit_generator.state
+    free = clamp < 0
+    sampled = np.flatnonzero(free.any(axis=0))
+    assert len(seen) == sampled.size
+    for p, odds in zip(sampled, seen):
+        assert np.array_equal(odds[free[:, p]], want_odds[free[:, p], p]), p
+
+
 @PROPERTY_SETTINGS
 @given(activation_problems())
 def test_training_scan_matches_cell_loop(problem):
-    state, labels, options, hyper, counts, seed = problem
-    want = _copy(state)
-    rng_want = np.random.default_rng(seed)
-    ref.collapsed_scan(want, counts, hyper, rng_want, labels, options)
-    rng = np.random.default_rng(seed)
-    got = activation_scan(state.A.copy(),
-                          clamp_matrix(labels, options, *state.A.shape),
-                          counts, state.B, state.Bstar, hyper.alpha, rng)
-    assert np.array_equal(got, want.A)
-    assert rng.bit_generator.state == rng_want.bit_generator.state
+    _check_scan(*problem)
 
 
 @PROPERTY_SETTINGS
@@ -92,6 +116,45 @@ def test_collapsed_scan_matches_cell_loop(problem):
                     hyper.alpha, rng)
     assert np.array_equal(state.A, want.A)
     assert rng.bit_generator.state == rng_want.bit_generator.state
+
+
+@st.composite
+def table_problems(draw):
+    """activation_problems at the ends of the scan's lookup tables: B_p
+    from 1e-300 to 1e3, Bstar from 1e-300 to 2, cell counts of 0..5 or
+    1,000..3,000 with at least one of 1,000 or more, a column whose counts
+    are all 0, and (with fix_zero labels) fully clamped columns."""
+    D = draw(st.integers(1, 5))
+    P = draw(st.integers(2, 6))
+    P_lab = draw(st.integers(0, P - 1))
+    tiny_to_large = st.one_of(st.sampled_from([1e-300, 1e-20, 1e3]),
+                              st.floats(1e-300, 1e3))
+    state = ModelState(
+        theta=np.full((D, P), 1.0 / P), phi=[], z=[],
+        A=draw(arrays(np.int8, (D, P), elements=st.integers(0, 1))),
+        B=draw(arrays(np.float64, P, elements=tiny_to_large)),
+        Bstar=draw(st.one_of(st.sampled_from([1e-300, 1e-18]),
+                             st.floats(1e-300, 2.0))))
+    labels = LabelMatrix(
+        entries=draw(arrays(np.int8, (D, P_lab), elements=st.integers(-1, 1))),
+        label_names=[f"l{j}" for j in range(P_lab)])
+    options = TrainOptions(missing_label_mode=draw(
+        st.sampled_from([MISSING_FIX_ZERO, MISSING_ESTIMATE])))
+    hyper = make_hyper(P=P, P_lab=P_lab, alpha=draw(st.floats(0.05, 0.95)))
+    counts = draw(arrays(np.int64, (D, P), elements=st.one_of(
+        st.integers(0, 5), st.integers(1000, 3000))))
+    counts[draw(st.integers(0, D - 1)), draw(st.integers(0, P - 1))] = draw(
+        st.integers(1000, 3000))
+    counts[:, draw(st.integers(0, P - 1))] = 0
+    return state, labels, options, hyper, counts, draw(st.integers(0, 2**32))
+
+
+@PROPERTY_SETTINGS
+@given(table_problems())
+def test_scan_tables_match_cell_loop(problem):
+    # the scan looks its count log-gammas up, the reference calls gammaln
+    # on every term of every cell
+    _check_scan(*problem)
 
 
 def _corner_case(case):

@@ -1,5 +1,6 @@
 """The z plan's helper thread (gibbs.ZPlan.helper): it changes no draw,
-float or error of any chain, and it never outlives the chain.
+float or error of any chain, and it never outlives the chain, not even
+one whose starting state fails to draw.
 
 The CPU probe (gibbs._usable_cpus) is monkeypatched to force the helper
 on or off, and gibbs.Z_CHUNK is cut to 1 or 2 pairs, so that the small
@@ -17,7 +18,7 @@ import pytest
 
 from conftest import make_hyper
 from ss3m import gibbs
-from ss3m.errors import NumericalError, SamplingError
+from ss3m.errors import DimensionError, NumericalError, SamplingError
 from ss3m.evaluation import heldout_infer
 from ss3m.gibbs import (
     TrainOptions,
@@ -45,10 +46,18 @@ def _corpus(vocab_sizes, D, seed, empty=()):
                          for s, V in enumerate(vocab_sizes)], tokens=tokens)
 
 
+def _few_pairs():
+    """Source 0 holds 6 tokens in one (patient, word) pair: more tokens
+    than a block of 1 or 2 pairs, but a single block."""
+    return Corpus(vocab=[["a", "b"], ["c"]],
+                  tokens=[[np.array([1] * 6), [], []], [[], [0], []]])
+
+
 CORPORA = {
     "one source": lambda: _corpus([6], 9, seed=1),
     "an empty source": lambda: _corpus([5, 4], 8, seed=2, empty=(1,)),
     "V = 1": lambda: _corpus([1, 3], 7, seed=3),
+    "few pairs": _few_pairs,
 }
 
 
@@ -125,7 +134,7 @@ def test_helper_changes_no_byte_of_any_chain(name, chunk, executor,
         _cpus(monkeypatch, cpus)
         Counting.submitted = 0
         runs[cpus] = _every_chain(corpus, labels, hyper)
-        # one z pass per source and sweep, and one log joint per sweep
+        # the pair sort, the blocks of the z passes, the log joints
         assert (Counting.submitted > 0) == (cpus > 1)
     assert runs[1] == runs[2]
 
@@ -295,6 +304,40 @@ def test_no_helper_thread_outlives_its_chain(fail, monkeypatch):
             chain()
         assert scan.helped, name
         assert threading.active_count() == start, name
+
+
+def test_failed_start_leaves_no_helper(monkeypatch):
+    # the plan, and its helper sorting the pairs, comes before the starting
+    # state; a failure drawing that state must still shut the helper down
+    corpus = CORPORA["an empty source"]()
+    hyper = make_hyper(P=3, S=2, iterations=2)
+    monkeypatch.setattr(gibbs, "Z_CHUNK", 2)
+    _cpus(monkeypatch, 2)
+    chains = _chains(corpus, hyper)
+    start = threading.active_count()
+    for name, chain in chains.items():
+        names = set()
+
+        def draw_theta(*args):
+            names.update(t.name for t in threading.enumerate())
+            raise RuntimeError("theta failed")
+
+        monkeypatch.setattr(gibbs, "draw_theta", draw_theta)
+        with pytest.raises(RuntimeError, match="theta failed"):
+            chain()
+        assert any(n.startswith("ss3m") for n in names), name
+        assert threading.active_count() == start, name
+
+
+def test_bad_token_id_fails_before_the_helper_starts(monkeypatch):
+    corpus = CORPORA["an empty source"]()
+    corpus.tokens[0].flat[3] = len(corpus.vocab[0])
+    monkeypatch.setattr(gibbs, "Z_CHUNK", 2)
+    _cpus(monkeypatch, 2)
+    start = threading.active_count()
+    with pytest.raises(DimensionError, match="token ID outside"):
+        ZPlan.of(corpus, 3)
+    assert threading.active_count() == start
 
 
 @pytest.mark.parametrize("at", [1, 2])
