@@ -172,23 +172,21 @@ def cmd_generate(args, cfg: RunConfig):
 
 def cmd_preprocess(args, cfg: RunConfig):
     prepare_out_dir(args.out, args.force)
-    records = data_io.load_raw(args.corpus)
-    corpus, patient_ids = data_io.preprocess(records, preprocess_config_from(cfg))
-    labels = data_io.build_labels(records, cfg.get("labels.top_k"),
-                                  patient_ids=patient_ids)
+    corpus, labels, patient_ids, sources = _load_raw_corpus(args.corpus, cfg)
     (train_c, train_l), (test_c, test_l), spl = data_io.split(
         corpus, labels, cfg.get("split.train_fraction"), args.seed)
     train_ids = [patient_ids[i] for i in spl.train_indices]
     test_ids = [patient_ids[i] for i in spl.test_indices]
 
     files = {
-        "corpus_train.json": (data_io.save_corpus, train_c, train_ids),
-        "corpus_test.json": (data_io.save_corpus, test_c, test_ids),
+        "corpus_train.json": (data_io.save_corpus, train_c, train_ids,
+                              sources),
+        "corpus_test.json": (data_io.save_corpus, test_c, test_ids, sources),
         "labels_train.json": (data_io.save_labels, train_l, train_ids),
         "labels_test.json": (data_io.save_labels, test_l, test_ids),
     }
-    for name, (saver, obj, ids) in files.items():
-        saver(obj, ids, os.path.join(args.out, name))
+    for name, (saver, obj, ids, *names) in files.items():
+        saver(obj, ids, os.path.join(args.out, name), *names)
     echo_config(cfg, args.out)
     write_manifest(args.out, args.seed, cfg,
                    list(files) + ["resolved_config.cfg"])
@@ -197,19 +195,15 @@ def cmd_preprocess(args, cfg: RunConfig):
     return 0
 
 
-def _load_training_data(args, cfg):
-    if args.corpus.endswith(".jsonl"):
-        records = data_io.load_raw(args.corpus)
-        corpus, patient_ids = data_io.preprocess(
-            records, preprocess_config_from(cfg))
-        labels = data_io.build_labels(records, cfg.get("labels.top_k"),
-                                      patient_ids=patient_ids)
-        return corpus, labels, patient_ids
-    corpus, patient_ids, _ = data_io.load_corpus(args.corpus)
-    labels = None
-    if args.labels:
-        labels = _load_labels_for(args.labels, patient_ids)
-    return corpus, labels, patient_ids
+def _load_raw_corpus(path, cfg):
+    """The raw JSON-lines corpus at path, preprocessed: (corpus, labels,
+    patient_ids, source names in the order of the corpus's sources)."""
+    records = data_io.load_raw(path)
+    corpus, patient_ids = data_io.preprocess(records,
+                                             preprocess_config_from(cfg))
+    labels = data_io.build_labels(records, cfg.get("labels.top_k"),
+                                  patient_ids=patient_ids)
+    return corpus, labels, patient_ids, data_io.source_names(records)
 
 
 def _load_labels_for(path, patient_ids):
@@ -222,7 +216,13 @@ def _load_labels_for(path, patient_ids):
 
 def cmd_train(args, cfg: RunConfig):
     prepare_out_dir(args.out, args.force)
-    corpus, labels, _ = _load_training_data(args, cfg)
+    labels = None
+    if args.corpus.endswith(".jsonl"):
+        corpus, labels, _, _ = _load_raw_corpus(args.corpus, cfg)
+    else:
+        corpus, patient_ids, _ = data_io.load_corpus(args.corpus)
+        if args.labels:
+            labels = _load_labels_for(args.labels, patient_ids)
     hyper = hyper_from_config(cfg, corpus.num_sources)
 
     if args.model_id == "mc3m":

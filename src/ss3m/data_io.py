@@ -138,6 +138,11 @@ def _patient_order(records) -> list:
     return list(dict.fromkeys(rec.patient_id for rec in records))
 
 
+def source_names(records) -> list:
+    """The sources of records, sorted: the order of preprocess's columns."""
+    return sorted({rec.source for rec in records})
+
+
 def preprocess(records, config: PreprocessConfig):
     """Build a Corpus from raw records after stopword/frequency filtering.
 
@@ -153,7 +158,7 @@ def preprocess(records, config: PreprocessConfig):
 
     patients = _patient_order(records)
     pidx = {pid: i for i, pid in enumerate(patients)}
-    sources = sorted({rec.source for rec in records})
+    sources = source_names(records)
     D = len(patients)
 
     # token streams per (source, patient), duplicates concatenated in order

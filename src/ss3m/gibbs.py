@@ -10,8 +10,9 @@ Bstar and z, before anything reads theta again: a partially collapsed
 Gibbs sampler (van Dyk & Park 2008) whose stationary law is the
 posterior. phi is drawn last, given z. Each conditional has one kernel,
 shared by training, the mc3m baseline and held-out inference and tested
-as it is: _sample_z_batch (z), activation_scan (A), draw_pseudocounts (B
-and Bstar), draw_theta (theta) and draw_phi (phi).
+as it is: _sample_z_batch (z), activation_scan (A, with the log-odds it
+alone computes), draw_pseudocounts (B and Bstar), draw_theta (theta) and
+draw_phi (phi).
 
 A chain (_run_chain) traces model.collapsed_log_joint, log p(w, z, A, B,
 Bstar) with theta and phi integrated out, after every sweep and keeps the
@@ -35,10 +36,11 @@ end to end and the patient of each, and state.z[s].flat, the assignments
 in the same layout. The z pass draws what a token-by-token scan would
 (_sample_z_batch), the A update is an exact sequential scan over the
 phenotypes vectorized over patients (activation_scan), and the count
-matrices are one bincount per source: the local step counts phenotypes
-once and hands the counts to the A scan, the B step and the theta draw,
-and the sweep counts each source's tokens once for the phi draw and
-hands both to the log joint.
+matrices are one bincount per source (model.phenotype_counts and
+model.token_counts, the log joint's own recount): the local step counts
+phenotypes once and hands the counts to the A scan, the B step and the
+theta draw, and the sweep counts each source's tokens once for the phi
+draw and hands both to the log joint.
 
 The z pass works on distinct (patient, word) pairs, and the tokens do
 not change along a chain, so each chain plans it once (ZPlan, built next
@@ -92,9 +94,10 @@ from .model import (
     ModelState,
     collapsed_log_joint,
     count_below,
-    count_pairs,
     draw_concentrations,
+    phenotype_counts,
     prior_matrix,
+    token_counts,
 )
 from .util import PROB_FLOOR, sample_dirichlet, substream
 
@@ -166,8 +169,10 @@ class ZPlan:
     most pairs of a source) x P, shared by the sources. With two or more
     usable CPUs and a source of more than Z_CHUNK tokens, also a helper
     thread (helper, a single-worker executor; None otherwise) and its own
-    scratch of the same shape (helper_scratch). A plan is a context
-    manager; close(), or leaving its with block, shuts the helper down.
+    scratch of the same shape (helper_scratch; scratch itself without a
+    helper, when submit runs the helper's work inline). A plan is a
+    context manager; close(), or leaving its with block, shuts the helper
+    down.
 
     sources holds one (w_flat, doc_idx, V) per source: its token IDs end
     to end, the patient of each and its vocabulary size. The token IDs
@@ -204,8 +209,8 @@ class ZPlan:
         return np.empty((2, rows, self.shape[1]))
 
     @cached_property
-    def helper_scratch(self):
-        return None if self.helper is None else np.empty_like(self.scratch)
+    def helper_scratch(self) -> np.ndarray:
+        return np.empty_like(self.scratch) if self.helper else self.scratch
 
     def submit(self, fn, *args) -> Future:
         """fn(*args) on the helper thread, or here and now without one;
@@ -288,10 +293,11 @@ def _sample_z_batch(theta, phi_s, plan: ZPlan, s: int, rng):
     O(log P) by model.count_below, so it is never the out-of-range P. The
     uniforms are drawn in one call up front, one per token in flat order,
     so the draws depend neither on the blocking nor on the thread that
-    takes a block: with the plan's helper and more than one block, the
-    helper takes blocks in its own scratch alongside this thread, which
-    joins it before returning or raising. theta must be (D, P) and phi_s
-    (P, V) for the plan's D, P and the source's V (DimensionError).
+    takes a block: the helper's share, handed to plan.submit, takes
+    blocks in the helper's scratch alongside this thread, which joins it
+    before returning or raising, or, without a helper, takes them all
+    first. theta must be (D, P) and phi_s (P, V) for the plan's D, P and
+    the source's V (DimensionError).
     """
     pairs, (D, P) = plan.pairs[s], plan.shape
     if np.shape(theta) != (D, P) or np.shape(phi_s) != (P, pairs.V):
@@ -342,36 +348,17 @@ def _sample_z_batch(theta, phi_s, plan: ZPlan, s: int, rng):
             z[tokens] = count_below(probs, rows, thr)
         return first
 
-    if plan.helper is None or U <= plan.chunk:
+    other = plan.submit(work, plan.helper_scratch)
+    try:
         first = work(plan.scratch)
-    else:
-        other = plan.helper.submit(work, plan.helper_scratch)
-        try:
-            first = work(plan.scratch)
-        finally:
-            wait([other])
-        first = min(first, other.result())
+    finally:
+        wait([other])
+    first = min(first, other.result())
     if first[0] < N:
         raise SamplingError(
             f"all-zero assignment weights at patient {first[1]}, "
             f"token {first[0]} (corrupt state)")
     return z
-
-
-def phenotype_counts(state: ModelState, corpus: Corpus) -> np.ndarray:
-    """c[d, p] = number of tokens of patient d assigned to phenotype p."""
-    D, P = state.theta.shape
-    c = np.zeros((D, P), dtype=np.int64)
-    for s in range(corpus.num_sources):
-        z = state.z[s]
-        c += count_pairs(z.doc_idx, z.flat, D, P)
-    return c
-
-
-def token_counts(state: ModelState, corpus: Corpus, s: int) -> np.ndarray:
-    """m[p, v] = number of source-s tokens with value v assigned to p."""
-    return count_pairs(state.z[s].flat, corpus.tokens[s].flat,
-                       state.theta.shape[1], len(corpus.vocab[s]))
 
 
 def clamp_matrix(labels: LabelMatrix, options: TrainOptions, D: int,
@@ -393,51 +380,6 @@ def clamp_matrix(labels: LabelMatrix, options: TrainOptions, D: int,
     return clamp
 
 
-def activation_log_odds(n, N, rest, b_p, bstar: float, alpha: float,
-                        out=None, lookup=None):
-    """log P(A_dp=1 | z, A_d,-p) - log P(A_dp=0 | z, A_d,-p) with theta_d
-    integrated out, for patients with n tokens on phenotype p out of N
-    and gated concentrations summing to `rest` over the phenotypes
-    q != p.
-
-    Ratio of the two Dirichlet-multinomial marginals of the patient's
-    phenotype counts whose concentration vectors differ only at
-    coordinate p (B_p vs Bstar), times the Bernoulli prior odds. The four
-    log-gamma arguments that depend on `rest` are laid out in the rows of
-    out, a (4,) + shape float64 scratch (allocated when None), and go
-    through one gammaln call. The four that do not, gammaln(b_p + n),
-    gammaln(b_p), gammaln(bstar + n) and gammaln(bstar), come in lookup,
-    as the scan looks them up, or are computed here when it is None. The
-    eight terms are then added left to right into out[0], which is
-    returned. Non-finite arguments give non-finite odds, with numpy's
-    warnings as the caller's errstate sets them.
-    """
-    if out is None:
-        out = np.empty((4,) + np.broadcast_shapes(np.shape(n), np.shape(N),
-                                                  np.shape(rest)))
-    if lookup is None:
-        lookup = (gammaln(np.add(b_p, n)), gammaln(b_p),
-                  gammaln(np.add(bstar, n)), gammaln(bstar))
-    b_n, gamma_b, bstar_n, gamma_bstar = lookup
-    t_on, t_on_n, t_off, t_off_n = (out[0, ...], out[1, ...], out[2, ...],
-                                    out[3, ...])
-    np.add(rest, b_p, out=t_on)
-    np.add(t_on, N, out=t_on_n)
-    np.add(rest, bstar, out=t_off)
-    np.add(t_off, N, out=t_off_n)
-    gammaln(out, out=out)
-    odds = t_on
-    odds += log(alpha / (1.0 - alpha))
-    odds -= t_on_n
-    odds += b_n
-    odds -= gamma_b
-    odds -= t_off
-    odds += t_off_n
-    odds -= bstar_n
-    odds += gamma_bstar
-    return odds
-
-
 def activation_scan(A: np.ndarray, clamp: np.ndarray, counts: np.ndarray,
                     B, Bstar: float, alpha: float,
                     rng: np.random.Generator) -> np.ndarray:
@@ -446,9 +388,13 @@ def activation_scan(A: np.ndarray, clamp: np.ndarray, counts: np.ndarray,
     vectorized over the rows. Mutates and returns A.
 
     Cells where `clamp` (shaped like A) holds 0 or 1 are set to it; the
-    cells where it holds -1 are free and resampled with
-    activation_log_odds. A non-finite log-odds at a free cell raises
-    SamplingError naming the cell.
+    cells where it holds -1 are free and resampled with their log-odds,
+    log P(A_dp=1 | z, A_d,-p) - log P(A_dp=0 | z, A_d,-p): the ratio of
+    the two Dirichlet-multinomial marginals of the row's phenotype counts
+    whose concentration vectors differ only at coordinate p (B_p vs
+    Bstar), times the Bernoulli prior odds alpha / (1 - alpha). A
+    non-finite log-odds at a free cell raises SamplingError naming the
+    cell.
 
     Given the counts the rows are conditionally independent, so updating
     column p of every row before moving to p+1 is the same kernel as a
@@ -466,14 +412,16 @@ def activation_scan(A: np.ndarray, clamp: np.ndarray, counts: np.ndarray,
     The scan reads the counts, uniforms, free cells and bits from
     column-major copies made once per scan and writes the bits back to A
     at its end, so A is untouched when it raises. A column with a free
-    cell gets the log-odds of every row in one preallocated scratch, and
-    only its free cells take the new bits. Per column, only the four
-    log-gammas that depend on the running total go through gammaln; the
-    other four terms are looked up in tables built once per scan,
-    gammaln(B_p + k) up to the largest count of each column with a free
-    cell and gammaln(Bstar + k) up to the largest of those counts. An
-    entry is the float gammaln gives for its argument, so the log-odds
-    are, bit for bit, those of activation_log_odds computing every term.
+    cell gets the log-odds of every row in one preallocated (4, D)
+    scratch, and only its free cells take the new bits. The four
+    log-gammas whose arguments hold the row's total over q != p go
+    through one gammaln call on it; the other four terms are looked up
+    in tables built once per scan, gammaln(B_p + k) up to the largest
+    count of each column with a free cell and gammaln(Bstar + k) up to
+    the largest of those counts. An entry is the float gammaln gives for
+    its argument, so the log-odds are, bit for bit, those of computing
+    every term. The eight terms are added left to right into the first
+    row, which is handed to expit.
     """
     D, P = A.shape
     free = np.ascontiguousarray(clamp.T) < 0
@@ -494,17 +442,30 @@ def activation_scan(A: np.ndarray, clamp: np.ndarray, counts: np.ndarray,
     gamma_b_n = gammaln(np.repeat(B, sizes)
                         + (np.arange(sizes.sum()) - np.repeat(starts, sizes)))
     gamma_bstar_n = gammaln(Bstar + np.arange(sizes.max(initial=0)))
+    prior_odds = log(alpha / (1.0 - alpha))
     before = np.zeros(D)
     N = counts.sum(axis=0)
-    rest, scratch = np.empty(D), np.empty((4, D))
+    scratch = np.empty((4, D))
+    odds, t_on_n, t_off, t_off_n = scratch
     with np.errstate(invalid="ignore"):  # checked below, on free cells
         for p in range(P):
             if sampled[p]:
                 n, table = counts[p], gamma_b_n[starts[p]:]
-                np.add(before, after[p + 1], out=rest)
-                odds = activation_log_odds(
-                    n, N, rest, B[p], Bstar, alpha, scratch,
-                    (table[n], table[0], gamma_bstar_n[n], gamma_bstar_n[0]))
+                # the row totals over q != p, then plus Bstar, in t_off
+                np.add(before, after[p + 1], out=t_off)
+                np.add(t_off, B[p], out=odds)
+                np.add(odds, N, out=t_on_n)
+                t_off += Bstar
+                np.add(t_off, N, out=t_off_n)
+                gammaln(scratch, out=scratch)
+                odds += prior_odds
+                odds -= t_on_n
+                odds += table[n]
+                odds -= table[0]
+                odds -= t_off
+                odds += t_off_n
+                odds -= gamma_bstar_n[n]
+                odds += gamma_bstar_n[0]
                 if not np.isfinite(odds).all():
                     bad = np.flatnonzero(free[p] & ~np.isfinite(odds))
                     if bad.size:
@@ -560,8 +521,10 @@ def table_counts(n: np.ndarray, c: np.ndarray,
     flat = n.ravel()
     cell = np.repeat(np.arange(flat.size), flat)
     c_tok = c.ravel()[cell]
-    ith = np.arange(cell.size) - np.repeat(np.cumsum(flat) - flat, flat)
-    sat = cell[rng.random(cell.size) < c_tok / (c_tok + ith)]
+    ratio = np.arange(cell.size, dtype=np.float64)
+    ratio -= np.repeat(np.cumsum(flat) - flat, flat)
+    ratio += c_tok
+    sat = cell[rng.random(cell.size) < np.divide(c_tok, ratio, out=ratio)]
     return np.bincount(sat, minlength=flat.size).reshape(n.shape)
 
 

@@ -309,6 +309,22 @@ def count_pairs(rows, cols, n_rows: int, n_cols: int) -> np.ndarray:
                        ).reshape(n_rows, n_cols)
 
 
+def phenotype_counts(state: ModelState, corpus: Corpus) -> np.ndarray:
+    """c[d, p] = number of tokens of patient d assigned to phenotype p."""
+    D, P = state.A.shape
+    c = np.zeros((D, P), dtype=np.int64)
+    for s in range(corpus.num_sources):
+        z = state.z[s]
+        c += count_pairs(z.doc_idx, z.flat, D, P)
+    return c
+
+
+def token_counts(state: ModelState, corpus: Corpus, s: int) -> np.ndarray:
+    """m[p, v] = number of source-s tokens with value v assigned to p."""
+    return count_pairs(state.z[s].flat, corpus.tokens[s].flat,
+                       state.A.shape[1], len(corpus.vocab[s]))
+
+
 def count_below(cum, rows, thr) -> np.ndarray:
     """out[i]: how many of the first K - 1 entries of row cum[rows[i]] of
     the (R, K) array cum lie below thr[i]. For running sums of weights and
@@ -431,23 +447,22 @@ def collapsed_log_joint(state: ModelState, corpus: Corpus,
 
     counts, when given, is (n, m): the (D, P) phenotype counts of state.z
     and the list of each source's (P, V_s) token counts, as a sweep
-    returns them; None counts them here. The log-gammas repeat a few
-    arguments, so they are looked up: a source's gammaln(gamma_s + m) in
-    a table over 0..max m, each cell's gammaln(prior) gated like the prior
-    from the P + 1 values gammaln(B) and gammaln(Bstar), and
-    gammaln(prior + n) taken only where n > 0, an empty cell's term being
-    exactly 0. The cell arrays are summed whole, in the same order, so the
-    value is the float that evaluating every cell gives."""
+    returns them; None counts them here (phenotype_counts, token_counts).
+    The log-gammas repeat a few arguments, so they are looked up: a
+    source's gammaln(gamma_s + m) in a table over 0..max m, each cell's
+    gammaln(prior) gated like the prior from the P + 1 values gammaln(B)
+    and gammaln(Bstar), and gammaln(prior + n) taken only where n > 0, an
+    empty cell's term being exactly 0. The cell arrays are summed whole,
+    in the same order, so the value is the float that evaluating every
+    cell gives."""
     D, P = state.A.shape
-    n = np.zeros((D, P), dtype=np.int64) if counts is None else counts[0]
-    total = 0.0
-    for s, (z, w) in enumerate(zip(state.z, corpus.tokens)):
+    if counts is None:
+        counts = (phenotype_counts(state, corpus),
+                  [token_counts(state, corpus, s)
+                   for s in range(corpus.num_sources)])
+    n, total = counts[0], 0.0
+    for s, m in enumerate(counts[1]):
         gam, V = hyper.gamma[s], len(corpus.vocab[s])
-        if counts is None:
-            m = count_pairs(z.flat, w.flat, P, V)
-            n += count_pairs(z.doc_idx, z.flat, D, P)
-        else:
-            m = counts[1][s]
         cell = gammaln(gam + np.arange(m.max(initial=0) + 1)) - lgamma(gam)
         total += float(
             (lgamma(V * gam) - gammaln(V * gam + m.sum(axis=1))).sum()

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ss3m import gibbs
-from ss3m.gibbs import ZPlan, activation_log_odds
-from ss3m.model import Corpus, Hyperparameters, ModelState, prior_matrix
+from ss3m.gibbs import ZPlan, activation_scan
+from ss3m.model import Corpus, Hyperparameters, ModelState
 from ss3m.util import sample_dirichlet
 
 
@@ -61,19 +61,25 @@ def corpora(draw, D, vocab_sizes):
 
 def cell_log_odds(d, p, state, counts, hyper):
     """Log-odds of activation cell (d, p) given the phenotype counts: the
-    scan's column kernel on patient d's row alone, its total over q != p
-    summed as the scan sums it (q < p left to right, plus q > p right to
-    left)."""
-    prior = prior_matrix(state.A[[d]], state.B, state.Bstar)[0]
-    before = 0.0
-    for q in range(p):
-        before += prior[q]
-    after = 0.0
-    for q in range(len(prior) - 1, p, -1):
-        after += prior[q]
-    return float(activation_log_odds(
-        counts[d, p], counts[d].sum(), before + after, state.B[p],
-        state.Bstar, hyper.alpha))
+    float the scan hands to expit when it runs on patient d's row alone
+    with every other bit clamped to its value in state.A, so that its
+    total over q != p is summed as in any scan (q < p left to right, plus
+    q > p right to left)."""
+    clamp = state.A[[d]].astype(np.int8)
+    clamp[0, p] = -1
+    seen, real_expit = [], gibbs.expit
+
+    def expit(odds, out=None):
+        seen.append(float(odds[0]))
+        return real_expit(odds, out=out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gibbs, "expit", expit)
+        activation_scan(state.A[[d]].copy(), clamp, np.asarray(counts)[[d]],
+                        state.B, state.Bstar, hyper.alpha,
+                        np.random.default_rng(0))
+    (odds,) = seen
+    return odds
 
 
 def state_payload_v1(state, meta=None):

@@ -130,6 +130,69 @@ class TestPipeline:
         assert A.size and (A == 1).all()
 
 
+class TestSourceNames:
+    def _preprocess(self, tmp_path, toy_config, raw_path):
+        """corpus_train.json's path, and the corpus and source names it
+        holds, after preprocessing the raw corpus at raw_path."""
+        path = os.path.join(str(tmp_path / "prep"), "corpus_train.json")
+        assert run("--config", toy_config, "--out", str(tmp_path / "prep"),
+                   "preprocess", "--corpus", raw_path) == 0
+        corpus, _, names = data_io.load_corpus(path)
+        return path, corpus, names
+
+    def test_raw_source_names_reach_corpus_and_summary(self, tmp_path,
+                                                       toy_config):
+        records = []
+        for d in range(8):
+            records.append({"patient_id": f"p{d}", "source": "notes",
+                            "tokens": ["cough", "fever", f"n{d % 3}"],
+                            "labels": ["flu", "cold"][d % 2:]})
+            records.append({"patient_id": f"p{d}", "source": "meds",
+                            "tokens": ["aspirin", f"m{d % 2}"],
+                            "labels": []})
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text("".join(json.dumps(r) + "\n" for r in records))
+        path, corpus, names = self._preprocess(tmp_path, toy_config, str(raw))
+        # the columns follow the sorted names
+        assert names == ["meds", "notes"]
+        assert "aspirin" in corpus.vocab[0] and "cough" in corpus.vocab[1]
+
+        states, summ = str(tmp_path / "states"), str(tmp_path / "summ")
+        assert run("--config", toy_config, "--out", states, "train",
+                   "--corpus", path, "--model-id", "ss3m_fixA0_fixB") == 0
+        assert run("--config", toy_config, "--out", summ, "summarize",
+                   "--state",
+                   os.path.join(states, "ss3m_fixA0_fixB.state.json"),
+                   "--corpus", path) == 0
+        with open(os.path.join(summ, "summary.txt")) as fh:
+            text = fh.read()
+        # one line per phenotype and source, naming the source whose words
+        # it lists
+        assert text.count("  meds: ") == text.count("  notes: ") == 3
+        for line in text.splitlines():
+            if line.startswith("  "):
+                name, rendered = line.strip().split(": ", 1)
+                vocab = corpus.vocab[names.index(name)]
+                assert all(item.split(" (")[0] in vocab
+                           for item in rendered.split(", "))
+
+    def test_many_generated_sources_keep_names_on_columns(self, tmp_path,
+                                                          toy_config):
+        # with 11 sources, "source10" sorts before "source2"; generate
+        # writes source s's words as s{s}_w..., so each name must sit on
+        # the column of its own words
+        gen = str(tmp_path / "gen")
+        assert run("--config", toy_config, "--seed", "3", "--out", gen,
+                   "--generate.num_sources", "11", "generate") == 0
+        _, corpus, names = self._preprocess(
+            tmp_path, toy_config, os.path.join(gen, "corpus.jsonl"))
+        assert sorted(names) == sorted(f"source{s}" for s in range(11))
+        assert names[2] == "source10"
+        for name, voc in zip(names, corpus.vocab):
+            prefix = f"s{name[len('source'):]}_"
+            assert voc and all(word.startswith(prefix) for word in voc)
+
+
 class TestDeterminism:
     def test_same_seed_identical_outputs(self, tmp_path, toy_config):
         hashes = []
