@@ -12,9 +12,8 @@ Wire formats:
     array's little-endian C-order bytes: theta, each phi_s and B as
     "<f8", A as "|i1", and each source's tokens and z as one
     {"flat", "lengths"} pair of "<i4" arrays. vocab, patient_ids,
-    sources, Bstar and meta are plain JSON. The readers also accept the
-    v1 state and corpus containers, which hold every array as nested
-    JSON lists; the writers always write v2.
+    sources, Bstar and meta are plain JSON. Each reader accepts only the
+    version its writer writes.
 """
 
 import base64
@@ -45,9 +44,6 @@ logger = logging.getLogger(__name__)
 STATE_FORMAT_VERSION = "ss3m-state-v2"
 CORPUS_FORMAT_VERSION = "ss3m-corpus-v2"
 LABELS_FORMAT_VERSION = "ss3m-labels-v1"
-# the v1 layouts of the state and corpus, still read
-STATE_FORMAT_V1 = "ss3m-state-v1"
-CORPUS_FORMAT_V1 = "ss3m-corpus-v1"
 # wire dtype of a v2 array -> the dtype it is read into
 F8, I1, I4 = "<f8", "|i1", "<i4"
 _READ_AS = {F8: np.float64, I1: np.int8, I4: np.int64}
@@ -293,29 +289,19 @@ def save_state(state: ModelState, path, extra=None):
 
 
 def load_state(path):
-    """Inverse of save_state, which also reads v1 states. Returns
-    (ModelState, meta dict). A state whose arrays are malformed or
-    inconsistent (ModelState.validate) raises DataError."""
-    payload = _load_container(path, STATE_FORMAT_VERSION, STATE_FORMAT_V1)
+    """Inverse of save_state. Returns (ModelState, meta dict). A state
+    whose arrays are malformed or inconsistent (ModelState.validate)
+    raises DataError."""
+    payload = _load_container(path, STATE_FORMAT_VERSION)
     with _reading(path, "state"):
-        if payload["format_version"] == STATE_FORMAT_V1:
-            arrays = dict(
-                theta=np.array(payload["theta"], dtype=float),
-                phi=[np.array(p, dtype=float) for p in payload["phi"]],
-                z=[[_integers(zz) for zz in per_source]
-                   for per_source in payload["z"]],
-                A=_integers(payload["A"]),
-                B=np.array(payload["B"], dtype=float))
-        else:
-            arrays = dict(
-                theta=_decode(payload["theta"], F8, 2),
-                phi=[_decode(p, F8, 2) for p in payload["phi"]],
-                z=[_decode_ragged(z) for z in payload["z"]],
-                A=_decode(payload["A"], I1, 2),
-                B=_decode(payload["B"], F8, 1))
-        state = ModelState(**arrays, Bstar=float(payload["Bstar"]))
+        state = ModelState(
+            theta=_decode(payload["theta"], F8, 2),
+            phi=[_decode(p, F8, 2) for p in payload["phi"]],
+            z=[_decode_ragged(z) for z in payload["z"]],
+            A=_decode(payload["A"], I1, 2),
+            B=_decode(payload["B"], F8, 1),
+            Bstar=float(payload["Bstar"]))
         state.validate()
-    state.A = state.A.astype(np.int8)  # binary, checked by validate
     return state, payload.get("meta", {})
 
 
@@ -386,10 +372,10 @@ def _decode_ragged(field) -> Ragged:
     return Ragged(flat, lengths)
 
 
-def _load_container(path, *versions):
+def _load_container(path, version: str):
     """The JSON object in path, after checking its format_version: a
-    DataError if it is not a container, a VersionError naming the
-    accepted versions if it is another version."""
+    DataError if it is not a container, a VersionError naming version
+    if it is another version."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -397,18 +383,15 @@ def _load_container(path, *versions):
         raise DataError(f"{path}: not a valid container: {exc}")
     if not isinstance(payload, dict) or "format_version" not in payload:
         raise DataError(f"{path}: missing format_version field")
-    version = payload["format_version"]
-    if version not in versions:
+    if payload["format_version"] != version:
         raise VersionError(
-            f"{path}: format version {version!r} is not supported "
-            f"(accepted: {', '.join(map(repr, versions))})")
+            f"{path}: format version {payload['format_version']!r} is not "
+            f"supported (accepted: {version!r})")
     return payload
 
 
-def save_corpus(corpus: Corpus, patient_ids, path, source_names=None):
+def save_corpus(corpus: Corpus, patient_ids, path, source_names):
     """Preprocessed-corpus container (token IDs, shared vocab)."""
-    if source_names is None:
-        source_names = [f"source{s}" for s in range(corpus.num_sources)]
     payload = {
         "format_version": CORPUS_FORMAT_VERSION,
         "patient_ids": list(patient_ids),
@@ -420,18 +403,13 @@ def save_corpus(corpus: Corpus, patient_ids, path, source_names=None):
 
 
 def load_corpus(path):
-    """Inverse of save_corpus, which also reads v1 corpora. Returns
-    (Corpus, patient_ids, source_names); DataError if a field is
-    missing, not integer where it must be, or of the wrong length."""
-    payload = _load_container(path, CORPUS_FORMAT_VERSION, CORPUS_FORMAT_V1)
+    """Inverse of save_corpus. Returns (Corpus, patient_ids,
+    source_names); DataError if a field is missing, undecodable or of the
+    wrong length."""
+    payload = _load_container(path, CORPUS_FORMAT_VERSION)
     with _reading(path, "corpus"):
-        if payload["format_version"] == CORPUS_FORMAT_V1:
-            tokens = [[_integers(w) for w in per_source]
-                      for per_source in payload["tokens"]]
-        else:
-            tokens = [_decode_ragged(w) for w in payload["tokens"]]
         corpus = Corpus(vocab=[list(v) for v in payload["vocab"]],
-                        tokens=tokens)
+                        tokens=[_decode_ragged(w) for w in payload["tokens"]])
         ids, names = list(payload["patient_ids"]), list(payload["sources"])
         if (len(ids), len(names)) != (corpus.num_patients, corpus.num_sources):
             raise ValueError(
@@ -467,15 +445,15 @@ def load_labels(path):
     return labels, ids
 
 
-def save_corpus_jsonl(corpus: Corpus, labels, path, patient_ids=None,
-                      source_names=None):
+def save_corpus_jsonl(corpus: Corpus, labels, path):
     """Write a corpus (and Present labels, attached to each patient's first
-    record) back to the JSON-lines wire format."""
+    record) back to the JSON-lines wire format. Patient d is p{d:06d} and
+    source s is source{s}, s zero-padded to the digits of the last source,
+    so that preprocess's sorted sources keep the corpus's order."""
     D = corpus.num_patients
-    if patient_ids is None:
-        patient_ids = [f"p{d:06d}" for d in range(D)]
-    if source_names is None:
-        source_names = [f"source{s}" for s in range(corpus.num_sources)]
+    patient_ids = [f"p{d:06d}" for d in range(D)]
+    width = len(str(corpus.num_sources - 1))
+    source_names = [f"source{s:0{width}d}" for s in range(corpus.num_sources)]
     lines = []
     for d in range(D):
         present = []

@@ -418,15 +418,15 @@ def generate(hyper: Hyperparameters, vocab_sizes, doc_lengths: DocLengthSpec,
             ModelState(theta=theta, phi=phi, z=z, A=A, B=B, Bstar=Bstar))
 
 
-def labels_from_activations(state: ModelState, num_labeled: int,
-                            label_names=None) -> LabelMatrix:
-    """Derive a Present/Unknown label matrix from ground-truth activations
-    on the first num_labeled phenotype columns."""
+def labels_from_activations(state: ModelState,
+                            num_labeled: int) -> LabelMatrix:
+    """Derive a Present/Unknown label matrix, labels label_0, label_1, ...,
+    from ground-truth activations on the first num_labeled phenotype
+    columns."""
     A = state.A[:, :num_labeled]
     entries = np.where(A == 1, LABEL_PRESENT, LABEL_UNKNOWN).astype(np.int8)
-    if label_names is None:
-        label_names = [f"label_{p}" for p in range(num_labeled)]
-    return LabelMatrix(entries=entries, label_names=list(label_names))
+    return LabelMatrix(entries=entries,
+                       label_names=[f"label_{p}" for p in range(num_labeled)])
 
 
 def log_gamma_pdf(x: float, shape: float, scale: float) -> float:

@@ -82,35 +82,6 @@ def cell_log_odds(d, p, state, counts, hyper):
     return odds
 
 
-def state_payload_v1(state, meta=None):
-    """The v1 state container of state, as the v1 writer laid it out:
-    every array as nested JSON lists."""
-    payload = {
-        "format_version": "ss3m-state-v1",
-        "theta": state.theta.tolist(),
-        "phi": [p.tolist() for p in state.phi],
-        "z": [[zz.tolist() for zz in per_source] for per_source in state.z],
-        "A": state.A.tolist(),
-        "B": state.B.tolist(),
-        "Bstar": float(state.Bstar),
-    }
-    if meta:
-        payload["meta"] = meta
-    return payload
-
-
-def corpus_payload_v1(corpus, patient_ids, source_names):
-    """The v1 corpus container, as the v1 writer laid it out."""
-    return {
-        "format_version": "ss3m-corpus-v1",
-        "patient_ids": list(patient_ids),
-        "sources": list(source_names),
-        "vocab": [list(v) for v in corpus.vocab],
-        "tokens": [[w.tolist() for w in per_source]
-                   for per_source in corpus.tokens],
-    }
-
-
 # the keys of the v2 state and corpus containers that hold arrays
 _V2_ARRAY_KEYS = ("theta", "phi", "z", "A", "B", "tokens")
 
@@ -132,7 +103,7 @@ def v2_field(values, dtype, shape=None):
 
 def _as_lists(field):
     """A v2 array field, a {"flat", "lengths"} pair or a list of them, as
-    the nested lists v1 holds (a pair as one list per patient)."""
+    nested lists (a pair as one list per patient)."""
     if isinstance(field, list):
         return [_as_lists(f) for f in field]
     if "flat" in field:
@@ -173,10 +144,10 @@ def _encoded_as(lists, like):
 
 
 def corrupt_v2(payload, corrupt):
-    """Applies corrupt, an edit written for a v1 container payload, to the
-    v2 payload in place: its array fields are decoded to v1's nested
-    lists, corrupt edits the payload, and each array field still there is
-    encoded again (_encoded_as)."""
+    """Applies corrupt, an edit written for a payload whose arrays are
+    nested lists, to the v2 payload in place: its array fields are
+    decoded to nested lists, corrupt edits the payload, and each array
+    field still there is encoded again (_encoded_as)."""
     fields = {key: payload[key] for key in _V2_ARRAY_KEYS if key in payload}
     for key, field in fields.items():
         payload[key] = _as_lists(field)

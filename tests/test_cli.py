@@ -4,10 +4,11 @@ import os
 
 import pytest
 
-from conftest import corrupt_v2, state_payload_v1, v2_array
+from conftest import corrupt_v2, random_tiny_state, v2_array
 from ss3m import data_io, evaluation, model
 from ss3m.cli import hyper_from_config, main
 from ss3m.config import RunConfig
+from ss3m.errors import VersionError
 from ss3m.util import substream
 
 REPO_TOY_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -178,19 +179,17 @@ class TestSourceNames:
 
     def test_many_generated_sources_keep_names_on_columns(self, tmp_path,
                                                           toy_config):
-        # with 11 sources, "source10" sorts before "source2"; generate
-        # writes source s's words as s{s}_w..., so each name must sit on
-        # the column of its own words
+        # with 11 sources the names are zero-padded, so preprocess's sort
+        # keeps generation order; generate writes source s's words as
+        # s{s}_w..., so column s must hold them
         gen = str(tmp_path / "gen")
         assert run("--config", toy_config, "--seed", "3", "--out", gen,
                    "--generate.num_sources", "11", "generate") == 0
         _, corpus, names = self._preprocess(
             tmp_path, toy_config, os.path.join(gen, "corpus.jsonl"))
-        assert sorted(names) == sorted(f"source{s}" for s in range(11))
-        assert names[2] == "source10"
-        for name, voc in zip(names, corpus.vocab):
-            prefix = f"s{name[len('source'):]}_"
-            assert voc and all(word.startswith(prefix) for word in voc)
+        assert names == [f"source{s:02d}" for s in range(11)]
+        for s, voc in enumerate(corpus.vocab):
+            assert voc and all(word.startswith(f"s{s}_") for word in voc)
 
 
 class TestDeterminism:
@@ -406,36 +405,35 @@ class TestErrorPaths:
                    "--corpus", os.path.join(prep, "corpus_train.json")) == 2
         assert "malformed state" in capsys.readouterr().err
 
-    def test_corrupt_v1_state_is_data_error(self, tmp_path, toy_config,
-                                            capsys):
-        # the four corruptions above, in a v1 copy of the trained state
-        prep, states = self._trained(tmp_path, toy_config)
-        state, meta = data_io.load_state(
-            os.path.join(states, "ss3m_fixA0_fixB.state.json"))
-        path = str(tmp_path / "v1.state.json")
-        for corrupt, message in [
-                (lambda pl: pl["phi"][0].pop(), "malformed state"),
-                (lambda pl: pl["B"].__setitem__(0, float("nan")),
-                 "malformed state"),
-                (lambda pl: pl["A"][0].__setitem__(0, 300),
-                 "malformed state"),
-                (lambda pl: next(z for z in pl["z"][0] if z).__setitem__(
-                    0, 99), "z of source 0 outside")]:
-            payload = state_payload_v1(state, meta)
-            corrupt(payload)
-            with open(path, "w") as fh:
-                json.dump(payload, fh)
+    def test_v1_containers_are_version_errors(self, tmp_path, toy_config,
+                                              rng, capsys):
+        # genuine v1 files: every array as nested JSON lists
+        v1_state = tmp_path / "v1.state.json"
+        v1_state.write_text(json.dumps({
+            "format_version": "ss3m-state-v1", "theta": [[1.0]],
+            "phi": [[[1.0]]], "z": [[[0]]], "A": [[1]], "B": [1.0],
+            "Bstar": 1.0}))
+        v1_corpus = tmp_path / "v1.corpus.json"
+        v1_corpus.write_text(json.dumps({
+            "format_version": "ss3m-corpus-v1", "patient_ids": ["p0"],
+            "sources": ["s0"], "vocab": [["a"]], "tokens": [[[0]]]}))
+        v2_state = tmp_path / "v2.state.json"
+        data_io.save_state(random_tiny_state(rng, D=1, P=1, V=1)[0],
+                           v2_state)
+        for load, path, accepted in [
+                (data_io.load_state, v1_state, "'ss3m-state-v2'"),
+                (data_io.load_corpus, v1_corpus, "'ss3m-corpus-v2'")]:
+            with pytest.raises(VersionError) as exc:
+                load(path)
+            assert str(exc.value).endswith(f"(accepted: {accepted})")
+        for state, corpus, accepted in [
+                (v1_state, v1_corpus, "'ss3m-state-v2'"),
+                (v2_state, v1_corpus, "'ss3m-corpus-v2'")]:
             capsys.readouterr()
             assert run("--config", toy_config, "--out", str(tmp_path / "o"),
-                       "--force", "summarize", "--state", path, "--corpus",
-                       os.path.join(prep, "corpus_train.json")) == 2
-            assert message in capsys.readouterr().err
-        # and the uncorrupted v1 copy is read
-        with open(path, "w") as fh:
-            json.dump(state_payload_v1(state, meta), fh)
-        assert run("--config", toy_config, "--out", str(tmp_path / "o"),
-                   "--force", "summarize", "--state", path, "--corpus",
-                   os.path.join(prep, "corpus_train.json")) == 0
+                       "--force", "summarize", "--state", str(state),
+                       "--corpus", str(corpus)) == 2
+            assert f"(accepted: {accepted})" in capsys.readouterr().err
 
     def test_undecodable_v2_corpus_is_data_error(self, tmp_path, toy_config,
                                                  capsys):

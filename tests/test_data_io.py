@@ -35,11 +35,9 @@ from ss3m.model import (
 from ss3m.util import PROB_FLOOR
 from conftest import (
     corpora,
-    corpus_payload_v1,
     corrupt_v2,
     make_hyper,
     random_tiny_state,
-    state_payload_v1,
     v2_array,
     v2_field,
 )
@@ -282,8 +280,8 @@ class TestSplit:
             split(corpus, labels, 0.01, seed=0)
 
 
-# edits of a v1 state payload (nested lists); corrupt_v2 applies each to a
-# v2 payload
+# edits of a state payload whose arrays are nested lists; corrupt_v2
+# applies each to a v2 payload
 STATE_CORRUPTIONS = [
     lambda pl: pl["phi"][0].pop(),                   # P-1 rows of phi
     lambda pl: pl["B"].append(1.0),                  # P+1 pseudo-counts
@@ -335,16 +333,6 @@ class TestStateRoundTrip:
         with pytest.raises(DataError, match="malformed state"):
             load_state(path)
 
-    @pytest.mark.parametrize("corrupt", STATE_CORRUPTIONS)
-    def test_malformed_v1_state_is_data_error(self, tmp_path, rng, corrupt):
-        state, _ = random_tiny_state(rng, D=3, P=2)
-        payload = state_payload_v1(state)
-        corrupt(payload)
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="malformed state"):
-            load_state(path)
-
     @staticmethod
     def _set_first_assignment(payload, value):
         next(z for z in payload["z"][0] if z)[0] = value
@@ -362,17 +350,6 @@ class TestStateRoundTrip:
         with pytest.raises(DataError, match=r"z of source 0 outside \[0, 2\)"):
             load_state(path)
 
-    @pytest.mark.parametrize("value", [99, 2, -1])
-    def test_out_of_range_v1_assignment_is_data_error(self, tmp_path, rng,
-                                                      value):
-        state, _ = random_tiny_state(rng, D=4, P=2, max_tokens=3)
-        payload = state_payload_v1(state)
-        self._set_first_assignment(payload, value)
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match=r"z of source 0 outside \[0, 2\)"):
-            load_state(path)
-
     def test_future_version_names_both(self, tmp_path, rng):
         state, _ = random_tiny_state(rng)
         path = tmp_path / "state.json"
@@ -383,7 +360,7 @@ class TestStateRoundTrip:
         with pytest.raises(VersionError, match="ss3m-state-v99") as exc:
             load_state(path)
         assert "ss3m-state-v2" in str(exc.value)
-        assert "ss3m-state-v1" in str(exc.value)
+        assert "ss3m-state-v1" not in str(exc.value)
 
 
 class TestContainers:
@@ -394,7 +371,7 @@ class TestContainers:
         labels = labels_from_activations(truth, 2)
         pids = [f"p{d}" for d in range(7)]
         cpath, lpath = tmp_path / "c.json", tmp_path / "l.json"
-        data_io.save_corpus(corpus, pids, cpath)
+        data_io.save_corpus(corpus, pids, cpath, ["s0", "s1"])
         data_io.save_labels(labels, pids, lpath)
         corpus2, pids2, _ = data_io.load_corpus(cpath)
         labels2, pids3 = data_io.load_labels(lpath)
@@ -426,12 +403,14 @@ class TestContainers:
 class TestMalformedContainers:
     """A corpus or labels container whose fields are missing, of the
     wrong type or of the wrong length is a DataError (CLI exit 2). The
-    corpus here is a v1 container, whose token lists can hold any JSON."""
+    corpus edits are made on nested lists, which corrupt_v2 encodes as
+    v2 fields again."""
 
-    def _corpus_payload(self):
-        return {"format_version": data_io.CORPUS_FORMAT_V1,
-                "patient_ids": ["p0"], "sources": ["s0"],
-                "vocab": [["a", "b"]], "tokens": [[[0, 1]]]}
+    def _corpus_payload(self, tmp_path):
+        path = tmp_path / "written.json"
+        data_io.save_corpus(Corpus(vocab=[["a", "b"]], tokens=[[[0, 1]]]),
+                            ["p0"], path, ["s0"])
+        return json.loads(path.read_text())
 
     def _labels_payload(self):
         return {"format_version": data_io.LABELS_FORMAT_VERSION,
@@ -445,7 +424,7 @@ class TestMalformedContainers:
 
     def test_well_formed_containers_load(self, tmp_path):
         corpus, pids, sources = data_io.load_corpus(
-            self._write(tmp_path, self._corpus_payload()))
+            self._write(tmp_path, self._corpus_payload(tmp_path)))
         assert pids == ["p0"] and sources == ["s0"]
         assert corpus.tokens[0][0].tolist() == [0, 1]
         labels, pids = data_io.load_labels(
@@ -461,8 +440,8 @@ class TestMalformedContainers:
         lambda pl: pl["tokens"][0].__setitem__(0, [[0, 1]]),  # nested tokens
     ])
     def test_malformed_corpus_is_data_error(self, tmp_path, corrupt):
-        payload = self._corpus_payload()
-        corrupt(payload)
+        payload = self._corpus_payload(tmp_path)
+        corrupt_v2(payload, corrupt)
         with pytest.raises(DataError, match="malformed corpus"):
             data_io.load_corpus(self._write(tmp_path, payload))
 
@@ -546,8 +525,8 @@ def assert_same_corpus(loaded, corpus):
 
 
 class TestV2Containers:
-    """The v2 state and corpus containers: bitwise round trips, v1 files
-    still read, and every undecodable field a DataError."""
+    """The v2 state and corpus containers: bitwise round trips, and every
+    undecodable field a DataError."""
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
@@ -570,7 +549,8 @@ class TestV2Containers:
     def test_writers_write_v2(self, tmp_path, rng):
         state, corpus = random_tiny_state(rng, D=3, P=2, S=2, V=4)
         save_state(state, tmp_path / "state.json")
-        data_io.save_corpus(corpus, ["a", "b", "c"], tmp_path / "corpus.json")
+        data_io.save_corpus(corpus, ["a", "b", "c"], tmp_path / "corpus.json",
+                            ["x", "y"])
         state_payload = json.loads((tmp_path / "state.json").read_text())
         corpus_payload = json.loads((tmp_path / "corpus.json").read_text())
         assert state_payload["format_version"] == "ss3m-state-v2"
@@ -579,22 +559,6 @@ class TestV2Containers:
         assert same_bits(v2_array(state_payload["theta"]), state.theta)
         assert v2_array(corpus_payload["tokens"][1]["lengths"]).tolist() == \
             [w.size for w in corpus.tokens[1]]
-
-    def test_v1_files_load_to_identical_arrays(self, tmp_path, rng):
-        state, corpus = random_tiny_state(rng, D=4, P=3, S=2, V=5)
-        state.theta[0, :2] = [-0.0, PROB_FLOOR]
-        state.theta[0, 2] = 1.0 - PROB_FLOOR
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps(state_payload_v1(state, {"seed": 1})))
-        loaded, meta = load_state(path)
-        assert_same_state(loaded, state)
-        assert meta == {"seed": 1}
-        ids, names = ["a", "b", "c", "d"], ["x", "y"]
-        path = tmp_path / "corpus.json"
-        path.write_text(json.dumps(corpus_payload_v1(corpus, ids, names)))
-        corpus2, ids2, names2 = data_io.load_corpus(path)
-        assert_same_corpus(corpus2, corpus)
-        assert (ids2, names2) == (ids, names)
 
     @staticmethod
     def _negative_length(ragged):
@@ -670,7 +634,7 @@ class TestV2Containers:
         corpus = Corpus(vocab=[["a", "b"], ["c"]],
                         tokens=[[[0, 1], [0]], [[0], []]])
         path = tmp_path / "corpus.json"
-        data_io.save_corpus(corpus, ["p0", "p1"], path)
+        data_io.save_corpus(corpus, ["p0", "p1"], path, ["x", "y"])
         payload = json.loads(path.read_text())
         corrupt(payload)
         path.write_text(json.dumps(payload))
@@ -683,4 +647,4 @@ class TestV2Containers:
         path.write_text(json.dumps({"format_version": "ss3m-corpus-v3"}))
         with pytest.raises(VersionError, match="ss3m-corpus-v3") as exc:
             data_io.load_corpus(path)
-        assert "'ss3m-corpus-v2', 'ss3m-corpus-v1'" in str(exc.value)
+        assert str(exc.value).endswith("(accepted: 'ss3m-corpus-v2')")

@@ -19,8 +19,13 @@ holding the trained states) and summarize:
     ss3m_fixA0_fixB and mc3m.
 
 It prints one `sha256  relative/path` line per output file, sorted by
-path. On each pipeline corpus it then repeats evaluate's arithmetic
-in-process and prints one `sha256  evaluation/...` line per result:
+path, then one `sha256  reload/relative/path` line per container among
+them (states, preprocessed corpora, label matrices), hashing what
+load_state, load_corpus or load_labels reads back: every array with its
+dtype and shape, and the ids, names, vocabularies and meta. A change to a
+reader shows there even where the written bytes stay the same. On each
+pipeline corpus it then repeats evaluate's arithmetic in-process and
+prints one `sha256  evaluation/...` line per result:
 heldout_infer's scores and theta_mean for each trained state, and
 lr_train's weights on the mc3m theta and on the raw token counts.
 metrics.csv's AUROC is rank-based and does not show a change of these
@@ -59,6 +64,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import io
+import json
 import shutil
 import sys
 import tempfile
@@ -238,6 +244,36 @@ def evaluation_lines(work: Path, config: Path, solver_seed: int):
     yield f"{array_digest(weights)}  evaluation/{work.name}/lr-raw"
 
 
+def reload_digest(arrays, strings) -> str:
+    """sha256 over array_digest(*arrays) and the JSON text of strings."""
+    text = array_digest(*arrays) + json.dumps(strings, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def reload_lines(root: Path):
+    """`sha256  reload/...` lines, one per container under root, sorted
+    by path: what the container's reader returns for it."""
+    from ss3m import data_io
+
+    for path in sorted(root.rglob("*.json")):
+        if path.name.endswith("state.json"):
+            state, meta = data_io.load_state(path)
+            digest = reload_digest(
+                [*state_arrays(state), *(z.offsets for z in state.z)], meta)
+        elif path.name.startswith("corpus_"):
+            corpus, ids, names = data_io.load_corpus(path)
+            digest = reload_digest(
+                [a for w in corpus.tokens for a in (w.flat, w.offsets)],
+                [corpus.vocab, ids, names])
+        elif path.name.startswith("labels_"):
+            labels, ids = data_io.load_labels(path)
+            digest = reload_digest([labels.entries],
+                                   [labels.label_names, ids])
+        else:
+            continue
+        yield f"{digest}  reload/{path.relative_to(root).as_posix()}"
+
+
 def digest_lines(root: Path):
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         yield (f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
@@ -271,6 +307,8 @@ def main(argv=None):
             run_pipeline(cli, pipeline_cfg, outputs / f"pipeline-{seed}",
                          seed, SOLVER_SEED)
         for line in digest_lines(outputs):
+            print(line)
+        for line in reload_lines(outputs):
             print(line)
         for seed in PIPELINE_SEEDS:
             for line in evaluation_lines(outputs / f"pipeline-{seed}",
