@@ -32,13 +32,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def non_negative_int(text) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def build_parser():
     parser = _Parser(
         prog="ss3m",
         description="Semi-supervised mixed membership modeling of "
                     "multi-source count data")
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=non_negative_int, default=0)
     parser.add_argument("--force", action="store_true",
                         help="overwrite a non-empty output directory")
     parser.add_argument("--out", default="out", help="output directory")
@@ -120,13 +126,10 @@ def hyper_from_config(cfg: RunConfig, num_sources: int) -> model.Hyperparameters
 
 
 def preprocess_config_from(cfg: RunConfig) -> data_io.PreprocessConfig:
-    stopwords = frozenset()
     path = cfg.get("preprocess.stopword_file")
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            stopwords = frozenset(line.strip() for line in fh if line.strip())
+    lines = data_io.text_lines(path) if path else ()
     return data_io.PreprocessConfig(
-        stopwords=stopwords,
+        stopwords=frozenset(line.strip() for line in lines if line.strip()),
         min_count=cfg.get("preprocess.min_count"),
         max_doc_fraction=cfg.get("preprocess.max_doc_fraction"),
     )

@@ -2,8 +2,8 @@
 
 Config files hold one `key = value` pair per line (# comments allowed).
 Every key can be overridden on the command line with a flag of the same
-dotted name. Unknown keys are rejected, and keys marked required have no
-silent defaults.
+dotted name. A value is parsed when it is set; unknown keys are
+rejected, and keys marked required have no silent defaults.
 """
 
 import hashlib
@@ -67,55 +67,53 @@ SCHEMA = {
 
 
 class RunConfig:
-    def __init__(self, values=None):
-        self._values = dict(values or {})
+    def __init__(self):
+        self._values = {}
 
     @classmethod
     def from_file(cls, path):
         values = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                if "=" not in text:
-                    raise ConfigError(
-                        f"{path}:{lineno}: expected 'key = value'")
-                key, raw = (part.strip() for part in text.split("=", 1))
-                values[key] = raw
-        cfg = cls(values)
-        cfg.validate_keys()
-        return cfg
-
-    def validate_keys(self):
-        unknown = set(self._values) - set(SCHEMA)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    text = line.split("#", 1)[0].strip()
+                    if not text:
+                        continue
+                    if "=" not in text:
+                        raise ConfigError(
+                            f"{path}:{lineno}: expected 'key = value'")
+                    key, raw = (part.strip() for part in text.split("=", 1))
+                    values[key] = raw
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+        unknown = set(values) - set(SCHEMA)
         if unknown:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
+        cfg = cls()
+        for key, raw in values.items():
+            cfg.override(key, raw)
+        return cfg
 
     def override(self, key, raw_value):
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key: {key}")
-        self._values[key] = raw_value
+        try:
+            self._values[key] = SCHEMA[key][0](raw_value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {key}: {raw_value!r} ({exc})")
 
     def get(self, key):
-        parser, default = SCHEMA[key]
-        if key in self._values:
-            raw = self._values[key]
-            try:
-                return parser(raw)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {key}: {raw!r} ({exc})")
-        if default is REQUIRED:
+        value = self._values.get(key, SCHEMA[key][1])
+        if value is REQUIRED:
             raise ConfigError(f"config key {key} is required and has no default")
-        return default
+        return value
 
     def resolved_text(self):
-        """Canonical key-sorted echo of every resolvable key."""
+        """Canonical key-sorted echo of every key with a value."""
         lines = []
         for key in sorted(SCHEMA):
-            parser, default = SCHEMA[key]
-            if key in self._values or default is not REQUIRED:
-                value = self.get(key)
+            value = self._values.get(key, SCHEMA[key][1])
+            if value is not REQUIRED:
                 if isinstance(value, tuple):
                     value = ",".join(str(v) for v in value)
                 lines.append(f"{key} = {value}")

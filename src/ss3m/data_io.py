@@ -96,35 +96,43 @@ def _strings(obj: dict, key: str, path, lineno: int) -> list:
     return values
 
 
+def text_lines(path):
+    """The lines of the file at path as UTF-8 text; DataError if not."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def load_raw(path) -> list:
     """Parse a JSON-lines corpus file into RawRecords, in file order."""
     records = []
     unknown_fields = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: malformed JSON on line {lineno}: {exc}")
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}: line {lineno} is not a JSON object")
-            missing = {"patient_id", "source", "tokens"} - obj.keys()
-            if missing:
-                raise DataError(
-                    f"{path}: line {lineno} missing fields {sorted(missing)}")
-            unknown_fields += len(obj.keys() - _RECORD_FIELDS)
-            pid = obj["patient_id"]
-            if not isinstance(pid, str) or not pid:
-                raise DataError(f"{path}: line {lineno}: empty patient_id")
-            records.append(RawRecord(
-                patient_id=pid,
-                source=str(obj["source"]),
-                tokens=_strings(obj, "tokens", path, lineno),
-                labels=_strings(obj, "labels", path, lineno),
-            ))
+    for lineno, line in enumerate(text_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: malformed JSON on line {lineno}: {exc}")
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}: line {lineno} is not a JSON object")
+        missing = {"patient_id", "source", "tokens"} - obj.keys()
+        if missing:
+            raise DataError(
+                f"{path}: line {lineno} missing fields {sorted(missing)}")
+        unknown_fields += len(obj.keys() - _RECORD_FIELDS)
+        pid = obj["patient_id"]
+        if not isinstance(pid, str) or not pid:
+            raise DataError(f"{path}: line {lineno}: empty patient_id")
+        records.append(RawRecord(
+            patient_id=pid,
+            source=str(obj["source"]),
+            tokens=_strings(obj, "tokens", path, lineno),
+            labels=_strings(obj, "labels", path, lineno),
+        ))
     if unknown_fields:
         logger.warning("%s: ignored %d unknown field(s)", path, unknown_fields)
     return records

@@ -98,7 +98,7 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
     clamp = np.tile(np.where(trained.B == trained.Bstar, 1, -1).astype(np.int8),
                     (D, 1))
     a_sum, theta_sum = np.zeros((D, P)), np.zeros((D, P))
-    with gibbs.ZPlan.of(test_corpus, P) as plan:
+    with gibbs.ZPlan(test_corpus, P) as plan:
         state = ModelState(
             theta=np.empty((D, P)), phi=trained.phi,
             z=gibbs.initial_z(test_corpus, P, rng),
@@ -110,8 +110,7 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
         gibbs.draw_theta(state, gibbs.phenotype_counts(state, test_corpus),
                          rng)
         for it in range(burn_in + samples):
-            gibbs.local_step(state, test_corpus, plan, clamp, hyper.alpha,
-                             rng)
+            gibbs.local_step(state, plan, clamp, hyper.alpha, rng)
             if it >= burn_in:
                 a_sum += state.A
                 theta_sum += state.theta

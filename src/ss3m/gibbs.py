@@ -43,10 +43,10 @@ theta draw, and the sweep counts each source's tokens once for the phi
 draw and hands both to the log joint.
 
 The z pass works on distinct (patient, word) pairs, and the tokens do
-not change along a chain, so each chain plans it once (ZPlan, built next
-to the chain's clamp matrix): each source's tokens sorted by pair, with
-the pair starts and heads, and one scratch pair of at most Z_CHUNK x P
-floats that every block of every sweep reuses. A block gathers its theta
+not change along a chain, so each chain plans it once (ZPlan, which also
+hands the kernels the chain's corpus): each source's tokens sorted by
+pair, with the pair starts and heads, and one scratch pair of at most
+Z_CHUNK x P floats that every block of every sweep reuses. A block gathers its theta
 and phi rows into the scratch, multiplies them in place, and turns the
 products into running sums by P - 1 in-place column adds: a row cumsum's
 additions in its order, so the same floats, without a fresh (block x P)
@@ -125,6 +125,8 @@ class TrainOptions:
                 f"unknown missing_label_mode {self.missing_label_mode!r}")
         if self.b_mode not in (B_FIXED, B_SAMPLED):
             raise ConfigError(f"unknown b_mode {self.b_mode!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -163,32 +165,33 @@ def _usable_cpus() -> int:
 
 
 class ZPlan:
-    """What the z pass needs that stays fixed along a chain, built once
-    per chain and reused by every sweep: each source's pair index (pairs,
-    one _Pairs per source) and one float64 scratch pair of min(Z_CHUNK,
-    most pairs of a source) x P, shared by the sources. With two or more
-    usable CPUs and a source of more than Z_CHUNK tokens, also a helper
-    thread (helper, a single-worker executor; None otherwise) and its own
-    scratch of the same shape (helper_scratch; scratch itself without a
-    helper, when submit runs the helper's work inline). A plan is a
-    context manager; close(), or leaving its with block, shuts the helper
-    down.
+    """A chain's corpus (corpus) and what its z pass needs that stays
+    fixed along the chain, built once per chain and reused by every
+    sweep: each source's pair index (pairs, one _Pairs per source) and one
+    float64 scratch pair of min(Z_CHUNK, most pairs of a source) x P,
+    shared by the sources. With two or more usable CPUs and a source of
+    more than Z_CHUNK tokens, also a helper thread (helper, a
+    single-worker executor; None otherwise) and its own scratch of the
+    same shape (helper_scratch; scratch itself without a helper, when
+    submit runs the helper's work inline). A plan is a context manager;
+    close(), or leaving its with block, shuts the helper down.
 
-    sources holds one (w_flat, doc_idx, V) per source: its token IDs end
-    to end, the patient of each and its vocabulary size. The token IDs
-    must lie in [0, V) and the patients in [0, num_patients)
-    (DimensionError, raised by the constructor): the z pass gathers rows
-    at these indices without checking them again. The constructor then
-    hands the pair sort to the helper, so that the caller can draw the
-    chain's starting state meanwhile; pairs, and the scratch sized by
-    them, wait for it.
+    The constructor checks that each source's token IDs and patients
+    (Ragged.flat and .doc_idx) are 1-D arrays of one length and that the
+    token IDs lie in [0, V) for the source's vocabulary size V
+    (DimensionError): the z pass gathers rows at these indices without
+    checking them again, and a caller may have written into the token
+    arrays after building the corpus. It then hands the pair sort to the
+    helper, so that the caller can draw the chain's starting state
+    meanwhile; pairs, and the scratch sized by them, wait for it.
     """
 
-    def __init__(self, sources, num_patients: int, num_phenotypes: int):
-        self.shape = (num_patients, num_phenotypes)
+    def __init__(self, corpus: Corpus, num_phenotypes: int):
+        self.corpus = corpus
+        self.shape = (corpus.num_patients, num_phenotypes)
         self.chunk = Z_CHUNK
-        sources = [self._checked(np.asarray(w_flat), np.asarray(doc_idx), V, s)
-                   for s, (w_flat, doc_idx, V) in enumerate(sources)]
+        sources = [self._checked(w, len(voc), s) for s, (w, voc)
+                   in enumerate(zip(corpus.tokens, corpus.vocab))]
         self.helper = None
         if (_usable_cpus() > 1
                 and any(w_flat.size > self.chunk for w_flat, _, _ in sources)):
@@ -235,22 +238,13 @@ class ZPlan:
     def __exit__(self, *exc_info):
         self.close()
 
-    @classmethod
-    def of(cls, corpus: Corpus, num_phenotypes: int) -> "ZPlan":
-        """The plan for every source of corpus."""
-        return cls([(w.flat, w.doc_idx, len(voc))
-                    for w, voc in zip(corpus.tokens, corpus.vocab)],
-                   corpus.num_patients, num_phenotypes)
-
-    def _checked(self, w_flat, doc_idx, V: int, s: int):
-        D, N = self.shape[0], w_flat.size
-        if w_flat.shape != (N,) or doc_idx.shape != (N,):
+    def _checked(self, w, V: int, s: int):
+        w_flat, doc_idx = w.flat, w.doc_idx
+        if w_flat.shape != (w_flat.size,) or doc_idx.shape != w_flat.shape:
             raise DimensionError(f"source {s}: token IDs and patients must "
                                  "be 1-D arrays of one length")
-        if N and not (0 <= w_flat.min() and w_flat.max() < V
-                      and 0 <= doc_idx.min() and doc_idx.max() < D):
-            raise DimensionError(f"source {s}: token ID outside [0, {V}) or "
-                                 f"patient outside [0, {D})")
+        if w_flat.size and not (0 <= w_flat.min() and w_flat.max() < V):
+            raise DimensionError(f"source {s}: token ID outside [0, {V})")
         return w_flat, doc_idx, V
 
     def _pair_index(self, w_flat, doc_idx, V: int) -> _Pairs:
@@ -561,16 +555,18 @@ def draw_pseudocounts(state: ModelState, counts: np.ndarray,
     state.Bstar = float(max(np.exp(log_bstar), PROB_FLOOR))
 
 
-def local_step(state: ModelState, corpus: Corpus, plan: ZPlan,
-               clamp: np.ndarray, alpha: float, rng: np.random.Generator,
+def local_step(state: ModelState, plan: ZPlan, clamp: np.ndarray,
+               alpha: float, rng: np.random.Generator,
                b_prior: Hyperparameters = None):
-    """The patient-local conditionals, in place: z given theta and phi
-    (_sample_z_batch on the chain's plan for corpus), then A given z with
-    theta integrated out (activation_scan under `clamp`), then, when the
-    chain samples B and passes b_prior (the Hyperparameters holding their
-    Gamma priors), B and Bstar given z and A (draw_pseudocounts), then
-    theta given A and z. The scan, the B step and the theta draw read the
-    same phenotype counts, summed from the new z, which are returned."""
+    """The patient-local conditionals of the chain's state on the plan's
+    corpus, in place: z given theta and phi (_sample_z_batch on the
+    plan), then A given z with theta integrated out (activation_scan
+    under `clamp`), then, when the chain samples B and passes b_prior (the
+    Hyperparameters holding their Gamma priors), B and Bstar given z and A
+    (draw_pseudocounts), then theta given A and z. The scan, the B step
+    and the theta draw read the same phenotype counts, summed from the new
+    z, which are returned."""
+    corpus = plan.corpus
     for s, w in enumerate(corpus.tokens):
         state.z[s] = w.like(_sample_z_batch(state.theta, state.phi[s], plan,
                                             s, rng))
@@ -582,13 +578,15 @@ def local_step(state: ModelState, corpus: Corpus, plan: ZPlan,
     return counts
 
 
-def sweep(state: ModelState, corpus: Corpus, plan: ZPlan, clamp: np.ndarray,
-          b_mode: str, hyper: Hyperparameters, rng: np.random.Generator):
-    """One full Gibbs pass, in place: the local step over z, A, (with
-    b_mode "sampled") B and Bstar, and theta, then phi. Returns
-    model.collapsed_log_joint of the new state, computed from the counts
-    of the new z on the plan's helper thread while phi is drawn."""
-    n = local_step(state, corpus, plan, clamp, hyper.alpha, rng,
+def sweep(state: ModelState, plan: ZPlan, clamp: np.ndarray, b_mode: str,
+          hyper: Hyperparameters, rng: np.random.Generator):
+    """One full Gibbs pass of the state on the plan's corpus, in place:
+    the local step over z, A, (with b_mode "sampled") B and Bstar, and
+    theta, then phi. Returns model.collapsed_log_joint of the new state,
+    computed from the counts of the new z on the plan's helper thread
+    while phi is drawn."""
+    corpus = plan.corpus
+    n = local_step(state, plan, clamp, hyper.alpha, rng,
                    hyper if b_mode == B_SAMPLED else None)
     m = [token_counts(state, corpus, s) for s in range(corpus.num_sources)]
     log_joint = plan.submit(collapsed_log_joint, state, corpus, hyper, (n, m))
@@ -616,8 +614,8 @@ def initialize_state(corpus: Corpus, clamp: np.ndarray,
     return state
 
 
-def _run_chain(state: ModelState, corpus: Corpus, plan: ZPlan,
-               clamp: np.ndarray, b_mode: str, hyper: Hyperparameters,
+def _run_chain(state: ModelState, plan: ZPlan, clamp: np.ndarray,
+               b_mode: str, hyper: Hyperparameters,
                rng: np.random.Generator) -> TrainTrace:
     """Run hyper.iterations sweeps from state on the chain's z plan,
     tracing the collapsed log joint each sweep returns and keeping a deep
@@ -626,10 +624,11 @@ def _run_chain(state: ModelState, corpus: Corpus, plan: ZPlan,
     thread during the first sweep. An interrupt returns the partial
     trace."""
     trace = TrainTrace(best_state=state.copy(), best_iteration=0)
-    start = plan.submit(collapsed_log_joint, trace.best_state, corpus, hyper)
+    start = plan.submit(collapsed_log_joint, trace.best_state, plan.corpus,
+                        hyper)
     try:
         for it in range(1, hyper.iterations + 1):
-            ll = sweep(state, corpus, plan, clamp, b_mode, hyper, rng)
+            ll = sweep(state, plan, clamp, b_mode, hyper, rng)
             if it == 1:
                 best_ll = start.result()
                 trace.log_likelihoods.append(best_ll)
@@ -657,10 +656,9 @@ def train(corpus: Corpus, labels: LabelMatrix, hyper: Hyperparameters,
     rng = substream(options.seed, "gibbs.train")
     clamp = clamp_matrix(labels, options, corpus.num_patients,
                          hyper.num_phenotypes)
-    with ZPlan.of(corpus, hyper.num_phenotypes) as plan:
+    with ZPlan(corpus, hyper.num_phenotypes) as plan:
         state = initialize_state(corpus, clamp, hyper, rng)
-        return _run_chain(state, corpus, plan, clamp, options.b_mode, hyper,
-                          rng)
+        return _run_chain(state, plan, clamp, options.b_mode, hyper, rng)
 
 
 def train_unstructured(corpus: Corpus, hyper: Hyperparameters,
@@ -675,12 +673,12 @@ def train_unstructured(corpus: Corpus, hyper: Hyperparameters,
         raise ConfigError("concentration must be positive and finite")
     rng = substream(seed, "gibbs.train")
     D, P, c = corpus.num_patients, hyper.num_phenotypes, float(concentration)
-    with ZPlan.of(corpus, P) as plan:
+    with ZPlan(corpus, P) as plan:
         state = ModelState(
             theta=np.empty((D, P)), phi=[None] * corpus.num_sources,
             z=initial_z(corpus, P, rng), A=np.ones((D, P), dtype=np.int8),
             B=np.full(P, c), Bstar=c)
         draw_theta(state, phenotype_counts(state, corpus), rng)
         draw_phi(state, corpus, hyper, rng)
-        return _run_chain(state, corpus, plan, np.ones((D, P), dtype=np.int8),
+        return _run_chain(state, plan, np.ones((D, P), dtype=np.int8),
                           B_FIXED, hyper, rng)

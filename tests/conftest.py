@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from ss3m import gibbs
 from ss3m.gibbs import ZPlan, activation_scan
-from ss3m.model import Corpus, Hyperparameters, ModelState
+from ss3m.model import Corpus, Hyperparameters, ModelState, Ragged
 from ss3m.util import sample_dirichlet
 
 
@@ -36,10 +36,27 @@ def random_tiny_state(rng, D=2, P=2, S=1, V=3, max_tokens=3,
     return state, corpus
 
 
+def flat_corpus(sources, D):
+    """A corpus of D patients from one (w_flat, doc_idx, V) per source:
+    the token IDs end to end, the patient of each, in sorted order, and
+    the vocabulary size."""
+    vocab, tokens = [], []
+    for w_flat, doc_idx, V in sources:
+        lengths = np.bincount(np.asarray(doc_idx, dtype=np.int64),
+                              minlength=D)
+        assert np.all(np.diff(doc_idx) >= 0) and lengths.size == D, \
+            "patients must be sorted and lie in [0, D)"
+        vocab.append([f"w{v}" for v in range(V)])
+        tokens.append(Ragged(np.asarray(w_flat), lengths))
+    return Corpus(vocab=vocab, tokens=tokens)
+
+
 def z_pass(theta, phi_s, w_flat, doc_idx, rng):
-    """The z kernel on a one-source plan over the given tokens."""
+    """The z kernel on the plan of a one-source corpus of the given
+    tokens, their patients sorted."""
     theta, phi_s = np.asarray(theta), np.asarray(phi_s)
-    plan = ZPlan([(w_flat, doc_idx, phi_s.shape[1])], *theta.shape)
+    corpus = flat_corpus([(w_flat, doc_idx, phi_s.shape[1])], len(theta))
+    plan = ZPlan(corpus, theta.shape[1])
     return gibbs._sample_z_batch(theta, phi_s, plan, 0, rng)
 
 

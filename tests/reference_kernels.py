@@ -304,7 +304,7 @@ def unstructured_sweep(state, corpus, hyper, rng):
     """The sweep as the baseline ran it: z, no activation scan, theta from
     the constant prior B[0], phi, no HMC."""
     D, P = state.theta.shape
-    plan = gibbs.ZPlan.of(corpus, P)
+    plan = gibbs.ZPlan(corpus, P)
     for s, w in enumerate(corpus.tokens):
         if w.flat.size:
             z_flat = gibbs._sample_z_batch(state.theta, state.phi[s], plan, s,
@@ -354,7 +354,7 @@ def heldout_infer(test_corpus, trained, hyper, burn_in, samples, seed,
     P = hyper.num_phenotypes
     gated = theta_prior is None
     flat = [(w.flat, w.doc_idx) for w in test_corpus.tokens]
-    plan = gibbs.ZPlan.of(test_corpus, P)
+    plan = gibbs.ZPlan(test_corpus, P)
     z = [Ragged.of([rng.integers(0, P, size=w.size) for w in per_source]).flat
          for per_source in test_corpus.tokens]
     state = ModelState(theta=np.empty((D, P)),

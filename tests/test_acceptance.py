@@ -463,10 +463,10 @@ def test_paper_prior_training_prunes_activations():
         free = clamp < 0
         rng = substream(options.seed, "gibbs.train")
         state = initialize_state(corpus, clamp, h, rng)
-        plan = ZPlan.of(corpus, 10)
+        plan = ZPlan(corpus, 10)
         fractions = []
         for _ in range(20):
-            sweep(state, corpus, plan, clamp, options.b_mode, h, rng)
+            sweep(state, plan, clamp, options.b_mode, h, rng)
             ok &= bool(np.all(state.A[~free] == clamp[~free]))
             ok &= bool(np.isfinite(
                 collapsed_log_joint(state, corpus, h)))

@@ -688,6 +688,53 @@ class TestErrorPaths:
                               "--eval.samples", "0") == 1
         assert "config error: burn_in must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["generate"],
+                                         ["train", "--corpus", "x.jsonl"]])
+    def test_bad_config_value_fails_before_any_output(self, tmp_path, capsys,
+                                                      command):
+        out = tmp_path / "o"
+        assert run("--config", REPO_TOY_CONFIG, "--eval.samples", "abc",
+                   "--out", str(out), *command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad value for eval.samples")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_seed_fails_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("--config", REPO_TOY_CONFIG, "--seed", "-1",
+                   "--out", str(out), "generate") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: argument --seed: must be >= 0")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad_file, command, code, prefix", [
+        ("config", "preprocess", 1, "config error"),
+        ("corpus", "preprocess", 2, "data error"),
+        ("corpus", "train", 2, "data error"),
+        ("stopwords", "preprocess", 2, "data error"),
+    ])
+    def test_file_that_is_not_utf8_names_the_file(self, tmp_path, toy_config,
+                                                  capsys, bad_file, command,
+                                                  code, prefix):
+        gen = str(tmp_path / "gen")
+        run("--config", toy_config, "--seed", "1", "--out", gen, "generate")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"model.alpha = 0.2\n\xff\n")
+        args = {"config": ["--config", str(bad)],
+                "corpus": ["--config", toy_config],
+                "stopwords": ["--config", toy_config,
+                              "--preprocess.stopword_file", str(bad)]}
+        corpus = str(bad) if bad_file == "corpus" else os.path.join(
+            gen, "corpus.jsonl")
+        capsys.readouterr()
+        assert run(*args[bad_file], "--out", str(tmp_path / "o"), command,
+                   "--corpus", corpus) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"{prefix}: {bad}: not UTF-8 text")
+        assert "Traceback" not in err
+
 
 class TestManifest:
     def test_manifest_records_config_digest(self, tmp_path, toy_config):

@@ -148,7 +148,7 @@ def test_sweep_leaves_the_joint_law_invariant(case):
     chain = np.empty((n_chain, prior.shape[1]))
     for it in range(n_chain):
         # the tokens are redrawn every sweep, and the plan with them
-        sweep(state, corpus, ZPlan.of(corpus, hyper.num_phenotypes), clamp,
+        sweep(state, ZPlan(corpus, hyper.num_phenotypes), clamp,
               options.b_mode, hyper, rng)
         corpus = redraw_tokens(state, corpus, rng)
         names, chain[it] = statistics(state, b_mode)

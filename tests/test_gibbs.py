@@ -313,8 +313,7 @@ class TestSweep:
         for _ in range(2):
             rng = substream(5, "sweep-test")
             state = initialize_state(corpus, clamp, h, rng)
-            sweep(state, corpus, ZPlan.of(corpus, 4), clamp, "sampled", h,
-                  rng)
+            sweep(state, ZPlan(corpus, 4), clamp, "sampled", h, rng)
             states.append(state)
         a, b = states
         assert np.array_equal(a.theta, b.theta)
@@ -330,9 +329,9 @@ class TestSweep:
         clamp = clamp_matrix(labels, TrainOptions(), 20, 4)
         rng = substream(1, "sweep-test")
         state = initialize_state(corpus, clamp, h, rng)
-        plan = ZPlan.of(corpus, 4)
+        plan = ZPlan(corpus, 4)
         for _ in range(3):
-            sweep(state, corpus, plan, clamp, "sampled", h, rng)
+            sweep(state, plan, clamp, "sampled", h, rng)
             state.validate(corpus)
 
     def test_z_accuracy_above_chance_at_truth(self):
@@ -357,7 +356,7 @@ class TestSweep:
         clamp = clamp_matrix(labels, TrainOptions(), 20, 4)
         rng = substream(3, "sweep-test")
         state = initialize_state(corpus, clamp, h, rng)
-        sweep(state, corpus, ZPlan.of(corpus, 4), clamp, "fixed", h, rng)
+        sweep(state, ZPlan(corpus, 4), clamp, "fixed", h, rng)
         c = phenotype_counts(state, corpus)
         brute = np.zeros_like(c)
         for s in range(corpus.num_sources):
@@ -405,8 +404,7 @@ def test_sampled_b_sweep_keeps_invariants_on_degenerate_inputs(problem,
     clamp = clamp_matrix(labels, options, D, P)
     rng = np.random.default_rng(seed)
     state = initialize_state(corpus, clamp, hyper, rng)
-    sweep(state, corpus, ZPlan.of(corpus, P), clamp, options.b_mode, hyper,
-          rng)
+    sweep(state, ZPlan(corpus, P), clamp, options.b_mode, hyper, rng)
     assert np.all(np.isfinite(state.B) & (state.B > 0))
     assert np.isfinite(state.Bstar) and state.Bstar > 0
     lengths = sum(np.array([w.size for w in tokens])
@@ -485,6 +483,10 @@ class TestTrain:
         corpus, _ = generate(h, [6], DocLengthSpec.fixed(5, 1), 8, seed=1)
         with pytest.raises(ConfigError, match="positive and finite"):
             train_unstructured(corpus, h, concentration, seed=0)
+
+    def test_negative_seed_is_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            TrainOptions(seed=-1)
 
     def test_zero_iterations(self):
         h = make_hyper(P=2, gamma=0.2, iterations=0)

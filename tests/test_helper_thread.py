@@ -150,7 +150,7 @@ def _corrupt_problem():
 
 
 def _z_error(corpus, theta, phi_s):
-    plan = ZPlan.of(corpus, 3)
+    plan = ZPlan(corpus, 3)
     try:
         with pytest.raises(SamplingError) as err:
             gibbs._sample_z_batch(theta, phi_s, plan, 0,
@@ -188,7 +188,7 @@ def test_concurrent_chains_under_fast_thread_switching(monkeypatch):
     monkeypatch.setattr(gibbs, "Z_CHUNK", 3)
 
     def passes(out, seed):
-        plan, rng = ZPlan.of(corpus, 4), np.random.default_rng(seed)
+        plan, rng = ZPlan(corpus, 4), np.random.default_rng(seed)
         try:
             out.extend(gibbs._sample_z_batch(theta, phis[s], plan, s, rng)
                        for _ in range(10) for s in range(2))
@@ -235,13 +235,13 @@ def test_nan_log_joint_on_the_helper_raises_numerical_error(monkeypatch):
     clamp = clamp_matrix(None, TrainOptions(), corpus.num_patients, 3)
     rng = np.random.default_rng(0)
     state = initialize_state(corpus, clamp, hyper, rng)
-    plan = ZPlan.of(corpus, 3)
+    plan = ZPlan(corpus, 3)
     try:
         assert plan.helper is not None
         assert plan.helper_scratch.shape == plan.scratch.shape
         assert not np.shares_memory(plan.helper_scratch, plan.scratch)
         with pytest.raises(NumericalError, match="NaN"):
-            sweep(state, corpus, plan, clamp, "fixed", hyper, rng)
+            sweep(state, plan, clamp, "fixed", hyper, rng)
     finally:
         plan.close()
     assert threads and threads[-1] is not threading.current_thread()
@@ -336,7 +336,7 @@ def test_bad_token_id_fails_before_the_helper_starts(monkeypatch):
     _cpus(monkeypatch, 2)
     start = threading.active_count()
     with pytest.raises(DimensionError, match="token ID outside"):
-        ZPlan.of(corpus, 3)
+        ZPlan(corpus, 3)
     assert threading.active_count() == start
 
 
@@ -363,7 +363,7 @@ def test_one_cpu_starts_no_thread(monkeypatch):
     hyper = make_hyper(P=3, S=1, iterations=2)
     monkeypatch.setattr(gibbs, "Z_CHUNK", 1)
     _cpus(monkeypatch, 1)
-    assert ZPlan.of(corpus, 3).helper is None
+    assert ZPlan(corpus, 3).helper is None
     start = threading.active_count()
     chains = _chains(corpus, hyper)
     for name, chain in chains.items():
@@ -374,4 +374,4 @@ def test_one_cpu_starts_no_thread(monkeypatch):
     # with a second CPU but one block per source there is no helper either
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(gibbs, "Z_CHUNK", 4096)
-    assert ZPlan.of(corpus, 3).helper is None
+    assert ZPlan(corpus, 3).helper is None

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import reference_kernels as ref
-from conftest import make_hyper, random_tiny_state
+from conftest import flat_corpus, make_hyper, random_tiny_state
 from ss3m import gibbs
 from ss3m.errors import DimensionError
 from ss3m.gibbs import Z_CHUNK, ZPlan, clamp_matrix, local_step
-from ss3m.model import Corpus
+from ss3m.model import Corpus, Ragged
 
 
 def _tokens(n, D, V, seed):
@@ -27,7 +27,7 @@ def test_one_plan_serves_consecutive_local_steps(chunk, monkeypatch):
     state, corpus = random_tiny_state(rng, D=6, P=5, S=2, V=4, max_tokens=6)
     hyper = make_hyper(P=5, S=2)
     monkeypatch.setattr(gibbs, "Z_CHUNK", chunk)
-    plan = ZPlan.of(corpus, 5)
+    plan = ZPlan(corpus, 5)
     scratch = plan.scratch
     clamp = clamp_matrix(None, gibbs.TrainOptions(), 6, 5)
     for step in range(3):
@@ -39,7 +39,7 @@ def test_one_plan_serves_consecutive_local_steps(chunk, monkeypatch):
                                    w.doc_idx, twin)
                 for s, w in enumerate(corpus.tokens)]
         theta = state.theta.copy()
-        local_step(state, corpus, plan, clamp, hyper.alpha, rng)
+        local_step(state, plan, clamp, hyper.alpha, rng)
         for s in range(2):
             assert np.array_equal(state.z[s].flat, want[s]), (step, s)
         assert not np.array_equal(state.theta, theta)
@@ -49,19 +49,20 @@ def test_one_plan_serves_consecutive_local_steps(chunk, monkeypatch):
 @pytest.mark.parametrize("w_flat, doc_idx", [
     ([0, 5], [0, 0]),       # token ID == V
     ([0, -1], [0, 0]),      # negative token ID
-    ([0, 1], [0, 2]),       # patient == D
-    ([0, 1], [-1, 0]),      # negative patient
 ])
 def test_plan_rejects_out_of_range_indices(w_flat, doc_idx):
+    # a Corpus rejects the IDs when it is built, so they are written into
+    # the built corpus's tokens, which the plan checks again
+    corpus = flat_corpus([(np.zeros(2, dtype=np.int64), doc_idx, 5)], 2)
+    corpus.tokens[0].flat[:] = w_flat
     with pytest.raises(DimensionError, match="outside"):
-        ZPlan([(np.array(w_flat), np.array(doc_idx), 5)], 2, 3)
+        ZPlan(corpus, 3)
 
 
 def test_pass_rejects_arrays_the_plan_was_not_built_for():
     # a clipped gather would read the last row of a too-short theta or
     # phi; the pass refuses the shapes instead
-    w_flat, doc_idx = np.array([0, 4]), np.array([0, 2])
-    plan = ZPlan([(w_flat, doc_idx, 5)], 3, 2)
+    plan = ZPlan(flat_corpus([(np.array([0, 4]), [0, 2], 5)], 3), 2)
     theta = np.full((3, 2), 0.5)
     phi_s = np.full((2, 5), 0.2)
     assert gibbs._sample_z_batch(theta, phi_s, plan, 0,
@@ -71,15 +72,19 @@ def test_pass_rejects_arrays_the_plan_was_not_built_for():
         with pytest.raises(DimensionError, match="z plan"):
             gibbs._sample_z_batch(bad_theta, bad_phi, plan, 0,
                                   np.random.default_rng(0))
+    # a Ragged whose lengths do not sum to its size
+    corpus = Corpus(vocab=[[f"w{v}" for v in range(5)]],
+                    tokens=[Ragged(np.array([0, 4]), [1])])
     with pytest.raises(DimensionError, match="1-D"):
-        ZPlan([(w_flat, doc_idx[:1], 5)], 3, 2)
+        ZPlan(corpus, 2)
 
 
 def test_one_phenotype_and_empty_sources():
     # source 1 has no tokens at all: no pairs, an empty draw, no uniforms
     w_flat, doc_idx = _tokens(30, 4, 6, seed=1)
     empty = np.zeros(0, dtype=np.int64)
-    plan = ZPlan([(w_flat, doc_idx, 6), (empty, empty, 3)], 4, 1)
+    plan = ZPlan(flat_corpus([(w_flat, doc_idx, 6), (empty, empty, 3)], 4),
+                 1)
     assert plan.scratch.shape == (2, plan.pairs[0].heads.size, 1)
     theta = np.ones((4, 1))
     rng = np.random.default_rng(3)
@@ -89,10 +94,10 @@ def test_one_phenotype_and_empty_sources():
     z = gibbs._sample_z_batch(theta, np.full((1, 3), 1 / 3), plan, 1, rng)
     assert z.dtype == np.int64 and z.size == 0
     assert rng.bit_generator.state == before
-    only_empty = ZPlan([(empty, empty, 3)], 4, 5)
+    only_empty = ZPlan(flat_corpus([(empty, empty, 3)], 4), 5)
     assert only_empty.scratch.shape == (2, 0, 5)
     corpus = Corpus(vocab=[["a"]], tokens=[[[], []]])
-    assert ZPlan.of(corpus, 2).pairs[0].heads.size == 0
+    assert ZPlan(corpus, 2).pairs[0].heads.size == 0
 
 
 # around the 8- and 16-bit limits of the radix-sorted key types
@@ -102,15 +107,18 @@ _SIZES = (1, 2, 255, 256, 257, 65535, 65536, 65537)
 @pytest.mark.parametrize("V", _SIZES)
 def test_pair_order_is_the_stable_sort_of_the_pair_keys(V):
     # tokens drawn from 40 (patient, word) pairs, so that every pair
-    # repeats at unsorted positions, the extreme IDs among them
+    # repeats at unsorted positions within its patient, the extreme IDs
+    # among them; grouped by patient, as a corpus holds them
     rng = np.random.default_rng(V)
     empty = np.zeros(0, dtype=np.int64)
     for D in _SIZES:
         words, patients = rng.integers(0, V, 40), rng.integers(0, D, 40)
         words[:2], patients[:2] = (0, V - 1), (D - 1, 0)
         pick = rng.integers(0, 40, 600)
+        pick = pick[np.argsort(patients[pick], kind="stable")]
         w_flat, doc_idx = words[pick], patients[pick]
-        plan = ZPlan([(w_flat, doc_idx, V), (empty, empty, V)], D, 1)
+        plan = ZPlan(flat_corpus([(w_flat, doc_idx, V), (empty, empty, V)],
+                                 D), 1)
         want = np.argsort(doc_idx * V + w_flat, kind="stable")
         assert np.array_equal(plan.pairs[0].order, want), D
         assert plan.pairs[1].order.size == 0
@@ -141,7 +149,7 @@ def test_pass_memory_grows_with_tokens_not_pair_rows():
     peaks, sizes = [], []
     for n in (20_000, 80_000):
         w_flat, doc_idx = _tokens(n, D, V, seed=n)
-        plan = ZPlan([(w_flat, doc_idx, V)], D, P)
+        plan = ZPlan(flat_corpus([(w_flat, doc_idx, V)], D), P)
         U = plan.pairs[0].heads.size
         assert U > 0.9 * n
         assert plan.scratch.shape == (2, min(Z_CHUNK, U), P)
@@ -158,6 +166,6 @@ def test_pass_memory_grows_with_tokens_not_pair_rows():
     assert peaks[1] < (u4 - u1) * P * 8 / 10
     # a corpus with fewer pairs than Z_CHUNK gets a scratch of its size
     w_flat, doc_idx = _tokens(500, 3, 7, seed=2)
-    plan = ZPlan([(w_flat, doc_idx, 7)], 3, P)
+    plan = ZPlan(flat_corpus([(w_flat, doc_idx, 7)], 3), P)
     assert plan.scratch.shape == (2, plan.pairs[0].heads.size, P)
     assert plan.pairs[0].heads.size <= 21

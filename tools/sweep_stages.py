@@ -11,7 +11,7 @@ estimated labels, sampled B). The script starts a chain as train() does
 each kernel on copies of that state, printing the best and the median of
 --repeats calls in milliseconds:
 
-  * the chain's start-up: `ZPlan.of` until its pair index is ready, and
+  * the chain's start-up: `ZPlan` until its pair index is ready, and
     `initialize_state`;
   * each stage of a sweep: the z pass of every source, the phenotype
     counts, the A scan, the B and B* step, the theta draw, the token
@@ -75,9 +75,9 @@ def stages(ss3m, bench, seed: int, warm: int):
     clamp = gibbs.clamp_matrix(labels, options, corpus.num_patients, P)
     rng = util.substream(options.seed, "gibbs.train")
     state = gibbs.initialize_state(corpus, clamp, hyper, rng)
-    plan = gibbs.ZPlan.of(corpus, P)
+    plan = gibbs.ZPlan(corpus, P)
     for _ in range(warm):
-        gibbs.sweep(state, corpus, plan, clamp, options.b_mode, hyper, rng)
+        gibbs.sweep(state, plan, clamp, options.b_mode, hyper, rng)
     counts = gibbs.phenotype_counts(state, corpus)
     m = [gibbs.token_counts(state, corpus, s)
          for s in range(corpus.num_sources)]
@@ -88,7 +88,7 @@ def stages(ss3m, bench, seed: int, warm: int):
 
     def start_plan():
         # closing a plan waits for its pair index
-        gibbs.ZPlan.of(corpus, P).close()
+        gibbs.ZPlan(corpus, P).close()
 
     def z_pass(rng):
         for s in range(corpus.num_sources):
@@ -98,7 +98,7 @@ def stages(ss3m, bench, seed: int, warm: int):
         gibbs.train(corpus, labels, hyper, options)
 
     return [
-        ("ZPlan.of", start_plan, lambda: ()),
+        ("ZPlan", start_plan, lambda: ()),
         ("initialize_state", gibbs.initialize_state,
          lambda: (corpus, clamp, hyper, fresh())),
         ("z pass", z_pass, lambda: (fresh(),)),
@@ -119,7 +119,7 @@ def stages(ss3m, bench, seed: int, warm: int):
         ("collapsed_log_joint", model.collapsed_log_joint,
          lambda: (state, corpus, hyper, (counts, m))),
         ("sweep", gibbs.sweep,
-         lambda: (state.copy(), corpus, plan, clamp, options.b_mode, hyper,
+         lambda: (state.copy(), plan, clamp, options.b_mode, hyper,
                   fresh())),
         (f"train ({hyper.iterations} sweeps)", train, lambda: ()),
     ], plan
