@@ -92,11 +92,13 @@ def load_config(args) -> RunConfig:
     return cfg
 
 
-def prepare_out_dir(out_dir, force):
+def check_out_dir(out_dir, force):
+    """ConfigError if out_dir holds files and force is off. A command
+    checks first and makes the directory once its inputs have loaded, so
+    an input that fails to load leaves no directory behind."""
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
         raise ConfigError(
             f"output directory {out_dir!r} is not empty (use --force)")
-    os.makedirs(out_dir, exist_ok=True)
 
 
 def write_text(out_dir, name, text):
@@ -143,7 +145,7 @@ def write_manifest(out_dir, seed, cfg, files):
 
 
 def cmd_generate(args, cfg: RunConfig):
-    prepare_out_dir(args.out, args.force)
+    check_out_dir(args.out, args.force)
     S = cfg.get("generate.num_sources")
     hyper = hyper_from_config(cfg, S)
     vocab_sizes = cfg.per_source("generate.vocab_size", S)
@@ -155,6 +157,7 @@ def cmd_generate(args, cfg: RunConfig):
         lengths = model.DocLengthSpec.fixed(length, S)
     else:
         raise ConfigError(f"unknown doc_length_mode {mode!r}")
+    os.makedirs(args.out, exist_ok=True)
 
     corpus, truth = model.generate(
         hyper, vocab_sizes, lengths, cfg.get("generate.num_patients"),
@@ -174,8 +177,9 @@ def cmd_generate(args, cfg: RunConfig):
 
 
 def cmd_preprocess(args, cfg: RunConfig):
-    prepare_out_dir(args.out, args.force)
+    check_out_dir(args.out, args.force)
     corpus, labels, patient_ids, sources = _load_raw_corpus(args.corpus, cfg)
+    os.makedirs(args.out, exist_ok=True)
     (train_c, train_l), (test_c, test_l), spl = data_io.split(
         corpus, labels, cfg.get("split.train_fraction"), args.seed)
     train_ids = [patient_ids[i] for i in spl.train_indices]
@@ -218,7 +222,7 @@ def _load_labels_for(path, patient_ids):
 
 
 def cmd_train(args, cfg: RunConfig):
-    prepare_out_dir(args.out, args.force)
+    check_out_dir(args.out, args.force)
     labels = None
     if args.corpus.endswith(".jsonl"):
         corpus, labels, _, _ = _load_raw_corpus(args.corpus, cfg)
@@ -226,6 +230,7 @@ def cmd_train(args, cfg: RunConfig):
         corpus, patient_ids, _ = data_io.load_corpus(args.corpus)
         if args.labels:
             labels = _load_labels_for(args.labels, patient_ids)
+    os.makedirs(args.out, exist_ok=True)
     hyper = hyper_from_config(cfg, corpus.num_sources)
 
     if args.model_id == "mc3m":
@@ -261,7 +266,7 @@ def cmd_train(args, cfg: RunConfig):
 
 
 def cmd_evaluate(args, cfg: RunConfig):
-    prepare_out_dir(args.out, args.force)
+    check_out_dir(args.out, args.force)
     train_c, train_ids, _ = data_io.load_corpus(args.train_corpus)
     test_c, test_ids, _ = data_io.load_corpus(args.test_corpus)
     train_l = _load_labels_for(args.train_labels, train_ids)
@@ -281,6 +286,7 @@ def cmd_evaluate(args, cfg: RunConfig):
         if os.path.exists(path):
             state, meta = data_io.load_state(path)
             artifacts[name] = (state, meta.get("max_log_likelihood"))
+    os.makedirs(args.out, exist_ok=True)
 
     reports = evaluation.evaluate_suite(
         artifacts, train_c, train_l, test_c, test_l, hyper,
@@ -297,13 +303,14 @@ def cmd_evaluate(args, cfg: RunConfig):
 
 
 def cmd_summarize(args, cfg: RunConfig):
-    prepare_out_dir(args.out, args.force)
+    check_out_dir(args.out, args.force)
     state, meta = data_io.load_state(args.state)
     corpus, _, source_names = data_io.load_corpus(args.corpus)
     label_names = []
     if args.labels:
         labels, _ = data_io.load_labels(args.labels)
         label_names = labels.label_names
+    os.makedirs(args.out, exist_ok=True)
     k = cfg.get("summarize.top_k")
     summary = model.phenotype_summary(state, corpus, k)
 

@@ -38,6 +38,7 @@ from .model import (
     ModelState,
     Ragged,
 )
+from .util import seed_sequence
 
 logger = logging.getLogger(__name__)
 
@@ -251,7 +252,7 @@ def split(corpus: Corpus, labels: LabelMatrix, train_fraction: float,
     n_train = int(round(train_fraction * D))
     if n_train < 1 or n_train > D - 1:
         raise DataError("split would leave a side with zero patients")
-    perm = np.random.default_rng(np.random.SeedSequence(seed)).permutation(D)
+    perm = np.random.default_rng(seed_sequence(seed)).permutation(D)
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])
 

@@ -7,7 +7,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import gibbs
 from .errors import (
@@ -24,7 +23,7 @@ from .model import (
     ModelState,
     count_pairs,
 )
-from .util import substream
+from .util import expit, substream
 
 logger = logging.getLogger(__name__)
 

@@ -81,7 +81,6 @@ from functools import cached_property
 from math import log
 
 import numpy as np
-from scipy.special import expit, gammaln
 
 from .errors import ConfigError, DimensionError, SamplingError
 from .model import (
@@ -99,7 +98,14 @@ from .model import (
     prior_matrix,
     token_counts,
 )
-from .util import PROB_FLOOR, sample_dirichlet, substream
+from .util import (
+    PROB_FLOOR,
+    expit,
+    gammaln,
+    sample_dirichlet,
+    seed_sequence,
+    substream,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -125,8 +131,7 @@ class TrainOptions:
                 f"unknown missing_label_mode {self.missing_label_mode!r}")
         if self.b_mode not in (B_FIXED, B_SAMPLED):
             raise ConfigError(f"unknown b_mode {self.b_mode!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        seed_sequence(self.seed)    # ConfigError if it is negative
 
 
 @dataclass

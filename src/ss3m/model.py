@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from math import lgamma, log
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigError, DataError, DimensionError, NumericalError
-from .util import PROB_FLOOR, sample_dirichlet
+from .util import PROB_FLOOR, gammaln, sample_dirichlet, seed_sequence
 
 # Tri-state label cell values.
 LABEL_PRESENT = 1
@@ -399,7 +398,7 @@ def generate(hyper: Hyperparameters, vocab_sizes, doc_lengths: DocLengthSpec,
     if any(v < 1 for v in vocab_sizes):
         raise ConfigError("vocabulary sizes must be positive")
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed_sequence(seed))
     P, S = hyper.num_phenotypes, hyper.num_sources
 
     phi = [sample_dirichlet(np.full((P, v), g), rng)

@@ -1,12 +1,49 @@
-"""Small shared helpers: seeded RNG sub-streams and safe numerics."""
+"""Small shared helpers: seeded RNG sub-streams, safe numerics, and the two
+scipy.special ufuncs the kernels call.
+
+gammaln and expit are proxies that import scipy.special at their first
+call. Importing scipy.special loads array_api_compat, numpy.f2py,
+numpy.testing and numpy.ma, more than half of `import ss3m`'s time, and
+only the A scan, the log joint and the LR fit call them, so generate,
+preprocess and summarize never pay for it.
+"""
 
 import hashlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 # Floor applied to Gamma draws and to B and Bstar; guards against
 # floating-point underflow, not genuine zero mass.
 PROB_FLOOR = 1e-300
+
+
+class _SpecialUfunc:
+    """scipy.special.<name>, imported at the first call. The import lock
+    makes a concurrent first call wait for the module."""
+
+    def __init__(self, name: str):
+        self.name, self.ufunc = name, None
+
+    def __call__(self, *args, **kwargs):
+        if self.ufunc is None:
+            import scipy.special
+            self.ufunc = getattr(scipy.special, self.name)
+        return self.ufunc(*args, **kwargs)
+
+
+gammaln = _SpecialUfunc("gammaln")
+expit = _SpecialUfunc("expit")
+
+
+def seed_sequence(seed: int, spawn_key=()) -> np.random.SeedSequence:
+    """SeedSequence(seed, spawn_key): the one door every seed of the package
+    goes through; ConfigError naming the seed if it is negative."""
+    try:
+        return np.random.SeedSequence(seed, spawn_key=spawn_key)
+    except ValueError:
+        raise ConfigError(f"seed must be >= 0, got {seed!r}") from None
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
@@ -18,7 +55,7 @@ def substream(seed: int, name: str) -> np.random.Generator:
     """
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     key = int.from_bytes(digest[:8], "little")
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+    return np.random.default_rng(seed_sequence(seed, (key,)))
 
 
 def sample_dirichlet(alpha, rng: np.random.Generator):

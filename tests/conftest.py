@@ -1,4 +1,7 @@
 import base64
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,17 @@ from ss3m import gibbs
 from ss3m.gibbs import ZPlan, activation_scan
 from ss3m.model import Corpus, Hyperparameters, ModelState, Ragged
 from ss3m.util import sample_dirichlet
+
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def fresh_stdout(code, *args):
+    """What code prints, run with args in a fresh interpreter that imports
+    this checkout's ss3m: where a test sees what importing costs."""
+    return subprocess.run([sys.executable, "-c", code, *args], check=True,
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": SRC}).stdout
 
 
 def make_hyper(P=3, P_lab=0, S=1, alpha=0.3, gamma=0.5, **kw):

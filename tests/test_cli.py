@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from conftest import corrupt_v2, random_tiny_state, v2_array
+from conftest import corrupt_v2, fresh_stdout, random_tiny_state, v2_array
 from ss3m import data_io, evaluation, model
 from ss3m.cli import hyper_from_config, main
 from ss3m.config import RunConfig
@@ -734,6 +734,62 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith(f"{prefix}: {bad}: not UTF-8 text")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["preprocess", "train", "evaluate",
+                                         "summarize"])
+    def test_input_that_fails_to_load_leaves_no_out_dir(self, tmp_path,
+                                                        capsys, command):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"patient_id": "p\xff"}\n')
+        flags = {"preprocess": ["--corpus"], "train": ["--corpus"],
+                 "evaluate": ["--train-corpus", "--train-labels",
+                              "--test-corpus", "--test-labels", "--state-dir"],
+                 "summarize": ["--state", "--corpus"]}[command]
+        out = tmp_path / "o"
+        assert run("--config", REPO_TOY_CONFIG, "--out", str(out), command,
+                   *[arg for flag in flags for arg in (flag, str(bad))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}") and "Traceback" not in err
+        assert not out.exists()
+
+
+# Runs each argv of the JSON list in sys.argv[1] through ss3m.cli.main in
+# this one interpreter and prints, after each, whether scipy.special is
+# loaded.
+LOADS_SCIPY_SPECIAL = """\
+import contextlib, io, json, sys
+from ss3m.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    loaded.append("scipy.special" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def _loads_scipy_special(*argvs):
+    out = fresh_stdout(LOADS_SCIPY_SPECIAL, json.dumps(argvs))
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def test_only_commands_that_fit_load_scipy_special(tmp_path, toy_config):
+    # scipy.special is imported at the first A scan, log joint or LR fit
+    gen, prep, states = (str(tmp_path / name) for name in
+                         ("gen", "prep", "states"))
+    cfg = ["--config", toy_config]
+    corpus = os.path.join(prep, "corpus_train.json")
+    labels = os.path.join(prep, "labels_train.json")
+    assert _loads_scipy_special(
+        cfg + ["--out", gen, "generate"],
+        cfg + ["--out", prep, "preprocess",
+               "--corpus", os.path.join(gen, "corpus.jsonl")],
+        cfg + ["--out", states, "train", "--corpus", corpus,
+               "--labels", labels]) == [False, False, True]
+    assert _loads_scipy_special(
+        cfg + ["--out", str(tmp_path / "summ"), "summarize",
+               "--state", os.path.join(states, "ss3m.state.json"),
+               "--corpus", corpus, "--labels", labels]) == [False]
 
 
 class TestManifest:

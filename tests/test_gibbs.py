@@ -16,7 +16,9 @@ from conftest import (
     z_pass,
 )
 from ss3m import gibbs
+from ss3m.data_io import split
 from ss3m.errors import ConfigError, DimensionError, SamplingError
+from ss3m.evaluation import heldout_infer
 from ss3m.gibbs import (
     TrainOptions,
     ZPlan,
@@ -487,6 +489,24 @@ class TestTrain:
     def test_negative_seed_is_config_error(self):
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             TrainOptions(seed=-1)
+
+    @pytest.mark.parametrize("entry", ["generate", "train_unstructured",
+                                       "heldout_infer", "split"])
+    def test_library_entry_point_negative_seed_is_config_error(self, entry):
+        h = make_hyper(P=2, P_lab=1, gamma=0.2, iterations=1)
+        corpus, truth = generate(h, [6], DocLengthSpec.fixed(5, 1), 8, seed=1)
+        calls = {
+            "generate": lambda: generate(h, [6], DocLengthSpec.fixed(5, 1),
+                                         8, seed=-1),
+            "train_unstructured": lambda: train_unstructured(corpus, h, 1.0,
+                                                             seed=-1),
+            "heldout_infer": lambda: heldout_infer(corpus, truth, h, burn_in=1,
+                                                   samples=1, seed=-1),
+            "split": lambda: split(corpus, labels_from_activations(truth, 1),
+                                   0.5, seed=-1),
+        }
+        with pytest.raises(ConfigError, match=r"seed must be >= 0, got -1$"):
+            calls[entry]()
 
     def test_zero_iterations(self):
         h = make_hyper(P=2, gamma=0.2, iterations=0)

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 import pytest
 
-from conftest import make_hyper
+from conftest import fresh_stdout, make_hyper
 from ss3m import gibbs
 from ss3m.errors import DimensionError, NumericalError, SamplingError
 from ss3m.evaluation import heldout_infer
@@ -375,3 +375,67 @@ def test_one_cpu_starts_no_thread(monkeypatch):
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(gibbs, "Z_CHUNK", 4096)
     assert ZPlan(corpus, 3).helper is None
+
+
+# In a fresh interpreter, so that the first call reaches scipy.special's
+# import: two train() calls on a chain with a helper (two usable CPUs, a
+# source of more than Z_CHUNK tokens), whose first log joint runs on the
+# helper and first A scan on this thread; it prints each call's trace
+# digest. The first z pass joins the helper before the scan, so here the
+# helper imports alone; FIRST_CALLS below makes the first calls race.
+FIRST_TRAIN = """\
+import hashlib, sys
+import numpy as np
+from ss3m import gibbs, model
+gibbs._usable_cpus = lambda: 2
+hyper = model.Hyperparameters(num_phenotypes=4, num_labeled=2, num_sources=1,
+                              alpha=0.3, gamma=(0.1,), iterations=3)
+corpus, truth = model.generate(hyper, [50], model.DocLengthSpec.fixed(50, 1),
+                               100, seed=1)
+assert corpus.tokens[0].flat.size > gibbs.Z_CHUNK
+with gibbs.ZPlan(corpus, 4) as plan:
+    assert plan.helper is not None
+labels = model.labels_from_activations(truth, 2)
+options = gibbs.TrainOptions(missing_label_mode="estimate", b_mode="sampled")
+assert "scipy.special" not in sys.modules
+for _ in range(2):
+    trace = gibbs.train(corpus, labels, hyper, options)
+    best = trace.best_state
+    arrays = [trace.log_likelihoods, trace.best_iteration, best.theta, best.A,
+              best.B, best.Bstar, *best.phi, *(z.flat for z in best.z)]
+    print(hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes()
+                                  for a in arrays)).hexdigest())
+"""
+
+# Eight threads make their first gammaln or expit call in a fresh
+# interpreter, the first four at once and the others 50-200 ms later,
+# while the import is under way; it prints whether each got scipy's value.
+FIRST_CALLS = """\
+import sys, threading, time
+import numpy as np
+from ss3m import util
+x = np.linspace(-3.0, 40.0, 1000)
+barrier, got = threading.Barrier(8), {}
+def call(i):
+    barrier.wait()
+    time.sleep(max(i - 3, 0) * 0.05)
+    got[i] = (util.gammaln if i % 2 else util.expit)(x)
+threads = [threading.Thread(target=call, args=(i,)) for i in range(8)]
+sys.setswitchinterval(1e-6)
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+import scipy.special
+print(*(np.array_equal(got[i], scipy.special.gammaln(x) if i % 2
+                       else scipy.special.expit(x)) for i in range(8)))
+"""
+
+
+def test_first_train_with_a_helper_draws_the_same_bytes():
+    first, second = fresh_stdout(FIRST_TRAIN).split()
+    assert first == second
+
+
+def test_concurrent_first_calls_of_the_scipy_special_proxies():
+    assert fresh_stdout(FIRST_CALLS).split() == ["True"] * 8

@@ -15,12 +15,13 @@ replaces its workload's entry and keeps the others. A report holds the
 host the runs shared (the CPUs this process may use, and the Python and
 numpy versions), each side's commit as the run starts (HEAD, and
 whether and how the tree differs from it), every pair's end-to-end
-metrics for both sides and, per metric, the medians and quartiles of
-each side, the number of pairs the change wins (a strictly better value
-in the direction BENCHMARK.json gives), the median difference (change
-minus parent) and the parent's interquartile spread. A run that fails or
-prints no result is recorded with its error and its pair is left out of
-the summary.
+metrics and operation walls (run.py's "operation walls" line, where a
+cost paid once per process shows in the first) for both sides and, per
+metric, the medians and quartiles of each side, the number of pairs the
+change wins (a strictly better value in the direction BENCHMARK.json
+gives), the median difference (change minus parent) and the parent's
+interquartile spread. A run that fails or prints no result is recorded
+with its error and its pair is left out of the summary.
 """
 
 import argparse
@@ -76,7 +77,8 @@ def _host() -> dict:
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
     """One untraced benchmark run in root: {"metrics": {name: value},
-    "correct": bool} or {"error": message}."""
+    "correct": bool, "walls": [seconds per operation, in run order]} or
+    {"error": message}."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -86,8 +88,11 @@ def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
     except (IndexError, json.JSONDecodeError):
         return {"error": f"exit {proc.returncode}: "
                          f"{proc.stderr.strip()[-500:]}"}
+    walls = next((line.split(":", 1)[1].split() for line in lines
+                  if line.startswith("# operation walls")), [])
     return {"correct": result["correct"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "walls": [float(w) for w in walls]}
 
 
 def summarize(pairs, better: dict) -> dict:
