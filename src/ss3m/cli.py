@@ -94,8 +94,9 @@ def load_config(args) -> RunConfig:
 
 def check_out_dir(out_dir, force):
     """ConfigError if out_dir holds files and force is off. A command
-    checks first and makes the directory once its inputs have loaded, so
-    an input that fails to load leaves no directory behind."""
+    checks first and makes the directory once its inputs have loaded,
+    and evaluate once they pass evaluation.check_suite, so an input that
+    fails to load or to check leaves no directory behind."""
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
         raise ConfigError(
             f"output directory {out_dir!r} is not empty (use --force)")
@@ -286,13 +287,13 @@ def cmd_evaluate(args, cfg: RunConfig):
         if os.path.exists(path):
             state, meta = data_io.load_state(path)
             artifacts[name] = (state, meta.get("max_log_likelihood"))
+    suite = (artifacts, train_c, train_l, test_c, test_l, hyper,
+             cfg.get("eval.burn_in"), cfg.get("eval.samples"), args.seed,
+             cfg.get("eval.lr_lambda"), cfg.get("eval.lr_epochs"))
+    evaluation.check_suite(*suite)
     os.makedirs(args.out, exist_ok=True)
 
-    reports = evaluation.evaluate_suite(
-        artifacts, train_c, train_l, test_c, test_l, hyper,
-        burn_in=cfg.get("eval.burn_in"), samples=cfg.get("eval.samples"),
-        seed=args.seed, lr_lam=cfg.get("eval.lr_lambda"),
-        lr_epochs=cfg.get("eval.lr_epochs"))
+    reports = evaluation.evaluate_suite(*suite)
 
     write_text(args.out, "metrics.csv", evaluation.reports_to_csv(reports))
     table = evaluation.reports_to_table(reports)

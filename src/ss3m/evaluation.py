@@ -1,9 +1,18 @@
 """Held-out label prediction, baseline classifiers, and the metric suite
 (micro/macro AUROC and AUPRC, plus the best state's collapsed log joint,
 model.collapsed_log_joint, as the log_likelihood row).
+
+The suite (evaluate_suite) checks all its inputs and settings before any
+job starts (check_suite). Where the process may use two or more CPUs, it
+runs the held-out chains, in column order, on one worker thread whose
+chains start no z-pass helper, while the calling thread fits the
+raw-token baseline; with one, the calling thread runs both, chains first.
+The reports, and which error is raised, are the same either way.
 """
 
 import logging
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +32,7 @@ from .model import (
     ModelState,
     count_pairs,
 )
-from .util import expit, substream
+from .util import expit, seed_sequence, substream
 
 logger = logging.getLogger(__name__)
 
@@ -69,6 +78,22 @@ def _check_chain_settings(burn_in: int, samples: int):
         raise ConfigError("samples must be >= 1")
 
 
+def _check_trained(trained: ModelState, test_corpus: Corpus,
+                   hyper: Hyperparameters, name: str = "trained"):
+    """DataError, its message starting with name, unless a held-out chain
+    can run trained on test_corpus: one phi per test source, as wide as
+    its vocabulary, and theta and B of the configured phenotypes."""
+    widths = [phi_s.shape[1] for phi_s in trained.phi]
+    if widths != [len(voc) for voc in test_corpus.vocab]:
+        raise DataError(f"{name} phi has {widths} words per source, the test "
+                        f"vocabularies {[len(v) for v in test_corpus.vocab]}")
+    P = hyper.num_phenotypes
+    if trained.theta.shape[1] != P or trained.B.shape != (P,):
+        raise DataError(
+            f"{name} state (theta {trained.theta.shape}, B "
+            f"{trained.B.shape}) does not have the configured {P} phenotypes")
+
+
 def heldout_infer(test_corpus: Corpus, trained: ModelState,
                   hyper: Hyperparameters, burn_in: int = 50,
                   samples: int = 100, seed: int = 0) -> HeldoutResult:
@@ -83,17 +108,9 @@ def heldout_infer(test_corpus: Corpus, trained: ModelState,
     symmetric Dirichlet(c) prior.
     """
     _check_chain_settings(burn_in, samples)
-    widths = [phi_s.shape[1] for phi_s in trained.phi]
-    if widths != [len(voc) for voc in test_corpus.vocab]:
-        raise DataError(f"trained phi has {widths} words per source, the test "
-                        f"vocabularies {[len(v) for v in test_corpus.vocab]}")
-    P = hyper.num_phenotypes
-    if trained.theta.shape[1] != P or trained.B.shape != (P,):
-        raise DataError(
-            f"trained state (theta {trained.theta.shape}, B "
-            f"{trained.B.shape}) does not have the configured {P} phenotypes")
+    _check_trained(trained, test_corpus, hyper)
     rng = substream(seed, "evaluation.heldout")
-    D = test_corpus.num_patients
+    P, D = hyper.num_phenotypes, test_corpus.num_patients
     clamp = np.tile(np.where(trained.B == trained.Bstar, 1, -1).astype(np.int8),
                     (D, 1))
     a_sum, theta_sum = np.zeros((D, P)), np.zeros((D, P))
@@ -361,81 +378,142 @@ def compute_report(model_id: str, scores, truth,
     )
 
 
-def evaluate_suite(artifacts: dict, train_corpus: Corpus,
-                   train_labels: LabelMatrix, test_corpus: Corpus,
-                   test_labels: LabelMatrix, hyper: Hyperparameters,
-                   burn_in: int = 50, samples: int = 100, seed: int = 0,
-                   lr_lam: float = 1.0, lr_epochs: int = 200):
-    """One MetricsReport per configured column.
-
-    artifacts maps a subset of STATE_ARTIFACTS to (ModelState,
-    max_log_likelihood). Missing artifacts yield placeholder (all-None)
-    reports. The raw-token columns need no artifact. An ss3m column
-    scores the first phenotypes, one per label column; the train and test
-    labels must name the same columns, at least one (DataError), and at
-    most hyper.num_labeled when an ss3m column is scored (ConfigError).
-    The chain and logistic-regression settings are checked before any
-    chain runs.
-    """
+def check_suite(artifacts: dict, train_corpus: Corpus,
+                train_labels: LabelMatrix, test_corpus: Corpus,
+                test_labels: LabelMatrix, hyper: Hyperparameters,
+                burn_in: int = 50, samples: int = 100, seed: int = 0,
+                lr_lam: float = 1.0, lr_epochs: int = 200):
+    """ConfigError or DataError unless evaluate_suite, given the same
+    arguments, can start: the chain, logistic-regression and seed
+    settings; labels that name the same columns, at least one, and cover
+    their corpus's patients; train and test vocabularies of one size per
+    source; at most hyper.num_labeled label columns when an ss3m column is
+    scored; each state's phi widths and phenotype count, and one theta row
+    per training patient in each base model."""
     _check_chain_settings(burn_in, samples)
     _check_lr_settings(lr_lam, lr_epochs)
+    seed_sequence(seed)
     if train_labels.label_names != test_labels.label_names:
         raise DataError(
             f"train labels {train_labels.label_names} and test labels "
             f"{test_labels.label_names} name different columns")
     if not test_labels.num_labels:
         raise DataError("the labels have no column to score")
+    for split, corpus, labels in (("train", train_corpus, train_labels),
+                                  ("test", test_corpus, test_labels)):
+        if labels.num_patients != corpus.num_patients:
+            raise DataError(
+                f"{split} labels cover {labels.num_patients} patients, the "
+                f"{split} corpus {corpus.num_patients}")
+    widths = [[len(voc) for voc in c.vocab] for c in (train_corpus,
+                                                      test_corpus)]
+    if widths[0] != widths[1]:
+        raise DataError(f"train vocabularies have {widths[0]} words per "
+                        f"source, the test vocabularies {widths[1]}")
+    if (test_labels.num_labels > hyper.num_labeled
+            and any(col in artifacts for col in STATE_ARTIFACTS[:4])):
+        raise ConfigError(
+            f"label matrix has more columns ({test_labels.num_labels}) "
+            f"than model.num_labeled ({hyper.num_labeled})")
+    for name in STATE_ARTIFACTS:
+        if name not in artifacts:
+            continue
+        state = artifacts[name][0]
+        _check_trained(state, test_corpus, hyper, f"{name}: trained")
+        if (name in STATE_ARTIFACTS[4:]
+                and state.theta.shape[0] != train_corpus.num_patients):
+            raise DataError(
+                f"{name}: theta has {state.theta.shape[0]} patients, the "
+                f"training corpus {train_corpus.num_patients}")
+
+
+def evaluate_suite(artifacts: dict, train_corpus: Corpus,
+                   train_labels: LabelMatrix, test_corpus: Corpus,
+                   test_labels: LabelMatrix, hyper: Hyperparameters,
+                   burn_in: int = 50, samples: int = 100, seed: int = 0,
+                   lr_lam: float = 1.0, lr_epochs: int = 200):
+    """One MetricsReport per configured column, in SUITE_COLUMNS order.
+
+    artifacts maps a subset of STATE_ARTIFACTS to (ModelState,
+    max_log_likelihood). Missing artifacts yield placeholder (all-None)
+    reports. The raw-token columns need no artifact. An ss3m column
+    scores the first phenotypes, one per label column. Every check of
+    check_suite runs before any chain or fit starts.
+
+    The jobs are one held-out chain per artifact, in column order, each
+    base model's with its classifiers, and the raw-token baseline. With
+    two or more usable CPUs (gibbs._usable_cpus) one worker thread runs
+    the chains while this thread runs the raw-token baseline; the
+    worker's chains start no z-pass helper, and the worker is joined
+    before the suite returns or raises. With one, this thread runs the
+    chains and then the baseline. Each chain draws from a generator of
+    its own, made from seed, so the reports are the same bytes either
+    way, and where several jobs fail the error of the first in column
+    order is raised.
+    """
+    check_suite(artifacts, train_corpus, train_labels, test_corpus,
+                test_labels, hyper, burn_in, samples, seed, lr_lam,
+                lr_epochs)
     truth_test = truth_matrix(test_labels)
     truth_train = truth_matrix(train_labels)
-    reports = []
 
     def classify(prefix, feats_train, feats_test, nb_mode, max_ll):
         """The <prefix>_lr and <prefix>_nb reports."""
         model = lr_train(feats_train, truth_train, lam=lr_lam,
                          epochs=lr_epochs)
-        reports.append(compute_report(f"{prefix}_lr",
-                                      lr_predict(model, feats_test),
-                                      truth_test, max_ll))
+        lr = compute_report(f"{prefix}_lr", lr_predict(model, feats_test),
+                            truth_test, max_ll)
         model = nb_train(feats_train, truth_train, nb_mode)
-        reports.append(compute_report(f"{prefix}_nb",
-                                      nb_predict(model, feats_test),
-                                      truth_test, max_ll))
+        return [lr, compute_report(f"{prefix}_nb",
+                                   nb_predict(model, feats_test),
+                                   truth_test, max_ll)]
 
-    for col in STATE_ARTIFACTS[:4]:
-        if col not in artifacts:
-            logger.warning("no artifact for %s; emitting placeholder", col)
-            reports.append(MetricsReport(model_id=col))
-            continue
-        if test_labels.num_labels > hyper.num_labeled:
-            raise ConfigError(
-                f"label matrix has more columns ({test_labels.num_labels}) "
-                f"than model.num_labeled ({hyper.num_labeled})")
-        state, max_ll = artifacts[col]
+    def chain(name):
+        """The reports of artifact name: placeholders without it, else its
+        held-out chain's, scored directly for an ss3m column and through
+        classify, on the best state's theta of the training patients, for
+        a base model."""
+        if name not in artifacts and name in SUITE_COLUMNS:
+            logger.warning("no artifact for %s; emitting placeholder", name)
+            return [MetricsReport(model_id=name)]
+        if name not in artifacts:
+            logger.warning("no artifact for %s; emitting placeholders", name)
+            return [MetricsReport(model_id=f"{name}_{clf}")
+                    for clf in ("lr", "nb")]
+        state, max_ll = artifacts[name]
         res = heldout_infer(test_corpus, state, hyper, burn_in=burn_in,
                             samples=samples, seed=seed)
-        reports.append(compute_report(
-            col, res.scores[:, :test_labels.num_labels], truth_test, max_ll))
+        if name in SUITE_COLUMNS:
+            return [compute_report(name,
+                                   res.scores[:, :test_labels.num_labels],
+                                   truth_test, max_ll)]
+        return classify(name, state.theta, res.theta_mean, NB_GAUSSIAN,
+                        max_ll)
 
-    for base_id in STATE_ARTIFACTS[4:]:
-        if base_id not in artifacts:
-            logger.warning("no artifact for %s; emitting placeholders", base_id)
-            reports += [MetricsReport(model_id=f"{base_id}_{clf}")
-                        for clf in ("lr", "nb")]
-            continue
-        # one held-out chain per base model feeds both classifiers; they
-        # train on the best state's theta of the training patients
-        state, max_ll = artifacts[base_id]
-        if state.theta.shape[0] != train_corpus.num_patients:
-            raise DataError(
-                f"{base_id}: theta has {state.theta.shape[0]} patients, the "
-                f"training corpus {train_corpus.num_patients}")
-        res = heldout_infer(test_corpus, state, hyper, burn_in=burn_in,
-                            samples=samples, seed=seed)
-        classify(base_id, state.theta, res.theta_mean, NB_GAUSSIAN, max_ll)
+    def raw():
+        return classify("raw", raw_token_features(train_corpus),
+                        raw_token_features(test_corpus), NB_MULTINOMIAL, None)
 
-    classify("raw", raw_token_features(train_corpus),
-             raw_token_features(test_corpus), NB_MULTINOMIAL, None)
-    return reports
+    if gibbs._usable_cpus() < 2:
+        return [r for name in STATE_ARTIFACTS for r in chain(name)] + raw()
+    stop = threading.Event()
+
+    def chains():
+        gibbs._thread.no_helper = True
+        return [r for name in STATE_ARTIFACTS if not stop.is_set()
+                for r in chain(name)]
+
+    with ThreadPoolExecutor(1, thread_name_prefix="ss3m-evaluate") as pool:
+        worker = pool.submit(chains)
+        try:
+            try:
+                baseline = raw()
+            except Exception:
+                worker.result()     # a chain's error comes first
+                raise
+            return worker.result() + baseline
+        finally:
+            stop.set()  # after an interrupt, no further chain starts
 
 
 def reports_to_csv(reports) -> str:

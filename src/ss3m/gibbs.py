@@ -69,7 +69,9 @@ the snapshot it keeps, during the first sweep. The helper draws no
 random numbers, so one seed gives the same bytes with one CPU or more,
 and the kernels a benchmark tracer wraps by module attribute
 (_sample_z_batch, the counts, the Dirichlet draws, the state copy, the
-initial state) all run on the calling thread.
+initial state) all run on the calling thread. A chain on a thread that
+sets _thread.no_helper starts no helper: evaluation.evaluate_suite's
+worker does, since it already runs beside the calling thread.
 """
 
 import logging
@@ -117,6 +119,10 @@ B_SAMPLED = "sampled"
 # Distinct (patient, word) pairs per block of the z pass: bounds its
 # (block x P) temporaries.
 Z_CHUNK = 4096
+
+# Per-thread state; no_helper, when set on a thread, keeps the plans built
+# there from starting a helper.
+_thread = threading.local()
 
 
 @dataclass(frozen=True)
@@ -175,10 +181,11 @@ class ZPlan:
     sweep: each source's pair index (pairs, one _Pairs per source) and one
     float64 scratch pair of min(Z_CHUNK, most pairs of a source) x P,
     shared by the sources. With two or more usable CPUs and a source of
-    more than Z_CHUNK tokens, also a helper thread (helper, a
-    single-worker executor; None otherwise) and its own scratch of the
-    same shape (helper_scratch; scratch itself without a helper, when
-    submit runs the helper's work inline). A plan is a context manager;
+    more than Z_CHUNK tokens, unless built on a thread that sets
+    _thread.no_helper, also a helper thread (helper, a single-worker
+    executor; None otherwise) and its own scratch of the same shape
+    (helper_scratch; scratch itself without a helper, when submit runs
+    the helper's work inline). A plan is a context manager;
     close(), or leaving its with block, shuts the helper down.
 
     The constructor checks that each source's token IDs and patients
@@ -198,7 +205,7 @@ class ZPlan:
         sources = [self._checked(w, len(voc), s) for s, (w, voc)
                    in enumerate(zip(corpus.tokens, corpus.vocab))]
         self.helper = None
-        if (_usable_cpus() > 1
+        if (_usable_cpus() > 1 and not getattr(_thread, "no_helper", False)
                 and any(w_flat.size > self.chunk for w_flat, _, _ in sources)):
             self.helper = ThreadPoolExecutor(1, thread_name_prefix="ss3m")
         self._pairs = self.submit(

@@ -521,6 +521,40 @@ class TestErrorPaths:
                    "--state-dir", states) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, code, message", [
+        (["--model.num_labeled", "1"], 1, "config error: label matrix has "
+                                          "more columns (2) than "
+                                          "model.num_labeled (1)"),
+        (["--eval.lr_epochs", "-1"], 1, "config error: logistic regression "
+                                        "needs epochs >= 0 and 0 <= lambda < "
+                                        "inf, got epochs -1, lambda 1.0"),
+        (["--eval.samples", "0"], 1, "config error: samples must be >= 1"),
+        (["--model.num_phenotypes", "5"], 2,
+         "data error: ss3m_fixA0_fixB: trained state (theta (9, 3), B (3,)) "
+         "does not have the configured 5 phenotypes"),
+    ], ids=["num_labeled", "lr_epochs", "samples", "num_phenotypes"])
+    def test_evaluate_checks_everything_before_out_and_any_job(
+            self, tmp_path, toy_config, capsys, monkeypatch, override, code,
+            message):
+        prep, states = self._trained(tmp_path, toy_config)
+        mc3m = str(tmp_path / "mc3m")
+        assert run("--config", toy_config, "--seed", "1", "--out", mc3m,
+                   "train", "--corpus", os.path.join(prep, "corpus_train.json"),
+                   "--model-id", "mc3m") == 0
+        os.replace(os.path.join(mc3m, "mc3m.state.json"),
+                   os.path.join(states, "mc3m.state.json"))
+
+        def no_job(*args, **kwargs):
+            raise AssertionError("a job ran")
+
+        for job in ("heldout_infer", "lr_train", "raw_token_features"):
+            monkeypatch.setattr(evaluation, job, no_job)
+        capsys.readouterr()
+        assert self._evaluate(tmp_path, toy_config, prep, states,
+                              *override) == code
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "eval").exists()
+
     @pytest.mark.parametrize("override", [
         ["--eval.lr_epochs", "-3"],
         ["--eval.lr_lambda", "-1"],
@@ -654,6 +688,7 @@ class TestErrorPaths:
                    "--test-labels", os.path.join(prep, "labels_test.json"),
                    "--state-dir", states) == 2
         assert "mc3m: theta has 9 patients" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
     def test_invalid_hyperparameter_is_config_error(self, tmp_path,
                                                     toy_config):

@@ -758,6 +758,42 @@ class TestEvaluateSuite:
                            **{"burn_in": 1, "samples": 2, "seed": 1,
                               "lr_epochs": 20, **settings})
 
+    @pytest.mark.parametrize("bad, error, message", [
+        ("seed", ConfigError, "seed must be >= 0, got -1"),
+        ("train labels", DataError, "train labels cover 29 patients, the "
+                                    "train corpus 30"),
+        ("test vocabulary", DataError, r"train vocabularies have \[25\] "
+                                       r"words per source, the test "
+                                       r"vocabularies \[26\]"),
+        ("phenotypes", DataError, r"mc3m: trained state \(theta \(30, 3\), "
+                                  r"B \(3,\)\) does not have the configured "
+                                  r"4 phenotypes"),
+    ])
+    def test_bad_inputs_fail_before_any_job(self, monkeypatch, bad, error,
+                                            message):
+        h, corpus, labels, truth = self._setup()
+        test_corpus, train_labels, kw = corpus, labels, {"seed": 1}
+        if bad == "seed":
+            kw["seed"] = -1
+        if bad == "train labels":
+            train_labels = LabelMatrix(entries=labels.entries[1:],
+                                       label_names=labels.label_names)
+        if bad == "test vocabulary":
+            test_corpus = Corpus(vocab=[corpus.vocab[0] + ["extra"]],
+                                 tokens=corpus.tokens)
+        if bad == "phenotypes":
+            h = make_hyper(P=4, P_lab=2, S=1, alpha=0.3, gamma=0.05)
+
+        def no_job(*args, **kwargs):
+            raise AssertionError("a job ran")
+
+        for job in ("heldout_infer", "lr_train", "raw_token_features"):
+            monkeypatch.setattr(evaluation, job, no_job)
+        with pytest.raises(error, match=message):
+            evaluate_suite({"mc3m": (truth, -1000.0)}, corpus, train_labels,
+                           test_corpus, labels, h, burn_in=1, samples=2,
+                           lr_epochs=20, **kw)
+
     def test_labels_naming_other_columns_is_data_error(self):
         h, corpus, labels, truth = self._setup()
         renamed = LabelMatrix(entries=labels.entries,

@@ -1,6 +1,9 @@
 """The z plan's helper thread (gibbs.ZPlan.helper): it changes no draw,
 float or error of any chain, and it never outlives the chain, not even
-one whose starting state fails to draw.
+one whose starting state fails to draw. Likewise evaluate_suite's worker
+thread, which runs the held-out chains beside the raw-token baseline:
+it changes no byte of the reports, its chains start no helper, and it
+is joined before the suite returns or raises.
 
 The CPU probe (gibbs._usable_cpus) is monkeypatched to force the helper
 on or off, and gibbs.Z_CHUNK is cut to 1 or 2 pairs, so that the small
@@ -11,15 +14,16 @@ import copy
 import dataclasses
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
 
 from conftest import fresh_stdout, make_hyper
-from ss3m import gibbs
+from ss3m import evaluation, gibbs
 from ss3m.errors import DimensionError, NumericalError, SamplingError
-from ss3m.evaluation import heldout_infer
+from ss3m.evaluation import STATE_ARTIFACTS, evaluate_suite, heldout_infer
 from ss3m.gibbs import (
     TrainOptions,
     ZPlan,
@@ -29,7 +33,13 @@ from ss3m.gibbs import (
     train,
     train_unstructured,
 )
-from ss3m.model import Corpus, LabelMatrix
+from ss3m.model import (
+    Corpus,
+    DocLengthSpec,
+    LabelMatrix,
+    generate,
+    labels_from_activations,
+)
 
 REAL_SCAN = gibbs.activation_scan
 MODES = [(missing, b_mode) for missing in ("fix_zero", "estimate")
@@ -439,3 +449,152 @@ def test_first_train_with_a_helper_draws_the_same_bytes():
 
 def test_concurrent_first_calls_of_the_scipy_special_proxies():
     assert fresh_stdout(FIRST_CALLS).split() == ["True"] * 8
+
+
+def _suite_problem():
+    """(hyper, corpus, labels, artifacts) of a small evaluate_suite run
+    with every artifact, the generating state, on one corpus."""
+    hyper = make_hyper(P=3, P_lab=2, S=1, gamma=0.05, iterations=2)
+    corpus, truth = generate(hyper, [25], DocLengthSpec.poisson(30, 1), 30,
+                             seed=9)
+    return (hyper, corpus, labels_from_activations(truth, 2),
+            {name: (truth, -1000.0) for name in STATE_ARTIFACTS})
+
+
+def _suite(hyper, corpus, labels, artifacts):
+    return evaluate_suite(artifacts, corpus, labels, corpus, labels, hyper,
+                          burn_in=1, samples=2, seed=1, lr_epochs=20)
+
+
+def _watch(monkeypatch, seen):
+    """Record, at each local step and LR fit, the thread it runs on and
+    how many threads exist."""
+    for module, name in ((gibbs, "local_step"), (evaluation, "lr_train")):
+        def wrapper(*args, fn=getattr(module, name), name=name, **kwargs):
+            seen.append((name, threading.current_thread(),
+                         threading.active_count()))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+
+def _corrupt(artifacts, name):
+    """An all-zero phi for artifact name: its z pass raises
+    SamplingError."""
+    state, max_ll = artifacts[name]
+    artifacts[name] = (dataclasses.replace(
+        state, phi=[np.zeros_like(phi_s) for phi_s in state.phi]), max_ll)
+
+
+def _nan_features(corpus):
+    return np.full((corpus.num_patients, len(corpus.vocab[0])), np.nan)
+
+
+@pytest.mark.parametrize("fail", [None, "chain", "chain and raw LR",
+                                  "interrupt"])
+def test_suite_runs_one_worker_and_joins_it(fail, monkeypatch):
+    # Z_CHUNK at 2 would give every chain a helper, were it started
+    hyper, corpus, labels, artifacts = _suite_problem()
+    monkeypatch.setattr(gibbs, "Z_CHUNK", 2)
+    _cpus(monkeypatch, 2)
+    seen = []
+    _watch(monkeypatch, seen)
+    if fail in ("chain", "chain and raw LR"):
+        _corrupt(artifacts, "mc3m")
+    if fail == "chain and raw LR":
+        # lr_train refuses features that are not finite (DataError), but
+        # the mc3m chain comes first in column order
+        monkeypatch.setattr(evaluation, "raw_token_features", _nan_features)
+    if fail == "interrupt":
+        # the interrupt lands while the first chain runs: no other starts
+        started, chain = threading.Event(), evaluation.heldout_infer
+
+        def slow_chain(*args, **kwargs):
+            started.set()
+            time.sleep(0.2)
+            return chain(*args, **kwargs)
+
+        def interrupt(corpus):
+            started.wait(30)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(evaluation, "heldout_infer", slow_chain)
+        monkeypatch.setattr(evaluation, "raw_token_features", interrupt)
+    start = threading.active_count()
+    if fail is None:
+        reports = _suite(hyper, corpus, labels, artifacts)
+        assert [r.model_id for r in reports] == list(
+            evaluation.SUITE_COLUMNS)
+    else:
+        with pytest.raises({"chain": SamplingError,
+                            "chain and raw LR": SamplingError,
+                            "interrupt": KeyboardInterrupt}[fail]):
+            _suite(hyper, corpus, labels, artifacts)
+    assert threading.active_count() == start
+    caller = threading.current_thread()
+    assert all(count <= start + 1 for _, _, count in seen)
+    steps = [thread for name, thread, _ in seen if name == "local_step"]
+    fits = [thread for name, thread, _ in seen if name == "lr_train"]
+    assert steps and caller not in steps
+    if fail is None:
+        # the LR fits of mc3m_sp and mc3m on the worker, the raw one here
+        assert fits.count(caller) == 1 and len(fits) == 3
+    if fail == "chain and raw LR":
+        assert fits.count(caller) == 1
+    if fail == "interrupt":
+        assert len(steps) == 1 + 2  # burn_in + samples of one chain
+
+
+def test_suite_with_one_cpu_starts_no_thread(monkeypatch):
+    hyper, corpus, labels, artifacts = _suite_problem()
+    monkeypatch.setattr(gibbs, "Z_CHUNK", 2)
+    _cpus(monkeypatch, 1)
+    seen = []
+    _watch(monkeypatch, seen)
+
+    def start(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    reports = _suite(hyper, corpus, labels, artifacts)
+    assert [r.model_id for r in reports] == list(evaluation.SUITE_COLUMNS)
+    assert {thread for _, thread, _ in seen} == {threading.current_thread()}
+
+
+# In a fresh interpreter, so that the suite's first A scan on the worker
+# and first LR fit on the calling thread both reach scipy.special's
+# import: evaluate_suite with gibbs._usable_cpus at sys.argv[1], every
+# artifact, two sources of 5,000 tokens; it prints metrics.csv and
+# metrics.txt as evaluate writes them, then the threads its chains ran on.
+SUITE_BYTES = """\
+import sys, threading
+from ss3m import evaluation, gibbs, model
+gibbs._usable_cpus = lambda: int(sys.argv[1])
+hyper = model.Hyperparameters(num_phenotypes=4, num_labeled=2, num_sources=2,
+                              alpha=0.3, gamma=(0.1, 0.1), iterations=2)
+lengths = model.DocLengthSpec.fixed(50, 2)
+train_c, truth = model.generate(hyper, [50, 30], lengths, 100, seed=1)
+test_c, test_truth = model.generate(hyper, [50, 30], lengths, 60, seed=2)
+train_l = model.labels_from_activations(truth, 2)
+test_l = model.labels_from_activations(test_truth, 2)
+artifacts = {name: (truth, -1000.0) for name in evaluation.STATE_ARTIFACTS}
+threads, local_step = set(), gibbs.local_step
+def watched(*args):
+    threads.add(threading.current_thread() is threading.main_thread())
+    return local_step(*args)
+gibbs.local_step = watched
+assert "scipy.special" not in sys.modules
+reports = evaluation.evaluate_suite(artifacts, train_c, train_l, test_c,
+                                    test_l, hyper, burn_in=2, samples=3,
+                                    seed=4, lr_epochs=30)
+print(evaluation.reports_to_csv(reports), end="")
+print(evaluation.reports_to_table(reports), end="")
+print("chains on the calling thread:", *sorted(threads))
+"""
+
+
+def test_suite_with_a_worker_writes_the_same_bytes():
+    inline = fresh_stdout(SUITE_BYTES, "1").splitlines()
+    worker = fresh_stdout(SUITE_BYTES, "2").splitlines()
+    assert inline[-1] == "chains on the calling thread: True"
+    assert worker[-1] == "chains on the calling thread: False"
+    assert inline[:-1] == worker[:-1]
