@@ -94,16 +94,23 @@ def load_config(args) -> RunConfig:
 
 def check_out_dir(out_dir, force):
     """ConfigError if out_dir holds files and force is off. A command
-    checks first and makes the directory once its inputs have loaded,
-    and evaluate once they pass evaluation.check_suite, so an input that
-    fails to load or to check leaves no directory behind."""
+    checks this first and makes the directory only at its first write
+    (out_path), so a command that fails before it writes leaves no
+    directory behind."""
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
         raise ConfigError(
             f"output directory {out_dir!r} is not empty (use --force)")
 
 
+def out_path(out_dir, name):
+    """The path of output file name, making out_dir first: every writer
+    of a command's output takes its path from here."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
+
+
 def write_text(out_dir, name, text):
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+    with open(out_path(out_dir, name), "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -158,17 +165,16 @@ def cmd_generate(args, cfg: RunConfig):
         lengths = model.DocLengthSpec.fixed(length, S)
     else:
         raise ConfigError(f"unknown doc_length_mode {mode!r}")
-    os.makedirs(args.out, exist_ok=True)
 
     corpus, truth = model.generate(
         hyper, vocab_sizes, lengths, cfg.get("generate.num_patients"),
         args.seed)
     labels = model.labels_from_activations(truth, hyper.num_labeled)
 
-    corpus_path = os.path.join(args.out, "corpus.jsonl")
-    data_io.save_corpus_jsonl(corpus, labels, corpus_path)
-    state_path = os.path.join(args.out, "truth_state.json")
-    data_io.save_state(truth, state_path, extra={"seed": args.seed})
+    data_io.save_corpus_jsonl(corpus, labels,
+                              out_path(args.out, "corpus.jsonl"))
+    data_io.save_state(truth, out_path(args.out, "truth_state.json"),
+                       extra={"seed": args.seed})
     echo_config(cfg, args.out)
     write_manifest(args.out, args.seed, cfg,
                    ["corpus.jsonl", "truth_state.json", "resolved_config.cfg"])
@@ -180,7 +186,6 @@ def cmd_generate(args, cfg: RunConfig):
 def cmd_preprocess(args, cfg: RunConfig):
     check_out_dir(args.out, args.force)
     corpus, labels, patient_ids, sources = _load_raw_corpus(args.corpus, cfg)
-    os.makedirs(args.out, exist_ok=True)
     (train_c, train_l), (test_c, test_l), spl = data_io.split(
         corpus, labels, cfg.get("split.train_fraction"), args.seed)
     train_ids = [patient_ids[i] for i in spl.train_indices]
@@ -194,7 +199,7 @@ def cmd_preprocess(args, cfg: RunConfig):
         "labels_test.json": (data_io.save_labels, test_l, test_ids),
     }
     for name, (saver, obj, ids, *names) in files.items():
-        saver(obj, ids, os.path.join(args.out, name), *names)
+        saver(obj, ids, out_path(args.out, name), *names)
     echo_config(cfg, args.out)
     write_manifest(args.out, args.seed, cfg,
                    list(files) + ["resolved_config.cfg"])
@@ -231,7 +236,6 @@ def cmd_train(args, cfg: RunConfig):
         corpus, patient_ids, _ = data_io.load_corpus(args.corpus)
         if args.labels:
             labels = _load_labels_for(args.labels, patient_ids)
-    os.makedirs(args.out, exist_ok=True)
     hyper = hyper_from_config(cfg, corpus.num_sources)
 
     if args.model_id == "mc3m":
@@ -247,7 +251,7 @@ def cmd_train(args, cfg: RunConfig):
             seed=args.seed)
         trace = gibbs.train(corpus, labels, hyper, options)
 
-    state_path = os.path.join(args.out, f"{args.model_id}.state.json")
+    state_path = out_path(args.out, f"{args.model_id}.state.json")
     data_io.save_state(trace.best_state, state_path, extra={
         "max_log_likelihood": trace.best_log_likelihood,
         "best_iteration": trace.best_iteration,
@@ -287,13 +291,10 @@ def cmd_evaluate(args, cfg: RunConfig):
         if os.path.exists(path):
             state, meta = data_io.load_state(path)
             artifacts[name] = (state, meta.get("max_log_likelihood"))
-    suite = (artifacts, train_c, train_l, test_c, test_l, hyper,
-             cfg.get("eval.burn_in"), cfg.get("eval.samples"), args.seed,
-             cfg.get("eval.lr_lambda"), cfg.get("eval.lr_epochs"))
-    evaluation.check_suite(*suite)
-    os.makedirs(args.out, exist_ok=True)
-
-    reports = evaluation.evaluate_suite(*suite)
+    reports = evaluation.evaluate_suite(
+        artifacts, train_c, train_l, test_c, test_l, hyper,
+        cfg.get("eval.burn_in"), cfg.get("eval.samples"), args.seed,
+        cfg.get("eval.lr_lambda"), cfg.get("eval.lr_epochs"))
 
     write_text(args.out, "metrics.csv", evaluation.reports_to_csv(reports))
     table = evaluation.reports_to_table(reports)
@@ -311,7 +312,6 @@ def cmd_summarize(args, cfg: RunConfig):
     if args.labels:
         labels, _ = data_io.load_labels(args.labels)
         label_names = labels.label_names
-    os.makedirs(args.out, exist_ok=True)
     k = cfg.get("summarize.top_k")
     summary = model.phenotype_summary(state, corpus, k)
 

@@ -212,64 +212,54 @@ _VAR_FLOOR = 1e-6
 
 
 def nb_train(features, truth, mode: str):
-    """Fit one-vs-rest naive Bayes.
+    """Fit one-vs-rest naive Bayes: per label, a model of the training
+    patients who carry it and one of those who do not.
 
     multinomial: token counts with add-one smoothing (raw-token features);
     gaussian: per-dimension mean/variance with a variance floor (simplex
-    features). Returns an opaque model dict for nb_predict.
+    features). A class no patient is in is fitted to all of them, so a
+    label that every or no patient carries scores its prior log-odds.
+    Returns (mode, [(prior log-odds, class-1 fit, class-0 fit) per label])
+    for nb_predict.
     """
     X = np.asarray(features, dtype=float)
     Y = np.asarray(truth).astype(bool)
     if mode not in (NB_MULTINOMIAL, NB_GAUSSIAN):
         raise ConfigError(f"unknown naive Bayes mode {mode!r}")
-    n, _ = X.shape
-    models = []
-    for j in range(Y.shape[1]):
-        y = Y[:, j]
+    n = X.shape[0]
+    labels = []
+    for y in Y.T:
         n1 = int(y.sum())
-        n0 = n - n1
         log_prior = np.log((n1 + 1.0) / (n + 2.0)) - np.log(
-            (n0 + 1.0) / (n + 2.0))
-        if n1 == 0 or n0 == 0:
-            # degenerate class: fall back to the prior log-odds alone
-            models.append({"degenerate": True, "log_prior": log_prior})
-            continue
-        if mode == NB_MULTINOMIAL:
-            c1 = X[y].sum(axis=0) + 1.0
-            c0 = X[~y].sum(axis=0) + 1.0
-            models.append({
-                "degenerate": False,
-                "log_prior": log_prior,
-                "log_p1": np.log(c1 / c1.sum()),
-                "log_p0": np.log(c0 / c0.sum()),
-            })
-        else:
-            models.append({
-                "degenerate": False,
-                "log_prior": log_prior,
-                "mu1": X[y].mean(axis=0),
-                "var1": np.maximum(X[y].var(axis=0), _VAR_FLOOR),
-                "mu0": X[~y].mean(axis=0),
-                "var0": np.maximum(X[~y].var(axis=0), _VAR_FLOOR),
-            })
-    return {"mode": mode, "labels": models}
+            (n - n1 + 1.0) / (n + 2.0))
+        fits = []
+        for rows in (y, ~y):
+            Xc = X[rows if rows.any() else ~rows]
+            if mode == NB_MULTINOMIAL:
+                c = Xc.sum(axis=0) + 1.0
+                fits.append(np.log(c / c.sum()))
+            else:
+                fits.append((Xc.mean(axis=0),
+                             np.maximum(Xc.var(axis=0), _VAR_FLOOR)))
+        labels.append((log_prior, *fits))
+    return mode, labels
 
 
 def nb_predict(model, features) -> np.ndarray:
     """Posterior log-odds scores, one column per label."""
+    mode, labels = model
     X = np.asarray(features, dtype=float)
     cols = []
-    for m in model["labels"]:
-        if m["degenerate"]:
-            cols.append(np.full(X.shape[0], m["log_prior"]))
-        elif model["mode"] == NB_MULTINOMIAL:
-            cols.append(m["log_prior"] + X @ (m["log_p1"] - m["log_p0"]))
-        else:
-            ll1 = -0.5 * (np.log(2 * np.pi * m["var1"])
-                          + (X - m["mu1"]) ** 2 / m["var1"]).sum(axis=1)
-            ll0 = -0.5 * (np.log(2 * np.pi * m["var0"])
-                          + (X - m["mu0"]) ** 2 / m["var0"]).sum(axis=1)
-            cols.append(m["log_prior"] + ll1 - ll0)
+    for log_prior, fit1, fit0 in labels:
+        if mode == NB_MULTINOMIAL:
+            cols.append(log_prior + X @ (fit1 - fit0))
+            continue
+        ll1, ll0 = (-0.5 * (np.log(2 * np.pi * var)
+                            + (X - mu) ** 2 / var).sum(axis=1)
+                    for mu, var in (fit1, fit0))
+        # log_prior itself where the classes tie, as on a label that every
+        # or no patient carries: (log_prior + ll1) - ll0 would round it
+        cols.append(np.where(ll1 == ll0, log_prior, log_prior + ll1 - ll0))
     return np.column_stack(cols)
 
 
@@ -473,13 +463,12 @@ def evaluate_suite(artifacts: dict, train_corpus: Corpus,
         held-out chain's, scored directly for an ss3m column and through
         classify, on the best state's theta of the training patients, for
         a base model."""
-        if name not in artifacts and name in SUITE_COLUMNS:
-            logger.warning("no artifact for %s; emitting placeholder", name)
-            return [MetricsReport(model_id=name)]
         if name not in artifacts:
-            logger.warning("no artifact for %s; emitting placeholders", name)
-            return [MetricsReport(model_id=f"{name}_{clf}")
-                    for clf in ("lr", "nb")]
+            cols = ([name] if name in SUITE_COLUMNS
+                    else [f"{name}_lr", f"{name}_nb"])
+            logger.warning("no artifact for %s; emitting placeholder %s",
+                           name, ", ".join(cols))
+            return [MetricsReport(model_id=col) for col in cols]
         state, max_ll = artifacts[name]
         res = heldout_infer(test_corpus, state, hyper, burn_in=burn_in,
                             samples=samples, seed=seed)

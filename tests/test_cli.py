@@ -555,6 +555,38 @@ class TestErrorPaths:
         assert capsys.readouterr().err == message + "\n"
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("override, command, message", [
+        (["--generate.num_patients", "0"], ["generate"],
+         "D must be positive"),
+        (["--split.train_fraction", "1.5"],
+         ["preprocess", "--corpus", "{gen}/corpus.jsonl"],
+         "train_fraction must lie strictly in (0, 1)"),
+        (["--model.alpha", "2"],
+         ["train", "--corpus", "{prep}/corpus_train.json",
+          "--labels", "{prep}/labels_train.json"],
+         "alpha must lie strictly in (0, 1)"),
+        (["--train.b_mode", "bogus"],
+         ["train", "--corpus", "{prep}/corpus_train.json",
+          "--labels", "{prep}/labels_train.json"],
+         "unknown b_mode 'bogus'"),
+        (["--summarize.top_k", "0"],
+         ["summarize", "--state", "{states}/ss3m_fixA0_fixB.state.json",
+          "--corpus", "{prep}/corpus_train.json"],
+         "k must be positive"),
+    ], ids=["generate", "preprocess", "train alpha", "train b_mode",
+            "summarize"])
+    def test_command_failing_after_its_inputs_load_leaves_no_out(
+            self, tmp_path, toy_config, capsys, override, command, message):
+        prep, states = self._trained(tmp_path, toy_config)
+        paths = {"gen": str(tmp_path / "gen"), "prep": prep,
+                 "states": states}
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run("--config", toy_config, *override, "--out", str(out),
+                   *(arg.format(**paths) for arg in command)) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("override", [
         ["--eval.lr_epochs", "-3"],
         ["--eval.lr_lambda", "-1"],

@@ -260,13 +260,21 @@ class TestNaiveBayes:
         got = nb_predict(model, x)[0, 0]
         assert got == pytest.approx(want, abs=1e-12)
 
-    def test_all_negative_label_defaults_to_prior(self, rng):
-        X = rng.random((8, 3))
-        Y = np.zeros((8, 1), dtype=int)
-        model = nb_train(X, Y, NB_GAUSSIAN)
-        scores = nb_predict(model, X)
-        want = math.log(1 / 10) - math.log(9 / 10)
-        assert np.allclose(scores, want)
+    @pytest.mark.parametrize("mode", [NB_MULTINOMIAL, NB_GAUSSIAN])
+    @pytest.mark.parametrize("carried", [0, 1], ids=["absent", "present"])
+    def test_degenerate_label_scores_exactly_the_prior(self, rng, mode,
+                                                       carried):
+        # an ordinary column beside one that no (or every) patient carries
+        X = rng.integers(0, 5, size=(8, 3)).astype(float)
+        Y = np.column_stack([rng.integers(0, 2, size=8), np.full(8, carried)])
+        Y[:2, 0] = [0, 1]
+        scores = nb_predict(nb_train(X, Y, mode), X)
+        # smoothed prior log-odds: (1/10) / (9/10) absent, its inverse present
+        want = np.log(1 / 10) - np.log(9 / 10)
+        assert (scores[:, 1] == (-want if carried else want)).all()
+        for j in range(2):
+            alone = nb_predict(nb_train(X, Y[:, j:j + 1], mode), X)
+            assert np.array_equal(scores[:, j], alone[:, 0])
 
     def test_gaussian_mode_separates(self, rng):
         X = np.vstack([rng.normal(0, 0.1, size=(25, 2)),

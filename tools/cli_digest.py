@@ -26,11 +26,12 @@ dtype and shape, and the ids, names, vocabularies and meta. A change to a
 reader shows there even where the written bytes stay the same. On each
 pipeline corpus it then repeats evaluate's arithmetic in-process and
 prints one `sha256  evaluation/...` line per result:
-heldout_infer's scores and theta_mean for each trained state, and
-lr_train's weights on the mc3m theta and on the raw token counts.
-metrics.csv's AUROC is rank-based and does not show a change of these
-numbers at the rounding level. Last it prints one `sha256  library/...`
-line per library result:
+heldout_infer's scores and theta_mean for each trained state,
+lr_train's weights on the mc3m theta and on the raw token counts, and
+nb_predict's test scores on the same features (gaussian on the theta,
+multinomial on the counts). metrics.csv's AUROC is rank-based and does
+not show a change of these numbers at the rounding level. Last it
+prints one `sha256  library/...` line per library result:
 
   * generate() for seeds 501-503 at each shape of GENERATE_SHAPES (the
     train-paper and pipeline-tokens inputs, the toy config, a single
@@ -43,7 +44,9 @@ line per library result:
   * lr_train()'s weights after 400 epochs on each of the 60 small count
     problems of tests/test_evaluation.py's float-optimum test (seeds
     0-59), fits that run to steps whose loss change is at rounding level,
-    where a change of the line search's step rule shows.
+    where a change of the line search's step rule shows;
+  * nb_predict()'s scores of both modes on the same 60 problems, each
+    with one all-present and one all-absent label column appended.
 
 Two checkouts that draw the same numbers print the same lines:
 
@@ -171,8 +174,8 @@ def state_arrays(state):
 
 
 def library_lines(bench):
-    """`sha256  library/...` lines for generate(), train() and lr_train()
-    results; bench is the checkout's perfbench/run.py."""
+    """`sha256  library/...` lines for generate(), train(), lr_train() and
+    nb_predict() results; bench is the checkout's perfbench/run.py."""
     import ss3m
     from ss3m import evaluation, gibbs, model
 
@@ -211,6 +214,11 @@ def library_lines(bench):
                                       lam=(0.0, 1e-3, 1.0)[seed % 3],
                                       epochs=LR_OPTIMUM_EPOCHS)["weights"]
         yield f"{array_digest(weights)}  library/lr-optimum-{seed}"
+        # with a label every patient carries and one no patient carries
+        Y = np.column_stack([Y, np.ones(n, int), np.zeros(n, int)])
+        for mode in (evaluation.NB_MULTINOMIAL, evaluation.NB_GAUSSIAN):
+            scores = evaluation.nb_predict(evaluation.nb_train(X, Y, mode), X)
+            yield f"{array_digest(scores)}  library/nb-{mode}-{seed}"
 
 
 def evaluation_lines(work: Path, config: Path, solver_seed: int):
@@ -236,12 +244,27 @@ def evaluation_lines(work: Path, config: Path, solver_seed: int):
         yield (f"{array_digest(res.scores, res.theta_mean)}  "
                f"evaluation/{work.name}/heldout-{model_id}")
         if model_id == "mc3m":
-            weights = evaluation.lr_train(state.theta, truth, **lr)["weights"]
-            yield (f"{array_digest(weights)}  "
-                   f"evaluation/{work.name}/lr-{model_id}")
-    weights = evaluation.lr_train(evaluation.raw_token_features(train_c),
-                                  truth, **lr)["weights"]
-    yield f"{array_digest(weights)}  evaluation/{work.name}/lr-raw"
+            yield from classify_lines(
+                f"evaluation/{work.name}", model_id, state.theta,
+                res.theta_mean, truth, evaluation.NB_GAUSSIAN, lr)
+    yield from classify_lines(
+        f"evaluation/{work.name}", "raw",
+        evaluation.raw_token_features(train_c),
+        evaluation.raw_token_features(test_c), truth,
+        evaluation.NB_MULTINOMIAL, lr)
+
+
+def classify_lines(prefix, name, feats_train, feats_test, truth, nb_mode,
+                   lr):
+    """The `prefix/lr-name` line, lr_train's weights, and the
+    `prefix/nb-name` line, nb_predict's scores on feats_test."""
+    from ss3m import evaluation
+
+    weights = evaluation.lr_train(feats_train, truth, **lr)["weights"]
+    yield f"{array_digest(weights)}  {prefix}/lr-{name}"
+    scores = evaluation.nb_predict(
+        evaluation.nb_train(feats_train, truth, nb_mode), feats_test)
+    yield f"{array_digest(scores)}  {prefix}/nb-{name}"
 
 
 def reload_digest(arrays, strings) -> str:
