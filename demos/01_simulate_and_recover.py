@@ -2,7 +2,7 @@
 that the labeled phenotypes are recovered in place.
 
 Run:  python3 demos/01_simulate_and_recover.py
-Takes about a minute.
+Takes a few seconds.
 """
 
 import numpy as np

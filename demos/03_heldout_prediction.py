@@ -5,7 +5,7 @@ activations for unseen patients on the other half, and prints the full
 metric table with the naive Bayes / logistic regression baselines.
 
 Run:  python3 demos/03_heldout_prediction.py
-Takes a few minutes.
+Takes a few seconds.
 """
 
 from ss3m import (

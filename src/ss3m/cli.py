@@ -231,6 +231,9 @@ def cmd_train(args, cfg: RunConfig):
     check_out_dir(args.out, args.force)
     labels = None
     if args.corpus.endswith(".jsonl"):
+        if args.labels:
+            raise ConfigError("--labels is not read with a raw .jsonl "
+                              "corpus, which carries its own labels")
         corpus, labels, _, _ = _load_raw_corpus(args.corpus, cfg)
     else:
         corpus, patient_ids, _ = data_io.load_corpus(args.corpus)
@@ -285,6 +288,8 @@ def cmd_evaluate(args, cfg: RunConfig):
                                    label_names=test_l.label_names)
         logger.warning("label-shuffle control enabled: test labels permuted")
 
+    if not os.path.isdir(args.state_dir):
+        raise DataError(f"--state-dir {args.state_dir!r} is not a directory")
     artifacts = {}
     for name in evaluation.STATE_ARTIFACTS:
         path = os.path.join(args.state_dir, f"{name}.state.json")

@@ -127,7 +127,8 @@ def load_raw(path) -> list:
         unknown_fields += len(obj.keys() - _RECORD_FIELDS)
         pid = obj["patient_id"]
         if not isinstance(pid, str) or not pid:
-            raise DataError(f"{path}: line {lineno}: empty patient_id")
+            raise DataError(f"{path}: line {lineno}: patient_id must be a "
+                            f"non-empty string, got {type(pid).__name__}")
         records.append(RawRecord(
             patient_id=pid,
             source=str(obj["source"]),
@@ -371,14 +372,10 @@ def _decode(field, dtype: str, ndim: int) -> np.ndarray:
 
 
 def _decode_ragged(field) -> Ragged:
-    """A v2 {"flat", "lengths"} pair as a Ragged; ValueError if a length
-    is negative or the lengths do not sum to the size of flat."""
-    flat = _decode(field["flat"], I4, 1)
-    lengths = _decode(field["lengths"], I4, 1)
-    if (lengths < 0).any() or lengths.sum() != flat.size:
-        raise ValueError(f"lengths that do not cut the {flat.size} entries "
-                         "of flat")
-    return Ragged(flat, lengths)
+    """A v2 {"flat", "lengths"} pair as a Ragged, which raises
+    DimensionError if the lengths do not cut flat."""
+    return Ragged(_decode(field["flat"], I4, 1),
+                  _decode(field["lengths"], I4, 1))
 
 
 def _load_container(path, version: str):

@@ -42,8 +42,8 @@ phenotypes once and hands the counts to the A scan, the B step and the
 theta draw, and the sweep counts each source's tokens once for the phi
 draw and hands both to the log joint.
 
-The z pass works on distinct (patient, word) pairs, and the tokens do
-not change along a chain, so each chain plans it once (ZPlan, which also
+The z pass works on distinct (patient, word) pairs, and the tokens are
+read-only (model.Corpus), so each chain plans it once (ZPlan, which also
 hands the kernels the chain's corpus): each source's tokens sorted by
 pair, with the pair starts and heads, and one scratch pair of at most
 Z_CHUNK x P floats that every block of every sweep reuses. A block gathers its theta
@@ -188,28 +188,24 @@ class ZPlan:
     the helper's work inline). A plan is a context manager;
     close(), or leaving its with block, shuts the helper down.
 
-    The constructor checks that each source's token IDs and patients
-    (Ragged.flat and .doc_idx) are 1-D arrays of one length and that the
-    token IDs lie in [0, V) for the source's vocabulary size V
-    (DimensionError): the z pass gathers rows at these indices without
-    checking them again, and a caller may have written into the token
-    arrays after building the corpus. It then hands the pair sort to the
-    helper, so that the caller can draw the chain's starting state
-    meanwhile; pairs, and the scratch sized by them, wait for it.
+    The z pass gathers rows at the token IDs and patients without
+    checking them: the Corpus checked them and made them read-only. The
+    constructor hands the pair sort to the helper, so that the caller can
+    draw the chain's starting state meanwhile; pairs, and the scratch
+    sized by them, wait for it.
     """
 
     def __init__(self, corpus: Corpus, num_phenotypes: int):
         self.corpus = corpus
         self.shape = (corpus.num_patients, num_phenotypes)
         self.chunk = Z_CHUNK
-        sources = [self._checked(w, len(voc), s) for s, (w, voc)
-                   in enumerate(zip(corpus.tokens, corpus.vocab))]
         self.helper = None
         if (_usable_cpus() > 1 and not getattr(_thread, "no_helper", False)
-                and any(w_flat.size > self.chunk for w_flat, _, _ in sources)):
+                and any(w.flat.size > self.chunk for w in corpus.tokens)):
             self.helper = ThreadPoolExecutor(1, thread_name_prefix="ss3m")
-        self._pairs = self.submit(
-            lambda: [self._pair_index(*source) for source in sources])
+        self._pairs = self.submit(lambda: [
+            self._pair_index(w.flat, w.doc_idx, len(voc))
+            for w, voc in zip(corpus.tokens, corpus.vocab)])
 
     @property
     def pairs(self) -> list:
@@ -249,15 +245,6 @@ class ZPlan:
 
     def __exit__(self, *exc_info):
         self.close()
-
-    def _checked(self, w, V: int, s: int):
-        w_flat, doc_idx = w.flat, w.doc_idx
-        if w_flat.shape != (w_flat.size,) or doc_idx.shape != w_flat.shape:
-            raise DimensionError(f"source {s}: token IDs and patients must "
-                                 "be 1-D arrays of one length")
-        if w_flat.size and not (0 <= w_flat.min() and w_flat.max() < V):
-            raise DimensionError(f"source {s}: token ID outside [0, {V})")
-        return w_flat, doc_idx, V
 
     def _pair_index(self, w_flat, doc_idx, V: int) -> _Pairs:
         D, N = self.shape[0], w_flat.size
@@ -327,7 +314,7 @@ def _sample_z_batch(theta, phi_s, plan: ZPlan, s: int, rng):
         first = (N, -1)
         for lo in iter(take, None):
             hi = min(lo + plan.chunk, U)
-            # the plan checked the indices, so clipping changes none of them
+            # the corpus checked the indices, so clipping changes none
             probs, factor = scratch[:, :hi - lo]
             np.take(theta, pairs.patient[lo:hi], axis=0, out=probs,
                     mode="clip")

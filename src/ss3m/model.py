@@ -84,7 +84,7 @@ def _int64(values) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage
         cast = read.astype(np.int64)
     if not np.array_equal(cast, read):
-        raise DataError("token IDs and assignments must be integers")
+        raise DataError("token IDs, assignments and lengths must be integers")
     return cast
 
 
@@ -94,15 +94,22 @@ class Ragged:
     the patient of flat[i]. len(), indexing and iteration give the
     per-patient arrays as views of flat. offsets and doc_idx are read-only
     and shared by every Ragged of the layout (like): a source's tokens and
-    its assignments z."""
+    its assignments z. flat is as writable as it was given; a Corpus
+    makes its tokens' flat read-only."""
 
     __slots__ = ("flat", "offsets", "doc_idx")
 
     def __init__(self, flat: np.ndarray, lengths):
-        """flat cut into spans of the given lengths."""
+        """flat cut into spans of the given lengths; DimensionError unless
+        flat is 1-D and the lengths are non-negative and sum to its size;
+        DataError if a length is not an integer."""
+        lengths = _int64(lengths)
+        if (np.ndim(flat) != 1 or lengths.ndim != 1 or (lengths < 0).any()
+                or lengths.sum() != np.size(flat)):
+            raise DimensionError(f"lengths that do not cut a 1-D array of "
+                                 f"{np.size(flat)} entries")
         self.flat = flat
-        self.offsets = np.concatenate(([0], np.cumsum(lengths,
-                                                      dtype=np.int64)))
+        self.offsets = np.concatenate(([0], np.cumsum(lengths)))
         self.doc_idx = np.repeat(np.arange(len(lengths)), lengths)
         self.offsets.flags.writeable = self.doc_idx.flags.writeable = False
 
@@ -143,7 +150,8 @@ class Corpus:
 
     vocab[s] is the token-string list for source s; tokens[s] is a Ragged
     built from the given per-patient arrays, tokens[s][d] the token IDs of
-    patient d in source s (possibly empty).
+    patient d in source s (possibly empty). Once every ID is in range,
+    each tokens[s].flat, a given Ragged's in place, is made read-only.
     """
 
     vocab: list
@@ -164,6 +172,8 @@ class Corpus:
                 raise DimensionError(
                     f"token ID out of range for source {s}, patient "
                     f"{int(w.doc_idx[bad[0]])}")
+        for w in tokens:
+            w.flat.flags.writeable = False
 
     @property
     def num_sources(self) -> int:

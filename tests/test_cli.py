@@ -555,6 +555,46 @@ class TestErrorPaths:
         assert capsys.readouterr().err == message + "\n"
         assert not (tmp_path / "eval").exists()
 
+    def test_evaluate_missing_state_dir_is_data_error(
+            self, tmp_path, toy_config, capsys, monkeypatch):
+        # a mistyped --state-dir used to exit 0 with every ss3m and mc3m
+        # column a placeholder; a directory without artifacts still does
+        prep, states = self._trained(tmp_path, toy_config)
+        empty = tmp_path / "no_states"
+        empty.mkdir()
+        assert self._evaluate(tmp_path, toy_config, prep, str(empty)) == 0
+        with open(tmp_path / "eval" / "metrics.csv") as fh:
+            assert any(row.startswith("ss3m_fixA0_fixB,") and
+                       row.endswith(",") for row in fh.read().splitlines())
+        os.rename(tmp_path / "eval", tmp_path / "eval_empty")
+
+        def no_job(*args, **kwargs):
+            raise AssertionError("a job ran")
+
+        for job in ("heldout_infer", "lr_train", "raw_token_features"):
+            monkeypatch.setattr(evaluation, job, no_job)
+        missing = states + "_typo"
+        capsys.readouterr()
+        assert self._evaluate(tmp_path, toy_config, prep, missing) == 2
+        assert capsys.readouterr().err == (
+            f"data error: --state-dir {missing!r} is not a directory\n")
+        assert not (tmp_path / "eval").exists()
+
+    def test_train_raw_corpus_with_labels_is_config_error(
+            self, tmp_path, toy_config, capsys):
+        # the raw records' labels were used and --labels was ignored, even
+        # a file that does not exist
+        gen, out = str(tmp_path / "gen"), tmp_path / "o"
+        run("--config", toy_config, "--seed", "1", "--out", gen, "generate")
+        capsys.readouterr()
+        assert run("--config", toy_config, "--out", str(out), "train",
+                   "--corpus", os.path.join(gen, "corpus.jsonl"),
+                   "--labels", str(tmp_path / "nope.json")) == 1
+        assert capsys.readouterr().err == (
+            "config error: --labels is not read with a raw .jsonl corpus, "
+            "which carries its own labels\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("override, command, message", [
         (["--generate.num_patients", "0"], ["generate"],
          "D must be positive"),

@@ -87,6 +87,21 @@ class TestLoadRaw:
                            rf"{field} must be a JSON array, got {kind}"):
             load_raw(path)
 
+    @pytest.mark.parametrize("value, kind", [
+        (123, "int"),       # was reported as an empty patient_id
+        (None, "NoneType"),
+        (["p1"], "list"),
+        ("", "str"),
+    ])
+    def test_patient_id_that_is_not_a_string(self, tmp_path, value, kind):
+        path = tmp_path / "ids.jsonl"
+        record = {"patient_id": "p1", "source": "s", "tokens": ["a"]}
+        write_jsonl(path, [record, {**record, "patient_id": value}])
+        with pytest.raises(DataError, match=rf"ids\.jsonl: line 2: "
+                           rf"patient_id must be a non-empty string, "
+                           rf"got {kind}$"):
+            load_raw(path)
+
     def test_entries_that_are_not_strings_are_cast(self, tmp_path):
         path = tmp_path / "numbers.jsonl"
         write_jsonl(path, [{"patient_id": "p1", "source": "s",

@@ -340,13 +340,20 @@ def test_failed_start_leaves_no_helper(monkeypatch):
 
 
 def test_bad_token_id_fails_before_the_helper_starts(monkeypatch):
+    # the corpus is the one check of its token IDs: a bad ID fails when
+    # the corpus is built, or when it is written into a built one
     corpus = CORPORA["an empty source"]()
-    corpus.tokens[0].flat[3] = len(corpus.vocab[0])
     monkeypatch.setattr(gibbs, "Z_CHUNK", 2)
     _cpus(monkeypatch, 2)
     start = threading.active_count()
-    with pytest.raises(DimensionError, match="token ID outside"):
-        ZPlan(corpus, 3)
+    V = len(corpus.vocab[0])
+    with pytest.raises(ValueError, match="read-only"):
+        corpus.tokens[0].flat[3] = V
+    bad = corpus.tokens[0].flat.copy()
+    bad[3] = V
+    with pytest.raises(DimensionError, match="out of range"):
+        Corpus(vocab=corpus.vocab,
+               tokens=[corpus.tokens[0].like(bad), corpus.tokens[1]])
     assert threading.active_count() == start
 
 

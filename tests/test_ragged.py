@@ -1,6 +1,7 @@
 """The one stored token layout, model.Ragged: a round trip from the
-per-patient arrays that Corpus and ModelState are built from, views that
-alias the flat buffer, and deep ModelState copies."""
+per-patient arrays that Corpus and ModelState are built from, the layout
+check at construction, views that alias the flat buffer, a corpus's
+read-only tokens, and deep ModelState copies."""
 
 import numpy as np
 import pytest
@@ -45,6 +46,8 @@ def test_non_integer_entries_are_data_errors(entry):
     with pytest.raises(DataError, match="must be integers"):
         Ragged.of([[0, 1], [0, entry]])
     with pytest.raises(DataError, match="must be integers"):
+        Ragged(np.arange(2), [entry, 1])
+    with pytest.raises(DataError, match="must be integers"):
         Corpus(vocab=[["a", "b"]], tokens=[[[0, entry]]])
     with pytest.raises(DataError, match="must be integers"):
         ModelState(theta=np.full((1, 2), 0.5), phi=[np.full((2, 2), 0.5)],
@@ -63,6 +66,23 @@ def test_integer_entries_are_kept(dtype):
     corpus = Corpus(vocab=[["a", "b", "c"]],
                     tokens=[[np.array([2, 0], dtype=dtype), []]])
     assert corpus.tokens[0].flat.tolist() == [2, 0]
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(-1, 4), max_size=6), st.integers(-2, 2),
+       st.booleans())
+def test_layout_is_checked_when_built(lengths, slack, two_d):
+    # flat must be 1-D and the lengths non-negative and sum to its size;
+    # a mis-cut layout would count tokens of one patient as another's
+    size = max(sum(lengths) + slack, 0)
+    flat = np.arange(size).reshape((1, size) if two_d else size)
+    if two_d or min(lengths, default=0) < 0 or sum(lengths) != size:
+        with pytest.raises(DimensionError, match="do not cut a 1-D array"):
+            Ragged(flat, lengths)
+        return
+    r = Ragged(flat, lengths)
+    assert r.flat is flat and [v.size for v in r] == lengths
+    assert r.offsets.tolist() == np.cumsum([0, *lengths]).tolist()
 
 
 @PROPERTY_SETTINGS
@@ -106,6 +126,32 @@ def test_corpus_leaves_the_callers_list_alone():
     assert toks[0][1].dtype == np.int32
     assert corpus.tokens[0].flat.tolist() == [0, 1, 2]
     assert corpus.num_patients == 3 and corpus.num_tokens() == 3
+
+
+def test_a_built_corpus_is_read_only():
+    own = Ragged(np.array([1, 0, 1]), [2, 1])
+    corpus = Corpus(vocab=[["a", "b"], ["c"]], tokens=[own, [[0], []]])
+    assert corpus.tokens[0] is own and not own.flat.flags.writeable
+    for w in corpus.tokens:
+        assert not any(view.flags.writeable for view in w)
+    with pytest.raises(ValueError, match="read-only"):
+        corpus.tokens[0].flat[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        corpus.tokens[1][0][0] = 0
+    # a corpus that fails to build makes nothing read-only
+    mine = Ragged(np.array([1, 0]), [2])
+    with pytest.raises(DimensionError, match="source 1"):
+        Corpus(vocab=[["a", "b"], ["c"]],
+               tokens=[mine, Ragged(np.array([1]), [1])])
+    assert mine.flat.flags.writeable
+    # assignments in the corpus's layout, and a state's, stay writable
+    z = corpus.tokens[0].like(np.zeros(3, dtype=np.int64))
+    z[0][1] = 1
+    assert z.flat.tolist() == [0, 1, 0]
+    state, _ = random_tiny_state(np.random.default_rng(0), D=2,
+                                 max_tokens=3)
+    for z in state.z:
+        z.flat[:] = 1
 
 
 def test_out_of_range_token_names_its_patient():

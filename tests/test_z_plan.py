@@ -1,5 +1,6 @@
 """The z pass's per-chain plan (gibbs.ZPlan): reused across local steps
-with the draws of the unchunked reference, its index checks, its corner
+with the draws of the unchunked reference, the corpus checks it relies
+on, its shape checks, its corner
 cases (P = 1, sources without tokens), and a peak allocation per pass
 that grows with the tokens and not with the (pair x phenotype) rows."""
 
@@ -51,12 +52,16 @@ def test_one_plan_serves_consecutive_local_steps(chunk, monkeypatch):
     ([0, -1], [0, 0]),      # negative token ID
 ])
 def test_plan_rejects_out_of_range_indices(w_flat, doc_idx):
-    # a Corpus rejects the IDs when it is built, so they are written into
-    # the built corpus's tokens, which the plan checks again
+    # the plan gathers at the token IDs unchecked: the corpus rejects
+    # these when it is built, and a built corpus refuses them written in
+    with pytest.raises(DimensionError, match="out of range"):
+        flat_corpus([(np.array(w_flat), doc_idx, 5)], 2)
     corpus = flat_corpus([(np.zeros(2, dtype=np.int64), doc_idx, 5)], 2)
-    corpus.tokens[0].flat[:] = w_flat
-    with pytest.raises(DimensionError, match="outside"):
-        ZPlan(corpus, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        corpus.tokens[0].flat[:] = w_flat
+    with pytest.raises(ValueError, match="read-only"):
+        corpus.tokens[0][0][1] = w_flat[1]
+    assert ZPlan(corpus, 3).pairs[0].word.tolist() == [0]
 
 
 def test_pass_rejects_arrays_the_plan_was_not_built_for():
@@ -72,11 +77,10 @@ def test_pass_rejects_arrays_the_plan_was_not_built_for():
         with pytest.raises(DimensionError, match="z plan"):
             gibbs._sample_z_batch(bad_theta, bad_phi, plan, 0,
                                   np.random.default_rng(0))
-    # a Ragged whose lengths do not sum to its size
-    corpus = Corpus(vocab=[[f"w{v}" for v in range(5)]],
-                    tokens=[Ragged(np.array([0, 4]), [1])])
+    # a Ragged whose lengths do not sum to its size fails when it is
+    # built, before a corpus or a plan can hold it
     with pytest.raises(DimensionError, match="1-D"):
-        ZPlan(corpus, 2)
+        Ragged(np.array([0, 4]), [1])
 
 
 def test_one_phenotype_and_empty_sources():
