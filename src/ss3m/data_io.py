@@ -4,16 +4,19 @@ splitting, and (de)serialization of corpora, labels, and model states.
 Wire formats:
   * corpus: JSON-lines, one object per line with keys patient_id, source,
     tokens, labels (labels may appear on any record of a patient and are
-    unioned per patient);
+    unioned per patient), written as json.dumps writes each object;
   * preprocessed corpus, label matrix and model state: JSON containers
     with format_version "ss3m-corpus-v2", "ss3m-labels-v1" and
     "ss3m-state-v2". In the v2 containers every numeric array is an
     object {"dtype", "shape", "data"}, data being the base64 of the
     array's little-endian C-order bytes: theta, each phi_s and B as
     "<f8", A as "|i1", and each source's tokens and z as one
-    {"flat", "lengths"} pair of "<i4" arrays. vocab, patient_ids,
-    sources, Bstar and meta are plain JSON. Each reader accepts only the
-    version its writer writes.
+    {"flat", "lengths"} pair of integer arrays, each written in the
+    narrowest of "|u1", "<u2" and "<i4" that holds it ("<i4" if an entry
+    is negative) and read as int64 from any of the three, so that files
+    written all in "<i4" still load. vocab, patient_ids, sources, Bstar
+    and meta are plain JSON. Each reader accepts only the version its
+    writer writes.
 """
 
 import base64
@@ -46,8 +49,11 @@ STATE_FORMAT_VERSION = "ss3m-state-v2"
 CORPUS_FORMAT_VERSION = "ss3m-corpus-v2"
 LABELS_FORMAT_VERSION = "ss3m-labels-v1"
 # wire dtype of a v2 array -> the dtype it is read into
-F8, I1, I4 = "<f8", "|i1", "<i4"
-_READ_AS = {F8: np.float64, I1: np.int8, I4: np.int64}
+F8, I1, U1, U2, I4 = "<f8", "|i1", "|u1", "<u2", "<i4"
+_READ_AS = {F8: np.float64, I1: np.int8, U1: np.int64, U2: np.int64,
+            I4: np.int64}
+# the wire dtypes of a ragged field's flat and lengths, narrowest first
+_RAGGED = (U1, U2, I4)
 _RECORD_FIELDS = {"patient_id", "source", "tokens", "labels"}
 
 
@@ -107,8 +113,11 @@ def text_lines(path):
 
 
 def load_raw(path) -> list:
-    """Parse a JSON-lines corpus file into RawRecords, in file order."""
+    """Parse a JSON-lines corpus file into RawRecords, in file order. Equal
+    tokens share one str object across the file, so a corpus holds one
+    string per distinct token, each hashed once."""
     records = []
+    words = {}
     unknown_fields = 0
     for lineno, line in enumerate(text_lines(path), start=1):
         line = line.strip()
@@ -129,10 +138,11 @@ def load_raw(path) -> list:
         if not isinstance(pid, str) or not pid:
             raise DataError(f"{path}: line {lineno}: patient_id must be a "
                             f"non-empty string, got {type(pid).__name__}")
+        tokens = _strings(obj, "tokens", path, lineno)
         records.append(RawRecord(
             patient_id=pid,
             source=str(obj["source"]),
-            tokens=_strings(obj, "tokens", path, lineno),
+            tokens=list(map(words.setdefault, tokens, tokens)),
             labels=_strings(obj, "labels", path, lineno),
         ))
     if unknown_fields:
@@ -305,11 +315,11 @@ def load_state(path):
     payload = _load_container(path, STATE_FORMAT_VERSION)
     with _reading(path, "state"):
         state = ModelState(
-            theta=_decode(payload["theta"], F8, 2),
-            phi=[_decode(p, F8, 2) for p in payload["phi"]],
+            theta=_decode(payload["theta"], 2, F8),
+            phi=[_decode(p, 2, F8) for p in payload["phi"]],
             z=[_decode_ragged(z) for z in payload["z"]],
-            A=_decode(payload["A"], I1, 2),
-            B=_decode(payload["B"], F8, 1),
+            A=_decode(payload["A"], 2, I1),
+            B=_decode(payload["B"], 1, F8),
             Bstar=float(payload["Bstar"]))
         state.validate()
     return state, payload.get("meta", {})
@@ -341,20 +351,32 @@ def _encode(array, dtype: str) -> dict:
             "data": base64.b64encode(array.tobytes()).decode("ascii")}
 
 
+def _narrowest(array: np.ndarray) -> str:
+    """The narrowest of _RAGGED that holds every entry of the integer
+    array: "<i4" if one is negative, so that a reader's range check sees
+    the value itself."""
+    if array.min(initial=0) < 0:
+        return I4
+    top = array.max(initial=0)
+    return U1 if top <= 0xFF else U2 if top <= 0xFFFF else I4
+
+
 def _encode_ragged(ragged: Ragged) -> dict:
-    """ragged as a v2 {"flat", "lengths"} pair."""
-    return {"flat": _encode(ragged.flat, I4),
-            "lengths": _encode(np.diff(ragged.offsets), I4)}
+    """ragged as a v2 {"flat", "lengths"} pair, each at its narrowest."""
+    lengths = np.diff(ragged.offsets)
+    return {"flat": _encode(ragged.flat, _narrowest(ragged.flat)),
+            "lengths": _encode(lengths, _narrowest(lengths))}
 
 
-def _decode(field, dtype: str, ndim: int) -> np.ndarray:
-    """The array a v2 field holds, as a new array of dtype's _READ_AS
-    type. ValueError unless the field's dtype is dtype, its shape ndim
-    non-negative integers and its data base64 of exactly that many
+def _decode(field, ndim: int, *dtypes: str) -> np.ndarray:
+    """The array a v2 field holds, as a new array of its dtype's _READ_AS
+    type. ValueError unless the field's dtype is one of dtypes, its shape
+    ndim non-negative integers and its data base64 of exactly that many
     items."""
-    if field["dtype"] != dtype:
-        raise ValueError(f"dtype {field['dtype']!r} where {dtype!r} is "
-                         "expected")
+    dtype = field["dtype"]
+    if dtype not in dtypes:
+        raise ValueError(f"dtype {dtype!r} where "
+                         f"{' or '.join(map(repr, dtypes))} is expected")
     shape = field["shape"]
     if not (isinstance(shape, list) and len(shape) == ndim
             and all(type(n) is int and n >= 0 for n in shape)):
@@ -374,8 +396,8 @@ def _decode(field, dtype: str, ndim: int) -> np.ndarray:
 def _decode_ragged(field) -> Ragged:
     """A v2 {"flat", "lengths"} pair as a Ragged, which raises
     DimensionError if the lengths do not cut flat."""
-    return Ragged(_decode(field["flat"], I4, 1),
-                  _decode(field["lengths"], I4, 1))
+    return Ragged(_decode(field["flat"], 1, *_RAGGED),
+                  _decode(field["lengths"], 1, *_RAGGED))
 
 
 def _load_container(path, version: str):
@@ -455,25 +477,24 @@ def save_corpus_jsonl(corpus: Corpus, labels, path):
     """Write a corpus (and Present labels, attached to each patient's first
     record) back to the JSON-lines wire format. Patient d is p{d:06d} and
     source s is source{s}, s zero-padded to the digits of the last source,
-    so that preprocess's sorted sources keep the corpus's order."""
-    D = corpus.num_patients
-    patient_ids = [f"p{d:06d}" for d in range(D)]
-    width = len(str(corpus.num_sources - 1))
-    source_names = [f"source{s:0{width}d}" for s in range(corpus.num_sources)]
+    so that preprocess's sorted sources keep the corpus's order. Each
+    line is the text json.dumps gives its record, joined from the JSON
+    text of each word and label name, encoded once."""
+    D, width = corpus.num_patients, len(str(corpus.num_sources - 1))
+    entries = np.zeros((D, 0)) if labels is None else labels.entries
+    rows, cols = np.nonzero(entries == LABEL_PRESENT)
+    present = Ragged(cols, np.bincount(rows, minlength=len(entries)))
+    names = [] if labels is None else labels.label_names
+    texts = [np.array([json.dumps(w) for w in words], dtype=object)
+             for words in (names, *corpus.vocab)]
+    heads = [f', "source": "source{s:0{width}d}", "tokens": ['
+             for s in range(corpus.num_sources)]
     lines = []
-    for d in range(D):
-        present = []
-        if labels is not None:
-            present = [labels.label_names[j]
-                       for j in np.flatnonzero(
-                           labels.entries[d] == LABEL_PRESENT)]
-        for s in range(corpus.num_sources):
-            voc = corpus.vocab[s]
-            obj = {
-                "patient_id": patient_ids[d],
-                "source": source_names[s],
-                "tokens": [voc[v] for v in corpus.tokens[s][d].tolist()],
-                "labels": present if s == 0 else [],
-            }
-            lines.append(json.dumps(obj))
+    for d, (cols, *docs) in enumerate(zip(present, *corpus.tokens,
+                                          strict=True)):
+        label_list = ", ".join(texts[0][cols].tolist())
+        for s, doc in enumerate(docs):
+            lines.append(f'{{"patient_id": "p{d:06d}"{heads[s]}'
+                         f'{", ".join(texts[s + 1][doc].tolist())}], '
+                         f'"labels": [{label_list if s == 0 else ""}]}}')
     _atomic_write(path, "\n".join(lines) + "\n")

@@ -127,7 +127,11 @@ class Ragged:
                    [a.size for a in arrays])
 
     def like(self, flat: np.ndarray) -> "Ragged":
-        """flat, as long as self.flat, in this layout."""
+        """flat in this layout; DimensionError unless flat is 1-D and as
+        long as self.flat."""
+        if np.ndim(flat) != 1 or np.size(flat) != self.flat.size:
+            raise DimensionError(f"an array of shape {np.shape(flat)} "
+                                 f"for a layout of {self.flat.size} entries")
         out = object.__new__(Ragged)
         out.flat, out.offsets, out.doc_idx = flat, self.offsets, self.doc_idx
         return out

@@ -115,6 +115,8 @@ def cell_log_odds(d, p, state, counts, hyper):
 
 # the keys of the v2 state and corpus containers that hold arrays
 _V2_ARRAY_KEYS = ("theta", "phi", "z", "A", "B", "tokens")
+# the dtypes the readers accept for a ragged field's flat and lengths
+RAGGED_DTYPES = ("|u1", "<u2", "<i4")
 
 
 def v2_array(field):
@@ -154,24 +156,29 @@ def _fits(values, dtype) -> bool:
     return False
 
 
-def _encoded_as(lists, like):
+def _encoded_as(lists, like, wider=()):
     """The nested lists of _as_lists(like), maybe edited, as v2 fields
-    again: each array in like's dtype where its values still fit it and
-    in theirs otherwise, so that 2.5 written into A makes a '<f8' field.
-    Rows of unequal length keep like's shape and lose the bytes of the
-    missing entries."""
+    again: each array in like's dtype where its values still fit it, else
+    in the first of the dtypes wider that they fit, else in theirs, so
+    that 2.5 written into A makes a '<f8' field. A {"flat", "lengths"}
+    pair's flat may widen to any dtype of RAGGED_DTYPES, so that -1
+    written into a '|u1' z makes a '<i4' field, which the reader accepts;
+    its lengths are written as '<i4'. Rows of unequal length keep like's
+    shape and lose the bytes of the missing entries."""
     if isinstance(like, list):
         return [_encoded_as(v, f) for v, f in zip(lists, like)]
     if "flat" in like:
         return {"flat": _encoded_as([v for d in lists for v in d],
-                                    like["flat"]),
+                                    like["flat"], RAGGED_DTYPES),
                 "lengths": v2_field([len(d) for d in lists], "<i4")}
     dtype = np.dtype(like["dtype"])
     try:
         values = np.array(lists)
     except ValueError:  # ragged rows
         return v2_field(np.concatenate(lists), dtype, like["shape"])
-    return v2_field(values, dtype if _fits(values, dtype) else values.dtype)
+    fitting = (t for t in (dtype, *map(np.dtype, wider))
+               if _fits(values, t))
+    return v2_field(values, next(fitting, values.dtype))
 
 
 def corrupt_v2(payload, corrupt):

@@ -45,6 +45,10 @@ np.bincount: Counter totals, per-patient sets for the patient counts,
 and a dictionary lookup per surviving token. It must give the same
 vocabularies, token IDs and patient list.
 
+The JSON-lines writer reference is the writer the package used before
+it encoded each vocabulary word once per source: one json.dumps call
+per record. Its file must match the package's byte for byte.
+
 The chain references are the code the package ran before the mc3m
 baseline and held-out inference became the gated chain with every
 activation on and B = Bstar = c: the baseline trainer with its own init
@@ -58,6 +62,7 @@ ranks are half-integers and their sum is exact, so the two agree bit for
 bit.
 """
 
+import json
 from collections import Counter
 from math import lgamma, log
 
@@ -481,6 +486,32 @@ def preprocess(records, config):
     tokens = [[per_source[d] for d in keep_idx] for per_source in tokens]
     patients = [patients[d] for d in keep_idx]
     return Corpus(vocab=vocab, tokens=tokens), patients
+
+
+def save_corpus_jsonl(corpus, labels, path):
+    """The JSON-lines corpus, written with one json.dumps per record."""
+    D = corpus.num_patients
+    patient_ids = [f"p{d:06d}" for d in range(D)]
+    width = len(str(corpus.num_sources - 1))
+    source_names = [f"source{s:0{width}d}" for s in range(corpus.num_sources)]
+    lines = []
+    for d in range(D):
+        present = []
+        if labels is not None:
+            present = [labels.label_names[j]
+                       for j in np.flatnonzero(
+                           labels.entries[d] == LABEL_PRESENT)]
+        for s in range(corpus.num_sources):
+            voc = corpus.vocab[s]
+            obj = {
+                "patient_id": patient_ids[d],
+                "source": source_names[s],
+                "tokens": [voc[v] for v in corpus.tokens[s][d].tolist()],
+                "labels": present if s == 0 else [],
+            }
+            lines.append(json.dumps(obj))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def auroc(scores, truth):

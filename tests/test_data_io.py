@@ -29,6 +29,7 @@ from ss3m.model import (
     DocLengthSpec,
     LabelMatrix,
     ModelState,
+    Ragged,
     generate,
     labels_from_activations,
 )
@@ -115,6 +116,19 @@ class TestLoadRaw:
                             "tokens": ["a"], "labels": [], "extra": 1}])
         records = load_raw(path)
         assert records[0].tokens == ["a"]
+
+    def test_equal_tokens_share_one_string(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [
+            {"patient_id": "p0", "source": "s", "tokens": ["ab", "cd", "ab"]},
+            {"patient_id": "p1", "source": "t", "tokens": ["cd", "ab"]},
+            {"patient_id": "p1", "source": "s", "tokens": [70, 70.5, 70]}])
+        first, second, cast = (rec.tokens for rec in load_raw(path))
+        assert (first, second, cast) == (["ab", "cd", "ab"], ["cd", "ab"],
+                                         ["70", "70.5", "70"])
+        assert first[0] is first[2] is second[1]
+        assert first[1] is second[0]
+        assert cast[0] is cast[2]
 
     def test_duplicate_patient_source_concatenated(self, tmp_path):
         path = tmp_path / "dup.jsonl"
@@ -415,6 +429,48 @@ class TestContainers:
                 assert got == want
 
 
+# characters json.dumps escapes or passes through: quotes, backslashes,
+# control and non-ASCII characters, a line separator, a lone surrogate
+WORDS = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028'
+                                          '\U0001f600\ud800'),
+                          st.characters()), max_size=4)
+
+
+@st.composite
+def jsonl_corpora(draw):
+    """(corpus, labels or None) for the JSON-lines writer: up to 4
+    patients, some without tokens, one to three sources or eleven (two
+    digits in the source names), and words and label names of WORDS."""
+    D = draw(st.integers(0, 4))
+    S = draw(st.sampled_from([1, 2, 3, 11]))
+    vocab = [draw(st.lists(WORDS, min_size=1, max_size=4, unique=True))
+             for _ in range(S)]
+    tokens = [[draw(arrays(np.int64, draw(st.integers(0, 5)),
+                           elements=st.integers(0, len(voc) - 1)))
+               for _ in range(D)] for voc in vocab]
+    corpus = Corpus(vocab=vocab, tokens=tokens)
+    if draw(st.booleans()):
+        return corpus, None
+    names = draw(st.lists(WORDS, max_size=3, unique=True))
+    entries = draw(arrays(np.int8, (D, len(names)),
+                          elements=st.sampled_from([-1, 0, 1])))
+    return corpus, LabelMatrix(entries=entries, label_names=names)
+
+
+class TestJsonlWriter:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(jsonl_corpora())
+    def test_matches_the_per_record_dumps(self, tmp_path_factory, problem):
+        # the writer that called json.dumps once per record: the same bytes
+        corpus, labels = problem
+        tmp = tmp_path_factory.mktemp("jsonl")
+        data_io.save_corpus_jsonl(corpus, labels, tmp / "corpus.jsonl")
+        reference_kernels.save_corpus_jsonl(corpus, labels, tmp / "ref.jsonl")
+        assert ((tmp / "corpus.jsonl").read_bytes()
+                == (tmp / "ref.jsonl").read_bytes())
+
+
 class TestMalformedContainers:
     """A corpus or labels container whose fields are missing, of the
     wrong type or of the wrong length is a DataError (CLI exit 2). The
@@ -575,17 +631,78 @@ class TestV2Containers:
         assert v2_array(corpus_payload["tokens"][1]["lengths"]).tolist() == \
             [w.size for w in corpus.tokens[1]]
 
+    # both edit lengths as int64 and write them as '<i4', the widest
+    # ragged dtype, whatever the width the writer chose
+
     @staticmethod
     def _negative_length(ragged):
-        lengths = v2_array(ragged["lengths"]).copy()
+        lengths = v2_array(ragged["lengths"]).astype(np.int64)
         lengths[0] += lengths[1] + 1
         lengths[1] = -1  # same sum, one length below zero
         ragged["lengths"] = v2_field(lengths, "<i4")
 
     @staticmethod
     def _longer_lengths(ragged):
-        lengths = v2_array(ragged["lengths"]) + 1
+        lengths = v2_array(ragged["lengths"]).astype(np.int64) + 1
         ragged["lengths"] = v2_field(lengths, "<i4")
+
+    @pytest.mark.parametrize("top, dtype", [
+        (255, "|u1"), (256, "<u2"), (65535, "<u2"), (65536, "<i4")])
+    def test_ragged_fields_take_the_narrowest_width(self, tmp_path, top,
+                                                    dtype):
+        # one patient of `top` tokens, the last of ID `top`
+        flat = np.zeros(top, dtype=np.int64)
+        flat[-1] = top
+        corpus = Corpus(vocab=[[f"w{v}" for v in range(top + 1)]],
+                        tokens=[Ragged(flat, [top])])
+        path = tmp_path / "corpus.json"
+        data_io.save_corpus(corpus, ["p0"], path, ["s"])
+        (field,) = json.loads(path.read_text())["tokens"]
+        assert field["flat"]["dtype"] == field["lengths"]["dtype"] == dtype
+        assert_same_corpus(data_io.load_corpus(path)[0], corpus)
+
+    def test_negative_assignment_is_written_as_i4_and_named(self, tmp_path):
+        state, _ = random_tiny_state(np.random.default_rng(5), D=3, P=2,
+                                     max_tokens=4)
+        state.z[0].flat[0] = -1
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        assert json.loads(path.read_text())["z"][0]["flat"]["dtype"] == "<i4"
+        with pytest.raises(DataError, match=r"z of source 0 outside \[0, 2\)"):
+            load_state(path)
+
+    @staticmethod
+    def _as_i4(path, key, out):
+        """The container at path with each ragged field of payload[key]
+        written as '<i4', at out; the (flat, lengths) dtypes it had."""
+        payload = json.loads(path.read_text())
+        widths = []
+        for pair in payload[key]:
+            widths.append((pair["flat"]["dtype"], pair["lengths"]["dtype"]))
+            for part in ("flat", "lengths"):
+                pair[part] = v2_field(v2_array(pair[part]), "<i4")
+        out.write_text(json.dumps(payload))
+        return widths
+
+    def test_files_with_i4_ragged_fields_load_the_same(self, tmp_path):
+        # files written before the writers chose a width held every
+        # ragged field as '<i4'
+        hyper = make_hyper(P=3, S=2, gamma=0.3)
+        corpus, truth = generate(hyper, [300, 4], DocLengthSpec.poisson(20, 2),
+                                 6, seed=4)
+        state, old_state = tmp_path / "state.json", tmp_path / "state-i4.json"
+        save_state(truth, state)
+        assert self._as_i4(state, "z", old_state) == [("|u1", "|u1")] * 2
+        assert_same_state(load_state(old_state)[0], truth)
+        assert_same_state(load_state(state)[0], truth)
+
+        path, old_path = tmp_path / "corpus.json", tmp_path / "corpus-i4.json"
+        data_io.save_corpus(corpus, [f"p{d}" for d in range(6)], path,
+                            ["s0", "s1"])
+        assert self._as_i4(path, "tokens", old_path) == [("<u2", "|u1"),
+                                                         ("|u1", "|u1")]
+        assert_same_corpus(data_io.load_corpus(old_path)[0], corpus)
+        assert_same_corpus(data_io.load_corpus(path)[0], corpus)
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda pl: pl["theta"].__setitem__("data", "not base64!"),
@@ -611,10 +728,17 @@ class TestV2Containers:
         (lambda pl: pl["z"][0].__setitem__(
             "flat", v2_field(v2_array(pl["z"][0]["flat"]), "<i8")),
          "dtype '<i8'"),
+        (lambda pl: pl["z"][0].__setitem__(
+            "flat", v2_field(v2_array(pl["z"][0]["flat"]), "<f8")),
+         "dtype '<f8'"),
+        (lambda pl: pl["z"][0].__setitem__(
+            "lengths", v2_field(v2_array(pl["z"][0]["lengths"]), "<i8")),
+         r"dtype '<i8' where '\|u1' or '<u2' or '<i4' is expected"),
     ], ids=["bad-base64", "bad-padding", "data-not-a-string", "theta-f4",
             "A-i8", "B-big-endian", "shape-too-big", "B-2d", "shape-negative",
             "shape-not-a-list", "shape-missing", "theta-as-lists",
-            "z-negative-length", "z-lengths-too-long", "z-flat-i8"])
+            "z-negative-length", "z-lengths-too-long", "z-flat-i8",
+            "z-flat-f8", "z-lengths-i8"])
     def test_malformed_v2_state_is_data_error(self, tmp_path, corrupt,
                                               message):
         state, _ = random_tiny_state(np.random.default_rng(5), D=3, P=2,
@@ -641,9 +765,15 @@ class TestV2Containers:
             "flat", v2_field([0, 1, 9], "<i4")), "out of range"),
         (lambda pl: pl["tokens"][0].__setitem__(
             "flat", v2_field([0.0, 1.0, 0.0], "<f8")), "dtype '<f8'"),
+        (lambda pl: pl["tokens"][0].__setitem__(
+            "flat", v2_field([0, 1, 0], "<i8")), "dtype '<i8'"),
+        (lambda pl: pl["tokens"][0].__setitem__(
+            "lengths", v2_field([2.0, 1.0], "<f8")),
+         r"dtype '<f8' where '\|u1' or '<u2' or '<i4' is expected"),
         (lambda pl: pl.__setitem__("tokens", [[[0, 1], [0]]] * 2), ""),
     ], ids=["bad-base64", "negative-length", "lengths-too-long",
-            "fewer-patients", "id-out-of-range", "flat-f8", "as-lists"])
+            "fewer-patients", "id-out-of-range", "flat-f8", "flat-i8",
+            "lengths-f8", "as-lists"])
     def test_malformed_v2_corpus_is_data_error(self, tmp_path, corrupt,
                                                message):
         corpus = Corpus(vocab=[["a", "b"], ["c"]],

@@ -1,7 +1,7 @@
 """The one stored token layout, model.Ragged: a round trip from the
 per-patient arrays that Corpus and ModelState are built from, the layout
-check at construction, views that alias the flat buffer, a corpus's
-read-only tokens, and deep ModelState copies."""
+check at construction and in like, views that alias the flat buffer, a
+corpus's read-only tokens, and deep ModelState copies."""
 
 import numpy as np
 import pytest
@@ -167,6 +167,19 @@ def test_state_z_must_match_the_corpus_layout():
                        B=np.ones(1), Bstar=1.0)
     with pytest.raises(DimensionError, match="document lengths"):
         state.validate(corpus)
+
+
+@pytest.mark.parametrize("z_flat", [np.zeros(2, dtype=np.int64),
+                                    np.zeros(4, dtype=np.int64),
+                                    np.zeros((3, 1), dtype=np.int64)],
+                         ids=["one-short", "one-long", "2-d"])
+def test_like_needs_a_1d_array_as_long_as_the_layout(z_flat):
+    corpus = Corpus(vocab=[["a"]], tokens=[[[0, 0], [0]]])
+    with pytest.raises(DimensionError, match="layout of 3 entries"):
+        ModelState(theta=np.full((2, 1), 1.0), phi=[np.ones((1, 1))],
+                   z=[corpus.tokens[0].like(z_flat)],
+                   A=np.ones((2, 1), dtype=np.int8), B=np.ones(1),
+                   Bstar=1.0).validate(corpus)
 
 
 @pytest.mark.parametrize("bad", [[np.zeros((2, 2))], [np.int64(3)]])
