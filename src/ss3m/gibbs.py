@@ -44,28 +44,35 @@ draw and hands both to the log joint.
 
 The z pass works on distinct (patient, word) pairs, and the tokens are
 read-only (model.Corpus), so each chain plans it once (ZPlan, which also
-hands the kernels the chain's corpus): each source's tokens sorted by
-pair, with the pair starts and heads, and one scratch pair of at most
-Z_CHUNK x P floats that every block of every sweep reuses. A block gathers its theta
-and phi rows into the scratch, multiplies them in place, and turns the
-products into running sums by P - 1 in-place column adds: a row cumsum's
-additions in its order, so the same floats, without a fresh (block x P)
-temporary. model.count_below, the search generate also draws with, finds z.
+hands the kernels the chain's corpus): each source's pairs in stable
+sort order, cut into blocks of whole patients, at most Z_CHUNK pairs or
+one patient's, so that a block's tokens are one range in flat order;
+each token's row within its block, each pair's patient and word and one
+block table over all sources; and one scratch pair of P x the largest
+block floats that every block of every sweep reuses. One call draws
+every source (_sample_z_batch, once per local step): a block gathers its
+theta and phi columns into the scratch, phenotype-major, multiplies them
+in place, and turns the products into running sums by P - 1 contiguous
+in-place row adds, a row cumsum's additions in its order, so the same
+floats, without a fresh (block x P) temporary; the last row is each
+pair's total. model.count_below, the search generate also draws with,
+finds z, read and written in place over the block's tokens.
 
 Threads. A chain runs on the calling thread plus at most one helper, a
 single-worker executor its ZPlan starts when the process may use two or
 more CPUs (os.sched_getaffinity) and some source has more than Z_CHUNK
 tokens; the chain builds its plan first and shuts the helper down before
 it returns or raises, also when drawing its starting state fails. The
-helper sorts the plan's pair index while the calling thread draws the
-starting state, and the first z pass waits for it. In a z pass the two
-threads take blocks from one shared iterator, each in its own scratch,
-and write disjoint entries of z; the uniforms are drawn up front and a
-block's floats do not depend on the thread that builds them, so the
-draws are those of one thread. The sweep computes the log joint of its
-new state on the helper while the calling thread draws phi, which the
-log joint does not read, and the chain scores its starting state, from
-the snapshot it keeps, during the first sweep. The helper draws no
+helper sorts the plan's pairs and cuts its blocks while the calling
+thread draws the starting state, and the first z pass waits for it. In a
+z pass the two threads take blocks of every source from one shared
+iterator, each in its own scratch, and write disjoint token ranges of z;
+the uniforms are drawn up front and a block's floats do not depend on
+the thread that builds them, so the draws are those of one thread. The
+sweep computes the log joint of its new state on the helper while the
+calling thread draws phi, which the log joint does not read, and the
+chain scores its starting state, from the snapshot it keeps, during the
+first sweep. The helper draws no
 random numbers, so one seed gives the same bytes with one CPU or more,
 and the kernels a benchmark tracer wraps by module attribute
 (_sample_z_batch, the counts, the Dirichlet draws, the state copy, the
@@ -116,8 +123,8 @@ MISSING_ESTIMATE = "estimate"
 B_FIXED = "fixed"
 B_SAMPLED = "sampled"
 
-# Distinct (patient, word) pairs per block of the z pass: bounds its
-# (block x P) temporaries.
+# Distinct (patient, word) pairs per block of the z pass, unless one
+# patient has more: bounds its (P x block) scratch.
 Z_CHUNK = 4096
 
 # Per-thread state; no_helper, when set on a thread, keeps the plans built
@@ -152,20 +159,24 @@ class TrainTrace:
 
 
 @dataclass(frozen=True)
-class _Pairs:
-    """One source's tokens grouped by (patient, word) pair: the tokens in
-    pair order (order), each one's row within its block of pairs (rows),
-    where each pair's tokens start in that order (starts, one more than
-    the pairs), and each pair's first token in flat order (heads), patient
-    and word. V is the source's vocabulary size."""
+class _Blocks:
+    """The z pass's blocks over every source of a corpus. Tokens are
+    numbered end to end across the sources, each source's in flat order,
+    and distinct (patient, word) pairs in (source, patient, word) order. A
+    block holds whole patients of one source, with at most Z_CHUNK pairs
+    between them or one patient's pairs if it has more, and so one range
+    of tokens. rows holds each token's pair's row within its block
+    (int32), patient and word each pair's, table one (source, first
+    token, end token, first pair, end pair) row per block in source order,
+    ends each source's token range (S + 1 offsets) and largest the most
+    pairs of a block."""
 
-    order: np.ndarray
     rows: np.ndarray
-    starts: np.ndarray
-    heads: np.ndarray
     patient: np.ndarray
     word: np.ndarray
-    V: int
+    table: np.ndarray
+    ends: np.ndarray
+    largest: int
 
 
 def _usable_cpus() -> int:
@@ -178,21 +189,21 @@ def _usable_cpus() -> int:
 class ZPlan:
     """A chain's corpus (corpus) and what its z pass needs that stays
     fixed along the chain, built once per chain and reused by every
-    sweep: each source's pair index (pairs, one _Pairs per source) and one
-    float64 scratch pair of min(Z_CHUNK, most pairs of a source) x P,
-    shared by the sources. With two or more usable CPUs and a source of
-    more than Z_CHUNK tokens, unless built on a thread that sets
-    _thread.no_helper, also a helper thread (helper, a single-worker
-    executor; None otherwise) and its own scratch of the same shape
-    (helper_scratch; scratch itself without a helper, when submit runs
-    the helper's work inline). A plan is a context manager;
+    sweep: the blocks of every source (blocks, a _Blocks) and one float64
+    scratch pair of P x the largest block. With two or more usable CPUs
+    and a source of more than Z_CHUNK tokens, unless built on a thread
+    that sets _thread.no_helper, also a helper thread (helper, a
+    single-worker executor; None otherwise) and its own scratch of the
+    same shape (helper_scratch; scratch itself without a helper, when
+    submit runs the helper's work inline). A plan is a context manager;
     close(), or leaving its with block, shuts the helper down.
 
-    The z pass gathers rows at the token IDs and patients without
+    The z pass gathers columns at the token IDs and patients without
     checking them: the Corpus checked them and made them read-only. The
     constructor hands the pair sort to the helper, so that the caller can
-    draw the chain's starting state meanwhile; pairs, and the scratch
-    sized by them, wait for it.
+    draw the chain's starting state meanwhile; blocks, and the scratch
+    sized by them, wait for it. Of the sort only what the pass reads is
+    kept: 4 bytes a token and 16 a pair.
     """
 
     def __init__(self, corpus: Corpus, num_phenotypes: int):
@@ -203,21 +214,17 @@ class ZPlan:
         if (_usable_cpus() > 1 and not getattr(_thread, "no_helper", False)
                 and any(w.flat.size > self.chunk for w in corpus.tokens)):
             self.helper = ThreadPoolExecutor(1, thread_name_prefix="ss3m")
-        self._pairs = self.submit(lambda: [
-            self._pair_index(w.flat, w.doc_idx, len(voc))
-            for w, voc in zip(corpus.tokens, corpus.vocab)])
+        self._blocks = self.submit(self._plan_blocks)
 
     @property
-    def pairs(self) -> list:
-        """Each source's _Pairs, once the sort the constructor started is
+    def blocks(self) -> _Blocks:
+        """The sources' blocks, once the sort the constructor started is
         done."""
-        return self._pairs.result()
+        return self._blocks.result()
 
     @cached_property
     def scratch(self) -> np.ndarray:
-        rows = min(self.chunk, max((p.heads.size for p in self.pairs),
-                                   default=0))
-        return np.empty((2, rows, self.shape[1]))
+        return np.empty((2, self.shape[1], self.blocks.largest))
 
     @cached_property
     def helper_scratch(self) -> np.ndarray:
@@ -246,7 +253,51 @@ class ZPlan:
     def __exit__(self, *exc_info):
         self.close()
 
-    def _pair_index(self, w_flat, doc_idx, V: int) -> _Pairs:
+    def _plan_blocks(self) -> _Blocks:
+        """Every source's pairs, cut into blocks of whole patients."""
+        tokens = self.corpus.tokens
+        ends = np.cumsum([0] + [w.flat.size for w in tokens])
+        rows = np.empty(ends[-1], dtype=np.int32)
+        patient, word, table, pair_at = [], [], [], 0
+        for s, (w, voc) in enumerate(zip(tokens, self.corpus.vocab)):
+            order, new_pair = self._pair_sort(w.flat, w.doc_idx, len(voc))
+            heads = order[np.flatnonzero(new_pair)]
+            p_s = w.doc_idx[heads]
+            # greedy cuts at patient boundaries in pair order: each block
+            # takes the most whole patients that fit in chunk pairs, or one
+            # patient whose pairs do not
+            bounds = np.flatnonzero(np.diff(p_s, prepend=-1, append=-1))
+            cuts, k = [0], 0
+            while k < bounds.size - 1:
+                j = np.searchsorted(bounds, bounds[k] + self.chunk, "right")
+                k = max(int(j) - 1, k + 1)
+                cuts.append(int(bounds[k]))
+            cuts = np.array(cuts, dtype=np.int64)
+            lo, hi = cuts[:-1], cuts[1:]
+            a, b = w.offsets[p_s[lo]], w.offsets[p_s[hi - 1] + 1]
+            # the sort keeps each patient's tokens at its flat positions,
+            # so a block's tokens are positions a..b in both orders: each
+            # one's row is its pair's rank, counted from 1, less the
+            # block's first pair plus 1
+            sorted_rows = np.cumsum(new_pair, dtype=np.int32)
+            sorted_rows -= np.repeat(lo + 1, b - a)
+            rows[ends[s]:ends[s + 1]][order] = sorted_rows
+            table.append(np.stack([np.full(lo.size, s), ends[s] + a,
+                                   ends[s] + b, pair_at + lo, pair_at + hi],
+                                  axis=1))
+            patient.append(p_s)
+            word.append(w.flat[heads])
+            pair_at += p_s.size
+        table = np.concatenate([np.zeros((0, 5), dtype=np.int64), *table])
+        none = np.zeros(0, dtype=np.int64)
+        return _Blocks(rows=rows, patient=np.concatenate([none, *patient]),
+                       word=np.concatenate([none, *word]), table=table,
+                       ends=ends,
+                       largest=int((table[:, 4] - table[:, 3]).max(initial=0)))
+
+    def _pair_sort(self, w_flat, doc_idx, V: int):
+        """One source's tokens in (patient, word) pair order, stably, and
+        whether each, in that order, starts a new pair."""
         D, N = self.shape[0], w_flat.size
         # argsort(key, kind="stable") as two stable passes, words then
         # patients, each on the narrowest integer type that holds them, so
@@ -264,81 +315,80 @@ class ZPlan:
         new_pair = np.empty(N, dtype=bool)
         new_pair[:1] = True
         np.not_equal(key[1:], key[:-1], out=new_pair[1:])
-        del key
-        starts = np.append(np.flatnonzero(new_pair), N)
-        # the stable sort puts each pair's first token in flat order first
-        heads = order[starts[:-1]]
-        return _Pairs(order=order, rows=(np.cumsum(new_pair) - 1) % self.chunk,
-                      starts=starts, heads=heads, patient=doc_idx[heads],
-                      word=w_flat[heads], V=V)
+        return order, new_pair
 
 
-def _sample_z_batch(theta, phi_s, plan: ZPlan, s: int, rng):
-    """Vectorized z resample for all tokens of source s of plan.
+def _sample_z_batch(theta, phi, plan: ZPlan, rng):
+    """Vectorized z resample for all tokens of every source of plan, one
+    int64 array per source in flat order.
 
     A token's categorical depends only on its (patient, word) pair, so
-    each distinct pair's weights, total and cumulative sum are built once,
-    plan.chunk pairs at a time in a scratch of the plan: the theta and phi
-    rows are gathered into it and multiplied there, the totals are the
-    row sums and the cumsum is P - 1 in-place column adds, the additions
-    of a row cumsum in its order. Each token's draw is then the number of
-    its pair's first P - 1 cumsum entries below u * total, found in
-    O(log P) by model.count_below, so it is never the out-of-range P. The
-    uniforms are drawn in one call up front, one per token in flat order,
-    so the draws depend neither on the blocking nor on the thread that
-    takes a block: the helper's share, handed to plan.submit, takes
-    blocks in the helper's scratch alongside this thread, which joins it
-    before returning or raising, or, without a helper, takes them all
-    first. theta must be (D, P) and phi_s (P, V) for the plan's D, P and
-    the source's V (DimensionError).
+    each distinct pair's weights and running sums are built once, a block
+    of the plan at a time in a scratch of the plan, phenotype-major: the
+    theta and phi columns of the block's pairs are gathered into it (theta
+    from one transposed copy per call, phi in place) and multiplied there,
+    and the running sums are P - 1 in-place row adds, the additions of a
+    row cumsum in its order, whose last row is each pair's total. Each
+    token's draw is then the number of its pair's first P - 1 running sums
+    below u * total, found in O(log P) by model.count_below, so it is
+    never the out-of-range P. A block holds whole patients, so its tokens
+    are one range in flat order, which the pass reads and writes in
+    place, the draws over the uniforms. The uniforms are drawn in one
+    call up front, one per token, source after source in flat order: the
+    numbers one call per source would give. So the draws depend neither on the blocking nor on the
+    thread that takes a block: the helper's share, handed to plan.submit,
+    takes blocks in the helper's scratch alongside this thread, which
+    joins it before returning or raising, or, without a helper, takes
+    them all first. theta must be (D, P) and phi hold one (P, V_s) array
+    per source, for the plan's D, P and vocabularies (DimensionError).
     """
-    pairs, (D, P) = plan.pairs[s], plan.shape
-    if np.shape(theta) != (D, P) or np.shape(phi_s) != (P, pairs.V):
+    blocks, (D, P) = plan.blocks, plan.shape
+    sizes = [len(voc) for voc in plan.corpus.vocab]
+    if (np.shape(theta) != (D, P) or len(phi) != len(sizes)
+            or any(np.shape(f) != (P, V) for f, V in zip(phi, sizes))):
         raise DimensionError(
-            f"theta {np.shape(theta)} and phi {np.shape(phi_s)} for a z plan "
-            f"of {D} patients, {P} phenotypes and {pairs.V} words")
-    theta = np.asarray(theta, dtype=np.float64)
-    phi_t = np.ascontiguousarray(np.transpose(phi_s), dtype=np.float64)
-    N, U = pairs.order.size, pairs.heads.size
+            f"theta {np.shape(theta)} and phi "
+            f"{[np.shape(f) for f in phi]} for a z plan of {D} patients, "
+            f"{P} phenotypes and {sizes} words")
+    theta_t = np.ascontiguousarray(np.transpose(theta), dtype=np.float64)
+    phi = [np.asarray(f, dtype=np.float64) for f in phi]
+    N = blocks.rows.size
     u = rng.random(N)
-    z = np.empty(N, dtype=np.int64)
-    blocks, lock = iter(range(0, U, plan.chunk)), threading.Lock()
+    # each token's draw takes its uniform's place, once its block has
+    # searched: the pass holds one token-long array
+    z = u.view(np.int64)
+    todo, lock = iter(blocks.table.tolist()), threading.Lock()
 
     def take():
         with lock:
-            return next(blocks, None)
+            return next(todo, None)
 
     def work(scratch):
-        """Draw the blocks this thread takes; return the flat index and
-        patient of the first token of a corrupt pair among them."""
-        first = (N, -1)
-        for lo in iter(take, None):
-            hi = min(lo + plan.chunk, U)
+        """Draw the blocks this thread takes; return the index, source
+        and patient of the first token of a corrupt pair among them."""
+        first = (N, -1, -1)
+        for s, a, b, lo, hi in iter(take, None):
+            # two contiguous (P x pairs) views of the scratch
+            probs, factor = scratch.reshape(2, -1)[:, :P * (hi - lo)].reshape(
+                2, P, hi - lo)
             # the corpus checked the indices, so clipping changes none
-            probs, factor = scratch[:, :hi - lo]
-            np.take(theta, pairs.patient[lo:hi], axis=0, out=probs,
+            np.take(theta_t, blocks.patient[lo:hi], axis=1, out=probs,
                     mode="clip")
-            np.take(phi_t, pairs.word[lo:hi], axis=0, out=factor, mode="clip")
+            np.take(phi[s], blocks.word[lo:hi], axis=1, out=factor,
+                    mode="clip")
             np.multiply(probs, factor, out=probs)
-            totals = probs.sum(axis=1)
-            bad = ~(totals > 0.0) | ~np.isfinite(totals)
-            if bad.any():
-                i = lo + np.flatnonzero(bad)[
-                    np.argmin(pairs.heads[lo:hi][bad])]
-                first = min(first, (int(pairs.heads[i]),
-                                    int(pairs.patient[i])))
-                continue
             for p in range(1, P):
-                np.add(probs[:, p - 1], probs[:, p], out=probs[:, p])
-            span = slice(pairs.starts[lo], pairs.starts[hi])
-            tokens, rows = pairs.order[span], pairs.rows[span]
-            # two blocks may be in flight, so each holds as few token-long
-            # arrays as it can: the thresholds are built in place and the
-            # totals freed before the search
-            thr = u[tokens]
+                np.add(probs[p - 1], probs[p], out=probs[p])
+            totals, rows = probs[-1], blocks.rows[a:b]
+            if not (totals.min() > 0.0 and totals.max() < np.inf):
+                bad = ~(totals > 0.0) | ~np.isfinite(totals)
+                i = int(np.argmax(bad[rows]))
+                first = min(first, (a + i, s,
+                                    int(blocks.patient[lo + rows[i]])))
+                continue
+            thr = u[a:b]
             thr *= totals[rows]
-            del totals
-            z[tokens] = count_below(probs, rows, thr)
+            z[a:b] = count_below(probs, rows, thr)
         return first
 
     other = plan.submit(work, plan.helper_scratch)
@@ -346,12 +396,12 @@ def _sample_z_batch(theta, phi_s, plan: ZPlan, s: int, rng):
         first = work(plan.scratch)
     finally:
         wait([other])
-    first = min(first, other.result())
-    if first[0] < N:
+    i, s, d = min(first, other.result())
+    if i < N:
         raise SamplingError(
-            f"all-zero assignment weights at patient {first[1]}, "
-            f"token {first[0]} (corrupt state)")
-    return z
+            f"all-zero assignment weights at patient {d}, "
+            f"token {i - blocks.ends[s]} (corrupt state)")
+    return np.split(z, blocks.ends[1:-1])
 
 
 def clamp_matrix(labels: LabelMatrix, options: TrainOptions, D: int,
@@ -566,9 +616,9 @@ def local_step(state: ModelState, plan: ZPlan, clamp: np.ndarray,
     and the theta draw read the same phenotype counts, summed from the new
     z, which are returned."""
     corpus = plan.corpus
+    z = _sample_z_batch(state.theta, state.phi, plan, rng)
     for s, w in enumerate(corpus.tokens):
-        state.z[s] = w.like(_sample_z_batch(state.theta, state.phi[s], plan,
-                                            s, rng))
+        state.z[s] = w.like(z[s])
     counts = phenotype_counts(state, corpus)
     activation_scan(state.A, clamp, counts, state.B, state.Bstar, alpha, rng)
     if b_prior is not None:

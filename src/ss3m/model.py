@@ -338,25 +338,27 @@ def token_counts(state: ModelState, corpus: Corpus, s: int) -> np.ndarray:
                        state.A.shape[1], len(corpus.vocab[s]))
 
 
-def count_below(cum, rows, thr) -> np.ndarray:
-    """out[i]: how many of the first K - 1 entries of row cum[rows[i]] of
-    the (R, K) array cum lie below thr[i]. For running sums of weights and
-    thr[i] = u * the row's last entry, an inverse-CDF draw from the row;
-    the last entry is never searched, so a thr that rounds above it cannot
-    give K. A branchless binary search: the count stays in at - rows * K
-    + [0, n], and n halves with each of the ceil(log2(K - 1)) gathers,
-    each taken through a view of cum offset by the step, so that it holds
-    no more than two arrays of thr's length besides the count."""
-    K = cum.shape[1]
+def count_below(cum, cols, thr) -> np.ndarray:
+    """out[i]: how many of the first K - 1 entries of column cum[:, cols[i]]
+    of the (K, R) array cum lie below thr[i]. For running sums of weights
+    down each column and thr[i] = u * the column's last entry, an
+    inverse-CDF draw from the column; the last entry is never searched, so
+    a thr that rounds above it cannot give K. A branchless binary search:
+    the count stays in (at - cols) / R + [0, n], and n halves with each of
+    the ceil(log2(K - 1)) gathers, each taken through a view of cum offset
+    by the step's rows, so that it holds no more than two arrays of thr's
+    length besides the position."""
+    K, R = cum.shape
     flat = cum.reshape(-1)
-    at, n = rows * K, K - 1
+    at, n = cols.astype(np.intp), K - 1
     while n > 1:
         half = n // 2
-        at += half * (flat[half:][at] < thr)
+        at += half * R * (flat[half * R:][at] < thr)
         n -= half
     if n:
-        at += flat[at] < thr
-    at -= rows * K
+        at += R * (flat[at] < thr)
+    at -= cols
+    at //= R
     return at
 
 
@@ -367,9 +369,10 @@ def draw_tokens(theta, phi_s, lengths, rng: np.random.Generator):
 
     Draws 2 * N uniforms in one call: for patient 0 its n_0 assignment
     uniforms then its n_0 token uniforms, then patient 1's two blocks, and
-    so on. An assignment z is count_below over the patient's cumulative
-    theta row at its uniform times the row's total; a token is the same
-    search over the cumulative phi row of z.
+    so on. An assignment z is count_below over the running sums of the
+    patient's theta row, phenotype-major as the z pass builds them, at its
+    uniform times their last entry; a token is the same search over the
+    running sums of the phi row of z.
     """
     z = Ragged(np.empty(int(lengths.sum()), dtype=np.int64), lengths)
     u = rng.random(2 * z.flat.size)
@@ -378,11 +381,11 @@ def draw_tokens(theta, phi_s, lengths, rng: np.random.Generator):
     # for w
     doc_idx = z.doc_idx
     u_at = np.arange(doc_idx.size) + z.offsets[doc_idx]
-    cum = np.cumsum(theta, axis=1)
-    z.flat[:] = count_below(cum, doc_idx, u[u_at] * cum[doc_idx, -1])
-    cum = np.cumsum(phi_s, axis=1)
+    cum = np.cumsum(np.transpose(theta), axis=0)
+    z.flat[:] = count_below(cum, doc_idx, u[u_at] * cum[-1, doc_idx])
+    cum = np.cumsum(np.transpose(phi_s), axis=0)
     w = z.like(count_below(cum, z.flat,
-                           u[u_at + lengths[doc_idx]] * cum[z.flat, -1]))
+                           u[u_at + lengths[doc_idx]] * cum[-1, z.flat]))
     return z, w
 
 

@@ -71,7 +71,7 @@ def z_pass(theta, phi_s, w_flat, doc_idx, rng):
     theta, phi_s = np.asarray(theta), np.asarray(phi_s)
     corpus = flat_corpus([(w_flat, doc_idx, phi_s.shape[1])], len(theta))
     plan = ZPlan(corpus, theta.shape[1])
-    return gibbs._sample_z_batch(theta, phi_s, plan, 0, rng)
+    return gibbs._sample_z_batch(theta, [phi_s], plan, rng)[0]
 
 
 @st.composite

@@ -310,11 +310,9 @@ def unstructured_sweep(state, corpus, hyper, rng):
     the constant prior B[0], phi, no HMC."""
     D, P = state.theta.shape
     plan = gibbs.ZPlan(corpus, P)
+    z = gibbs._sample_z_batch(state.theta, state.phi, plan, rng)
     for s, w in enumerate(corpus.tokens):
-        if w.flat.size:
-            z_flat = gibbs._sample_z_batch(state.theta, state.phi[s], plan, s,
-                                           rng)
-            state.z[s] = w.like(z_flat)
+        state.z[s] = w.like(z[s])
     counts = gibbs.phenotype_counts(state, corpus)
     prior = np.full((D, P), float(state.B[0]))
     state.theta = sample_dirichlet(prior + counts, rng)
@@ -379,10 +377,7 @@ def heldout_infer(test_corpus, trained, hyper, burn_in, samples, seed,
     a_sum = np.zeros((D, P))
     theta_sum = np.zeros((D, P))
     for it in range(burn_in + samples):
-        for s, (w_flat, doc_idx) in enumerate(flat):
-            if w_flat.size:
-                z[s] = gibbs._sample_z_batch(state.theta, state.phi[s], plan,
-                                             s, rng)
+        z = gibbs._sample_z_batch(state.theta, state.phi, plan, rng)
         counts = assignment_counts()
         if gated:
             collapsed_scan(state, counts, hyper, rng)

@@ -5,7 +5,7 @@ draw_tokens is checked bit for bit against the searchsorted sampler it
 replaced (tests/reference_kernels.py) on identically seeded generators:
 one phenotype, a vocabulary of one, empty patients and weight rows with
 exact zeros. count_below is checked against counting every entry, with
-thresholds past the last entry of a row.
+thresholds past the last entry of a column.
 """
 
 import numpy as np
@@ -56,18 +56,19 @@ def test_draw_tokens_matches_searchsorted_sampler(D, P, V, data):
 @PROPERTY_SETTINGS
 @given(R=st.integers(1, 4), K=st.integers(1, 9), data=st.data())
 def test_count_below_counts_entries_below_and_never_returns_K(R, K, data):
-    cum = np.cumsum(_weight_rows(data.draw, (R, K)), axis=1)
+    # R columns of K running sums, phenotype-major as the z pass holds them
+    cum = np.cumsum(_weight_rows(data.draw, (R, K)).T, axis=0)
     n = data.draw(st.integers(0, 12))
-    rows = np.array(data.draw(st.lists(st.integers(0, R - 1), min_size=n,
+    cols = np.array(data.draw(st.lists(st.integers(0, R - 1), min_size=n,
                                        max_size=n)), dtype=np.int64)
     # thresholds at, between and past the entries, up to inf
-    top = float(cum[:, -1].max())
+    top = float(cum[-1].max())
     thr = np.array(data.draw(st.lists(st.one_of(
         st.floats(0.0, 2.0 * top), st.sampled_from(
             [0.0, top, np.nextafter(top, np.inf), np.inf])),
         min_size=n, max_size=n)), dtype=np.float64)
-    got = count_below(cum, rows, thr)
-    want = (cum[rows, :K - 1] < thr[:, None]).sum(axis=1)
+    got = count_below(cum, cols, thr)
+    want = (cum[:K - 1, cols] < thr).sum(axis=0)
     assert np.array_equal(got, want)
     assert got.shape == (n,) and np.all((0 <= got) & (got <= K - 1))
 

@@ -23,11 +23,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reference_kernels as ref
-from conftest import make_hyper, z_pass
+from conftest import flat_corpus, make_hyper, z_pass
 from ss3m import gibbs
 from ss3m.errors import SamplingError
 from ss3m.evaluation import raw_token_features
-from ss3m.gibbs import Z_CHUNK, phenotype_counts, token_counts
+from ss3m.gibbs import Z_CHUNK, ZPlan, phenotype_counts, token_counts
 from ss3m.model import (
     Corpus,
     DocLengthSpec,
@@ -183,22 +183,26 @@ def test_collapsed_log_joint_ignores_theta_and_phi(problem, data):
 @PROPERTY_SETTINGS
 @given(token_problems(), st.integers(1, 4), st.integers(0, 2**32))
 def test_z_pass_matches_single_block(problem, chunk, seed):
-    # a small chunk makes every example span several blocks
+    # a small chunk makes every example span several blocks; one pass
+    # draws every source's tokens, as the reference does source by source
+    # from one generator
     state, corpus, _ = problem
-    for s in range(corpus.num_sources):
-        w_flat, doc_idx = corpus.tokens[s].flat, corpus.tokens[s].doc_idx
-        phi_s = np.where(state.phi[s] > 0.0, state.phi[s], 0.01)
-        rng_want = np.random.default_rng(seed)
-        want = ref.sample_z_batch(state.theta, phi_s, w_flat, doc_idx,
-                                  rng_want)
-        rng = np.random.default_rng(seed)
-        saved, gibbs.Z_CHUNK = gibbs.Z_CHUNK, chunk
-        try:
-            got = z_pass(state.theta, phi_s, w_flat, doc_idx, rng)
-        finally:
-            gibbs.Z_CHUNK = saved
-        assert np.array_equal(got, want) and got.dtype == np.int64
-        assert rng.bit_generator.state == rng_want.bit_generator.state
+    phi = [np.where(phi_s > 0.0, phi_s, 0.01) for phi_s in state.phi]
+    rng_want = np.random.default_rng(seed)
+    want = [ref.sample_z_batch(state.theta, phi_s, w.flat, w.doc_idx,
+                               rng_want)
+            for phi_s, w in zip(phi, corpus.tokens)]
+    rng = np.random.default_rng(seed)
+    saved, gibbs.Z_CHUNK = gibbs.Z_CHUNK, chunk
+    try:
+        got = gibbs._sample_z_batch(state.theta, phi,
+                                    ZPlan(corpus, state.theta.shape[1]), rng)
+    finally:
+        gibbs.Z_CHUNK = saved
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w) and g.dtype == np.int64
+    assert rng.bit_generator.state == rng_want.bit_generator.state
 
 
 def _z_problem(n, P=12, V=11, D=3, seed=0):
@@ -238,17 +242,28 @@ def test_zero_weight_row_in_last_chunk_names_patient_and_token(n):
 
 @pytest.mark.parametrize("chunk", [1, 2, 4096])
 @pytest.mark.parametrize("P", [1, 2, 63, 64, 65, 70, 128])
-@pytest.mark.parametrize("shape", ["mixed", "one_word", "one_token", "empty"])
+@pytest.mark.parametrize("shape", ["mixed", "one_word", "one_token", "empty",
+                                   "gaps"])
 def test_z_pass_search_edges(shape, P, chunk, monkeypatch):
-    # blocks of 1 or 2 pairs split every patient's pairs across blocks
+    # blocks of 1 or 2 pairs split the patients into many blocks; the
+    # tokens sit in source 1, after a source without tokens, and "gaps"
+    # leaves the first, a middle and the last patient without tokens
     D, V, n = {"mixed": (4, 7, 90), "one_word": (5, 1, 40),
-               "one_token": (1, 3, 1), "empty": (3, 4, 0)}[shape]
+               "one_token": (1, 3, 1), "empty": (3, 4, 0),
+               "gaps": (6, 5, 50)}[shape]
     theta, phi_s, w_flat, doc_idx = _z_problem(n, P=P, V=V, D=D, seed=P)
+    if shape == "gaps":
+        doc_idx = np.sort(np.random.default_rng(P).choice([1, 2, 4], n))
     monkeypatch.setattr(gibbs, "Z_CHUNK", chunk)
     rng_want = np.random.default_rng(chunk)
     want = ref.sample_z_batch(theta, phi_s, w_flat, doc_idx, rng_want)
     rng = np.random.default_rng(chunk)
-    got = z_pass(theta, phi_s, w_flat, doc_idx, rng)
+    empty = np.zeros(0, dtype=np.int64)
+    plan = ZPlan(flat_corpus([(empty, empty, 2), (w_flat, doc_idx, V)], D),
+                 P)
+    none, got = gibbs._sample_z_batch(theta, [np.full((P, 2), 0.5), phi_s],
+                                      plan, rng)
+    assert none.size == 0 and none.dtype == np.int64
     assert np.array_equal(got, want) and got.dtype == np.int64
     assert rng.bit_generator.state == rng_want.bit_generator.state
 
@@ -262,7 +277,8 @@ class _TopUniforms:
 
 def test_z_pass_never_returns_phenotype_P():
     # a row whose pairwise total rounds above its sequential cumsum's last
-    # entry: u * total then exceeds every CDF entry
+    # entry: u * that total would exceed every CDF entry; the pass takes
+    # the last entry as the total, and its search never returns P
     P, top = 70, 1.0 - 2.0**-53
     for seed in range(100):
         theta = np.random.default_rng(seed).dirichlet(np.ones(P))[None, :]

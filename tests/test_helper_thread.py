@@ -163,7 +163,7 @@ def _z_error(corpus, theta, phi_s):
     plan = ZPlan(corpus, 3)
     try:
         with pytest.raises(SamplingError) as err:
-            gibbs._sample_z_batch(theta, phi_s, plan, 0,
+            gibbs._sample_z_batch(theta, [phi_s], plan,
                                   np.random.default_rng(0))
         return str(err.value), plan.helper is not None
     finally:
@@ -200,8 +200,8 @@ def test_concurrent_chains_under_fast_thread_switching(monkeypatch):
     def passes(out, seed):
         plan, rng = ZPlan(corpus, 4), np.random.default_rng(seed)
         try:
-            out.extend(gibbs._sample_z_batch(theta, phis[s], plan, s, rng)
-                       for _ in range(10) for s in range(2))
+            out.extend(z for _ in range(10)
+                       for z in gibbs._sample_z_batch(theta, phis, plan, rng))
         finally:
             plan.close()
 

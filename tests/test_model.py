@@ -161,11 +161,11 @@ class TestGenerate:
         theta = sample_dirichlet(np.tile(prior, (n_docs, 1)), rng)
         # the inverse-CDF search generate() draws z and w with
         doc_idx = np.repeat(np.arange(n_docs), tokens_per_doc)
-        cum = np.cumsum(theta, axis=1)
+        cum = np.cumsum(theta.T, axis=0)
         z = count_below(cum, doc_idx,
-                        rng.random(doc_idx.size) * cum[doc_idx, -1])
-        cum = np.cumsum(phi, axis=1)
-        w = count_below(cum, z, rng.random(z.size) * cum[z, -1])
+                        rng.random(doc_idx.size) * cum[-1, doc_idx])
+        cum = np.cumsum(phi.T, axis=0)
+        w = count_below(cum, z, rng.random(z.size) * cum[-1, z])
         counts = np.bincount(w, minlength=V).astype(float)
         expected = (prior / prior.sum()) @ phi * counts.sum()
         result = st.chisquare(counts, expected)

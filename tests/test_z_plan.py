@@ -1,16 +1,21 @@
 """The z pass's per-chain plan (gibbs.ZPlan): reused across local steps
 with the draws of the unchunked reference, the corpus checks it relies
-on, its shape checks, its corner
-cases (P = 1, sources without tokens), and a peak allocation per pass
-that grows with the tokens and not with the (pair x phenotype) rows."""
+on, its shape checks, its block table (whole patients, one token range
+each, every token's pair found through its row), its corner cases (P = 1,
+sources without tokens, a patient with more pairs than a block), and a
+peak allocation per pass that grows with the tokens and not with the
+(pair x phenotype) rows."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_kernels as ref
 from conftest import flat_corpus, make_hyper, random_tiny_state
+from test_flat_kernels import token_problems
 from ss3m import gibbs
 from ss3m.errors import DimensionError
 from ss3m.gibbs import Z_CHUNK, ZPlan, clamp_matrix, local_step
@@ -20,6 +25,13 @@ from ss3m.model import Corpus, Ragged
 def _tokens(n, D, V, seed):
     rng = np.random.default_rng(seed)
     return rng.integers(0, V, size=n), np.sort(rng.integers(0, D, size=n))
+
+
+def _token_pairs(blocks):
+    """Each token's pair, numbered over all sources: its block's first
+    pair plus its row."""
+    table = blocks.table
+    return np.repeat(table[:, 3], table[:, 2] - table[:, 1]) + blocks.rows
 
 
 @pytest.mark.parametrize("chunk", [2, Z_CHUNK])
@@ -61,7 +73,7 @@ def test_plan_rejects_out_of_range_indices(w_flat, doc_idx):
         corpus.tokens[0].flat[:] = w_flat
     with pytest.raises(ValueError, match="read-only"):
         corpus.tokens[0][0][1] = w_flat[1]
-    assert ZPlan(corpus, 3).pairs[0].word.tolist() == [0]
+    assert ZPlan(corpus, 3).blocks.word.tolist() == [0]
 
 
 def test_pass_rejects_arrays_the_plan_was_not_built_for():
@@ -70,12 +82,14 @@ def test_pass_rejects_arrays_the_plan_was_not_built_for():
     plan = ZPlan(flat_corpus([(np.array([0, 4]), [0, 2], 5)], 3), 2)
     theta = np.full((3, 2), 0.5)
     phi_s = np.full((2, 5), 0.2)
-    assert gibbs._sample_z_batch(theta, phi_s, plan, 0,
-                                 np.random.default_rng(0)).shape == (2,)
-    for bad_theta, bad_phi in [(theta[:2], phi_s), (theta, phi_s[:, :4]),
-                               (np.full((3, 3), 1 / 3), phi_s)]:
+    (z,) = gibbs._sample_z_batch(theta, [phi_s], plan,
+                                 np.random.default_rng(0))
+    assert z.shape == (2,)
+    for bad_theta, bad_phi in [(theta[:2], [phi_s]), (theta, [phi_s[:, :4]]),
+                               (np.full((3, 3), 1 / 3), [phi_s]),
+                               (theta, []), (theta, [phi_s, phi_s])]:
         with pytest.raises(DimensionError, match="z plan"):
-            gibbs._sample_z_batch(bad_theta, bad_phi, plan, 0,
+            gibbs._sample_z_batch(bad_theta, bad_phi, plan,
                                   np.random.default_rng(0))
     # a Ragged whose lengths do not sum to its size fails when it is
     # built, before a corpus or a plan can hold it
@@ -84,24 +98,27 @@ def test_pass_rejects_arrays_the_plan_was_not_built_for():
 
 
 def test_one_phenotype_and_empty_sources():
-    # source 1 has no tokens at all: no pairs, an empty draw, no uniforms
+    # source 1 has no tokens at all: no pairs, no blocks, no uniforms
     w_flat, doc_idx = _tokens(30, 4, 6, seed=1)
     empty = np.zeros(0, dtype=np.int64)
     plan = ZPlan(flat_corpus([(w_flat, doc_idx, 6), (empty, empty, 3)], 4),
                  1)
-    assert plan.scratch.shape == (2, plan.pairs[0].heads.size, 1)
-    theta = np.ones((4, 1))
-    rng = np.random.default_rng(3)
-    z = gibbs._sample_z_batch(theta, np.full((1, 6), 1 / 6), plan, 0, rng)
-    assert z.dtype == np.int64 and z.tolist() == [0] * 30
-    before = rng.bit_generator.state
-    z = gibbs._sample_z_batch(theta, np.full((1, 3), 1 / 3), plan, 1, rng)
-    assert z.dtype == np.int64 and z.size == 0
-    assert rng.bit_generator.state == before
+    U = plan.blocks.patient.size
+    assert plan.scratch.shape == (2, 1, U) and plan.blocks.largest == U
+    assert plan.blocks.table[:, 0].tolist() == [0]
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    z0, z1 = gibbs._sample_z_batch(np.ones((4, 1)), [np.full((1, 6), 1 / 6),
+                                                    np.full((1, 3), 1 / 3)],
+                                   plan, rng)
+    assert z0.dtype == z1.dtype == np.int64
+    assert z0.tolist() == [0] * 30 and z1.size == 0
+    twin.random(30)
+    assert rng.bit_generator.state == twin.bit_generator.state
     only_empty = ZPlan(flat_corpus([(empty, empty, 3)], 4), 5)
-    assert only_empty.scratch.shape == (2, 0, 5)
+    assert only_empty.scratch.shape == (2, 5, 0)
+    assert only_empty.blocks.table.shape == (0, 5)
     corpus = Corpus(vocab=[["a"]], tokens=[[[], []]])
-    assert ZPlan(corpus, 2).pairs[0].heads.size == 0
+    assert ZPlan(corpus, 2).blocks.patient.size == 0
 
 
 # around the 8- and 16-bit limits of the radix-sorted key types
@@ -123,9 +140,16 @@ def test_pair_order_is_the_stable_sort_of_the_pair_keys(V):
         w_flat, doc_idx = words[pick], patients[pick]
         plan = ZPlan(flat_corpus([(w_flat, doc_idx, V), (empty, empty, V)],
                                  D), 1)
-        want = np.argsort(doc_idx * V + w_flat, kind="stable")
-        assert np.array_equal(plan.pairs[0].order, want), D
-        assert plan.pairs[1].order.size == 0
+        blocks = plan.blocks
+        # the pairs are the distinct keys in sorted order, and every
+        # token finds its own pair through its row
+        key = doc_idx * V + w_flat
+        assert np.array_equal(blocks.patient * V + blocks.word,
+                              np.unique(key)), D
+        assert np.array_equal(
+            np.take(blocks.patient * V + blocks.word, _token_pairs(blocks)),
+            key), D
+        assert blocks.ends.tolist() == [0, 600, 600]
 
 
 def _pass_peak_bytes(theta, phi_s, plan, rng):
@@ -136,7 +160,7 @@ def _pass_peak_bytes(theta, phi_s, plan, rng):
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        gibbs._sample_z_batch(theta, phi_s, plan, 0, rng)
+        gibbs._sample_z_batch(theta, [phi_s], plan, rng)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
@@ -154,22 +178,84 @@ def test_pass_memory_grows_with_tokens_not_pair_rows():
     for n in (20_000, 80_000):
         w_flat, doc_idx = _tokens(n, D, V, seed=n)
         plan = ZPlan(flat_corpus([(w_flat, doc_idx, V)], D), P)
-        U = plan.pairs[0].heads.size
+        U = plan.blocks.patient.size
         assert U > 0.9 * n
-        assert plan.scratch.shape == (2, min(Z_CHUNK, U), P)
-        gibbs._sample_z_batch(theta, phi_s, plan, 0, rng)  # warm up
+        assert plan.scratch.shape == (2, P, plan.blocks.largest)
+        assert Z_CHUNK - 100 < plan.blocks.largest <= Z_CHUNK
+        gibbs._sample_z_batch(theta, [phi_s], plan, rng)  # warm up
         peaks.append(_pass_peak_bytes(theta, phi_s, plan, rng))
         sizes.append((n, U))
     (n1, u1), (n4, u4) = sizes
-    # the pass holds phi transposed (V x P), its uniforms and draws (two
-    # N-long arrays) and one block's per-token index arrays; one block's
-    # (Z_CHUNK x P) weights, let alone all U x P, would break the bound
+    # the pass holds theta transposed (D x P), its uniforms, which its
+    # draws overwrite (one N-long array), and one block's per-token index
+    # arrays; phi is read in place, and one block's (P x Z_CHUNK)
+    # weights, let alone all U x P, would break the bound
     for peak, n in zip(peaks, (n1, n4)):
-        assert peak < V * P * 8 + 24 * n + 64 * Z_CHUNK, (peak, n)
-    assert peaks[1] - peaks[0] < 24 * (n4 - n1)
+        assert peak < D * P * 8 + 16 * n + 64 * Z_CHUNK, (peak, n)
+    assert peaks[1] - peaks[0] < 16 * (n4 - n1)
     assert peaks[1] < (u4 - u1) * P * 8 / 10
     # a corpus with fewer pairs than Z_CHUNK gets a scratch of its size
     w_flat, doc_idx = _tokens(500, 3, 7, seed=2)
     plan = ZPlan(flat_corpus([(w_flat, doc_idx, 7)], 3), P)
-    assert plan.scratch.shape == (2, plan.pairs[0].heads.size, P)
-    assert plan.pairs[0].heads.size <= 21
+    assert plan.scratch.shape == (2, P, plan.blocks.patient.size)
+    assert plan.blocks.patient.size <= 21
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(token_problems(), st.integers(1, 4))
+def test_blocks_tile_the_tokens_by_whole_patients(problem, chunk):
+    _, corpus, _ = problem
+    saved, gibbs.Z_CHUNK = gibbs.Z_CHUNK, chunk
+    try:
+        blocks = ZPlan(corpus, 2).blocks
+    finally:
+        gibbs.Z_CHUNK = saved
+    table, at = blocks.table, 0
+    for s, w in enumerate(corpus.tokens):
+        lo, hi = blocks.ends[s], blocks.ends[s + 1]
+        assert hi - lo == w.flat.size
+        mine = table[table[:, 0] == s]
+        # in flat order, end to end, none empty
+        assert mine[:, 1].tolist() == [lo, *mine[:-1, 2]][:len(mine)]
+        assert mine[-1:, 2].tolist() == ([hi] if w.flat.size else [])
+        assert np.all(mine[:, 2] > mine[:, 1])
+        assert mine[:, 3].tolist() == [at, *mine[:-1, 4]][:len(mine)]
+        at = mine[-1, 4] if mine.size else at
+        for _, a, b, p_lo, p_hi in mine:
+            # whole patients: a block's range starts and ends at patient
+            # boundaries; at most chunk pairs, or one patient's
+            first, last = w.doc_idx[a - lo], w.doc_idx[b - 1 - lo]
+            assert a - lo == w.offsets[first] and b - lo == w.offsets[last + 1]
+            assert p_hi - p_lo <= chunk or first == last
+            rows = blocks.rows[a:b]
+            assert 0 <= rows.min() and rows.max() == p_hi - p_lo - 1
+            assert np.array_equal(blocks.patient[p_lo + rows],
+                                  w.doc_idx[a - lo:b - lo])
+            assert np.array_equal(blocks.word[p_lo + rows],
+                                  w.flat[a - lo:b - lo])
+    assert at == blocks.patient.size == blocks.word.size
+    assert blocks.rows.dtype == np.int32
+    assert blocks.largest == (table[:, 4] - table[:, 3]).max(initial=0)
+
+
+def test_patient_with_more_pairs_than_a_block_gets_its_own(monkeypatch):
+    # patient 1 uses 6 distinct words, more than the 4 pairs a block may
+    # hold; its neighbours share blocks of whole patients
+    w_flat = np.array([0, 1, 5, 4, 3, 2, 1, 0, 5, 2, 2, 3, 3, 1])
+    doc_idx = np.array([0, 0, 1, 1, 1, 1, 1, 1, 1, 2, 3, 3, 4, 4])
+    monkeypatch.setattr(gibbs, "Z_CHUNK", 4)
+    corpus = flat_corpus([(w_flat, doc_idx, 6)], 5)
+    plan = ZPlan(corpus, 3)
+    # (source, first token, end token, first pair, end pair)
+    assert plan.blocks.table.tolist() == [[0, 0, 2, 0, 2], [0, 2, 9, 2, 8],
+                                          [0, 9, 12, 8, 11],
+                                          [0, 12, 14, 11, 13]]
+    assert plan.blocks.largest == 6 and plan.scratch.shape == (2, 3, 6)
+    rng = np.random.default_rng(4)
+    theta = rng.dirichlet(np.ones(3), size=5)
+    phi_s = rng.dirichlet(np.ones(6), size=3)
+    want = ref.sample_z_batch(theta, phi_s, w_flat, doc_idx,
+                              np.random.default_rng(9))
+    (got,) = gibbs._sample_z_batch(theta, [phi_s], plan,
+                                   np.random.default_rng(9))
+    assert np.array_equal(got, want)

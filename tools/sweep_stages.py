@@ -11,11 +11,13 @@ estimated labels, sampled B). The script starts a chain as train() does
 each kernel on copies of that state, printing the best and the median of
 --repeats calls in milliseconds:
 
-  * the chain's start-up: `ZPlan` until its pair index is ready, and
+  * the chain's start-up: `ZPlan` until its blocks are ready, and
     `initialize_state`;
-  * each stage of a sweep: the z pass of every source, the phenotype
-    counts, the A scan, the B and B* step, the theta draw, the token
-    counts, the phi draw and the collapsed log joint;
+  * each stage of a sweep: the z pass (one call over every source, as
+    `local_step` makes it; one call per source for a checkout whose
+    kernel takes a source index), the phenotype counts, the A scan, the
+    B and B* step, the theta draw, the token counts, the phi draw and the
+    collapsed log joint;
   * a whole `sweep`, and a whole `train()` call of the workload's sweeps.
 
 Each stage is timed alone on the calling thread, except that the z pass
@@ -41,6 +43,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse
+import inspect
 import statistics
 import sys
 import time
@@ -82,17 +85,21 @@ def stages(ss3m, bench, seed: int, warm: int):
     m = [gibbs.token_counts(state, corpus, s)
          for s in range(corpus.num_sources)]
     rngs = iter(np.random.SeedSequence(seed).spawn(10 ** 6))
+    per_source = "s" in inspect.signature(gibbs._sample_z_batch).parameters
 
     def fresh():
         return np.random.default_rng(next(rngs))
 
     def start_plan():
-        # closing a plan waits for its pair index
+        # closing a plan waits for its blocks
         gibbs.ZPlan(corpus, P).close()
 
     def z_pass(rng):
-        for s in range(corpus.num_sources):
-            gibbs._sample_z_batch(state.theta, state.phi[s], plan, s, rng)
+        if per_source:
+            for s in range(corpus.num_sources):
+                gibbs._sample_z_batch(state.theta, state.phi[s], plan, s, rng)
+        else:
+            gibbs._sample_z_batch(state.theta, state.phi, plan, rng)
 
     def train():
         gibbs.train(corpus, labels, hyper, options)
