@@ -81,10 +81,7 @@ def build_parser():
 
 
 def load_config(args) -> RunConfig:
-    if args.config:
-        cfg = RunConfig.from_file(args.config)
-    else:
-        cfg = RunConfig()
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     for key in SCHEMA:
         raw = getattr(args, f"cfg:{key}", None)
         if raw is not None:

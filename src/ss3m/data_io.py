@@ -14,8 +14,10 @@ Wire formats:
     {"flat", "lengths"} pair of integer arrays, each written in the
     narrowest of "|u1", "<u2" and "<i4" that holds it ("<i4" if an entry
     is negative) and read as int64 from any of the three, so that files
-    written all in "<i4" still load. vocab, patient_ids, sources, Bstar
-    and meta are plain JSON. Each reader accepts only the version its
+    written all in "<i4" still load. vocab (one array per source),
+    patient_ids, sources and label_names are JSON arrays of strings, meta
+    a JSON object and Bstar a number; a reader raises DataError naming
+    the file for any other type. Each reader accepts only the version its
     writer writes.
 """
 
@@ -232,9 +234,7 @@ def build_labels(records, top_k: int, patient_ids=None) -> LabelMatrix:
     if patient_ids is None:
         patient_ids = _patient_order(records)
 
-    freq = Counter()
-    for labels in per_patient.values():
-        freq.update(labels)
+    freq = Counter(name for labels in per_patient.values() for name in labels)
     ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
     if len(ranked) < top_k:
         logger.warning("only %d distinct labels available (requested %d)",
@@ -310,8 +310,8 @@ def save_state(state: ModelState, path, extra=None):
 
 def load_state(path):
     """Inverse of save_state. Returns (ModelState, meta dict). A state
-    whose arrays are malformed or inconsistent (ModelState.validate)
-    raises DataError."""
+    whose arrays are malformed or inconsistent (ModelState.validate), or
+    whose meta is not a JSON object, raises DataError."""
     payload = _load_container(path, STATE_FORMAT_VERSION)
     with _reading(path, "state"):
         state = ModelState(
@@ -322,7 +322,9 @@ def load_state(path):
             B=_decode(payload["B"], 1, F8),
             Bstar=float(payload["Bstar"]))
         state.validate()
-    return state, payload.get("meta", {})
+        if type(meta := payload.get("meta", {})) is not dict:
+            raise TypeError("meta is not a JSON object")
+    return state, meta
 
 
 @contextlib.contextmanager
@@ -333,6 +335,14 @@ def _reading(path, what: str):
         yield
     except (KeyError, TypeError, ValueError, SS3MError) as exc:
         raise DataError(f"{path}: malformed {what}: {exc}") from exc
+
+
+def _names(values, key: str) -> list:
+    """values, the field key; TypeError unless it is a JSON array of
+    strings."""
+    if type(values) is not list or not all(type(v) is str for v in values):
+        raise TypeError(f"{key} is not a JSON array of strings")
+    return values
 
 
 def _integers(values) -> np.ndarray:
@@ -432,13 +442,14 @@ def save_corpus(corpus: Corpus, patient_ids, path, source_names):
 
 def load_corpus(path):
     """Inverse of save_corpus. Returns (Corpus, patient_ids,
-    source_names); DataError if a field is missing, undecodable or of the
-    wrong length."""
+    source_names); DataError if a field is missing, undecodable, of the
+    wrong type or of the wrong length."""
     payload = _load_container(path, CORPUS_FORMAT_VERSION)
     with _reading(path, "corpus"):
-        corpus = Corpus(vocab=[list(v) for v in payload["vocab"]],
+        corpus = Corpus(vocab=[_names(v, "vocab") for v in payload["vocab"]],
                         tokens=[_decode_ragged(w) for w in payload["tokens"]])
-        ids, names = list(payload["patient_ids"]), list(payload["sources"])
+        ids, names = (_names(payload[key], key)
+                      for key in ("patient_ids", "sources"))
         if (len(ids), len(names)) != (corpus.num_patients, corpus.num_sources):
             raise ValueError(
                 f"{len(ids)} patient_ids and {len(names)} source names for "
@@ -459,14 +470,15 @@ def save_labels(labels: LabelMatrix, patient_ids, path):
 
 def load_labels(path):
     """Returns (LabelMatrix, patient_ids); DataError if a field is
-    missing, not integer where it must be, or of the wrong length."""
+    missing, not integer where it must be, not an array of strings where
+    it must be, or of the wrong length."""
     payload = _load_container(path, LABELS_FORMAT_VERSION)
     with _reading(path, "labels"):
         labels = LabelMatrix(
             entries=_integers(payload["entries"]),
-            label_names=list(payload["label_names"]),
+            label_names=_names(payload["label_names"], "label_names"),
         )
-        ids = list(payload["patient_ids"])
+        ids = _names(payload["patient_ids"], "patient_ids")
         if len(ids) != labels.num_patients:
             raise ValueError(f"{len(ids)} patient_ids for "
                              f"{labels.num_patients} rows")

@@ -3,16 +3,17 @@
 model.collapsed_log_joint, as the log_likelihood row).
 
 The suite (evaluate_suite) checks all its inputs and settings before any
-job starts (check_suite). Where the process may use two or more CPUs, it
-runs the held-out chains, in column order, on one worker thread whose
-chains start no z-pass helper, while the calling thread fits the
-raw-token baseline; with one, the calling thread runs both, chains first.
-The reports, and which error is raised, are the same either way.
+job starts (check_suite). It hands the held-out chains, in column order,
+to a gibbs.Helper and fits the raw-token baseline on the calling thread.
+Where the process may use two or more CPUs the Helper's worker runs the
+chains beside the baseline, and by the Helper's rule they start no z-pass
+helper; with one, submitting runs them on the calling thread, before the
+baseline. The reports, and which error is raised, are the same either
+way.
 """
 
 import logging
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,8 +168,7 @@ def auprc(scores, truth) -> float:
     if np.isnan(scores).any():
         return float("nan")
     order = np.argsort(-scores, kind="stable")
-    s_sorted = scores[order]
-    t_sorted = truth[order]
+    s_sorted, t_sorted = scores[order], truth[order]
     # indices where a threshold group ends (last occurrence of each value)
     distinct = np.flatnonzero(np.diff(s_sorted))
     ends = np.append(distinct, len(s_sorted) - 1)
@@ -186,8 +186,7 @@ def micro_macro(per_label_fn, scores, truth):
     truth = np.asarray(truth)
     if scores.shape != truth.shape:
         raise ConfigError("scores and truth must have identical shape")
-    values = []
-    skipped = 0
+    values, skipped = [], 0
     for j in range(scores.shape[1]):
         try:
             values.append(per_label_fn(scores[:, j], truth[:, j]))
@@ -344,11 +343,9 @@ def lr_predict(model, features) -> np.ndarray:
 
 def raw_token_features(corpus: Corpus) -> np.ndarray:
     """Per-patient token-count vectors, sources concatenated."""
-    blocks = []
-    for s, w in enumerate(corpus.tokens):
-        blocks.append(count_pairs(w.doc_idx, w.flat, corpus.num_patients,
-                                  len(corpus.vocab[s])))
-    return np.hstack(blocks).astype(float)
+    counts = [count_pairs(w.doc_idx, w.flat, corpus.num_patients, len(voc))
+              for w, voc in zip(corpus.tokens, corpus.vocab)]
+    return np.hstack(counts).astype(float)
 
 
 def truth_matrix(labels: LabelMatrix) -> np.ndarray:
@@ -378,8 +375,9 @@ def check_suite(artifacts: dict, train_corpus: Corpus,
     settings; labels that name the same columns, at least one, and cover
     their corpus's patients; train and test vocabularies of one size per
     source; at most hyper.num_labeled label columns when an ss3m column is
-    scored; each state's phi widths and phenotype count, and one theta row
-    per training patient in each base model."""
+    scored; each state's phi widths and phenotype count, one theta row
+    per training patient in each base model, and a max_log_likelihood
+    that is a number or None."""
     _check_chain_settings(burn_in, samples)
     _check_lr_settings(lr_lam, lr_epochs)
     seed_sequence(seed)
@@ -405,10 +403,12 @@ def check_suite(artifacts: dict, train_corpus: Corpus,
         raise ConfigError(
             f"label matrix has more columns ({test_labels.num_labels}) "
             f"than model.num_labeled ({hyper.num_labeled})")
-    for name in STATE_ARTIFACTS:
-        if name not in artifacts:
-            continue
-        state = artifacts[name][0]
+    for name in filter(artifacts.__contains__, STATE_ARTIFACTS):
+        state, max_ll = artifacts[name]
+        if isinstance(max_ll, bool) or not isinstance(max_ll, (int, float,
+                                                               type(None))):
+            raise DataError(f"{name}: max_log_likelihood {max_ll!r} is not a "
+                            "number or null")
         _check_trained(state, test_corpus, hyper, f"{name}: trained")
         if (name in STATE_ARTIFACTS[4:]
                 and state.theta.shape[0] != train_corpus.num_patients):
@@ -431,15 +431,16 @@ def evaluate_suite(artifacts: dict, train_corpus: Corpus,
     check_suite runs before any chain or fit starts.
 
     The jobs are one held-out chain per artifact, in column order, each
-    base model's with its classifiers, and the raw-token baseline. With
-    two or more usable CPUs (gibbs._usable_cpus) one worker thread runs
-    the chains while this thread runs the raw-token baseline; the
-    worker's chains start no z-pass helper, and the worker is joined
-    before the suite returns or raises. With one, this thread runs the
-    chains and then the baseline. Each chain draws from a generator of
-    its own, made from seed, so the reports are the same bytes either
-    way, and where several jobs fail the error of the first in column
-    order is raised.
+    base model's with its classifiers, and the raw-token baseline. A
+    gibbs.Helper runs the chains: with two or more usable CPUs on its
+    worker thread, beside this thread's raw-token baseline, and the
+    worker's chains start no z-pass helper; with one, here, before the
+    baseline. The worker is joined before the suite returns or raises.
+    Each chain draws from a generator of its own, made from seed, so the
+    reports are the same bytes either way, and where several jobs fail
+    the error of the first in column order is raised. With one CPU the
+    baseline still runs after a chain fails, before that chain's error is
+    raised.
     """
     check_suite(artifacts, train_corpus, train_labels, test_corpus,
                 test_labels, hyper, burn_in, samples, seed, lr_lam,
@@ -483,17 +484,14 @@ def evaluate_suite(artifacts: dict, train_corpus: Corpus,
         return classify("raw", raw_token_features(train_corpus),
                         raw_token_features(test_corpus), NB_MULTINOMIAL, None)
 
-    if gibbs._usable_cpus() < 2:
-        return [r for name in STATE_ARTIFACTS for r in chain(name)] + raw()
     stop = threading.Event()
 
     def chains():
-        gibbs._thread.no_helper = True
         return [r for name in STATE_ARTIFACTS if not stop.is_set()
                 for r in chain(name)]
 
-    with ThreadPoolExecutor(1, thread_name_prefix="ss3m-evaluate") as pool:
-        worker = pool.submit(chains)
+    with gibbs.Helper() as helper:
+        worker = helper.submit(chains)
         try:
             try:
                 baseline = raw()

@@ -58,27 +58,29 @@ floats, without a fresh (block x P) temporary; the last row is each
 pair's total. model.count_below, the search generate also draws with,
 finds z, read and written in place over the block's tokens.
 
-Threads. A chain runs on the calling thread plus at most one helper, a
-single-worker executor its ZPlan starts when the process may use two or
-more CPUs (os.sched_getaffinity) and some source has more than Z_CHUNK
-tokens; the chain builds its plan first and shuts the helper down before
-it returns or raises, also when drawing its starting state fails. The
-helper sorts the plan's pairs and cuts its blocks while the calling
-thread draws the starting state, and the first z pass waits for it. In a
-z pass the two threads take blocks of every source from one shared
-iterator, each in its own scratch, and write disjoint token ranges of z;
-the uniforms are drawn up front and a block's floats do not depend on
-the thread that builds them, so the draws are those of one thread. The
-sweep computes the log joint of its new state on the helper while the
-calling thread draws phi, which the log joint does not read, and the
-chain scores its starting state, from the snapshot it keeps, during the
-first sweep. The helper draws no
-random numbers, so one seed gives the same bytes with one CPU or more,
-and the kernels a benchmark tracer wraps by module attribute
-(_sample_z_batch, the counts, the Dirichlet draws, the state copy, the
-initial state) all run on the calling thread. A chain on a thread that
-sets _thread.no_helper starts no helper: evaluation.evaluate_suite's
-worker does, since it already runs beside the calling thread.
+Threads. One class, Helper, owns every thread ss3m starts, under one
+rule: at most one worker beside the calling thread, started only when
+the process may use two or more CPUs (os.sched_getaffinity) and the
+calling thread is not itself a Helper's worker, so work running on a
+worker starts no other thread. A chain's ZPlan is a Helper that also
+wants some source to have more than Z_CHUNK tokens; the chain builds its
+plan first and shuts the helper down before it returns or raises, also
+when drawing its starting state fails. The helper sorts the plan's
+pairs and cuts its blocks while the calling thread draws the starting
+state, and the first z pass waits for it. In a z pass the two threads
+take blocks of every source from one shared iterator, each in its own
+scratch, and write disjoint token ranges of z; the uniforms are drawn up
+front and a block's floats do not depend on the thread that builds
+them, so the draws are those of one thread. The sweep computes the log
+joint of its new state on the helper while the calling thread draws
+phi, which the log joint does not read, and the chain scores its
+starting state, from the snapshot it keeps, during the first sweep. The
+helper draws no random numbers, so one seed gives the same bytes with
+one CPU or more, and the kernels a benchmark tracer wraps by module
+attribute (_sample_z_batch, the counts, the Dirichlet draws, the state
+copy, the initial state) all run on the calling thread. The chains
+evaluation.evaluate_suite runs on its Helper's worker start no helper,
+by the same rule.
 """
 
 import logging
@@ -127,8 +129,7 @@ B_SAMPLED = "sampled"
 # patient has more: bounds its (P x block) scratch.
 Z_CHUNK = 4096
 
-# Per-thread state; no_helper, when set on a thread, keeps the plans built
-# there from starting a helper.
+# Per-thread state: on_helper is set on each Helper's worker.
 _thread = threading.local()
 
 
@@ -186,17 +187,54 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-class ZPlan:
+class Helper:
+    """At most one worker thread beside the calling thread: helper, a
+    single-worker executor, started when wanted is true, the process may
+    use two or more CPUs (_usable_cpus) and the calling thread is not a
+    Helper's worker itself; None otherwise. So work handed to a worker
+    starts no other thread. A Helper is a context manager; close(), or
+    leaving its with block, shuts the worker down."""
+
+    def __init__(self, wanted: bool = True):
+        self.helper = None
+        if wanted and _usable_cpus() > 1 and not hasattr(_thread, "on_helper"):
+            # the worker marks its own thread as a Helper's worker
+            self.helper = ThreadPoolExecutor(1, "ss3m", setattr,
+                                             (_thread, "on_helper", True))
+
+    def submit(self, fn, *args) -> Future:
+        """fn(*args) on the worker thread, or here and now without one;
+        its outcome as a future either way."""
+        if self.helper is not None:
+            return self.helper.submit(fn, *args)
+        done = Future()
+        try:
+            done.set_result(fn(*args))
+        except Exception as exc:
+            done.set_exception(exc)
+        return done
+
+    def close(self):
+        """Shut the worker thread down once its work is done."""
+        if self.helper is not None:
+            self.helper.shutdown()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+class ZPlan(Helper):
     """A chain's corpus (corpus) and what its z pass needs that stays
     fixed along the chain, built once per chain and reused by every
     sweep: the blocks of every source (blocks, a _Blocks) and one float64
-    scratch pair of P x the largest block. With two or more usable CPUs
-    and a source of more than Z_CHUNK tokens, unless built on a thread
-    that sets _thread.no_helper, also a helper thread (helper, a
-    single-worker executor; None otherwise) and its own scratch of the
-    same shape (helper_scratch; scratch itself without a helper, when
-    submit runs the helper's work inline). A plan is a context manager;
-    close(), or leaving its with block, shuts the helper down.
+    scratch pair of P x the largest block. A Helper that wants its worker
+    when a source has more than Z_CHUNK tokens; with a helper it also
+    holds the helper's own scratch of the same shape (helper_scratch;
+    scratch itself without a helper, when submit runs the helper's work
+    inline).
 
     The z pass gathers columns at the token IDs and patients without
     checking them: the Corpus checked them and made them read-only. The
@@ -210,10 +248,7 @@ class ZPlan:
         self.corpus = corpus
         self.shape = (corpus.num_patients, num_phenotypes)
         self.chunk = Z_CHUNK
-        self.helper = None
-        if (_usable_cpus() > 1 and not getattr(_thread, "no_helper", False)
-                and any(w.flat.size > self.chunk for w in corpus.tokens)):
-            self.helper = ThreadPoolExecutor(1, thread_name_prefix="ss3m")
+        super().__init__(any(w.flat.size > self.chunk for w in corpus.tokens))
         self._blocks = self.submit(self._plan_blocks)
 
     @property
@@ -229,29 +264,6 @@ class ZPlan:
     @cached_property
     def helper_scratch(self) -> np.ndarray:
         return np.empty_like(self.scratch) if self.helper else self.scratch
-
-    def submit(self, fn, *args) -> Future:
-        """fn(*args) on the helper thread, or here and now without one;
-        its outcome as a future either way."""
-        if self.helper is not None:
-            return self.helper.submit(fn, *args)
-        done = Future()
-        try:
-            done.set_result(fn(*args))
-        except Exception as exc:
-            done.set_exception(exc)
-        return done
-
-    def close(self):
-        """Shut the helper thread down once its work is done."""
-        if self.helper is not None:
-            self.helper.shutdown()
-
-    def __enter__(self) -> "ZPlan":
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
 
     def _plan_blocks(self) -> _Blocks:
         """Every source's pairs, cut into blocks of whole patients."""

@@ -555,6 +555,33 @@ class TestErrorPaths:
         assert capsys.readouterr().err == message + "\n"
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("meta, message", [
+        ([1], "malformed state: meta is not a JSON object"),
+        ({"max_log_likelihood": "abc"},
+         "ss3m_fixA0_fixB: max_log_likelihood 'abc' is not a number or null"),
+        ({"max_log_likelihood": [1]},
+         "ss3m_fixA0_fixB: max_log_likelihood [1] is not a number or null"),
+    ], ids=["meta-a-list", "ll-a-string", "ll-a-list"])
+    def test_evaluate_malformed_meta_is_data_error_before_any_job(
+            self, tmp_path, toy_config, capsys, monkeypatch, meta, message):
+        prep, states = self._trained(tmp_path, toy_config)
+        path = os.path.join(states, "ss3m_fixA0_fixB.state.json")
+        with open(path) as fh:
+            payload = json.load(fh)
+        payload["meta"] = meta
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+
+        def no_job(*args, **kwargs):
+            raise AssertionError("a job ran")
+
+        for job in ("heldout_infer", "lr_train", "raw_token_features"):
+            monkeypatch.setattr(evaluation, job, no_job)
+        capsys.readouterr()
+        assert self._evaluate(tmp_path, toy_config, prep, states) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
     def test_evaluate_missing_state_dir_is_data_error(
             self, tmp_path, toy_config, capsys, monkeypatch):
         # a mistyped --state-dir used to exit 0 with every ss3m and mc3m

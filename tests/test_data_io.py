@@ -509,6 +509,12 @@ class TestMalformedContainers:
         lambda pl: pl.__setitem__("sources", []),            # no source name
         lambda pl: pl["tokens"][0][0].__setitem__(1, 2),     # out of range
         lambda pl: pl["tokens"][0].__setitem__(0, [[0, 1]]),  # nested tokens
+        # string fields whose list() would pass: one char per entry
+        lambda pl: pl.__setitem__("vocab", ["ab"]),
+        lambda pl: pl.__setitem__("patient_ids", "p"),
+        lambda pl: pl.__setitem__("sources", "s"),
+        lambda pl: pl.__setitem__("vocab", [["a", None]]),   # not a string
+        lambda pl: pl.__setitem__("patient_ids", [0]),
     ])
     def test_malformed_corpus_is_data_error(self, tmp_path, corrupt):
         payload = self._corpus_payload(tmp_path)
@@ -523,6 +529,10 @@ class TestMalformedContainers:
         lambda pl: pl.__setitem__("patient_ids", ["p0"]),   # one id, 2 rows
         lambda pl: pl.pop("label_names"),                   # missing field
         lambda pl: pl["entries"][1].append(1),              # ragged rows
+        lambda pl: pl.__setitem__("label_names", "l"),      # one char each
+        lambda pl: pl.__setitem__("patient_ids", "pq"),
+        lambda pl: pl.__setitem__("label_names", [7]),      # not a string
+        lambda pl: pl.__setitem__("patient_ids", ["p0", None]),
     ])
     def test_malformed_labels_is_data_error(self, tmp_path, corrupt):
         payload = self._labels_payload()
@@ -734,11 +744,13 @@ class TestV2Containers:
         (lambda pl: pl["z"][0].__setitem__(
             "lengths", v2_field(v2_array(pl["z"][0]["lengths"]), "<i8")),
          r"dtype '<i8' where '\|u1' or '<u2' or '<i4' is expected"),
+        (lambda pl: pl.__setitem__("meta", [1]), "meta is not a JSON object"),
+        (lambda pl: pl.__setitem__("meta", "x"), "meta is not a JSON object"),
     ], ids=["bad-base64", "bad-padding", "data-not-a-string", "theta-f4",
             "A-i8", "B-big-endian", "shape-too-big", "B-2d", "shape-negative",
             "shape-not-a-list", "shape-missing", "theta-as-lists",
             "z-negative-length", "z-lengths-too-long", "z-flat-i8",
-            "z-flat-f8", "z-lengths-i8"])
+            "z-flat-f8", "z-lengths-i8", "meta-a-list", "meta-a-string"])
     def test_malformed_v2_state_is_data_error(self, tmp_path, corrupt,
                                               message):
         state, _ = random_tiny_state(np.random.default_rng(5), D=3, P=2,

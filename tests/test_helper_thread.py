@@ -1,9 +1,11 @@
-"""The z plan's helper thread (gibbs.ZPlan.helper): it changes no draw,
-float or error of any chain, and it never outlives the chain, not even
-one whose starting state fails to draw. Likewise evaluate_suite's worker
-thread, which runs the held-out chains beside the raw-token baseline:
-it changes no byte of the reports, its chains start no helper, and it
-is joined before the suite returns or raises.
+"""The threads gibbs.Helper starts, at most one beside the calling
+thread and none on a Helper's worker. The z plan's helper thread
+(gibbs.ZPlan.helper): it changes no draw, float or error of any chain,
+and it never outlives the chain, not even one whose starting state
+fails to draw. Likewise evaluate_suite's worker thread, which runs the
+held-out chains beside the raw-token baseline: it changes no byte of
+the reports, its chains start no helper, and it is joined before the
+suite returns or raises.
 
 The CPU probe (gibbs._usable_cpus) is monkeypatched to force the helper
 on or off, and gibbs.Z_CHUNK is cut to 1 or 2 pairs, so that the small
@@ -565,6 +567,36 @@ def test_suite_with_one_cpu_starts_no_thread(monkeypatch):
     reports = _suite(hyper, corpus, labels, artifacts)
     assert [r.model_id for r in reports] == list(evaluation.SUITE_COLUMNS)
     assert {thread for _, thread, _ in seen} == {threading.current_thread()}
+    # a failing chain: its error is raised, after the raw-token baseline,
+    # the one job left, has run here too
+    seen.clear()
+    _corrupt(artifacts, "mc3m")
+    with pytest.raises(SamplingError):
+        _suite(hyper, corpus, labels, artifacts)
+    assert {thread for _, thread, _ in seen} == {threading.current_thread()}
+    # the LR fits of mc3m_sp and of the raw token counts
+    assert [name for name, _, _ in seen].count("lr_train") == 2
+
+
+def test_a_helpers_worker_starts_no_helper(monkeypatch):
+    # the one rule: a plan built on a Helper's worker starts no thread,
+    # one built on any other thread does
+    corpus = CORPORA["one source"]()
+    monkeypatch.setattr(gibbs, "Z_CHUNK", 1)
+    _cpus(monkeypatch, 2)
+
+    def helped():
+        with ZPlan(corpus, 3) as plan:
+            return plan.helper is not None
+
+    assert helped()
+    with gibbs.Helper() as worker:
+        assert worker.helper is not None
+        assert worker.submit(helped).result() is False
+        assert worker.submit(threading.current_thread).result() is not (
+            threading.current_thread())
+    with gibbs.Helper(wanted=False) as none:
+        assert none.helper is None and none.submit(helped).result()
 
 
 # In a fresh interpreter, so that the suite's first A scan on the worker

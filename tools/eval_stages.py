@@ -20,12 +20,16 @@ of --repeats calls in milliseconds:
   * the raw token features of both corpora;
   * the whole `evaluate_suite`.
 
-The chains are timed on the calling thread. Where the checkout's
-evaluate runs them on a worker whose chains start no z-pass helper
-(gibbs._thread exists), they are timed without a helper too; otherwise
-as the checkout's chains run, with a helper when the process may use two
-or more CPUs. Run under `taskset -c 0` for the one-CPU times. The suite
-is timed as evaluate runs it. This script stands in for the benchmark
+The chains are timed as the checkout's evaluate runs them. Where the
+checkout has gibbs.Helper, each runs on a Helper's worker, so that it
+starts no z-pass helper (on one CPU the worker is the calling thread).
+In an older checkout whose evaluate worker starts no helper
+(gibbs._thread exists, gibbs.Helper does not), each runs on the calling
+thread with the CPU probe reporting one CPU, so that its z plan starts
+no helper either; in one older still, on the calling thread as its
+chains run, with a helper when the process may use two or more CPUs.
+Run under `taskset -c 0` for the one-CPU times. The suite is timed as
+evaluate runs it. This script stands in for the benchmark
 tracer's `evaluation.*` spans, which one span stack cannot attribute
 once two threads run them. Compare two checkouts on one host in one
 session, one after the other:
@@ -75,17 +79,25 @@ def stages(ss3m, work: Path, config: Path, solver_seed: int):
              for split in labels}
 
     def heldout(model_id):
-        # as evaluate's worker runs a chain, where the checkout has one
-        solo = hasattr(ss3m.gibbs, "_thread")
-        if solo:
-            ss3m.gibbs._thread.no_helper = True
-        try:
+        def run():
             return evaluation.heldout_infer(corpora["test"],
                                             loaded[model_id][0], hyper,
                                             **chain)
+
+        gibbs = ss3m.gibbs
+        if hasattr(gibbs, "Helper"):
+            # on a Helper's worker, as evaluate runs a chain
+            with gibbs.Helper() as worker:
+                return worker.submit(run).result()
+        if not hasattr(gibbs, "_thread"):
+            return run()
+        # an older evaluate's worker starts no z-pass helper: a plan built
+        # while the probe reports one CPU starts none either
+        cpus, gibbs._usable_cpus = gibbs._usable_cpus, lambda: 1
+        try:
+            return run()
         finally:
-            if solo:
-                del ss3m.gibbs._thread.no_helper
+            gibbs._usable_cpus = cpus
 
     def classify(prefix, feats_train, feats_test, nb_mode):
         model = evaluation.lr_train(feats_train, truth["train"], **lr)
@@ -160,7 +172,8 @@ def main(argv=None):
         logging.getLogger("ss3m").setLevel(logging.ERROR)
         run_pipeline(ss3m.cli, config, work, data_seed, bench.SOLVER_SEED)
         todo = stages(ss3m, work, config, bench.SOLVER_SEED)
-        chains = ("without a helper" if hasattr(ss3m.gibbs, "_thread")
+        chains = ("on a Helper's worker" if hasattr(ss3m.gibbs, "Helper")
+                  else "without a helper" if hasattr(ss3m.gibbs, "_thread")
                   else "as the checkout runs them")
         print(f"# {checkout}  seed {args.seed} (corpus seed {data_seed}), "
               f"{ss3m.gibbs._usable_cpus()} CPUs, chains {chains}, best and "
